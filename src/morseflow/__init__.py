@@ -16,7 +16,6 @@ from .complexes import (
     build_complex,
     component_count,
     euler_characteristic,
-    full_simplex_complex,
     incidence_sign,
     is_connected,
     is_subcomplex,
@@ -35,7 +34,6 @@ from .morse import (
     has_closed_path,
     lower_set,
     make_injective,
-    matching_field,
     random_morse,
     upper_set,
     validate,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from .complexes import (
     betti_numbers_mod2,
     euler_characteristic,
 )
-from .errors import MissingValue, MorseflowError, PreconditionViolated
+from .errors import MissingValue, MorseflowError, PreconditionViolated, UnreadableInput
 from .flow import FlowOperator, check_flow_matrix, flow_matrix
 from .minmax import (
     check_minmax_data,
@@ -47,7 +48,10 @@ def _cells(simplices) -> list[list[int]]:
 
 
 def _load(args) -> tuple[SimplicialComplex, MorseFunction | None]:
-    text = Path(args.infile).read_text(encoding="utf-8")
+    try:
+        text = Path(args.infile).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UnreadableInput(f"cannot read {args.infile}: {exc}") from None
     fmt = args.format
     if fmt == "auto":
         fmt = "off" if args.infile.lower().endswith(".off") else "scx"
@@ -227,6 +231,13 @@ def _cmd_export_dot(args):
     return text
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="morseflow", description="Discrete Morse theory toolbox"
@@ -253,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("levels")
     common(p)
-    p.add_argument("--level", type=float, required=True)
-    p.add_argument("--to", type=float, default=None)
+    p.add_argument("--level", type=_finite_float, required=True)
+    p.add_argument("--to", type=_finite_float, default=None)
     p.set_defaults(handler=_cmd_levels)
 
     p = sub.add_parser("collapse")
@@ -288,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-dot")
     common(p)
     p.add_argument("--json", action="store_true", help="wrap the DOT text in JSON")
-    p.add_argument("--dot", action="store_true", help="emit raw DOT (default)")
     p.set_defaults(handler=_cmd_export_dot)
 
     return parser
@@ -314,13 +324,14 @@ def run(argv: list[str]) -> int:
     try:
         payload = args.handler(args)
     except MorseflowError as exc:
-        print(json.dumps({"schema": SCHEMA, "error": _describe(exc)}, sort_keys=True))
+        error = {"schema": SCHEMA, "error": _describe(exc)}
+        print(json.dumps(error, sort_keys=True, allow_nan=False))
         return 1
     if isinstance(payload, str):
         sys.stdout.write(payload)
     else:
         payload = {"schema": SCHEMA, "command": args.command, **payload}
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True, allow_nan=False))
     return 0
 
 

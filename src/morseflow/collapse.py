@@ -3,6 +3,11 @@
 The verifiers here return replayable ``CollapseSequence`` witnesses rather
 than bare booleans: a witness re-checks the free-face condition step by step
 when replayed, so a passing verification is a machine-checked certificate.
+
+Replay is one pass that checks every step against the live cells and their
+live-coface counts, then compares what is left with the recorded end once.
+It reads the complex's own incidence, not the searches' ``CellIndex``, so
+search witnesses are checked by separate code.
 """
 
 from __future__ import annotations
@@ -12,13 +17,13 @@ from typing import Iterable
 
 from .complexes import (
     DEFAULT_ENUM_BOUND,
+    CellIndex,
     Simplex,
     SimplicialComplex,
     as_simplex,
     betti_numbers_mod2,
     is_subcomplex,
     simplex_key,
-    _bits,
 )
 from .errors import (
     ComplexMismatch,
@@ -49,18 +54,38 @@ def level_subcomplex(f: MorseFunction, threshold: float) -> FiltrationLevel:
     return FiltrationLevel(float(threshold), sub, f.complex.closure_of(sub))
 
 
+def _collapse_pairs(start: SimplicialComplex, pairs: Iterable[tuple]) -> set[Simplex]:
+    """Remove the pairs from ``start`` in order, checking each step; the cells left.
+
+    Every step must be an elementary collapse of the cells still live, with
+    the errors and messages of ``elementary_collapse``.
+    """
+    live = set(start.simplices)
+    live_cofaces: dict[Simplex, int] = {}
+    for free, coface in pairs:
+        free = as_simplex(free)
+        coface = as_simplex(coface)
+        if free not in live or coface not in live:
+            raise SimplexNotInComplex(
+                f"({free!r}, {coface!r}) is not a pair of cells of the complex"
+            )
+        if coface.dim != free.dim + 1 or not set(free) < set(coface):
+            raise NotFreeFace(
+                free, coface, f"{coface!r} is not a codimension-1 coface of {free!r}"
+            )
+        if live_cofaces.get(free, len(start.cofaces_of(free))) != 1:
+            cofs = [tuple(c) for c in start.cofaces_of(free) if c in live]
+            raise NotFreeFace(free, coface, f"{free!r} has cofaces {cofs}, so it is not free")
+        for cell in (free, coface):
+            live.remove(cell)
+            for t in start.faces_of(cell):
+                live_cofaces[t] = live_cofaces.get(t, len(start.cofaces_of(t))) - 1
+    return live
+
+
 def elementary_collapse(complex: SimplicialComplex, free, coface) -> SimplicialComplex:
     """Remove a free face and its unique coface; raises ``NotFreeFace`` otherwise."""
-    free = as_simplex(free)
-    coface = as_simplex(coface)
-    if free not in complex or coface not in complex:
-        raise SimplexNotInComplex(f"({free!r}, {coface!r}) is not a pair of cells of the complex")
-    if coface.dim != free.dim + 1 or not set(free) < set(coface):
-        raise NotFreeFace(f"{coface!r} is not a codimension-1 coface of {free!r}")
-    cofs = complex.cofaces_of(free)
-    if cofs != (coface,):
-        raise NotFreeFace(f"{free!r} has cofaces {[tuple(c) for c in cofs]}, so it is not free")
-    return SimplicialComplex(complex.simplices - {free, coface})
+    return SimplicialComplex(_collapse_pairs(complex, [(free, coface)]))
 
 
 @dataclass(frozen=True)
@@ -76,12 +101,9 @@ class CollapseSequence:
 
     def replay(self) -> SimplicialComplex:
         """Re-run every step, checking the free-face condition each time."""
-        current = self.start
-        for free, coface in self.pairs:
-            current = elementary_collapse(current, free, coface)
-        if current != self.end:
+        if _collapse_pairs(self.start, self.pairs) != self.end.simplices:
             raise ProofFailure("collapse replay did not reach the recorded end complex")
-        return current
+        return self.end
 
 
 def collapses_to(
@@ -94,7 +116,7 @@ def collapses_to(
 
     Free pairs are tried in descending value order when a function is given
     (usually finding the witness without backtracking) and canonical order
-    otherwise; dead states are memoised, so the decision is exact either way.
+    otherwise; decided states are memoised, so the decision is exact either way.
     """
     if len(complex) > max_enum:
         raise TooLargeForEnumeration(
@@ -102,41 +124,16 @@ def collapses_to(
         )
     if not is_subcomplex(target, complex):
         raise ComplexMismatch("the target is not a subcomplex of the start complex")
-    goal = target.simplices
     if (len(complex) - len(target)) % 2:
         return None
-    dead: set[frozenset[Simplex]] = set()
-
-    def free_pairs(cells: frozenset[Simplex]) -> list[tuple[Simplex, Simplex]]:
-        out = []
-        for cell in cells:
-            if cell in goal:
-                continue
-            cofs = [c for c in complex.cofaces_of(cell) if c in cells]
-            if len(cofs) == 1 and cofs[0] not in goal:
-                out.append((cell, cofs[0]))
-        if f is not None:
-            out.sort(key=lambda p: (-f(p[0]), -f(p[1]), simplex_key(p[0])))
-        else:
-            out.sort(key=lambda p: simplex_key(p[0]))
-        return out
-
-    def search(cells: frozenset[Simplex]):
-        if cells == goal:
-            return ()
-        if cells in dead:
-            return None
-        for pair in free_pairs(cells):
-            rest = search(cells - set(pair))
-            if rest is not None:
-                return (pair,) + rest
-        dead.add(cells)
-        return None
-
-    pairs = search(complex.simplices)
+    index = CellIndex(complex)
+    goal = index.mask_of(target.simplices)
+    cells = index.cells
+    key = None if f is None else (lambda p: (-f(cells[p[0]]), -f(cells[p[1]]), p[0]))
+    pairs = index.collapse_search(index.full, lambda mask: mask == goal, {}, goal, key)
     if pairs is None:
         return None
-    return CollapseSequence(complex, target, pairs)
+    return CollapseSequence(complex, target, index.pairs_of(pairs))
 
 
 def pair_off_removable(field: GradientField, cells: Iterable[Simplex]) -> list:
@@ -174,15 +171,13 @@ def collapse_in_descending_order(
         pairs,
         key=lambda p: (-max(f(p[0]), f(p[1])), -min(f(p[0]), f(p[1])), simplex_key(p[0])),
     )
-    current = start
-    for lower, upper in ordered:
-        try:
-            current = elementary_collapse(current, lower, upper)
-        except NotFreeFace as exc:
-            raise ProofFailure(
-                f"pair ({lower!r}, {upper!r}) was not free when its turn came"
-            ) from exc
-    if current != end:
+    try:
+        remaining = _collapse_pairs(start, ordered)
+    except NotFreeFace as exc:
+        raise ProofFailure(
+            f"pair ({exc.free!r}, {exc.coface!r}) was not free when its turn came"
+        ) from exc
+    if remaining != end.simplices:
         raise ProofFailure("descending pair removal did not reach the target complex")
     return CollapseSequence(start, end, tuple(ordered))
 
@@ -314,15 +309,9 @@ def maximal_collapsible_to(
     n = len(complex)
     if n > max_enum:
         raise TooLargeForEnumeration(f"{n} simplices exceeds the enumeration bound {max_enum}")
-    cells = list(complex)
-    index = {c: i for i, c in enumerate(cells)}
-    face_mask = [0] * n
-    coface_lists: list[list[int]] = [[] for _ in range(n)]
-    for i, c in enumerate(cells):
-        for t in complex.faces_of(c):
-            face_mask[i] |= 1 << index[t]
-        coface_lists[i] = [index[t] for t in complex.cofaces_of(c)]
-    start = 1 << index[v]
+    index = CellIndex(complex)
+    face_mask, coface_lists = index.face_mask, index.coface_lists
+    start = 1 << index.position[v]
     seen = {start}
     stack = [start]
     while stack:
@@ -341,11 +330,7 @@ def maximal_collapsible_to(
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
-    ordered = sorted(seen, key=lambda m: (-bin(m).count("1"), m))
-    maximal = [
-        m for m in ordered if not any(o != m and m & o == m for o in ordered)
-    ]
-    return [SimplicialComplex(cells[i] for i in _bits(m)) for m in maximal]
+    return [SimplicialComplex(index.cells_of(m)) for m in index.maximal(seen)]
 
 
 @dataclass(frozen=True)

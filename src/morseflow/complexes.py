@@ -9,9 +9,8 @@ all boundary signs derive from it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
     EmptyInput,
@@ -191,6 +190,79 @@ def is_subcomplex(sub: SimplicialComplex, ambient: SimplicialComplex) -> bool:
     return sub.simplices <= ambient.simplices
 
 
+class CellIndex:
+    """Bitmask states over one complex: bit ``i`` is the ``i``-th cell in canonical order."""
+
+    __slots__ = ("cells", "position", "face_mask", "coface_lists", "full")
+
+    def __init__(self, complex: SimplicialComplex):
+        self.cells = list(complex)
+        self.position = {c: i for i, c in enumerate(self.cells)}
+        self.face_mask = [self.mask_of(complex.faces_of(c)) for c in self.cells]
+        self.coface_lists = [[self.position[t] for t in complex.cofaces_of(c)] for c in self.cells]
+        self.full = (1 << len(self.cells)) - 1
+
+    def mask_of(self, cells: Iterable[Simplex]) -> int:
+        mask = 0
+        for c in cells:
+            mask |= 1 << self.position[c]
+        return mask
+
+    def cells_of(self, mask: int) -> list[Simplex]:
+        return [self.cells[i] for i in _bits(mask)]
+
+    def pairs_of(self, index_pairs: Iterable[tuple[int, int]]) -> tuple:
+        return tuple((self.cells[i], self.cells[j]) for i, j in index_pairs)
+
+    def is_closed(self, mask: int) -> bool:
+        """Whether the state is face-closed, i.e. a subcomplex."""
+        return not any(self.face_mask[i] & ~mask for i in _bits(mask))
+
+    @staticmethod
+    def maximal(masks: Iterable[int]) -> list[int]:
+        """The inclusion-maximal masks, largest first, then by value."""
+        out: list[int] = []
+        for m in sorted(masks, key=lambda m: (-m.bit_count(), m)):
+            if not any(m & o == m for o in out):
+                out.append(m)
+        return out
+
+    def free_pairs(self, mask: int, keep: int = 0) -> list[tuple[int, int]]:
+        """``(free, coface)`` pairs of the state avoiding ``keep``, by ascending free cell."""
+        out = []
+        for i in _bits(mask & ~keep):
+            cof = [j for j in self.coface_lists[i] if mask >> j & 1]
+            if len(cof) == 1 and not keep >> cof[0] & 1:
+                out.append((i, cof[0]))
+        return out
+
+    def collapse_search(
+        self, mask: int, is_goal: Callable[[int], bool], memo: dict, keep: int = 0, key=None
+    ) -> tuple | None:
+        """Depth-first collapse from ``mask`` to a goal state; ``None`` if none exists.
+
+        Free pairs avoiding ``keep`` are tried in ascending ``key`` order
+        (canonical without one).  ``memo`` maps decided states to answers and
+        may be shared by searches with the same goal, ``keep`` and ``key``.
+        """
+        if mask in memo:
+            return memo[mask]
+        if is_goal(mask):
+            result = ()
+        else:
+            result = None
+            pairs = self.free_pairs(mask, keep)
+            if key is not None:
+                pairs.sort(key=key)
+            for i, j in pairs:
+                rest = self.collapse_search(mask & ~(1 << i | 1 << j), is_goal, memo, keep, key)
+                if rest is not None:
+                    result = ((i, j),) + rest
+                    break
+        memo[mask] = result
+        return result
+
+
 def subcomplexes_of(
     complex: SimplicialComplex, max_enum: int = DEFAULT_ENUM_BOUND
 ) -> Iterator[SimplicialComplex]:
@@ -201,20 +273,10 @@ def subcomplexes_of(
     n = len(complex)
     if n > max_enum:
         raise TooLargeForEnumeration(f"{n} simplices exceeds the enumeration bound {max_enum}")
-    cells = list(complex)
-    index = {c: i for i, c in enumerate(cells)}
-    face_mask = [0] * n
-    for i, c in enumerate(cells):
-        for t in complex.faces_of(c):
-            face_mask[i] |= 1 << index[t]
+    index = CellIndex(complex)
     for mask in range(1 << n):
-        closed = True
-        for i in _bits(mask):
-            if face_mask[i] & ~mask:
-                closed = False
-                break
-        if closed:
-            yield SimplicialComplex(cells[i] for i in _bits(mask))
+        if index.is_closed(mask):
+            yield SimplicialComplex(index.cells_of(mask))
 
 
 def euler_characteristic(complex: SimplicialComplex) -> int:
@@ -349,13 +411,3 @@ def boundary(chain: Chain) -> Chain:
             acc[face] = acc.get(face, 0) + coef * sign
             sign = -sign
     return Chain(chain.dim - 1, acc)
-
-
-def full_simplex_complex(n_vertices: int) -> SimplicialComplex:
-    """Closure of the single (n-1)-simplex on vertices 0..n-1; test helper."""
-    if n_vertices <= 0:
-        raise EmptyInput("need at least one vertex")
-    verts = range(n_vertices)
-    return SimplicialComplex(
-        Simplex(c) for k in range(1, n_vertices + 1) for c in itertools.combinations(verts, k)
-    )

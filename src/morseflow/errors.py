@@ -36,6 +36,10 @@ class MissingValue(MorseflowError):
     pass
 
 
+class UnreadableInput(MorseflowError):
+    """An input file that cannot be opened, read or decoded as UTF-8."""
+
+
 class MorseConditionViolated(MorseflowError):
     """Raised with the full list of (simplex, upper size, lower size) offenders."""
 
@@ -53,7 +57,12 @@ class AcyclicityBug(MorseflowError):
 
 
 class NotFreeFace(MorseflowError):
-    pass
+    """The pair ``(free, coface)`` is not an elementary collapse at its step."""
+
+    def __init__(self, free, coface, reason):
+        self.free = free
+        self.coface = coface
+        super().__init__(reason)
 
 
 class CriticalValueInWindow(MorseflowError):

@@ -15,12 +15,12 @@ from typing import Callable, Iterable, Mapping
 from .collapse import CollapseSequence, basin, level_subcomplex
 from .complexes import (
     DEFAULT_ENUM_BOUND,
+    CellIndex,
     Simplex,
     SimplicialComplex,
     as_simplex,
     is_subcomplex,
     simplex_key,
-    _bits,
 )
 from .errors import (
     ClosureViolated,
@@ -156,7 +156,6 @@ def _admissible(
     field: GradientField,
     basin_vertices: frozenset[Simplex],
     monotone_tail: bool = True,
-    vertex_simple: bool = True,
     avoid_critical: bool = True,
 ) -> bool:
     try:
@@ -165,7 +164,7 @@ def _admissible(
         return False
     if not path.edges:
         return False
-    if vertex_simple and len(set(verts)) != len(verts):
+    if len(set(verts)) != len(verts):
         return False
     if verts[-1] not in basin_vertices:
         return False
@@ -189,15 +188,13 @@ def enumerate_paths(
     high,
     low,
     *,
-    vertex_simple: bool = True,
     monotone_tail: bool = True,
 ) -> list[EdgePath]:
     """All admissible edge paths from ``high`` ending in the basin of ``low``.
 
-    Paths avoid every critical vertex other than the two endpoints, and once
-    a path touches the basin its remaining edge values must strictly
-    decrease.  ``vertex_simple=False`` switches to the experimental
-    edge-simple enumeration.
+    Paths are vertex-simple and avoid every critical vertex other than the
+    two endpoints, and once a path touches the basin its remaining edge
+    values must strictly decrease.
     """
     v1 = as_simplex(high)
     v0 = as_simplex(low)
@@ -220,26 +217,20 @@ def enumerate_paths(
     critical_vertices = {c for c in crit if c.dim == 0}
     found: list[EdgePath] = []
 
-    def walk(cur: Simplex, visited: frozenset, used: frozenset, acc: tuple) -> None:
+    def walk(cur: Simplex, visited: frozenset, acc: tuple) -> None:
         for edge in complex.cofaces_of(cur):
             nxt = Simplex((edge[0] if edge[1] == cur[0] else edge[1],))
-            if vertex_simple and nxt in visited:
-                continue
-            if not vertex_simple and edge in used:
+            if nxt in visited:
                 continue
             if nxt in critical_vertices and nxt not in (v0, v1):
                 continue
             extended = acc + (edge,)
             if nxt in basin_vertices:
                 found.append(EdgePath(v1, extended, v0))
-            walk(nxt, visited | {nxt}, used | {edge}, extended)
+            walk(nxt, visited | {nxt}, extended)
 
-    walk(v1, frozenset({v1}), frozenset(), ())
-    result = [
-        p
-        for p in found
-        if _admissible(p, f, field, basin_vertices, monotone_tail, vertex_simple)
-    ]
+    walk(v1, frozenset({v1}), ())
+    result = [p for p in found if _admissible(p, f, field, basin_vertices, monotone_tail)]
     if not result:
         raise NoPathExists(
             f"no admissible edge path from {tuple(v1)} to the basin of {tuple(v0)}"
@@ -368,58 +359,19 @@ class _CategoryEngine:
     """
 
     def __init__(self, complex: SimplicialComplex):
-        self.complex = complex
-        self.cells = list(complex)
-        self.index = {c: i for i, c in enumerate(self.cells)}
-        n = len(self.cells)
-        self.n = n
-        self.full = (1 << n) - 1
-        self.face_mask = [0] * n
-        self.coface_lists: list[list[int]] = [[] for _ in range(n)]
-        for i, c in enumerate(self.cells):
-            for t in complex.faces_of(c):
-                self.face_mask[i] |= 1 << self.index[t]
-            self.coface_lists[i] = [self.index[t] for t in complex.cofaces_of(c)]
+        self.index = CellIndex(complex)
         self._collapse_witness: dict[int, tuple | None] = {}
         self._reachable: dict[int, frozenset[int]] = {}
         self._precat: dict[int, int] = {}
         self._dgcat: dict[int, int] = {}
         self._maximal: list[int] | None = None
 
-    def mask_of(self, cells: Iterable[Simplex]) -> int:
-        mask = 0
-        for c in cells:
-            mask |= 1 << self.index[c]
-        return mask
-
-    def cells_of(self, mask: int) -> list[Simplex]:
-        return [self.cells[i] for i in _bits(mask)]
-
-    def free_pairs(self, mask: int) -> list[tuple[int, int]]:
-        out = []
-        for i in _bits(mask):
-            cof = [j for j in self.coface_lists[i] if mask >> j & 1]
-            if len(cof) == 1:
-                out.append((i, cof[0]))
-        return out
+    def _is_vertex(self, mask: int) -> bool:
+        return mask.bit_count() == 1 and self.index.cells[mask.bit_length() - 1].dim == 0
 
     def collapse_witness(self, mask: int) -> tuple | None:
         """Index pairs collapsing the state to a single vertex, or None."""
-        cached = self._collapse_witness.get(mask, "?")
-        if cached != "?":
-            return cached
-        if mask.bit_count() == 1:
-            cell = self.cells[mask.bit_length() - 1]
-            result = () if cell.dim == 0 else None
-        else:
-            result = None
-            for i, j in self.free_pairs(mask):
-                rest = self.collapse_witness(mask & ~(1 << i | 1 << j))
-                if rest is not None:
-                    result = ((i, j),) + rest
-                    break
-        self._collapse_witness[mask] = result
-        return result
+        return self.index.collapse_search(mask, self._is_vertex, self._collapse_witness)
 
     def reachable(self, mask: int) -> frozenset[int]:
         """Every state reachable from the mask by elementary collapses."""
@@ -430,7 +382,7 @@ class _CategoryEngine:
         stack = [mask]
         while stack:
             cur = stack.pop()
-            for i, j in self.free_pairs(cur):
+            for i, j in self.index.free_pairs(cur):
                 nxt = cur & ~(1 << i | 1 << j)
                 if nxt not in seen:
                     seen.add(nxt)
@@ -447,7 +399,7 @@ class _CategoryEngine:
         stack = [start]
         while stack:
             cur = stack.pop()
-            for i, j in self.free_pairs(cur):
+            for i, j in self.index.free_pairs(cur):
                 nxt = cur & ~(1 << i | 1 << j)
                 if nxt in parents:
                     continue
@@ -461,22 +413,12 @@ class _CategoryEngine:
         """Inclusion-maximal collapsible subcomplex masks (cover family)."""
         if self._maximal is not None:
             return self._maximal
-        closed = []
-        for mask in range(1, self.full + 1):
-            ok = True
-            for i in _bits(mask):
-                if self.face_mask[i] & ~mask:
-                    ok = False
-                    break
-            if ok and self.collapse_witness(mask) is not None:
-                closed.append(mask)
-        closed.sort(key=lambda m: (-m.bit_count(), m))
-        maximal = []
-        for m in closed:
-            if not any(m & o == m for o in maximal):
-                maximal.append(m)
-        self._maximal = maximal
-        return maximal
+        self._maximal = self.index.maximal(
+            mask
+            for mask in range(1, self.index.full + 1)
+            if self.index.is_closed(mask) and self.collapse_witness(mask) is not None
+        )
+        return self._maximal
 
     def cover_witness(self, target: int, size: int) -> tuple[int, ...] | None:
         """At most ``size`` family masks covering the target, or None."""
@@ -503,7 +445,7 @@ class _CategoryEngine:
                 self._precat[mask] = size - 1
                 return size - 1
             size += 1
-            if size > self.n + 1:
+            if size > len(self.index.cells) + 1:
                 raise ProofFailure("cover search exceeded the family size")
 
     def dgcat_value(self, mask: int) -> int:
@@ -562,7 +504,8 @@ def dgcat(
     if not is_subcomplex(target, complex):
         raise ComplexMismatch("the second complex is not a subcomplex of the first")
     engine = _engine(complex, max_enum)
-    start = engine.mask_of(target.simplices)
+    index = engine.index
+    start = index.mask_of(target.simplices)
     best = None
     for m in sorted(engine.reachable(start)):
         key = (engine.precat(m), m.bit_count(), m)
@@ -571,21 +514,12 @@ def dgcat(
     value, _, chosen = best
     pieces = []
     for fam in engine.cover_witness(chosen, value + 1):
-        index_pairs = engine.collapse_witness(fam)
-        piece = SimplicialComplex(engine.cells_of(fam))
-        remaining = fam
-        pairs = []
-        for i, j in index_pairs:
-            pairs.append((engine.cells[i], engine.cells[j]))
-            remaining &= ~(1 << i | 1 << j)
-        vertex = engine.cells[remaining.bit_length() - 1]
-        pieces.append(
-            CoverPiece(piece, CollapseSequence(piece, SimplicialComplex([vertex]), tuple(pairs)))
-        )
-    chosen_complex = SimplicialComplex(engine.cells_of(chosen))
-    path = tuple(
-        (engine.cells[i], engine.cells[j]) for i, j in engine.collapse_path(start, chosen)
-    )
+        piece = SimplicialComplex(index.cells_of(fam))
+        pairs = index.pairs_of(engine.collapse_witness(fam))
+        vertex = SimplicialComplex(piece.simplices.difference(*pairs))
+        pieces.append(CoverPiece(piece, CollapseSequence(piece, vertex, pairs)))
+    chosen_complex = SimplicialComplex(index.cells_of(chosen))
+    path = index.pairs_of(engine.collapse_path(start, chosen))
     return CategoryResult(
         value, chosen_complex, CollapseSequence(target, chosen_complex, path), tuple(pieces)
     )
@@ -595,7 +529,7 @@ def _level_masks(work: MorseFunction, engine: _CategoryEngine) -> list[int]:
     masks = []
     seen = set()
     for a in work.sorted_distinct_values():
-        mask = engine.mask_of(level_subcomplex(work, a).complex.simplices)
+        mask = engine.index.mask_of(level_subcomplex(work, a).complex.simplices)
         if mask not in seen:
             seen.add(mask)
             masks.append(mask)
@@ -621,7 +555,7 @@ def ls_minmax(
     """
     work = f if f.is_injective() else make_injective(f)
     engine = _engine(f.complex, max_enum)
-    top = engine.dgcat_value(engine.full)
+    top = engine.dgcat_value(engine.index.full)
     crit = critical_cells(f)
     out: list[tuple[int, float]] = []
     max_cell_cache: dict[int, Simplex] = {}
@@ -629,7 +563,7 @@ def ls_minmax(
     def max_cell(mask: int) -> Simplex:
         cached = max_cell_cache.get(mask)
         if cached is None:
-            cached = max(engine.cells_of(mask), key=work)
+            cached = max(engine.index.cells_of(mask), key=work)
             max_cell_cache[mask] = cached
         return cached
 
@@ -648,7 +582,7 @@ def ls_minmax(
 def ls_bound_check(f: MorseFunction, max_enum: int = DEFAULT_ENUM_BOUND) -> bool:
     """Whether category + 1 is at most the number of critical cells."""
     engine = _engine(f.complex, max_enum)
-    return engine.dgcat_value(engine.full) + 1 <= len(critical_cells(f))
+    return engine.dgcat_value(engine.index.full) + 1 <= len(critical_cells(f))
 
 
 def ls_instance(
@@ -658,7 +592,7 @@ def ls_instance(
     work = f if f.is_injective() else make_injective(f)
     engine = _engine(f.complex, max_enum)
     members = _family_masks(work, engine, k)
-    family = [frozenset(engine.cells_of(m)) for m in sorted(members)]
+    family = [frozenset(engine.index.cells_of(m)) for m in sorted(members)]
     operator = FlowOperator(work)
     maps = {
         "flow_closure": lambda cells: frozenset(

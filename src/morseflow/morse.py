@@ -9,6 +9,7 @@ acyclicity is re-checked at construction as an internal tripwire.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
@@ -19,6 +20,7 @@ from .errors import (
     ComplexMismatch,
     MissingValue,
     MorseConditionViolated,
+    PreconditionViolated,
     SimplexNotInComplex,
 )
 
@@ -62,7 +64,7 @@ def lower_set(f: MorseFunction, cell) -> frozenset[Simplex]:
 
 
 def validate(complex: SimplicialComplex, values: Mapping) -> MorseFunction:
-    """Check totality and the at-most-one-exception conditions.
+    """Check finite, total values and the at-most-one-exception conditions.
 
     Raises ``MorseConditionViolated`` carrying the full list of offending
     simplices.  A validated function can never have both exceptional sets
@@ -74,6 +76,8 @@ def validate(complex: SimplicialComplex, values: Mapping) -> MorseFunction:
         if cell not in complex:
             raise SimplexNotInComplex(f"value given for {cell!r}, which is not in the complex")
         norm[cell] = float(val)
+        if not math.isfinite(norm[cell]):
+            raise PreconditionViolated(f"value {norm[cell]!r} for {cell!r} is not finite")
     for cell in complex:
         if cell not in norm:
             raise MissingValue(f"no value for {cell!r}")
@@ -155,11 +159,6 @@ class GradientField:
 
     def __repr__(self) -> str:
         return f"GradientField({len(self.pairs)} pairs, {len(self.critical)} critical)"
-
-
-def matching_field(complex: SimplicialComplex, pairs: Iterable[tuple]) -> GradientField:
-    """A gradient-field object from an explicit matching, acyclic or not."""
-    return GradientField(complex, pairs)
 
 
 def has_closed_path(field: GradientField) -> bool:

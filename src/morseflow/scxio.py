@@ -1,15 +1,17 @@
 """Text formats: the ``.scx`` simplex list and a combinatorial OFF subset.
 
 ``.scx`` is one simplex per line as space-separated vertex ids, with an
-optional `` : value`` suffix and ``#`` comments.  Values must be total when
-present (the listed simplices must already be face-closed); without values
-the face closure of the listed simplices is built.
+optional `` : value`` suffix and ``#`` comments.  Values must be finite, and
+total when present (the listed simplices must already be face-closed);
+without values the face closure of the listed simplices is built.
 
 The OFF reader keeps only the combinatorics: coordinates are parsed and
 discarded, polygon faces are fan-triangulated.
 """
 
 from __future__ import annotations
+
+import math
 
 from .complexes import Simplex, SimplicialComplex, build_complex
 from .errors import MalformedSimplex, ParseError
@@ -32,6 +34,8 @@ def parse_scx(text: str) -> tuple[SimplicialComplex, MorseFunction | None]:
                 value = float(right.strip())
             except ValueError:
                 raise ParseError(lineno, f"bad value {right.strip()!r}") from None
+            if not math.isfinite(value):
+                raise ParseError(lineno, f"non-finite value {right.strip()!r}")
             any_value = True
         else:
             left = line

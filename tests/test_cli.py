@@ -9,9 +9,14 @@ import sys
 
 import pytest
 
-from morseflow import emit_scx, parse_off, parse_scx
+from morseflow import build_complex, emit_scx, parse_off, parse_scx, validate
 from morseflow.cli import run
-from morseflow.errors import MissingValue, MorseConditionViolated, ParseError
+from morseflow.errors import (
+    MissingValue,
+    MorseConditionViolated,
+    ParseError,
+    PreconditionViolated,
+)
 
 P3_SCX = "0 : 0\n1 : 3\n2 : 1\n0 1 : 2\n1 2 : 4\n"
 
@@ -49,6 +54,19 @@ class TestScx:
     def test_partial_values_rejected(self):
         with pytest.raises(ParseError):
             parse_scx("0 : 1\n1\n")
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, token, tmp_path, capsys):
+        with pytest.raises(ParseError) as info:
+            parse_scx(f"0 : 0\n1 : {token}\n0 1 : 2\n")
+        assert info.value.line == 2
+        with pytest.raises(PreconditionViolated):
+            validate(build_complex([(0,)]), {(0,): float(token)})
+        path = tmp_path / "bad.scx"
+        path.write_text(f"0 : {token}\n", encoding="utf-8")
+        assert run(["critical", "--in", str(path)]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert (error["kind"], error["line"]) == ("ParseError", 1)
 
     def test_values_must_cover_the_closure(self):
         with pytest.raises(MissingValue):
@@ -142,6 +160,21 @@ class TestCli:
     def test_usage_error_exit_code(self, capsys):
         assert run(["no-such-command"]) == 2
         assert run(["random", "--in", "x.scx"]) == 2  # missing --seed
+        assert run(["levels", "--in", "x.scx", "--level", "nan"]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_input(self, kind, tmp_path, capsys):
+        path = tmp_path / "in.scx"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"0 : \xff\n")
+        code, out = self._json(capsys, ["critical", "--in", str(path)])
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["kind"] == "UnreadableInput"
+        assert str(path) in error["message"]
 
     def test_homology_without_values(self, tmp_path, capsys):
         path = tmp_path / "circle.scx"

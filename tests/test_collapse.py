@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from morseflow import (
+    CollapseSequence,
+    Simplex,
     SimplicialComplex,
     basin,
     basin_maximality_report,
@@ -19,11 +21,14 @@ from morseflow import (
     verify_dmt_a,
     verify_dmt_b,
 )
+from morseflow.collapse import collapse_in_descending_order
 from morseflow.errors import (
     CriticalValueInWindow,
     NotACriticalVertex,
     NotFreeFace,
     PreconditionViolated,
+    ProofFailure,
+    SimplexNotInComplex,
 )
 from conftest import random_instance
 
@@ -73,6 +78,26 @@ class TestElementaryCollapse:
     def test_non_coface_rejected(self, triangle):
         with pytest.raises(NotFreeFace):
             elementary_collapse(triangle, (0,), (1, 2))
+
+
+class TestReplayMidSequence:
+    """Every step of a replay is checked against the cells still live."""
+
+    def test_removed_cell_reused_later(self, triangle, point):
+        pairs = (((1, 2), (0, 1, 2)), ((2,), (1, 2)))
+        with pytest.raises(SimplexNotInComplex, match="is not a pair of cells"):
+            CollapseSequence(triangle, point, pairs).replay()
+
+    def test_face_with_two_live_cofaces(self, triangle, point):
+        pairs = (((1, 2), (0, 1, 2)), ((0,), (0, 1)))
+        with pytest.raises(NotFreeFace, match=r"has cofaces \[\(0, 1\), \(0, 2\)\]"):
+            CollapseSequence(triangle, point, pairs).replay()
+
+    def test_descending_order_wraps_a_stuck_pair(self, triangle, point, triangle_function):
+        pairs = [(Simplex((0,)), Simplex((0, 1))), (Simplex((1, 2)), Simplex((0, 1, 2)))]
+        message = r"pair \(Simplex\(0,\), Simplex\(0, 1\)\) was not free when its turn came"
+        with pytest.raises(ProofFailure, match=message):
+            collapse_in_descending_order(triangle, point, pairs, triangle_function)
 
 
 class TestCollapsesTo:
@@ -245,9 +270,6 @@ class TestNonInjectiveInputs:
         assert seq.end.simplices == {(0,)}
 
     def test_replay_mismatch_is_a_proof_failure(self, triangle, point):
-        from morseflow import CollapseSequence
-        from morseflow.errors import ProofFailure
-
         bogus = CollapseSequence(triangle, point, (((1, 2), (0, 1, 2)),))
         with pytest.raises(ProofFailure):
             bogus.replay()

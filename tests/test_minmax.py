@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from morseflow import (
@@ -9,6 +11,7 @@ from morseflow import (
     FlowOperator,
     MinMaxInstance,
     Simplex,
+    SimplicialComplex,
     build_complex,
     check_minmax_data,
     critical_values,
@@ -257,33 +260,48 @@ class TestSquareCycle:
         assert result.value == 5.0
         assert result.edge == (1, 2)
 
-    def test_edge_simple_enumeration_contains_the_simple_paths(self, square_function):
-        field = gradient_field(square_function)
-        simple = enumerate_paths(square_function, field, (2,), (0,))
-        relaxed = enumerate_paths(
-            square_function, field, (2,), (0,), vertex_simple=False
-        )
-        simple_sets = {p.cells() for p in simple}
-        relaxed_sets = {p.cells() for p in relaxed}
-        assert simple_sets <= relaxed_sets
-
 
 class TestCategoryAgainstBruteForce:
-    """Recompute dgcat from first principles on the small fixtures."""
+    """Recompute dgcat from first principles on the small fixtures.
+
+    The oracle shares no search code with the library: it enumerates subsets
+    with ``itertools`` and searches collapses over frozensets of cells.
+    """
+
+    @staticmethod
+    def _subcomplexes(complex):
+        cells = list(complex)
+        for size in range(len(cells) + 1):
+            for subset in combinations(cells, size):
+                chosen = set(subset)
+                if all(set(complex.faces_of(c)) <= chosen for c in chosen):
+                    yield SimplicialComplex(chosen)
+
+    @staticmethod
+    def _collapses_to_a_vertex(complex):
+        dead = set()
+
+        def search(cells):
+            if len(cells) == 1:
+                return next(iter(cells)).dim == 0
+            if cells in dead:
+                return False
+            for cell in cells:
+                cofs = [c for c in complex.cofaces_of(cell) if c in cells]
+                if len(cofs) == 1 and search(cells - {cell, cofs[0]}):
+                    return True
+            dead.add(cells)
+            return False
+
+        return search(complex.simplices)
 
     @staticmethod
     def _naive_dgcat(complex):
-        from morseflow import SimplicialComplex, collapses_to, subcomplexes_of
-
-        subs = list(subcomplexes_of(complex))
+        oracle = TestCategoryAgainstBruteForce
         collapsible = [
             s
-            for s in subs
-            if len(s) > 0
-            and any(
-                collapses_to(s, SimplicialComplex([v])) is not None
-                for v in s.cells_of_dim(0)
-            )
+            for s in oracle._subcomplexes(complex)
+            if len(s) > 0 and oracle._collapses_to_a_vertex(s)
         ]
 
         def precat(cells):

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from morseflow import (
+    GradientField,
     are_equivalent,
     betti_numbers_mod2,
     build_complex,
@@ -18,7 +19,6 @@ from morseflow import (
     has_closed_path,
     lower_set,
     make_injective,
-    matching_field,
     random_morse,
     upper_set,
     validate,
@@ -127,7 +127,7 @@ class TestGradientPaths:
         assert not path.is_closed
 
     def test_cyclic_matching_detected(self, circle):
-        cyclic = matching_field(
+        cyclic = GradientField(
             circle, [((0,), (0, 1)), ((1,), (1, 2)), ((2,), (0, 2))]
         )
         assert has_closed_path(cyclic)
