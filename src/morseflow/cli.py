@@ -35,7 +35,6 @@ from .morse import (
     critical_cells,
     critical_values,
     gradient_field,
-    has_closed_path,
     random_morse,
 )
 from .scxio import emit_scx, parse_off, parse_scx
@@ -91,7 +90,8 @@ def _cmd_gradient(args):
     return {
         "pairs": [[list(a), list(b)] for a, b in sorted(field.pairs)],
         "critical": _cells(field.critical),
-        "hasClosedPath": has_closed_path(field),
+        # validate rejects a field with a closed path, so none is left to find.
+        "hasClosedPath": False,
     }
 
 
@@ -238,6 +238,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="morseflow", description="Discrete Morse theory toolbox"
@@ -270,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("collapse")
     common(p)
-    p.add_argument("--max-enum", type=int, default=DEFAULT_ENUM_BOUND)
+    p.add_argument("--max-enum", type=_non_negative_int, default=DEFAULT_ENUM_BOUND)
     p.set_defaults(handler=_cmd_collapse)
 
     p = sub.add_parser("mountain-pass")
@@ -281,14 +288,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lscat")
     common(p)
-    p.add_argument("--max-enum", type=int, default=DEFAULT_ENUM_BOUND)
+    p.add_argument("--max-enum", type=_non_negative_int, default=DEFAULT_ENUM_BOUND)
     p.set_defaults(handler=_cmd_lscat)
 
     p = sub.add_parser("minmax-check")
     common(p)
     p.add_argument("--min1", type=int, default=None)
     p.add_argument("--min0", type=int, default=None)
-    p.add_argument("--max-enum", type=int, default=DEFAULT_ENUM_BOUND)
+    p.add_argument("--max-enum", type=_non_negative_int, default=DEFAULT_ENUM_BOUND)
     p.set_defaults(handler=_cmd_minmax_check)
 
     p = sub.add_parser("random")
@@ -312,6 +319,9 @@ def _describe(exc: MorseflowError) -> dict:
         ]
     if hasattr(exc, "line") and exc.line is not None:
         out["line"] = exc.line
+    if hasattr(exc, "bound"):
+        out["size"] = exc.size
+        out["bound"] = exc.bound
     return out
 
 

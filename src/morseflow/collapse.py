@@ -22,6 +22,7 @@ from .complexes import (
     SimplicialComplex,
     as_simplex,
     betti_numbers_mod2,
+    check_enumerable,
     is_subcomplex,
     simplex_key,
 )
@@ -34,7 +35,6 @@ from .errors import (
     ProofFailure,
     SignatureMismatch,
     SimplexNotInComplex,
-    TooLargeForEnumeration,
 )
 from .morse import GradientField, MorseFunction, critical_cells, critical_values, gradient_field
 
@@ -118,10 +118,7 @@ def collapses_to(
     (usually finding the witness without backtracking) and canonical order
     otherwise; decided states are memoised, so the decision is exact either way.
     """
-    if len(complex) > max_enum:
-        raise TooLargeForEnumeration(
-            f"{len(complex)} simplices exceeds the enumeration bound {max_enum}"
-        )
+    check_enumerable(complex, max_enum)
     if not is_subcomplex(target, complex):
         raise ComplexMismatch("the target is not a subcomplex of the start complex")
     if (len(complex) - len(target)) % 2:
@@ -306,9 +303,8 @@ def maximal_collapsible_to(
     v = as_simplex(vertex)
     if v not in complex or v.dim != 0:
         raise NotACriticalVertex(f"{v!r} is not a vertex of the complex")
+    check_enumerable(complex, max_enum)
     n = len(complex)
-    if n > max_enum:
-        raise TooLargeForEnumeration(f"{n} simplices exceeds the enumeration bound {max_enum}")
     index = CellIndex(complex)
     face_mask, coface_lists = index.face_mask, index.coface_lists
     start = 1 << index.position[v]

@@ -245,22 +245,38 @@ class CellIndex:
         (canonical without one).  ``memo`` maps decided states to answers and
         may be shared by searches with the same goal, ``keep`` and ``key``.
         """
-        if mask in memo:
-            return memo[mask]
-        if is_goal(mask):
-            result = ()
-        else:
-            result = None
-            pairs = self.free_pairs(mask, keep)
-            if key is not None:
-                pairs.sort(key=key)
-            for i, j in pairs:
-                rest = self.collapse_search(mask & ~(1 << i | 1 << j), is_goal, memo, keep, key)
-                if rest is not None:
-                    result = ((i, j),) + rest
-                    break
-        memo[mask] = result
-        return result
+        frames: list[list] = []  # [state, untried pairs, pair tried] per open state
+        state = mask
+        while True:
+            if state in memo:
+                answer = memo[state]
+            elif is_goal(state):
+                answer = memo[state] = ()
+            else:
+                pairs = self.free_pairs(state, keep)
+                if key is not None:
+                    pairs.sort(key=key)
+                frames.append([state, iter(pairs), None])
+                answer = None  # a fresh frame moves on to its first pair
+            while frames:
+                frame = frames[-1]
+                if answer is None:
+                    frame[2] = next(frame[1], None)
+                    if frame[2] is not None:
+                        state = frame[0] & ~(1 << frame[2][0] | 1 << frame[2][1])
+                        break
+                    memo[frame[0]] = None
+                else:
+                    answer = memo[frame[0]] = (frame[2],) + answer
+                frames.pop()
+            else:
+                return answer
+
+
+def check_enumerable(complex: SimplicialComplex, max_enum: int) -> None:
+    """Guard of the exhaustive searches: at most ``max_enum`` cells."""
+    if len(complex) > max_enum:
+        raise TooLargeForEnumeration(len(complex), max_enum)
 
 
 def subcomplexes_of(
@@ -270,11 +286,9 @@ def subcomplexes_of(
 
     Brute-force enumeration over all subsets; guarded by ``max_enum``.
     """
-    n = len(complex)
-    if n > max_enum:
-        raise TooLargeForEnumeration(f"{n} simplices exceeds the enumeration bound {max_enum}")
+    check_enumerable(complex, max_enum)
     index = CellIndex(complex)
-    for mask in range(1 << n):
+    for mask in range(1 << len(complex)):
         if index.is_closed(mask):
             yield SimplicialComplex(index.cells_of(mask))
 

@@ -29,7 +29,12 @@ class ComplexMismatch(MorseflowError):
 
 
 class TooLargeForEnumeration(MorseflowError):
-    pass
+    """A complex of ``size`` cells exceeds the exhaustive search's ``bound``."""
+
+    def __init__(self, size, bound):
+        self.size = size
+        self.bound = bound
+        super().__init__(f"{size} simplices exceeds the enumeration bound {bound}")
 
 
 class MissingValue(MorseflowError):
@@ -53,7 +58,7 @@ class MorseConditionViolated(MorseflowError):
 
 
 class AcyclicityBug(MorseflowError):
-    """A closed gradient path where none can exist; indicates a library bug."""
+    """A closed gradient path or a cell paired twice where none can exist; a library bug."""
 
 
 class NotFreeFace(MorseflowError):

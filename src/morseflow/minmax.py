@@ -19,6 +19,7 @@ from .complexes import (
     Simplex,
     SimplicialComplex,
     as_simplex,
+    check_enumerable,
     is_subcomplex,
     simplex_key,
 )
@@ -33,7 +34,6 @@ from .errors import (
     ProofFailure,
     ReassemblyFailure,
     TheoremViolation,
-    TooLargeForEnumeration,
 )
 from .flow import FlowOperator, flow_image, flow_image_closure
 from .morse import (
@@ -461,10 +461,7 @@ _ENGINES: dict[SimplicialComplex, _CategoryEngine] = {}
 
 
 def _engine(complex: SimplicialComplex, max_enum: int) -> _CategoryEngine:
-    if len(complex) > max_enum:
-        raise TooLargeForEnumeration(
-            f"{len(complex)} simplices exceeds the enumeration bound {max_enum}"
-        )
+    check_enumerable(complex, max_enum)
     engine = _ENGINES.get(complex)
     if engine is None:
         if len(_ENGINES) > 16:

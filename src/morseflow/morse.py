@@ -2,8 +2,10 @@
 
 A function is accepted when every cell has at most one "wrong-order"
 neighbour above and below.  The associated gradient field is the matching of
-those exceptional pairs; it is acyclic for every valid function, and that
-acyclicity is re-checked at construction as an internal tripwire.
+those exceptional pairs.  ``validate`` classifies every cell in one pass and
+the function it returns owns its field, which ``gradient_field`` and
+``critical_cells`` only read.  The field is acyclic for every valid function;
+``validate`` re-checks that once as an internal tripwire.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Iterable, Mapping
 
 from .complexes import Simplex, SimplicialComplex, as_simplex
@@ -31,6 +33,8 @@ class MorseFunction:
 
     complex: SimplicialComplex
     values: Mapping[Simplex, float]
+    # Derived from the values, so it takes no part in equality.
+    field: GradientField = dataclass_field(compare=False, repr=False)
 
     def __call__(self, cell) -> float:
         try:
@@ -67,8 +71,9 @@ def validate(complex: SimplicialComplex, values: Mapping) -> MorseFunction:
     """Check finite, total values and the at-most-one-exception conditions.
 
     Raises ``MorseConditionViolated`` carrying the full list of offending
-    simplices.  A validated function can never have both exceptional sets
-    nonempty at one cell; that exclusivity is asserted as a sanity check.
+    simplices.  The same pass over the cells collects the exceptional pairs,
+    whose gradient field the returned function carries.  Exclusivity and
+    acyclicity hold for every valid function and are rechecked as tripwires.
     """
     norm: dict[Simplex, float] = {}
     for cell, val in values.items():
@@ -81,26 +86,32 @@ def validate(complex: SimplicialComplex, values: Mapping) -> MorseFunction:
     for cell in complex:
         if cell not in norm:
             raise MissingValue(f"no value for {cell!r}")
-    f = MorseFunction(complex, norm)
     violations = []
+    clashes = []
+    pairs = []
     for cell in complex:
-        ups = upper_set(f, cell)
-        lows = lower_set(f, cell)
+        val = norm[cell]
+        ups = [c for c in complex.cofaces_of(cell) if norm[c] <= val]
+        lows = [c for c in complex.faces_of(cell) if norm[c] >= val]
         if len(ups) > 1 or len(lows) > 1:
             violations.append((cell, len(ups), len(lows)))
+        elif ups and lows:
+            clashes.append(cell)
+        elif ups:
+            pairs.append((cell, ups[0]))
     if violations:
         raise MorseConditionViolated(violations)
-    for cell in complex:
-        assert not (upper_set(f, cell) and lower_set(f, cell)), (
-            f"exclusivity failed at {cell!r}; this is a library bug"
-        )
-    return f
+    # Only after the violations: an invalid function may break exclusivity too.
+    if clashes:
+        raise AcyclicityBug(f"exclusivity failed at {clashes[0]!r}; this is a library bug")
+    field = GradientField(complex, pairs)
+    if has_closed_path(field):
+        raise AcyclicityBug("gradient field of a validated function has a closed path")
+    return MorseFunction(complex, norm, field)
 
 
 def critical_cells(f: MorseFunction) -> frozenset[Simplex]:
-    return frozenset(
-        c for c in f.complex if not upper_set(f, c) and not lower_set(f, c)
-    )
+    return f.field.critical
 
 
 def critical_values(f: MorseFunction) -> list[float]:
@@ -113,7 +124,7 @@ class GradientField:
 
     Cells in no pair are the critical ones.  The constructor checks the
     matching structure but not acyclicity, so arbitrary matchings can be
-    built for oracle tests; ``gradient_field`` adds the acyclicity tripwire.
+    built for oracle tests; ``validate`` adds the acyclicity tripwire.
     """
 
     __slots__ = ("complex", "pairs", "critical", "up", "down")
@@ -143,9 +154,6 @@ class GradientField:
 
     def pair_of(self, cell) -> Simplex | None:
         return self.up.get(cell) or self.down.get(cell)
-
-    def is_critical(self, cell) -> bool:
-        return cell in self.critical
 
     def __eq__(self, other) -> bool:
         return (
@@ -195,16 +203,7 @@ def has_closed_path(field: GradientField) -> bool:
 
 def gradient_field(f: MorseFunction) -> GradientField:
     """The matching of exceptional pairs of a validated function."""
-    pairs = []
-    for cell in f.complex:
-        ups = upper_set(f, cell)
-        if ups:
-            (upper,) = ups
-            pairs.append((cell, upper))
-    field = GradientField(f.complex, pairs)
-    if has_closed_path(field):
-        raise AcyclicityBug("gradient field of a validated function has a closed path")
-    return field
+    return f.field
 
 
 @dataclass(frozen=True)
@@ -214,10 +213,6 @@ class GradientPath:
     cells: tuple[Simplex, ...]
 
     @property
-    def pair_steps(self) -> int:
-        return (len(self.cells) - 1) // 2
-
-    @property
     def is_trivial(self) -> bool:
         return len(self.cells) == 1
 
@@ -225,39 +220,31 @@ class GradientPath:
     def is_closed(self) -> bool:
         return len(self.cells) > 1 and self.cells[-1] == self.cells[0]
 
-    @property
-    def last(self) -> Simplex:
-        return self.cells[-1]
-
 
 def gradient_paths_from(field: GradientField, start) -> list[GradientPath]:
-    """Every maximal gradient path out of ``start``.
+    """Every maximal gradient path out of ``start``, in depth-first order.
 
     On an acyclic field each branch ends at an unmatched cell.  If a cycle is
     re-entered (possible only for raw matchings) the branch is truncated at
-    the repeated cell, so the search always terminates.
+    the repeated cell, so the search always terminates.  Every branch is
+    listed, so the output can be exponential in the size of the complex.
     """
     complex = field.complex
     start = as_simplex(start)
     if start not in complex:
         raise SimplexNotInComplex(f"{start!r} is not in the complex")
     out: list[GradientPath] = []
-
-    def extend(cells: list[Simplex], lowers: frozenset[Simplex]) -> None:
-        tail = cells[-1]
-        upper = field.up.get(tail)
+    # Walks still to extend, next one last; lowers is None once a branch is truncated.
+    stack = [((start,), frozenset((start,)))]
+    while stack:
+        cells, lowers = stack.pop()
+        upper = None if lowers is None else field.up.get(cells[-1])
         if upper is None:
-            out.append(GradientPath(tuple(cells)))
-            return
-        for nxt in complex.faces_of(upper):
-            if nxt == tail:
-                continue
-            if nxt in lowers:
-                out.append(GradientPath(tuple(cells) + (upper, nxt)))
-            else:
-                extend(cells + [upper, nxt], lowers | {nxt})
-
-    extend([start], frozenset({start}))
+            out.append(GradientPath(cells))
+            continue
+        for nxt in reversed(complex.faces_of(upper)):
+            if nxt != cells[-1]:
+                stack.append((cells + (upper, nxt), None if nxt in lowers else lowers | {nxt}))
     return out
 
 

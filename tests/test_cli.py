@@ -161,6 +161,8 @@ class TestCli:
         assert run(["no-such-command"]) == 2
         assert run(["random", "--in", "x.scx"]) == 2  # missing --seed
         assert run(["levels", "--in", "x.scx", "--level", "nan"]) == 2
+        for command in ("collapse", "lscat", "minmax-check"):
+            assert run([command, "--in", "x.scx", "--max-enum", "-1"]) == 2
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
@@ -227,6 +229,24 @@ class TestCli:
         payload = json.loads(out)
         assert payload["collapsible"] is True
         assert len(payload["steps"]) == 3
+
+    def test_collapse_command_on_a_long_path(self, tmp_path, capsys):
+        path = tmp_path / "path.scx"
+        path.write_text("".join(f"{i} {i + 1}\n" for i in range(1200)), encoding="utf-8")
+        code, out = self._json(capsys, ["collapse", "--in", str(path), "--max-enum", "100000"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["vertex"] == [0]
+        assert len(payload["steps"]) == 1200
+
+    def test_too_large_error_carries_size_and_bound(self, tmp_path, capsys):
+        path = tmp_path / "tri.scx"
+        path.write_text("0 1 2\n", encoding="utf-8")
+        code, out = self._json(capsys, ["collapse", "--in", str(path), "--max-enum", "3"])
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["kind"] == "TooLargeForEnumeration"
+        assert (error["size"], error["bound"]) == (7, 3)
 
     def test_lscat(self, tmp_path, capsys):
         path = tmp_path / "circle.scx"

@@ -121,6 +121,14 @@ class TestCollapsesTo:
         seq.replay()
 
 
+    def test_long_path_collapses_without_recursion(self):
+        n = 1201
+        path = build_complex([(i, i + 1) for i in range(n - 1)])
+        seq = collapses_to(path, SimplicialComplex([(0,)]), max_enum=10**6)
+        assert len(seq) == n - 1
+        assert seq.replay() == SimplicialComplex([(0,)])
+
+
 class TestVerifyDmtA:
     def test_p3_window(self, p3_function):
         seq = verify_dmt_a(p3_function, 1, 3)

@@ -195,8 +195,10 @@ class TestSubcomplexEnumeration:
     def test_enumeration_bound(self):
         big = build_complex([(0, 1, 2, 3)])
         assert len(big) == 15
-        with pytest.raises(TooLargeForEnumeration):
+        with pytest.raises(TooLargeForEnumeration) as info:
             list(subcomplexes_of(big))
+        assert (info.value.size, info.value.bound) == (15, 14)
+        assert str(info.value) == "15 simplices exceeds the enumeration bound 14"
         assert len(list(subcomplexes_of(big, max_enum=15))) > 0
 
 

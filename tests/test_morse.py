@@ -126,6 +126,14 @@ class TestGradientPaths:
         assert path.is_trivial
         assert not path.is_closed
 
+    def test_long_path_is_walked_without_recursion(self):
+        n = 3000
+        k = build_complex([(i, i + 1) for i in range(n - 1)])
+        field = GradientField(k, [((i + 1,), (i, i + 1)) for i in range(n - 1)])
+        (path,) = gradient_paths_from(field, (n - 1,))
+        assert len(path.cells) == 2 * n - 1
+        assert path.cells[-1] == (0,)
+
     def test_cyclic_matching_detected(self, circle):
         cyclic = GradientField(
             circle, [((0,), (0, 1)), ((1,), (1, 2)), ((2,), (0, 2))]
