@@ -151,12 +151,7 @@ class EdgePath:
 
 
 def _admissible(
-    path: EdgePath,
-    f: MorseFunction,
-    field: GradientField,
-    basin_vertices: frozenset[Simplex],
-    monotone_tail: bool = True,
-    avoid_critical: bool = True,
+    path: EdgePath, f: MorseFunction, basin_vertices: frozenset[Simplex]
 ) -> bool:
     try:
         verts = path.vertex_sequence()
@@ -168,33 +163,29 @@ def _admissible(
         return False
     if verts[-1] not in basin_vertices:
         return False
-    if avoid_critical:
-        for u in verts[1:]:
-            if u.dim == 0 and u in field.critical and u != path.low:
+    values = [f(e) for e in path.edges]
+    for j in range(1, len(verts)):
+        if verts[j] in basin_vertices:
+            tail = values[j - 1 :]
+            if any(x <= y for x, y in zip(tail, tail[1:])):
                 return False
-    if monotone_tail:
-        values = [f(e) for e in path.edges]
-        for j in range(1, len(verts)):
-            if verts[j] in basin_vertices:
-                tail = values[j - 1 :]
-                if any(x <= y for x, y in zip(tail, tail[1:])):
-                    return False
     return True
 
 
 def enumerate_paths(
-    f: MorseFunction,
-    field: GradientField,
-    high,
-    low,
-    *,
-    monotone_tail: bool = True,
+    f: MorseFunction, field: GradientField, high, low
 ) -> list[EdgePath]:
     """All admissible edge paths from ``high`` ending in the basin of ``low``.
 
     Paths are vertex-simple and avoid every critical vertex other than the
     two endpoints, and once a path touches the basin its remaining edge
-    values must strictly decrease.
+    values must strictly decrease.  One depth-first walk with an explicit
+    stack enforces all three rules as it extends a path, so no prefix that
+    breaks one is ever extended: a broken tail stays broken, because the
+    tail starts at the first basin vertex.  The pruning keeps the walk off
+    dead prefixes, but the number of admissible paths (and so the output)
+    can still grow exponentially with the size of the complex.  Paths come
+    back sorted by length, then by their edges.
     """
     v1 = as_simplex(high)
     v0 = as_simplex(low)
@@ -214,23 +205,26 @@ def enumerate_paths(
             f"need two distinct critical vertices with f({tuple(v0)}) < f({tuple(v1)})"
         )
     basin_vertices = frozenset(basin(field, f, v0).cells.cells_of_dim(0))
-    critical_vertices = {c for c in crit if c.dim == 0}
-    found: list[EdgePath] = []
-
-    def walk(cur: Simplex, visited: frozenset, acc: tuple) -> None:
+    blocked = {c for c in crit if c.dim == 0 and c != v0}
+    result: list[EdgePath] = []
+    # (vertex, visited vertices, edges so far, last edge value once in the basin)
+    stack = [(v1, frozenset({v1}), (), None)]
+    while stack:
+        cur, visited, edges, tail = stack.pop()
         for edge in complex.cofaces_of(cur):
-            nxt = Simplex((edge[0] if edge[1] == cur[0] else edge[1],))
-            if nxt in visited:
+            value = f(edge)
+            if tail is not None and value >= tail:
                 continue
-            if nxt in critical_vertices and nxt not in (v0, v1):
+            a, b = complex.faces_of(edge)
+            nxt = b if a == cur else a
+            if nxt in visited or nxt in blocked:
                 continue
-            extended = acc + (edge,)
-            if nxt in basin_vertices:
-                found.append(EdgePath(v1, extended, v0))
-            walk(nxt, visited | {nxt}, extended)
-
-    walk(v1, frozenset({v1}), ())
-    result = [p for p in found if _admissible(p, f, field, basin_vertices, monotone_tail)]
+            extended = edges + (edge,)
+            in_basin = nxt in basin_vertices
+            if in_basin:
+                result.append(EdgePath(v1, extended, v0))
+            entered = tail is not None or in_basin
+            stack.append((nxt, visited | {nxt}, extended, value if entered else None))
     if not result:
         raise NoPathExists(
             f"no admissible edge path from {tuple(v1)} to the basin of {tuple(v0)}"
@@ -273,7 +267,7 @@ def flow_path(operator: FlowOperator, path: EdgePath) -> EdgePath:
     basin_vertices = frozenset(
         basin(operator.field, f, path.low).cells.cells_of_dim(0)
     )
-    if not _admissible(new_path, f, operator.field, basin_vertices, avoid_critical=False):
+    if not _admissible(new_path, f, basin_vertices):
         raise ReassemblyFailure("flowed path violates the path invariants")
     return new_path
 
@@ -289,41 +283,45 @@ class MountainPassResult:
 
 def _orbit_closure(
     operator: FlowOperator, seeds: Iterable[frozenset[Simplex]]
-) -> list[frozenset[Simplex]]:
+) -> tuple[list[frozenset[Simplex]], dict[frozenset[Simplex], int]]:
     """The seeds together with all their forward images under the flow map.
 
     The image map is deterministic, so each walk stops as soon as it meets a
     set already in the family; the result is closed under the flow map by
-    construction.
+    construction.  Returns the family, sorted by size and then by cells, and
+    ``origin``, which maps each member to the index of the first seed whose
+    orbit reaches it: a walk that stops early meets a member whose whole
+    forward orbit an earlier seed has already claimed.
     """
-    family: set[frozenset[Simplex]] = set()
-    image: dict[frozenset[Simplex], frozenset[Simplex]] = {}
-    for seed in seeds:
+    origin: dict[frozenset[Simplex], int] = {}
+    for i, seed in enumerate(seeds):
         current = seed
-        while current not in family:
-            family.add(current)
-            if current not in image:
-                image[current] = flow_image(operator, current)
-            current = image[current]
-    return sorted(family, key=lambda m: (len(m), sorted(m, key=simplex_key)))
+        while current not in origin:
+            origin[current] = i
+            current = flow_image(operator, current)
+    family = sorted(origin, key=lambda m: (len(m), sorted(m, key=simplex_key)))
+    return family, origin
 
 
 def mountain_pass(f: MorseFunction, high, low) -> MountainPassResult:
     """Lowest ridge crossing between two critical vertices.
 
     The min-max family is the flow-orbit closure of the admissible edge
-    paths: paths alone are not closed under the flow map (a diverted path
-    can fold onto a branching edge set), while the orbit closure is, so the
-    min-max principle applies and the value is always a critical edge value
-    strictly above the higher minimum.  The witness is the first enumerated
-    path whose orbit attains the value.  Non-injective input is re-ranked
-    first; the reported value is the original value of the ridge edge.
+    paths from ``enumerate_paths``: paths alone are not closed under the
+    flow map (a diverted path can fold onto a branching edge set), while the
+    orbit closure is, so the min-max principle applies and the value is
+    always a critical edge value strictly above the higher minimum.  The
+    witness is the first enumerated path, in ``enumerate_paths`` order,
+    whose flow orbit reaches the member that attains the value; the orbit
+    closure records that path's index for every member.  Non-injective
+    input is re-ranked first; the reported value is the original value of
+    the ridge edge.
     """
     work = f if f.is_injective() else make_injective(f)
     field = gradient_field(work)
     paths = enumerate_paths(work, field, high, low)
     operator = FlowOperator(work, field)
-    family = _orbit_closure(operator, [p.cells() for p in paths])
+    family, origin = _orbit_closure(operator, [p.cells() for p in paths])
     instance = MinMaxInstance(
         work, {"flow": lambda cells: flow_image(operator, cells)}, family
     )
@@ -333,20 +331,7 @@ def mountain_pass(f: MorseFunction, high, low) -> MountainPassResult:
         raise TheoremViolation(f"min-max cell {tuple(ridge)} is not a critical edge")
     if not value_work > work(as_simplex(high)):
         raise TheoremViolation("min-max value does not exceed the higher minimum")
-    witness = None
-    for path in paths:
-        current = path.cells()
-        seen = set()
-        while current not in seen:
-            if current == witness_cells:
-                witness = path
-                break
-            seen.add(current)
-            current = flow_image(operator, current)
-        if witness is not None:
-            break
-    if witness is None:
-        raise TheoremViolation("no enumerated path flows onto the achieving set")
+    witness = paths[origin[witness_cells]]
     return MountainPassResult(f(ridge), ridge, witness, tuple(paths), instance)
 
 

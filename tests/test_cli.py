@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from morseflow import build_complex, emit_scx, parse_off, parse_scx, validate
+from morseflow import build_complex, emit_scx, mountain_pass, parse_off, parse_scx, validate
 from morseflow.cli import run
 from morseflow.errors import (
     MissingValue,
@@ -19,6 +19,26 @@ from morseflow.errors import (
 )
 
 P3_SCX = "0 : 0\n1 : 3\n2 : 1\n0 1 : 2\n1 2 : 4\n"
+
+
+def long_well_scx(n: int) -> str:
+    """A path on ``n`` vertices: minima at both ends, one critical edge in the middle.
+
+    Values fall toward vertex 0 on the left half and toward vertex ``n - 1``
+    on the right, so every other vertex pairs with its downhill edge.
+    """
+    mid = n // 2
+    lines = [f"{mid - 1} {mid} : {2 * n}"]
+    for i in range(mid):
+        lines.append(f"{i} : {2 * i}")
+        if i:
+            lines.append(f"{i - 1} {i} : {2 * i - 1}")
+    for j in range(mid, n):
+        d = n - 1 - j
+        lines.append(f"{j} : {2 * d + 0.5}")
+        if j < n - 1:
+            lines.append(f"{j} {j + 1} : {2 * d - 0.5}")
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture()
@@ -238,6 +258,25 @@ class TestCli:
         payload = json.loads(out)
         assert payload["vertex"] == [0]
         assert len(payload["steps"]) == 1200
+
+    def test_mountain_pass_on_a_long_path(self):
+        _, f = parse_scx(long_well_scx(1200))
+        result = mountain_pass(f, (1199,), (0,))
+        assert result.edge == (599, 600)
+        assert result.value == 2400.0
+        # every vertex of the left half is in the basin of 0, so the
+        # shortest path stops at 599, just over the ridge edge
+        assert len(result.paths) == 600
+        assert result.witness.edges[-1] == (599, 600)
+
+    def test_mountain_pass_command_on_a_long_path(self, tmp_path, capsys):
+        path = tmp_path / "well.scx"
+        path.write_text(long_well_scx(1200), encoding="utf-8")
+        argv = ["mountain-pass", "--in", str(path), "--min1", "1199", "--min0", "0"]
+        code, out = self._json(capsys, argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["c"], payload["edge"], payload["pathCount"]) == (2400.0, [599, 600], 600)
 
     def test_too_large_error_carries_size_and_bound(self, tmp_path, capsys):
         path = tmp_path / "tri.scx"

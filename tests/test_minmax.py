@@ -17,6 +17,7 @@ from morseflow import (
     critical_values,
     dgcat,
     enumerate_paths,
+    flow_image,
     flow_path,
     gradient_field,
     is_connected,
@@ -27,6 +28,7 @@ from morseflow import (
     ls_minmax,
     minmax_value,
     mountain_pass,
+    random_morse,
     validate,
 )
 from morseflow.errors import (
@@ -118,17 +120,155 @@ class TestEnumeratePaths:
         assert ((2, 3), (0, 2), (0, 1)) in edge_lists
 
     def test_monotone_tail_filters(self, double_well):
+        # 3 -> 1 -> 2 -> 0 is vertex-simple, ends in the basin of 0 and meets
+        # no other critical vertex, but after entering the basin at 1 over
+        # the ridge its edge values go 10, 3, 6: only the tail rule drops it.
         field = gradient_field(double_well)
-        relaxed = enumerate_paths(
-            double_well, field, (3,), (0,), monotone_tail=False
+        edges = (Simplex((1, 3)), Simplex((1, 2)), Simplex((0, 2)))
+        assert _basin_by_descent(field, 0) == {0, 1, 2}
+        assert _critical_vertices(field) == {0, 3}
+        assert [double_well(e) for e in edges] == [10, 3, 6]
+        paths = enumerate_paths(double_well, field, (3,), (0,))
+        assert frozenset({Simplex((3,)), *edges}) not in {p.cells() for p in paths}
+
+
+@pytest.fixture(scope="module")
+def grid_functions():
+    """``random_morse`` on the 3 x 3 vertex grid, each square cut along a diagonal."""
+    triangles = []
+    for a in (0, 1, 3, 4):
+        triangles += [(a, a + 3, a + 4), (a, a + 1, a + 4)]
+    grid = build_complex(triangles)
+    return [random_morse(grid, seed) for seed in range(40)]
+
+
+def _critical_vertices(field):
+    return {c[0] for c in field.critical if c.dim == 0}
+
+
+def _basin_by_descent(field, low):
+    """Vertices whose descent along ``field.up`` ends at the vertex ``low``."""
+    basin = set()
+    for vertex in field.complex.cells_of_dim(0):
+        cell = vertex
+        while cell in field.up:
+            a, b = field.up[cell]
+            cell = Simplex((b if a == cell[0] else a,))
+        if cell[0] == low:
+            basin.add(vertex[0])
+    return basin
+
+
+def _paths_by_rules(f, field, high, low):
+    """Admissible paths as edge tuples, from the three rules written out.
+
+    Shares no code with ``enumerate_paths``: every vertex-simple edge path
+    out of ``high`` is listed first, and then kept only if it ends in the
+    basin of ``low``, meets no critical vertex other than ``low`` and has
+    strictly decreasing edge values from its first basin vertex on.
+    """
+    neighbours = {}
+    for edge in f.complex.cells_of_dim(1):
+        a, b = edge
+        neighbours.setdefault(a, []).append((b, edge))
+        neighbours.setdefault(b, []).append((a, edge))
+    simple = []
+    stack = [((high,), ())]
+    while stack:
+        verts, edges = stack.pop()
+        if edges:
+            simple.append((verts, edges))
+        for nxt, edge in neighbours.get(verts[-1], ()):
+            if nxt not in verts:
+                stack.append((verts + (nxt,), edges + (edge,)))
+    basin = _basin_by_descent(field, low)
+    others = _critical_vertices(field) - {low}
+    kept = []
+    for verts, edges in simple:
+        if verts[-1] not in basin or others & set(verts[1:]):
+            continue
+        first = next(j for j in range(1, len(verts)) if verts[j] in basin)
+        tail = [f(e) for e in edges[first - 1 :]]
+        if all(x > y for x, y in zip(tail, tail[1:])):
+            kept.append(tuple(tuple(e) for e in edges))
+    return sorted(kept)
+
+
+def _ordered_critical_pairs(f):
+    vertices = sorted(_critical_vertices(gradient_field(f)))
+    return [(high, low) for high in vertices for low in vertices if high != low]
+
+
+class TestPathsAgainstRules:
+    """``enumerate_paths`` against the brute-force listing filtered by the rules."""
+
+    def _check(self, f, high, low):
+        field = gradient_field(f)
+        if not f((low,)) < f((high,)):
+            with pytest.raises(NotLocalMinima):
+                enumerate_paths(f, field, (high,), (low,))
+            return 0
+        expected = _paths_by_rules(f, field, high, low)
+        if not expected:
+            with pytest.raises(NoPathExists):
+                enumerate_paths(f, field, (high,), (low,))
+            return 0
+        paths = enumerate_paths(f, field, (high,), (low,))
+        assert sorted(tuple(tuple(e) for e in p.edges) for p in paths) == expected
+        return len(expected)
+
+    def test_fixtures(self, p3_function, double_well):
+        assert self._check(p3_function, 3, 1) == 2
+        assert self._check(double_well, 3, 0) == 8
+        # 1 -> 3 -> 2 ends in the basin of 3, but its tail values tie at 3
+        tie = validate(
+            build_complex([(1, 3), (2, 3)]),
+            {(1,): 2, (2,): 4, (3,): 0, (1, 3): 3, (2, 3): 3},
         )
-        strict = enumerate_paths(double_well, field, (3,), (0,))
-        assert len(relaxed) > len(strict)
-        strict_sets = {p.cells() for p in strict}
-        assert all(p.cells() in {q.cells() for q in relaxed} for p in strict)
-        assert frozenset({Simplex((3,)), Simplex((1, 3)), Simplex((1, 2)), Simplex((0, 2))}) in {
-            p.cells() for p in relaxed
-        } - strict_sets
+        assert self._check(tie, 1, 3) == 1
+
+    def test_every_critical_pair_on_grids(self, grid_functions):
+        checked = found = 0
+        for f in grid_functions:
+            for high, low in _ordered_critical_pairs(f):
+                found += self._check(f, high, low)
+                checked += 1
+        assert checked >= 100 and found > 0
+
+
+def _first_path_reaching(result):
+    """The first path in ``result.paths`` whose flow orbit reaches the achieving member."""
+    _, member = minmax_value(result.instance)
+    operator = FlowOperator(result.instance.function)
+    for path in result.paths:
+        current, seen = path.cells(), set()
+        while current not in seen:
+            if current == member:
+                return path
+            seen.add(current)
+            current = flow_image(operator, current)
+    raise AssertionError("no path flows onto the achieving member")
+
+
+class TestWitnessAgainstOrbits:
+    def test_fixtures(self, p3_function, double_well):
+        for f, high, low in ((p3_function, 3, 1), (double_well, 3, 0)):
+            result = mountain_pass(f, (high,), (low,))
+            assert result.witness == _first_path_reaching(result)
+
+    def test_every_critical_pair_on_grids(self, grid_functions):
+        checked = 0
+        for f in grid_functions:
+            for high, low in _ordered_critical_pairs(f):
+                if not f((low,)) < f((high,)):
+                    continue
+                try:
+                    result = mountain_pass(f, (high,), (low,))
+                except NoPathExists:
+                    continue
+                assert result.witness == _first_path_reaching(result)
+                checked += 1
+        assert checked >= 50
 
 
 class TestFlowPath:
