@@ -20,6 +20,7 @@ from .complexes import (
     CellIndex,
     Simplex,
     SimplicialComplex,
+    _trusted,
     as_simplex,
     betti_numbers_mod2,
     check_enumerable,
@@ -267,7 +268,7 @@ def basin(field: GradientField, f: MorseFunction, vertex) -> Basin:
         while x not in term and x in field.up:
             walk.append(x)
             edge = field.up[x]
-            x = Simplex((edge[0] if edge[1] == x[0] else edge[1],))
+            x = _trusted(edge[:1] if edge[1] == x[0] else edge[1:])
         if x not in term:
             term[x] = x
             depth[x] = 0

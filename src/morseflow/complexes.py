@@ -5,6 +5,15 @@ codimension-1 incidence in both directions, so the face and coface queries
 sitting in the inner loops of the Morse machinery are dictionary lookups.
 The canonical orientation of every simplex is the increasing vertex order;
 all boundary signs derive from it.
+
+The public constructors check their input: ``Simplex(...)``, ``Chain(...)``
+and ``SimplicialComplex(...)`` raise on anything malformed.  Data derived
+from objects already checked is valid by construction, so it is built
+through private constructors that skip the checks: ``_trusted`` for a face
+sliced out of a simplex or a vertex read from one, ``Chain._make`` for the
+results of chain arithmetic, ``SimplicialComplex._sub`` for a face-closed
+subset of a complex, and ``SimplicialComplex._from_faces`` for the face
+closure that ``build_complex`` walks.  They are used on such data only.
 """
 
 from __future__ import annotations
@@ -43,13 +52,18 @@ class Simplex(tuple):
         return len(self) - 1
 
     def faces(self) -> tuple["Simplex", ...]:
-        """The codimension-1 faces, one per omitted vertex."""
+        """The codimension-1 faces, one per omitted vertex (so in decreasing order)."""
         if len(self) == 1:
             return ()
-        return tuple(Simplex(self[:i] + self[i + 1 :]) for i in range(len(self)))
+        return tuple(_trusted(self[:i] + self[i + 1 :]) for i in range(len(self)))
 
     def __repr__(self) -> str:
         return f"Simplex{tuple(self)!r}"
+
+
+def _trusted(verts: tuple[int, ...]) -> Simplex:
+    """A simplex from an increasing tuple of distinct vertex ids, unchecked."""
+    return tuple.__new__(Simplex, verts)
 
 
 def simplex_key(s: Simplex) -> tuple[int, tuple[int, ...]]:
@@ -85,7 +99,6 @@ class SimplicialComplex:
     def __init__(self, simplices: Iterable[Iterable[int]]):
         cells = frozenset(as_simplex(s) for s in simplices)
         faces: dict[Simplex, tuple[Simplex, ...]] = {}
-        cofaces: dict[Simplex, list[Simplex]] = {s: [] for s in cells}
         for s in cells:
             fs = s.faces()
             for t in fs:
@@ -93,19 +106,48 @@ class SimplicialComplex:
                     raise MalformedSimplex(
                         f"not face-closed: {t!r} (a face of {s!r}) is missing"
                     )
-            faces[s] = tuple(sorted(fs))
-        for s in cells:
+            faces[s] = fs
+        self._index(faces)
+
+    @classmethod
+    def _from_faces(cls, faces: dict[Simplex, tuple[Simplex, ...]]) -> "SimplicialComplex":
+        """The complex whose cells are the keys, each mapped to its ``faces()``; unchecked."""
+        complex = object.__new__(cls)
+        complex._index(faces)
+        return complex
+
+    def _index(self, faces: dict[Simplex, tuple[Simplex, ...]]) -> None:
+        # Canonical order is by dimension, then vertex order; ``faces()``
+        # lists a cell's faces in decreasing order, so reversing sorts them.
+        order = tuple(sorted(sorted(faces), key=len))
+        cofaces: dict[Simplex, list[Simplex]] = {s: [] for s in order}
+        for s in order:
             for t in faces[s]:
-                cofaces[t].append(s)
-        self._cells = cells
-        self._order = tuple(sorted(cells, key=simplex_key))
-        self._faces = faces
-        self._cofaces = {s: tuple(sorted(c)) for s, c in cofaces.items()}
-        by_dim: dict[int, list[Simplex]] = {}
-        for s in self._order:
-            by_dim.setdefault(s.dim, []).append(s)
-        self._by_dim = {d: tuple(v) for d, v in by_dim.items()}
+                cofaces[t].append(s)  # in canonical order, as ``s`` runs through it
+        self._cells = frozenset(faces)
+        self._order = order
+        self._faces = {s: fs[::-1] for s, fs in faces.items()}
+        self._cofaces = {s: tuple(c) for s, c in cofaces.items()}
+        self._by_dim = _group_by_dim(order)
         self._hash = hash(self._cells)
+
+    def _sub(self, cells: set[Simplex]) -> "SimplicialComplex":
+        """The subcomplex on a face-closed subset of the cells; unchecked.
+
+        Reuses this complex's face tuples and filters its coface tuples, so
+        costs one pass over this complex's cells.
+        """
+        sub = object.__new__(SimplicialComplex)
+        # Tuples from lists, not generators: ``tuple`` over-allocates a
+        # generator's items and shrinks the result, which raised peak memory.
+        order = tuple([s for s in self._order if s in cells])
+        sub._cells = frozenset(cells)
+        sub._order = order
+        sub._faces = {s: self._faces[s] for s in order}
+        sub._cofaces = {s: tuple([t for t in self._cofaces[s] if t in cells]) for s in order}
+        sub._by_dim = _group_by_dim(order)
+        sub._hash = hash(sub._cells)
+        return sub
 
     @property
     def simplices(self) -> frozenset[Simplex]:
@@ -149,7 +191,7 @@ class SimplicialComplex:
                 continue
             out.add(s)
             stack.extend(self._faces[s])
-        return SimplicialComplex(out)
+        return self._sub(out)
 
     def __len__(self) -> int:
         return len(self._cells)
@@ -175,15 +217,22 @@ def build_complex(simplices: Iterable[Iterable[int]]) -> SimplicialComplex:
     listed = [as_simplex(s) for s in simplices]
     if not listed:
         raise EmptyInput("cannot build a complex from an empty list of simplices")
-    closed: set[Simplex] = set()
+    faces: dict[Simplex, tuple[Simplex, ...]] = {}
     stack = listed
     while stack:
         s = stack.pop()
-        if s in closed:
+        if s in faces:
             continue
-        closed.add(s)
-        stack.extend(s.faces())
-    return SimplicialComplex(closed)
+        faces[s] = fs = s.faces()
+        stack.extend(fs)
+    return SimplicialComplex._from_faces(faces)
+
+
+def _group_by_dim(order: tuple[Simplex, ...]) -> dict[int, tuple[Simplex, ...]]:
+    by_dim: dict[int, list[Simplex]] = {}
+    for s in order:
+        by_dim.setdefault(len(s) - 1, []).append(s)
+    return {d: tuple(v) for d, v in by_dim.items()}
 
 
 def is_subcomplex(sub: SimplicialComplex, ambient: SimplicialComplex) -> bool:
@@ -336,8 +385,8 @@ def component_count(complex: SimplicialComplex) -> int:
         return x
 
     for edge in complex.cells_of_dim(1):
-        a = find(Simplex((edge[0],)))
-        b = find(Simplex((edge[1],)))
+        a = find(_trusted(edge[:1]))
+        b = find(_trusted(edge[1:]))
         if a != b:
             parent[a] = b
     return len({find(v) for v in complex.cells_of_dim(0)})
@@ -373,14 +422,27 @@ class Chain:
         if not clean:
             object.__setattr__(self, "dim", -1)
 
+    @classmethod
+    def _make(cls, dim: int, coeffs: dict[Simplex, int]) -> "Chain":
+        """A chain from ``Simplex`` keys of dimension ``dim`` and integer values, unchecked.
+
+        Zero coefficients are dropped and the zero chain gets dimension -1,
+        as in the checked constructor.
+        """
+        chain = object.__new__(cls)
+        clean = {s: c for s, c in coeffs.items() if c}
+        object.__setattr__(chain, "dim", dim if clean else -1)
+        object.__setattr__(chain, "coeffs", clean)
+        return chain
+
     @staticmethod
     def zero() -> "Chain":
-        return Chain(-1, {})
+        return Chain._make(-1, {})
 
     @staticmethod
     def unit(s) -> "Chain":
         s = as_simplex(s)
-        return Chain(s.dim, {s: 1})
+        return Chain._make(s.dim, {s: 1})
 
     @property
     def is_zero(self) -> bool:
@@ -390,21 +452,25 @@ class Chain:
         return frozenset(self.coeffs)
 
     def scaled(self, k: int) -> "Chain":
-        if k == 0 or self.is_zero:
+        if k == 0 or not self.coeffs:
             return Chain.zero()
-        return Chain(self.dim, {s: k * c for s, c in self.coeffs.items()})
+        if k == 1:
+            return self
+        if not isinstance(k, int):
+            raise ValueError(f"coefficients must be integers, got {k!r}")
+        return Chain._make(self.dim, {s: k * c for s, c in self.coeffs.items()})
 
     def __add__(self, other: "Chain") -> "Chain":
-        if self.is_zero:
+        if not self.coeffs:
             return other
-        if other.is_zero:
+        if not other.coeffs:
             return self
         if self.dim != other.dim:
             raise ValueError(f"cannot add chains of dimensions {self.dim} and {other.dim}")
         acc = dict(self.coeffs)
         for s, c in other.coeffs.items():
             acc[s] = acc.get(s, 0) + c
-        return Chain(self.dim, acc)
+        return Chain._make(self.dim, acc)
 
     def __neg__(self) -> "Chain":
         return self.scaled(-1)
@@ -421,7 +487,7 @@ def boundary(chain: Chain) -> Chain:
     for s, coef in chain.coeffs.items():
         sign = 1
         for i in range(len(s)):
-            face = Simplex(s[:i] + s[i + 1 :])
+            face = _trusted(s[:i] + s[i + 1 :])
             acc[face] = acc.get(face, 0) + coef * sign
             sign = -sign
-    return Chain(chain.dim - 1, acc)
+    return Chain._make(chain.dim - 1, acc)

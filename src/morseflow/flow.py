@@ -37,7 +37,7 @@ class FlowOperator:
             raise ComplexMismatch("field and function live on different complexes")
         self._gradient: dict[Simplex, Chain] = {}
         for lower, upper in self.field.pairs:
-            self._gradient[lower] = Chain(upper.dim, {upper: -incidence_sign(upper, lower)})
+            self._gradient[lower] = Chain._make(upper.dim, {upper: -incidence_sign(upper, lower)})
         self._flow: dict[Simplex, Chain] = {}
         for cell in self.complex:
             unit = Chain.unit(cell)
@@ -60,9 +60,11 @@ class FlowOperator:
         """Linear extension of the pair map over a chain."""
         acc = Chain.zero()
         for cell, coef in chain.coeffs.items():
-            img = self.gradient_of(cell)
-            if not img.is_zero:
+            img = self._gradient.get(cell)
+            if img is not None:
                 acc = acc + img.scaled(coef)
+            elif cell not in self.complex:
+                raise SimplexNotInComplex(f"{cell!r} is not in the complex")
         return acc
 
     def apply_flow(self, chain: Chain) -> Chain:

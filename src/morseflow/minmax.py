@@ -18,6 +18,7 @@ from .complexes import (
     CellIndex,
     Simplex,
     SimplicialComplex,
+    _trusted,
     as_simplex,
     check_enumerable,
     is_subcomplex,
@@ -76,18 +77,24 @@ def minmax_value(instance: MinMaxInstance) -> tuple[float, frozenset[Simplex]]:
     if not instance.family:
         raise EmptyFamily("the family has no members")
     f = instance.function
-    best = None
+    best = best_key = best_cells = None
     for member in instance.family:
         if not member:
             raise EmptyFamily("family members must be non-empty")
-        top = max(f(c) for c in member)
-        key = (top, len(member), tuple(sorted(member, key=simplex_key)))
-        if best is None or key < best[0]:
-            best = (key, member)
-    value = best[0][0]
+        key = (max(f(c) for c in member), len(member))
+        if best is None or key < best_key:
+            best, best_key, best_cells = member, key, None
+        elif key == best_key:
+            # Only a tie needs the canonical cell order.
+            if best_cells is None:
+                best_cells = tuple(sorted(best, key=simplex_key))
+            cells = tuple(sorted(member, key=simplex_key))
+            if cells < best_cells:
+                best, best_cells = member, cells
+    value = best_key[0]
     if value not in set(critical_values(f)):
         raise TheoremViolation(f"min-max value {value} is not a critical value")
-    return value, best[1]
+    return value, best
 
 
 def check_minmax_data(instance: MinMaxInstance) -> MinMaxReport:
@@ -143,7 +150,7 @@ class EdgePath:
             if cur not in e:
                 raise ValueError(f"edge {tuple(e)} does not continue the path at {cur}")
             cur = e[0] if e[1] == cur else e[1]
-            verts.append(Simplex((cur,)))
+            verts.append(_trusted((cur,)))
         return tuple(verts)
 
     def cells(self) -> frozenset[Simplex]:
@@ -292,6 +299,11 @@ def _orbit_closure(
     ``origin``, which maps each member to the index of the first seed whose
     orbit reaches it: a walk that stops early meets a member whose whole
     forward orbit an earlier seed has already claimed.
+
+    Cells are compared by their canonical positions in the complex.  With
+    path seeds every member holds exactly one vertex (the flow sends a
+    vertex to one vertex and an edge to edges), so this orders the family
+    as comparing the members' canonically sorted cells would.
     """
     origin: dict[frozenset[Simplex], int] = {}
     for i, seed in enumerate(seeds):
@@ -299,7 +311,8 @@ def _orbit_closure(
         while current not in origin:
             origin[current] = i
             current = flow_image(operator, current)
-    family = sorted(origin, key=lambda m: (len(m), sorted(m, key=simplex_key)))
+    position = {c: i for i, c in enumerate(operator.complex)}.__getitem__
+    family = sorted(origin, key=lambda m: (len(m), sorted(map(position, m))))
     return family, origin
 
 

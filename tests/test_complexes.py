@@ -49,6 +49,10 @@ class TestSimplex:
             Simplex((-1,))
         with pytest.raises(MalformedSimplex):
             Simplex(())
+        with pytest.raises(MalformedSimplex):
+            Simplex([2, 2])
+        with pytest.raises(MalformedSimplex):
+            Simplex([-1])
 
 
 class TestBuildComplex:
@@ -81,6 +85,8 @@ class TestBuildComplex:
         k = build_complex([(0, 1)])
         with pytest.raises(SimplexNotInComplex):
             k.faces_of((5,))
+        with pytest.raises(SimplexNotInComplex):
+            k.closure_of([(7,)])
 
     def test_not_closed_constructor_raises(self):
         with pytest.raises(MalformedSimplex):
@@ -140,6 +146,14 @@ class TestChainAlgebra:
     def test_mixed_dimension_rejected(self):
         with pytest.raises(ValueError):
             Chain(1, {Simplex((0,)): 1})
+
+    def test_non_integer_coefficients_rejected(self):
+        with pytest.raises(ValueError):
+            Chain(1, {(0, 1): 1.5})
+        with pytest.raises(ValueError):
+            Chain(1, {(0, 1): True})
+        with pytest.raises(ValueError):
+            Chain.unit((0, 1)).scaled(1.5)
 
 
 class TestHomologyOracle:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -29,6 +29,7 @@ from morseflow import (
     minmax_value,
     mountain_pass,
     random_morse,
+    simplex_key,
     validate,
 )
 from morseflow.errors import (
@@ -54,6 +55,19 @@ class TestMinMaxValue:
             minmax_value(MinMaxInstance(p3_function, {}, []))
         with pytest.raises(EmptyFamily):
             minmax_value(MinMaxInstance(p3_function, {}, [frozenset()]))
+
+    def test_ties_break_toward_the_canonically_smaller_member(self, p3_function):
+        # Top value 4 (the critical edge 23) and two cells each: a tie that
+        # only the canonical cell order breaks.
+        tied = [
+            frozenset({Simplex((3,)), Simplex((2, 3))}),
+            frozenset({Simplex((1,)), Simplex((2, 3))}),
+            frozenset({Simplex((1, 2)), Simplex((2, 3))}),
+        ]
+        larger = frozenset({Simplex((1,)), Simplex((3,)), Simplex((2, 3))})
+        for family in permutations(tied + [larger]):
+            value, witness = minmax_value(MinMaxInstance(p3_function, {}, list(family)))
+            assert (value, witness) == (4.0, tied[1])
 
     def test_non_critical_value_flagged(self, p3_function):
         instance = MinMaxInstance(
@@ -250,11 +264,26 @@ def _first_path_reaching(result):
     raise AssertionError("no path flows onto the achieving member")
 
 
+def _family_by_orbits(result):
+    """The flow orbits of the paths, sorted by size and then by sorted cells."""
+    operator = FlowOperator(result.instance.function)
+    members = set()
+    for path in result.paths:
+        current = path.cells()
+        while current not in members:
+            members.add(current)
+            current = flow_image(operator, current)
+    return sorted(members, key=lambda m: (len(m), sorted(m, key=simplex_key)))
+
+
 class TestWitnessAgainstOrbits:
+    """The witness and the family order against orbits walked in the test."""
+
     def test_fixtures(self, p3_function, double_well):
         for f, high, low in ((p3_function, 3, 1), (double_well, 3, 0)):
             result = mountain_pass(f, (high,), (low,))
             assert result.witness == _first_path_reaching(result)
+            assert result.instance.family == _family_by_orbits(result)
 
     def test_every_critical_pair_on_grids(self, grid_functions):
         checked = 0
@@ -267,6 +296,7 @@ class TestWitnessAgainstOrbits:
                 except NoPathExists:
                     continue
                 assert result.witness == _first_path_reaching(result)
+                assert result.instance.family == _family_by_orbits(result)
                 checked += 1
         assert checked >= 50
 

@@ -1,4 +1,9 @@
-"""Property tests of the readers, the writer and ``validate``, driven by Hypothesis."""
+"""Property tests driven by Hypothesis.
+
+They cover the readers, the writer and ``validate``, and check every
+unchecked internal construction of complexes, simplices and chains against
+the checked public constructors.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +13,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from morseflow import (
+    Chain,
     MorseFunction,
+    Simplex,
+    SimplicialComplex,
+    boundary,
     build_complex,
     critical_cells,
     emit_scx,
@@ -20,7 +29,7 @@ from morseflow import (
     upper_set,
     validate,
 )
-from morseflow.errors import MorseConditionViolated, MorseflowError
+from morseflow.errors import MorseConditionViolated, MorseflowError, SimplexNotInComplex
 
 # Derandomized and without an example database, so every run checks the
 # same inputs.
@@ -99,3 +108,105 @@ def test_validate_agrees_with_the_upper_and_lower_sets(simplices, data):
     assert expected == []
     assert critical_cells(f) == {c for c in complex if not ups[c] and not lows[c]}
     assert gradient_field(f).pairs == {(c, u) for c in complex for u in ups[c]}
+
+
+def _closure(cells):
+    """Face closure as plain tuples, written out independently of the library."""
+    out = set()
+    stack = [tuple(sorted(c)) for c in cells]
+    while stack:
+        s = stack.pop()
+        if s not in out:
+            out.add(s)
+            if len(s) > 1:
+                stack.extend(s[:i] + s[i + 1 :] for i in range(len(s)))
+    return out
+
+
+def _assert_same_complex(built, checked, ambient):
+    # The incidence itself, from plain tuples, so the checked constructor is
+    # not its own judge.
+    cells = {tuple(c) for c in checked}
+    assert list(built) == sorted(cells, key=lambda c: (len(c), c))
+    for c in cells:
+        faces = sorted(c[:i] + c[i + 1 :] for i in range(len(c))) if len(c) > 1 else []
+        cofaces = sorted(t for t in cells if len(t) == len(c) + 1 and set(c) < set(t))
+        assert list(built.faces_of(c)) == faces
+        assert list(built.cofaces_of(c)) == cofaces
+    assert list(built) == list(checked)
+    assert all(type(c) is Simplex for c in built)
+    assert built.dim == checked.dim
+    assert len(built) == len(checked)
+    for p in range(-1, checked.dim + 2):
+        assert built.cells_of_dim(p) == checked.cells_of_dim(p)
+    for c in ambient:
+        if c in checked:
+            assert built.faces_of(c) == checked.faces_of(c)
+            assert built.cofaces_of(c) == checked.cofaces_of(c)
+        else:
+            with pytest.raises(SimplexNotInComplex):
+                built.faces_of(c)
+            with pytest.raises(SimplexNotInComplex):
+                built.cofaces_of(c)
+    assert built == checked
+    assert hash(built) == hash(checked)
+
+
+@PROPERTY
+@given(st.lists(SIMPLEX, min_size=1, max_size=5), st.data())
+def test_closure_of_agrees_with_the_checked_constructor(simplices, data):
+    complex = build_complex(simplices)
+    cells = data.draw(st.lists(st.sampled_from(list(complex)), max_size=6))
+    _assert_same_complex(
+        complex.closure_of(cells), SimplicialComplex(_closure(cells)), complex
+    )
+
+
+@PROPERTY
+@given(st.lists(SIMPLEX, min_size=1, max_size=5))
+def test_build_complex_agrees_with_the_checked_constructor(simplices):
+    checked = SimplicialComplex(_closure(simplices))
+    _assert_same_complex(build_complex(simplices), checked, checked)
+
+
+@PROPERTY
+@given(SIMPLEX)
+def test_faces_are_checked_simplices(vertices):
+    for face in Simplex(vertices).faces():
+        assert type(face) is Simplex
+        assert face == Simplex(tuple(face))
+
+
+def _chains(dim):
+    cells = st.lists(st.integers(0, 5), min_size=dim + 1, max_size=dim + 1, unique=True)
+    return st.dictionaries(cells.map(tuple), st.integers(-3, 3), max_size=5).map(
+        lambda coeffs: Chain(dim, coeffs)
+    )
+
+
+def _assert_canonical(chain, expected_dim, expected):
+    """``chain`` is what the checked constructor makes of ``expected``."""
+    assert all(type(s) is Simplex for s in chain.coeffs)
+    assert chain == Chain(chain.dim, dict(chain.coeffs))
+    assert chain == Chain(expected_dim, expected)
+
+
+@PROPERTY
+@given(st.integers(0, 3).flatmap(lambda d: st.tuples(_chains(d), _chains(d))), st.integers(-3, 3))
+def test_chain_arithmetic_agrees_with_the_checked_constructor(pair, k):
+    a, b = pair
+    dim = max(a.dim, b.dim)
+    total, difference = dict(a.coeffs), dict(a.coeffs)
+    for s, c in b.coeffs.items():
+        total[s] = total.get(s, 0) + c
+        difference[s] = difference.get(s, 0) - c
+    _assert_canonical(a + b, dim, total)
+    _assert_canonical(a - b, dim, difference)
+    _assert_canonical(a.scaled(k), a.dim, {s: k * c for s, c in a.coeffs.items()})
+    faces = {}
+    for s, c in a.coeffs.items():
+        for i in range(len(s) if len(s) > 1 else 0):
+            face = s[:i] + s[i + 1 :]
+            faces[face] = faces.get(face, 0) + (-1) ** i * c
+    _assert_canonical(boundary(a), a.dim - 1, faces)
+    assert boundary(boundary(a)).is_zero
