@@ -1,9 +1,9 @@
 """The chain-level gradient map, the discrete flow, and its set versions.
 
-The flow of each basis cell is computed once through chain operations
-(identity plus boundary-of-gradient plus gradient-of-boundary), while
-``flow_matrix`` rebuilds the same data by sparse matrix composition; the two
-routes are cross-checked in ``check_flow_matrix`` to catch sign errors.
+The flow of each basis cell is computed once from its vertices and the matched
+pairs (identity plus boundary-of-gradient plus gradient-of-boundary), while
+``flow_matrix`` rebuilds the same data by sparse matrix composition over the
+face index; the two routes are cross-checked in ``check_flow_matrix``.
 
 Coefficients are Python integers, so arithmetic is exact at any size.
 """
@@ -19,7 +19,7 @@ from .collapse import (
     level_subcomplex,
     pair_off_removable,
 )
-from .complexes import Chain, Simplex, SimplicialComplex, boundary, incidence_sign
+from .complexes import Chain, Simplex, SimplicialComplex, _trusted, incidence_sign
 from .errors import ComplexMismatch, PropertyViolation, SimplexNotInComplex
 from .morse import GradientField, MorseFunction, gradient_field
 
@@ -36,14 +36,25 @@ class FlowOperator:
         if self.field.complex != self.complex:
             raise ComplexMismatch("field and function live on different complexes")
         self._gradient: dict[Simplex, Chain] = {}
+        matched: dict[Simplex, tuple[Simplex, int]] = {}
         for lower, upper in self.field.pairs:
-            self._gradient[lower] = Chain._make(upper.dim, {upper: -incidence_sign(upper, lower)})
+            matched[lower] = (upper, -incidence_sign(upper, lower))
+            self._gradient[lower] = Chain._make(upper.dim, {upper: matched[lower][1]})
+        # Row of s: s + boundary(V s) + V(boundary s), in one dict; an unmatched
+        # cell looks up no upper cell and sign 0.  Omitting vertex i gives a
+        # face with sign (-1)**i, as in ``boundary``.
         self._flow: dict[Simplex, Chain] = {}
         for cell in self.complex:
-            unit = Chain.unit(cell)
-            self._flow[cell] = (
-                unit + boundary(self.apply_gradient(unit)) + self.apply_gradient(boundary(unit))
-            )
+            row = {cell: 1}
+            upper, sign = matched.get(cell, ((), 0))
+            for i in range(len(upper)):
+                face = _trusted(upper[:i] + upper[i + 1 :])
+                row[face] = row.get(face, 0) + (-sign if i % 2 else sign)
+            for i in range(len(cell)):
+                upper, sign = matched.get(cell[:i] + cell[i + 1 :], ((), 0))
+                if sign:
+                    row[upper] = row.get(upper, 0) + (-sign if i % 2 else sign)
+            self._flow[cell] = Chain._make(len(cell) - 1, row)
 
     def gradient_of(self, cell) -> Chain:
         """The matched-pair image of a single cell; zero when unmatched."""
@@ -72,10 +83,6 @@ class FlowOperator:
         for cell, coef in chain.coeffs.items():
             acc = acc + self.flow_of(cell).scaled(coef)
         return acc
-
-    def support_of(self, cell) -> frozenset[Simplex]:
-        """Cells appearing in the flowed chain of one cell."""
-        return self.flow_of(cell).support()
 
 
 def flow_matrix(operator: FlowOperator, p: int) -> dict[Simplex, dict[Simplex, int]]:
@@ -146,10 +153,11 @@ def check_flow_matrix(operator: FlowOperator, p: int) -> FlowMatrixReport:
 
 def flow_image(operator: FlowOperator, cells: Iterable) -> frozenset[Simplex]:
     """Union of the supports of the flowed cells; empty input gives empty."""
-    out: set[Simplex] = set()
-    for cell in cells:
-        out |= operator.support_of(cell)
-    return frozenset(out)
+    flows = operator._flow
+    try:
+        return frozenset().union(*[flows[c].coeffs for c in cells])
+    except KeyError as exc:
+        raise SimplexNotInComplex(f"{exc.args[0]!r} is not in the complex") from None
 
 
 def flow_image_closure(operator: FlowOperator, cells: Iterable) -> SimplicialComplex:

@@ -9,6 +9,7 @@ category machineries build concrete instances of that shape.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Iterable, Mapping
 
@@ -34,6 +35,7 @@ from .errors import (
     PreconditionViolated,
     ProofFailure,
     ReassemblyFailure,
+    SimplexNotInComplex,
     TheoremViolation,
 )
 from .flow import FlowOperator, flow_image, flow_image_closure
@@ -81,7 +83,10 @@ def minmax_value(instance: MinMaxInstance) -> tuple[float, frozenset[Simplex]]:
     for member in instance.family:
         if not member:
             raise EmptyFamily("family members must be non-empty")
-        key = (max(f(c) for c in member), len(member))
+        try:
+            key = (max(map(f.values.__getitem__, member)), len(member))
+        except KeyError as exc:
+            raise SimplexNotInComplex(f"{exc.args[0]!r} has no value") from None
         if best is None or key < best_key:
             best, best_key, best_cells = member, key, None
         elif key == best_key:
@@ -118,12 +123,14 @@ def check_minmax_data(instance: MinMaxInstance) -> MinMaxReport:
             checked += 1
     eps = f.min_value_gap() / 2.0
     crit = set(critical_values(f))
+    order = sorted(f.complex, key=f.values.__getitem__)  # sublevel sets are its prefixes
+    keys = [f.values[c] for c in order]
     witnesses: dict[float, str] = {}
     for a in f.sorted_distinct_values():
         if a in crit:
             continue
-        above = frozenset(c for c in f.complex if f(c) <= a + eps)
-        below = frozenset(c for c in f.complex if f(c) <= a - eps)
+        above = frozenset(order[: bisect_right(keys, a + eps)])
+        below = frozenset(order[: bisect_right(keys, a - eps)])
         for name in sorted(instance.maps):
             if frozenset(instance.maps[name](above)) <= below:
                 witnesses[a] = name
@@ -213,16 +220,17 @@ def enumerate_paths(
         )
     basin_vertices = frozenset(basin(field, f, v0).cells.cells_of_dim(0))
     blocked = {c for c in crit if c.dim == 0 and c != v0}
+    values, faces_of, cofaces_of = f.values, complex.faces_of, complex.cofaces_of
     result: list[EdgePath] = []
     # (vertex, visited vertices, edges so far, last edge value once in the basin)
     stack = [(v1, frozenset({v1}), (), None)]
     while stack:
         cur, visited, edges, tail = stack.pop()
-        for edge in complex.cofaces_of(cur):
-            value = f(edge)
+        for edge in cofaces_of(cur):
+            value = values[edge]
             if tail is not None and value >= tail:
                 continue
-            a, b = complex.faces_of(edge)
+            a, b = faces_of(edge)
             nxt = b if a == cur else a
             if nxt in visited or nxt in blocked:
                 continue
@@ -236,7 +244,7 @@ def enumerate_paths(
         raise NoPathExists(
             f"no admissible edge path from {tuple(v1)} to the basin of {tuple(v0)}"
         )
-    result.sort(key=lambda p: (len(p.edges), tuple(tuple(e) for e in p.edges)))
+    result.sort(key=lambda p: (len(p.edges), p.edges))
     return result
 
 

@@ -7,8 +7,10 @@ import random
 import pytest
 
 from morseflow import (
+    Chain,
     MorseFunction,
     SimplicialComplex,
+    boundary,
     build_complex,
     random_morse,
     validate,
@@ -104,3 +106,22 @@ def random_instance(seed: int, max_vertices: int = 8, max_cell: int = 4):
     rng = random.Random(seed)
     complex = random_complex(rng, max_vertices, max_cell)
     return complex, random_morse(complex, rng.randrange(2**32))
+
+
+def torus(m: int) -> SimplicialComplex:
+    """The m x m grid on the torus, each square cut along a diagonal (m >= 3)."""
+    triangles = []
+    for i in range(m):
+        for j in range(m):
+            a, b = i * m + j, i * m + (j + 1) % m
+            c, d = (i + 1) % m * m + j, (i + 1) % m * m + (j + 1) % m
+            triangles += [(a, b, d), (a, c, d)]
+    return build_complex(triangles)
+
+
+def flow_by_chain_algebra(operator, cell) -> Chain:
+    """The flow of one cell as the chain sum s + boundary(V s) + V(boundary s)."""
+    unit = Chain.unit(cell)
+    return (
+        unit + boundary(operator.apply_gradient(unit)) + operator.apply_gradient(boundary(unit))
+    )

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from morseflow import build_complex, emit_scx, mountain_pass, parse_off, parse_scx, validate
-from morseflow.cli import run
+from morseflow.cli import MAX_ENUM_CAP, run
 from morseflow.errors import (
     MissingValue,
     MorseConditionViolated,
@@ -183,7 +183,18 @@ class TestCli:
         assert run(["levels", "--in", "x.scx", "--level", "nan"]) == 2
         for command in ("collapse", "lscat", "minmax-check"):
             assert run([command, "--in", "x.scx", "--max-enum", "-1"]) == 2
+        # Above the cap the exhaustive commands stop at argument parsing, so
+        # no input is read and no search starts.
+        for command in ("lscat", "minmax-check"):
+            for bound in (MAX_ENUM_CAP + 1, 100000):
+                assert run([command, "--in", "x.scx", "--max-enum", str(bound)]) == 2
         assert capsys.readouterr().out == ""
+        # The cap itself passes parsing, as does any bound for collapse: the
+        # missing input then fails as a domain error.
+        accepted = [("lscat", MAX_ENUM_CAP), ("minmax-check", MAX_ENUM_CAP), ("collapse", 100000)]
+        for command, bound in accepted:
+            assert run([command, "--in", "x.scx", "--max-enum", str(bound)]) == 1
+            assert json.loads(capsys.readouterr().out)["error"]["kind"] == "UnreadableInput"
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
     def test_unreadable_input(self, kind, tmp_path, capsys):

@@ -17,11 +17,12 @@ from morseflow import (
     flow_image_closure,
     flow_matrix,
     level_subcomplex,
+    random_morse,
     validate,
     verify_flow_collapse,
 )
-from morseflow.errors import PropertyViolation
-from conftest import random_instance
+from morseflow.errors import PropertyViolation, SimplexNotInComplex
+from conftest import flow_by_chain_algebra, random_instance, torus
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +53,20 @@ class TestFlow:
 
     def test_p3_edge_23(self, p3_flow):
         assert p3_flow.flow_of((2, 3)).coeffs == {Simplex((2, 3)): 1, Simplex((1, 2)): 1}
+
+    def test_kernel_matches_chain_algebra_on_random_instances(self):
+        for seed in range(60):
+            complex, f = random_instance(seed)
+            operator = FlowOperator(f)
+            for cell in complex:
+                assert operator.flow_of(cell) == flow_by_chain_algebra(operator, cell)
+
+    def test_kernel_matches_chain_algebra_on_the_torus(self):
+        complex = torus(5)
+        for seed in range(4):
+            operator = FlowOperator(random_morse(complex, seed))
+            for cell in complex:
+                assert operator.flow_of(cell) == flow_by_chain_algebra(operator, cell)
 
     def test_chain_map_identity_on_random_chains(self):
         rng = random.Random(13)
@@ -119,6 +134,18 @@ class TestSupportMaps:
     def test_closure_of_critical_vertex(self, p3_flow):
         assert flow_image_closure(p3_flow, [(1,)]).simplices == {(1,)}
 
+    def test_image_is_the_union_of_the_flow_supports(self):
+        rng = random.Random(5)
+        for seed in range(30):
+            complex, f = random_instance(seed)
+            operator = FlowOperator(f)
+            cells = list(complex)
+            for _ in range(10):
+                chosen = rng.sample(cells, rng.randint(0, len(cells)))
+                expected = frozenset().union(*(operator.flow_of(c).support() for c in chosen))
+                assert flow_image(operator, chosen) == expected
+                assert flow_image(operator, iter(chosen)) == expected
+
     def test_sublevel_invariance(self):
         for seed in range(30):
             complex, f = random_instance(seed)
@@ -164,9 +191,15 @@ class TestFlowCollapse:
 
 class TestMembership:
     def test_gradient_rejects_foreign_cells(self, p3_flow):
-        from morseflow.errors import SimplexNotInComplex
-
         with pytest.raises(SimplexNotInComplex):
             p3_flow.apply_gradient(Chain.unit((7, 8)))
         with pytest.raises(SimplexNotInComplex):
             p3_flow.flow_of((9,))
+
+    def test_image_rejects_foreign_cells(self, p3_flow):
+        with pytest.raises(SimplexNotInComplex):
+            flow_image(p3_flow, [(9,)])
+        with pytest.raises(SimplexNotInComplex):
+            flow_image(p3_flow, (c for c in [(9,)]))
+        with pytest.raises(SimplexNotInComplex):
+            flow_image(p3_flow, [(1,), (1, 3)])

@@ -37,6 +37,7 @@ from morseflow.errors import (
     EmptyFamily,
     NoPathExists,
     NotLocalMinima,
+    SimplexNotInComplex,
     TheoremViolation,
 )
 
@@ -68,6 +69,13 @@ class TestMinMaxValue:
         for family in permutations(tied + [larger]):
             value, witness = minmax_value(MinMaxInstance(p3_function, {}, list(family)))
             assert (value, witness) == (4.0, tied[1])
+
+    def test_foreign_cell_rejected(self, p3_function):
+        for member in ({Simplex((9,))}, {Simplex((1,)), Simplex((1, 3))}):
+            family = [frozenset({Simplex((1,))}), frozenset(member)]
+            instance = MinMaxInstance(p3_function, {}, family)
+            with pytest.raises(SimplexNotInComplex):
+                minmax_value(instance)
 
     def test_non_critical_value_flagged(self, p3_function):
         instance = MinMaxInstance(
@@ -213,6 +221,18 @@ def _ordered_critical_pairs(f):
     return [(high, low) for high in vertices for low in vertices if high != low]
 
 
+def _grid_passes(grid_functions):
+    """Mountain passes of every ordered critical pair of the grid functions that has one."""
+    for f in grid_functions:
+        for high, low in _ordered_critical_pairs(f):
+            if not f((low,)) < f((high,)):
+                continue
+            try:
+                yield mountain_pass(f, (high,), (low,))
+            except NoPathExists:
+                continue
+
+
 class TestPathsAgainstRules:
     """``enumerate_paths`` against the brute-force listing filtered by the rules."""
 
@@ -229,6 +249,7 @@ class TestPathsAgainstRules:
             return 0
         paths = enumerate_paths(f, field, (high,), (low,))
         assert sorted(tuple(tuple(e) for e in p.edges) for p in paths) == expected
+        assert paths == sorted(paths, key=lambda p: (len(p.edges), tuple(map(tuple, p.edges))))
         return len(expected)
 
     def test_fixtures(self, p3_function, double_well):
@@ -287,17 +308,10 @@ class TestWitnessAgainstOrbits:
 
     def test_every_critical_pair_on_grids(self, grid_functions):
         checked = 0
-        for f in grid_functions:
-            for high, low in _ordered_critical_pairs(f):
-                if not f((low,)) < f((high,)):
-                    continue
-                try:
-                    result = mountain_pass(f, (high,), (low,))
-                except NoPathExists:
-                    continue
-                assert result.witness == _first_path_reaching(result)
-                assert result.instance.family == _family_by_orbits(result)
-                checked += 1
+        for result in _grid_passes(grid_functions):
+            assert result.witness == _first_path_reaching(result)
+            assert result.instance.family == _family_by_orbits(result)
+            checked += 1
         assert checked >= 50
 
 
@@ -514,3 +528,48 @@ class TestCategoryAgainstBruteForce:
     def test_engine_matches_naive(self, maximal):
         complex = build_complex(maximal)
         assert dgcat(complex).category == self._naive_dgcat(complex)
+
+
+def _deformation_by_scan(instance):
+    """Epsilon and the first shrinking map per regular value, each sublevel set a full scan."""
+    f = instance.function
+    values = sorted({f(c) for c in f.complex})
+    eps = min((b - a for a, b in zip(values, values[1:])), default=1.0) / 2.0
+    crit = {f(c) for c in gradient_field(f).critical}
+    witnesses = {}
+    for a in values:
+        if a in crit:
+            continue
+        above = frozenset(c for c in f.complex if f(c) <= a + eps)
+        below = frozenset(c for c in f.complex if f(c) <= a - eps)
+        witnesses[a] = next(
+            name for name in sorted(instance.maps) if instance.maps[name](above) <= below
+        )
+    return eps, witnesses
+
+
+class TestDeformationAgainstScan:
+    """``check_minmax_data`` against sublevel sets found by scanning every cell."""
+
+    def _check(self, result):
+        instance = result.instance
+        # "fixed" is tried before "flow" and fails at every regular value, so
+        # a sublevel set one cell too small would show as a different witness.
+        maps = {**instance.maps, "fixed": lambda cells: cells}
+        for checked in (instance, MinMaxInstance(instance.function, maps, instance.family)):
+            report = check_minmax_data(checked)
+            eps, witnesses = _deformation_by_scan(checked)
+            assert report.epsilon == eps
+            assert list(report.deformation.items()) == list(witnesses.items())
+            assert report.closure_checked == len(checked.maps) * len(checked.family)
+
+    def test_fixtures(self, p3_function, double_well):
+        for f, high, low in ((p3_function, 3, 1), (double_well, 3, 0)):
+            self._check(mountain_pass(f, (high,), (low,)))
+
+    def test_every_critical_pair_on_grids(self, grid_functions):
+        checked = 0
+        for result in _grid_passes(grid_functions):
+            self._check(result)
+            checked += 1
+        assert checked >= 50

@@ -1,8 +1,8 @@
 """Property tests driven by Hypothesis.
 
-They cover the readers, the writer and ``validate``, and check every
-unchecked internal construction of complexes, simplices and chains against
-the checked public constructors.
+They cover the readers, the writer and ``validate``, check every unchecked
+internal construction of complexes, simplices and chains against the
+checked public constructors, and check the flow rows against chain algebra.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from morseflow import (
     Chain,
+    FlowOperator,
     MorseFunction,
     Simplex,
     SimplicialComplex,
@@ -30,6 +31,7 @@ from morseflow import (
     validate,
 )
 from morseflow.errors import MorseConditionViolated, MorseflowError, SimplexNotInComplex
+from conftest import flow_by_chain_algebra
 
 # Derandomized and without an example database, so every run checks the
 # same inputs.
@@ -210,3 +212,14 @@ def test_chain_arithmetic_agrees_with_the_checked_constructor(pair, k):
             faces[face] = faces.get(face, 0) + (-1) ** i * c
     _assert_canonical(boundary(a), a.dim - 1, faces)
     assert boundary(boundary(a)).is_zero
+
+
+@PROPERTY
+@given(st.lists(SIMPLEX, min_size=1, max_size=5), st.integers(0, 2**32 - 1))
+def test_flow_rows_agree_with_the_chain_algebra(simplices, seed):
+    complex = build_complex(simplices)
+    operator = FlowOperator(random_morse(complex, seed))
+    for cell in complex:
+        row = operator.flow_of(cell)
+        assert all(type(s) is Simplex for s in row.coeffs)
+        assert row == flow_by_chain_algebra(operator, cell)
