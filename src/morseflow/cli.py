@@ -22,14 +22,7 @@ from .complexes import (
 )
 from .errors import MissingValue, MorseflowError, PreconditionViolated, UnreadableInput
 from .flow import FlowOperator, check_flow_matrix, flow_matrix
-from .minmax import (
-    check_minmax_data,
-    dgcat,
-    ls_bound_check,
-    ls_instance,
-    ls_minmax,
-    mountain_pass,
-)
+from .minmax import check_minmax_data, ls_instance, ls_minmax, mountain_pass
 from .morse import (
     MorseFunction,
     critical_cells,
@@ -40,10 +33,11 @@ from .morse import (
 from .scxio import emit_scx, parse_off, parse_scx
 
 SCHEMA = 1
-# Largest --max-enum that lscat and minmax-check accept: their searches walk
-# every subset of the cells, about fourfold slower per two cells (lscat took
-# 2 s at 19 cells on a 2-core VM), so 30 cells would take hours.  The collapse
-# command's memoised search is not exhaustive and takes any bound.
+# Largest --max-enum that lscat and minmax-check accept.  Their searches visit
+# every collapse of the complex and every subcomplex that collapses to a
+# vertex, and both counts can grow exponentially with the cells: on triangle
+# fans lscat took 0.06 s at 21 cells and 3.1 s at 31 (2-core VM).  The
+# collapse command's memoised search is not exhaustive and takes any bound.
 MAX_ENUM_CAP = 20
 
 
@@ -175,14 +169,16 @@ def _cmd_mountain_pass(args):
 
 
 def _cmd_lscat(args):
-    complex, f = _load(args)
+    _, f = _load(args)
     f = _need_function(f)
-    result = dgcat(complex, max_enum=args.max_enum)
+    # One value per depth 1 .. dgcat + 1.
+    values = ls_minmax(f, args.max_enum)
+    critical_count = len(critical_cells(f))
     return {
-        "dgcat": result.category,
-        "values": [[k, v] for k, v in ls_minmax(f, args.max_enum)],
-        "criticalCount": len(critical_cells(f)),
-        "boundHolds": ls_bound_check(f, args.max_enum),
+        "dgcat": len(values) - 1,
+        "values": [[k, v] for k, v in values],
+        "criticalCount": critical_count,
+        "boundHolds": len(values) <= critical_count,
     }
 
 
@@ -307,7 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--min1", type=int, default=None)
     p.add_argument("--min0", type=int, default=None)
-    p.add_argument("--max-enum", type=_enum_bound, default=DEFAULT_ENUM_BOUND)
+    p.add_argument(
+        "--max-enum",
+        type=_enum_bound,
+        default=DEFAULT_ENUM_BOUND,
+        help="enumeration bound of the category form; the path form (--min0/--min1) ignores it",
+    )
     p.set_defaults(handler=_cmd_minmax_check)
 
     p = sub.add_parser("random")

@@ -296,7 +296,7 @@ def basin(field: GradientField, f: MorseFunction, vertex) -> Basin:
 def maximal_collapsible_to(
     complex: SimplicialComplex, vertex, max_enum: int = DEFAULT_ENUM_BOUND
 ) -> list[SimplicialComplex]:
-    """Inclusion-maximal subcomplexes collapsing to the vertex, by brute force.
+    """Inclusion-maximal subcomplexes collapsing to the vertex.
 
     Explores every anti-collapse expansion from the single vertex, then keeps
     the inclusion-maximal states.  Oracle for comparing against ``basin``.
@@ -305,29 +305,9 @@ def maximal_collapsible_to(
     if v not in complex or v.dim != 0:
         raise NotACriticalVertex(f"{v!r} is not a vertex of the complex")
     check_enumerable(complex, max_enum)
-    n = len(complex)
     index = CellIndex(complex)
-    face_mask, coface_lists = index.face_mask, index.coface_lists
-    start = 1 << index.position[v]
-    seen = {start}
-    stack = [start]
-    while stack:
-        cur = stack.pop()
-        for i in range(n):
-            if cur >> i & 1:
-                continue
-            if face_mask[i] & ~cur:
-                continue
-            if any(cur >> k & 1 for k in coface_lists[i]):
-                continue
-            for j in coface_lists[i]:
-                if face_mask[j] & ~(cur | 1 << i):
-                    continue
-                nxt = cur | 1 << i | 1 << j
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-    return [SimplicialComplex(index.cells_of(m)) for m in index.maximal(seen)]
+    states = index.expansions(1 << index.position[v])
+    return [SimplicialComplex(index.cells_of(m)) for m in index.maximal(states)]
 
 
 @dataclass(frozen=True)

@@ -276,6 +276,31 @@ class CellIndex:
                 out.append(m)
         return out
 
+    def expansions(self, start: int) -> set[int]:
+        """Every state reachable from the subcomplex ``start`` by elementary
+        anti-collapses, i.e. the subcomplexes that collapse onto it."""
+        n = len(self.cells)
+        face_mask, coface_lists = self.face_mask, self.coface_lists
+        seen = {start}
+        stack = [start]
+        while stack:
+            cur = stack.pop()
+            for i in range(n):
+                if cur >> i & 1:
+                    continue
+                if face_mask[i] & ~cur:
+                    continue
+                if any(cur >> k & 1 for k in coface_lists[i]):
+                    continue
+                for j in coface_lists[i]:
+                    if face_mask[j] & ~(cur | 1 << i):
+                        continue
+                    nxt = cur | 1 << i | 1 << j
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
+        return seen
+
     def free_pairs(self, mask: int, keep: int = 0) -> list[tuple[int, int]]:
         """``(free, coface)`` pairs of the state avoiding ``keep``, by ascending free cell."""
         out = []

@@ -361,13 +361,14 @@ class _CategoryEngine:
 
     States are bitmasks over the canonical cell order of one ambient
     complex; every expensive answer is memoised so repeated category queries
-    against the same complex stay cheap.
+    against the same complex stay cheap.  The cover family is read off the
+    anti-collapse walks from the vertices.
     """
 
     def __init__(self, complex: SimplicialComplex):
         self.index = CellIndex(complex)
         self._collapse_witness: dict[int, tuple | None] = {}
-        self._reachable: dict[int, frozenset[int]] = {}
+        self._reachable: dict[int, dict[int, tuple | None]] = {}
         self._precat: dict[int, int] = {}
         self._dgcat: dict[int, int] = {}
         self._maximal: list[int] | None = None
@@ -379,51 +380,43 @@ class _CategoryEngine:
         """Index pairs collapsing the state to a single vertex, or None."""
         return self.index.collapse_search(mask, self._is_vertex, self._collapse_witness)
 
-    def reachable(self, mask: int) -> frozenset[int]:
-        """Every state reachable from the mask by elementary collapses."""
-        cached = self._reachable.get(mask)
-        if cached is not None:
-            return cached
-        seen = {mask}
+    def reachable(self, mask: int) -> dict[int, tuple | None]:
+        """Every state reachable from the mask by elementary collapses, mapped to
+        ``(previous state, pair)`` of its first discovery (the mask to ``None``)."""
+        parents = self._reachable.get(mask)
+        if parents is not None:
+            return parents
+        parents = {mask: None}
         stack = [mask]
         while stack:
             cur = stack.pop()
-            for i, j in self.index.free_pairs(cur):
-                nxt = cur & ~(1 << i | 1 << j)
-                if nxt not in seen:
-                    seen.add(nxt)
+            for pair in self.index.free_pairs(cur):
+                nxt = cur & ~(1 << pair[0] | 1 << pair[1])
+                if nxt not in parents:
+                    parents[nxt] = (cur, pair)
                     stack.append(nxt)
-        out = frozenset(seen)
-        self._reachable[mask] = out
-        return out
+        self._reachable[mask] = parents
+        return parents
 
     def collapse_path(self, start: int, goal: int) -> tuple:
         """One witness pair sequence from start to goal (both states)."""
-        if start == goal:
-            return ()
-        parents: dict[int, tuple] = {start: ()}
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            for i, j in self.index.free_pairs(cur):
-                nxt = cur & ~(1 << i | 1 << j)
-                if nxt in parents:
-                    continue
-                parents[nxt] = parents[cur] + ((i, j),)
-                if nxt == goal:
-                    return parents[nxt]
-                stack.append(nxt)
-        raise ProofFailure("collapse goal is not reachable")
+        parents = self.reachable(start)
+        if goal not in parents:
+            raise ProofFailure("collapse goal is not reachable")
+        path = []
+        while parents[goal] is not None:
+            goal, pair = parents[goal]
+            path.append(pair)
+        return tuple(reversed(path))
 
     def maximal_collapsible(self) -> list[int]:
         """Inclusion-maximal collapsible subcomplex masks (cover family)."""
-        if self._maximal is not None:
-            return self._maximal
-        self._maximal = self.index.maximal(
-            mask
-            for mask in range(1, self.index.full + 1)
-            if self.index.is_closed(mask) and self.collapse_witness(mask) is not None
-        )
+        if self._maximal is None:
+            index = self.index
+            states = set().union(
+                *(index.expansions(1 << i) for i, c in enumerate(index.cells) if c.dim == 0)
+            )
+            self._maximal = index.maximal(states)
         return self._maximal
 
     def cover_witness(self, target: int, size: int) -> tuple[int, ...] | None:
@@ -543,7 +536,7 @@ def _family_masks(work: MorseFunction, engine: _CategoryEngine, k: int) -> set[i
     members: set[int] = set()
     for mask in _level_masks(work, engine):
         if engine.dgcat_value(mask) >= k - 1:
-            members |= engine.reachable(mask)
+            members.update(engine.reachable(mask))
     return members
 
 

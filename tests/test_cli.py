@@ -9,7 +9,19 @@ import sys
 
 import pytest
 
-from morseflow import build_complex, emit_scx, mountain_pass, parse_off, parse_scx, validate
+from morseflow import (
+    build_complex,
+    critical_cells,
+    dgcat,
+    emit_scx,
+    ls_bound_check,
+    ls_minmax,
+    mountain_pass,
+    parse_off,
+    parse_scx,
+    random_morse,
+    validate,
+)
 from morseflow.cli import MAX_ENUM_CAP, run
 from morseflow.errors import (
     MissingValue,
@@ -298,7 +310,7 @@ class TestCli:
         assert error["kind"] == "TooLargeForEnumeration"
         assert (error["size"], error["bound"]) == (7, 3)
 
-    def test_lscat(self, tmp_path, capsys):
+    def test_lscat(self, tmp_path, capsys, point, edge, p3, triangle, circle, two_triangles):
         path = tmp_path / "circle.scx"
         path.write_text(
             "0 : 0\n1 : 2\n0 1 : 1\n2 : 4\n0 2 : 3\n1 2 : 5\n", encoding="utf-8"
@@ -309,6 +321,18 @@ class TestCli:
         assert payload["dgcat"] == 1
         assert payload["values"] == [[1, 0.0], [2, 5.0]]
         assert payload["boundHolds"] is True
+        # The command's category and bound equal the library's own calls.
+        for complex in (point, edge, p3, triangle, circle, two_triangles):
+            for seed in range(4):
+                f = random_morse(complex, seed)
+                path.write_text(emit_scx(complex, f), encoding="utf-8")
+                code, out = self._json(capsys, ["lscat", "--in", str(path)])
+                assert code == 0
+                payload = json.loads(out)
+                assert payload["dgcat"] == dgcat(complex).category
+                assert payload["values"] == [[k, v] for k, v in ls_minmax(f)]
+                assert payload["criticalCount"] == len(critical_cells(f))
+                assert payload["boundHolds"] is ls_bound_check(f)
 
     def test_minmax_check_paths(self, p3_file, capsys):
         code, out = self._json(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from morseflow import (
@@ -257,6 +259,56 @@ class TestBasinOracle:
         out = maximal_collapsible_to(circle, (0,))
         assert all((0,) in sub.simplices for sub in out)
         assert all(len(sub) == 5 for sub in out)
+
+    @staticmethod
+    def _maximal_collapsible_by_brute_force(complex, vertex):
+        """Inclusion-maximal subcomplexes collapsing to the vertex, from subsets.
+
+        Shares no search code with the library: subsets come from
+        ``itertools`` and collapses are searched over frozensets of cells.
+        """
+        goal = frozenset([vertex])
+        dead = set()
+
+        def collapses(cells):
+            if cells == goal:
+                return True
+            if cells in dead:
+                return False
+            for cell in cells:
+                cofs = [c for c in complex.cofaces_of(cell) if c in cells]
+                if len(cofs) == 1 and collapses(cells - {cell, cofs[0]}):
+                    return True
+            dead.add(cells)
+            return False
+
+        cells = list(complex)
+        found = []
+        for size in range(1, len(cells) + 1):
+            for subset in combinations(cells, size):
+                chosen = frozenset(subset)
+                closed = all(set(complex.faces_of(c)) <= chosen for c in chosen)
+                if vertex in chosen and closed and collapses(chosen):
+                    found.append(chosen)
+        return {s for s in found if not any(s < t for t in found)}
+
+    def _check_against_brute_force(self, complex):
+        for v in complex.cells_of_dim(0):
+            out = maximal_collapsible_to(complex, v)
+            assert len(out) == len({sub.simplices for sub in out})
+            assert {sub.simplices for sub in out} == self._maximal_collapsible_by_brute_force(
+                complex, v
+            )
+
+    def test_maximal_collapsible_to_matches_brute_force(self, circle):
+        self._check_against_brute_force(circle)
+        checked = 0
+        for seed in range(200):
+            complex, _ = random_instance(seed)
+            if len(complex) <= 10:
+                self._check_against_brute_force(complex)
+                checked += 1
+        assert checked > 100
 
     def test_reports_on_small_random_instances(self):
         for seed in range(25):

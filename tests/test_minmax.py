@@ -40,6 +40,7 @@ from morseflow.errors import (
     SimplexNotInComplex,
     TheoremViolation,
 )
+from conftest import random_instance
 
 
 class TestMinMaxValue:
@@ -445,8 +446,21 @@ class TestSquareCycle:
         assert result.edge == (1, 2)
 
 
+def _small_random_maximal_cells(count):
+    """Maximal cells of the first ``count`` distinct random complexes with at most 10 cells."""
+    out = []
+    seed = 0
+    while len(out) < count:
+        complex, _ = random_instance(seed)
+        maximal = [tuple(c) for c in complex if not complex.cofaces_of(c)]
+        if len(complex) <= 10 and maximal not in out:
+            out.append(maximal)
+        seed += 1
+    return out
+
+
 class TestCategoryAgainstBruteForce:
-    """Recompute dgcat from first principles on the small fixtures.
+    """Recompute dgcat from first principles on small fixtures and random complexes.
 
     The oracle shares no search code with the library: it enumerates subsets
     with ``itertools`` and searches collapses over frozensets of cells.
@@ -480,14 +494,16 @@ class TestCategoryAgainstBruteForce:
         return search(complex.simplices)
 
     @staticmethod
-    def _naive_dgcat(complex):
+    def _collapsible(complex):
         oracle = TestCategoryAgainstBruteForce
-        collapsible = [
+        return [
             s
             for s in oracle._subcomplexes(complex)
             if len(s) > 0 and oracle._collapses_to_a_vertex(s)
         ]
 
+    @staticmethod
+    def _naive_dgcat(complex, collapsible):
         def precat(cells):
             if not cells:
                 return 0
@@ -524,10 +540,30 @@ class TestCategoryAgainstBruteForce:
                     return True
         return False
 
-    @pytest.mark.parametrize("maximal", [[(0,)], [(0, 1)], [(1, 2), (2, 3)], [(0, 1, 2)], [(0, 1), (0, 2), (1, 2)]])
+    @pytest.mark.parametrize(
+        "maximal",
+        [[(0,)], [(0, 1)], [(1, 2), (2, 3)], [(0, 1, 2)], [(0, 1), (0, 2), (1, 2)]]
+        + _small_random_maximal_cells(30),
+    )
     def test_engine_matches_naive(self, maximal):
         complex = build_complex(maximal)
-        assert dgcat(complex).category == self._naive_dgcat(complex)
+        collapsible = self._collapsible(complex)
+        result = dgcat(complex)
+        assert result.category == self._naive_dgcat(complex, collapsible)
+        maximal_pieces = [
+            s.simplices
+            for s in collapsible
+            if not any(s.simplices < t.simplices for t in collapsible)
+        ]
+        covered = set()
+        for piece in result.cover:
+            assert piece.subcomplex.simplices in maximal_pieces
+            assert piece.witness.start == piece.subcomplex
+            assert [c.dim for c in piece.witness.replay()] == [0]
+            covered |= piece.subcomplex.simplices
+        assert result.collapsed_to.simplices <= covered
+        assert result.collapse_witness.start == complex
+        assert result.collapse_witness.replay() == result.collapsed_to
 
 
 def _deformation_by_scan(instance):
