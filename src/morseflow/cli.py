@@ -8,6 +8,7 @@ top-level ``"schema": 1`` marker.  Exit codes: 0 success, 1 domain error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -21,7 +22,7 @@ from .complexes import (
     euler_characteristic,
 )
 from .errors import MissingValue, MorseflowError, PreconditionViolated, UnreadableInput
-from .flow import FlowOperator, check_flow_matrix, flow_matrix
+from .flow import FlowOperator, _check_flow_rows, flow_matrix
 from .minmax import check_minmax_data, ls_instance, ls_minmax, mountain_pass
 from .morse import (
     MorseFunction,
@@ -100,8 +101,8 @@ def _cmd_flow(args):
     operator = FlowOperator(f)
     dims = []
     for p in range(complex.dim + 1):
-        check_flow_matrix(operator, p)
         rows = flow_matrix(operator, p)
+        _check_flow_rows(operator, p, rows)
         cells = list(complex.cells_of_dim(p))
         index = {c: i for i, c in enumerate(cells)}
         entries = sorted(
@@ -338,10 +339,16 @@ def _describe(exc: MorseflowError) -> dict:
     return out
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # Built on the first call and reused: ``parse_args`` keeps no state in the
+    # parser and returns a fresh namespace each time.
+    return build_parser()
+
+
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

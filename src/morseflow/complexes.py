@@ -55,7 +55,7 @@ class Simplex(tuple):
         """The codimension-1 faces, one per omitted vertex (so in decreasing order)."""
         if len(self) == 1:
             return ()
-        return tuple(_trusted(self[:i] + self[i + 1 :]) for i in range(len(self)))
+        return tuple([_trusted(self[:i] + self[i + 1 :]) for i in range(len(self))])
 
     def __repr__(self) -> str:
         return f"Simplex{tuple(self)!r}"
@@ -76,12 +76,19 @@ def as_simplex(s) -> Simplex:
 
 
 def incidence_sign(coface: Simplex, face: Simplex) -> int:
-    """Sign of ``face`` in the boundary of ``coface`` (increasing-vertex orientation)."""
-    omitted = set(coface) - set(face)
-    if len(coface) != len(face) + 1 or len(omitted) != 1:
-        raise ValueError(f"{face!r} is not a codimension-1 face of {coface!r}")
-    i = coface.index(next(iter(omitted)))
-    return -1 if i % 2 else 1
+    """Sign of ``face`` in the boundary of ``coface`` (increasing-vertex orientation).
+
+    For simplices, ``face`` is a codimension-1 face exactly when it is
+    ``coface`` without the vertex after their common prefix.
+    """
+    n = len(face)
+    if len(coface) == n + 1:
+        i = 0
+        while i < n and coface[i] == face[i]:
+            i += 1
+        if coface[i + 1 :] == face[i:]:
+            return -1 if i % 2 else 1
+    raise ValueError(f"{face!r} is not a codimension-1 face of {coface!r}")
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -276,9 +283,24 @@ class CellIndex:
                 out.append(m)
         return out
 
+    def closure_masks(self) -> list[int]:
+        """Per cell, the mask of the subcomplex it generates."""
+        closure: list[int] = []
+        for i, faces in enumerate(self.face_mask):
+            mask = 1 << i
+            for j in _bits(faces):  # faces come first in canonical order
+                mask |= closure[j]
+            closure.append(mask)
+        return closure
+
     def expansions(self, start: int) -> set[int]:
         """Every state reachable from the subcomplex ``start`` by elementary
-        anti-collapses, i.e. the subcomplexes that collapse onto it."""
+        anti-collapses, i.e. the subcomplexes that collapse onto it.
+
+        ``start`` must be face-closed, so every state reached is too: a cell
+        ``i`` outside it has no coface in it, and has all its faces in it once
+        the other faces of the coface ``j`` are (they contain those faces).
+        """
         n = len(self.cells)
         face_mask, coface_lists = self.face_mask, self.coface_lists
         seen = {start}
@@ -287,10 +309,6 @@ class CellIndex:
             cur = stack.pop()
             for i in range(n):
                 if cur >> i & 1:
-                    continue
-                if face_mask[i] & ~cur:
-                    continue
-                if any(cur >> k & 1 for k in coface_lists[i]):
                     continue
                 for j in coface_lists[i]:
                     if face_mask[j] & ~(cur | 1 << i):

@@ -3,7 +3,8 @@
 The flow of each basis cell is computed once from its vertices and the matched
 pairs (identity plus boundary-of-gradient plus gradient-of-boundary), while
 ``flow_matrix`` rebuilds the same data by sparse matrix composition over the
-face index; the two routes are cross-checked in ``check_flow_matrix``.
+face index; the two routes are cross-checked in ``check_flow_matrix``, whose
+row check also takes matrix rows a caller has already built.
 
 Coefficients are Python integers, so arithmetic is exact at any size.
 """
@@ -130,7 +131,13 @@ def check_flow_matrix(operator: FlowOperator, p: int) -> FlowMatrixReport:
     that every off-diagonal entry points at a strictly smaller value.
     Raises ``PropertyViolation`` with the report when anything fails.
     """
-    rows = flow_matrix(operator, p)
+    return _check_flow_rows(operator, p, flow_matrix(operator, p))
+
+
+def _check_flow_rows(
+    operator: FlowOperator, p: int, rows: dict[Simplex, dict[Simplex, int]]
+) -> FlowMatrixReport:
+    """``check_flow_matrix`` on the rows ``flow_matrix(operator, p)`` returned."""
     f = operator.function
     problems: list[str] = []
     for cell, row in rows.items():

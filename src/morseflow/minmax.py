@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field as dataclass_field
+from itertools import groupby
 from typing import Callable, Iterable, Mapping
 
-from .collapse import CollapseSequence, basin, level_subcomplex
+from .collapse import CollapseSequence, basin
 from .complexes import (
     DEFAULT_ENUM_BOUND,
     CellIndex,
@@ -308,10 +309,14 @@ def _orbit_closure(
     orbit reaches it: a walk that stops early meets a member whose whole
     forward orbit an earlier seed has already claimed.
 
-    Cells are compared by their canonical positions in the complex.  With
-    path seeds every member holds exactly one vertex (the flow sends a
-    vertex to one vertex and an edge to edges), so this orders the family
-    as comparing the members' canonically sorted cells would.
+    Members of one size are ordered by their sorted canonical positions.
+    With path seeds every member holds exactly one vertex (the flow sends a
+    vertex to one vertex and an edge to edges), so this is the order of
+    their canonically sorted cells.  The key is the negated sum of the
+    weights ``2**(n - 1 - p)`` of the positions ``p``: where two sorted
+    position lists first differ, the smaller position is the smallest one in
+    just one member, and its weight exceeds the sum of all larger ones, so
+    that member has the larger sum and sorts first.
     """
     origin: dict[frozenset[Simplex], int] = {}
     for i, seed in enumerate(seeds):
@@ -319,8 +324,9 @@ def _orbit_closure(
         while current not in origin:
             origin[current] = i
             current = flow_image(operator, current)
-    position = {c: i for i, c in enumerate(operator.complex)}.__getitem__
-    family = sorted(origin, key=lambda m: (len(m), sorted(map(position, m))))
+    n = len(operator.complex)
+    weight = {c: 1 << (n - 1 - i) for i, c in enumerate(operator.complex)}.__getitem__
+    family = sorted(origin, key=lambda m: (len(m), -sum(map(weight, m))))
     return family, origin
 
 
@@ -522,12 +528,24 @@ def dgcat(
 
 
 def _level_masks(work: MorseFunction, engine: _CategoryEngine) -> list[int]:
-    masks = []
-    seen = set()
-    for a in work.sorted_distinct_values():
-        mask = engine.index.mask_of(level_subcomplex(work, a).complex.simplices)
-        if mask not in seen:
-            seen.add(mask)
+    """The distinct level-subcomplex masks, one per distinct value, ascending.
+
+    The level subcomplex at ``a`` is the union of the closures of the cells
+    valued at most ``a``, so the masks grow by ORing closure masks in value
+    order; a mask equal to an earlier one equals the one just before it.
+    """
+    cells = engine.index.cells
+    closure = engine.index.closure_masks()
+
+    def value(i: int) -> float:
+        return work.values[cells[i]]
+
+    masks: list[int] = []
+    mask = 0
+    for _, group in groupby(sorted(range(len(cells)), key=value), key=value):
+        for i in group:
+            mask |= closure[i]
+        if not masks or masks[-1] != mask:
             masks.append(mask)
     return masks
 

@@ -88,23 +88,26 @@ def validate(complex: SimplicialComplex, values: Mapping) -> MorseFunction:
             raise MissingValue(f"no value for {cell!r}")
     violations = []
     clashes = []
-    pairs = []
+    up: dict[Simplex, Simplex] = {}
+    faces, cofaces = complex._faces, complex._cofaces
     for cell in complex:
         val = norm[cell]
-        ups = [c for c in complex.cofaces_of(cell) if norm[c] <= val]
-        lows = [c for c in complex.faces_of(cell) if norm[c] >= val]
+        ups = [c for c in cofaces[cell] if norm[c] <= val]
+        lows = [c for c in faces[cell] if norm[c] >= val]
         if len(ups) > 1 or len(lows) > 1:
             violations.append((cell, len(ups), len(lows)))
         elif ups and lows:
             clashes.append(cell)
         elif ups:
-            pairs.append((cell, ups[0]))
+            up[cell] = ups[0]
     if violations:
         raise MorseConditionViolated(violations)
     # Only after the violations: an invalid function may break exclusivity too.
     if clashes:
         raise AcyclicityBug(f"exclusivity failed at {clashes[0]!r}; this is a library bug")
-    field = GradientField(complex, pairs)
+    # A matching: an upper cell with two lowers would have two lows, and a
+    # cell that is both a lower and an upper would be a clash.
+    field = GradientField._from_up(complex, up)
     if has_closed_path(field):
         raise AcyclicityBug("gradient field of a validated function has a closed path")
     return MorseFunction(complex, norm, field)
@@ -146,11 +149,22 @@ class GradientField:
                 raise ValueError("a simplex appears in more than one pair")
             up[lower] = upper
             down[upper] = lower
+        self._fill(complex, up, down)
+
+    @classmethod
+    def _from_up(cls, complex: SimplicialComplex, up: dict[Simplex, Simplex]) -> "GradientField":
+        """The field of a matching ``lower -> upper`` of codimension-1 pairs of
+        cells of the complex; unchecked."""
+        field = object.__new__(cls)
+        field._fill(complex, up, {upper: lower for lower, upper in up.items()})
+        return field
+
+    def _fill(self, complex, up, down) -> None:
         self.complex = complex
-        self.pairs = frozenset(norm)
+        self.pairs = frozenset(up.items())
         self.up = up
         self.down = down
-        self.critical = frozenset(c for c in complex if c not in up and c not in down)
+        self.critical = frozenset([c for c in complex if c not in up and c not in down])
 
     def pair_of(self, cell) -> Simplex | None:
         return self.up.get(cell) or self.down.get(cell)

@@ -10,8 +10,12 @@ import sys
 import pytest
 
 from morseflow import (
+    Chain,
+    FlowOperator,
+    Simplex,
     build_complex,
     critical_cells,
+    critical_values,
     dgcat,
     emit_scx,
     ls_bound_check,
@@ -22,6 +26,7 @@ from morseflow import (
     random_morse,
     validate,
 )
+from morseflow import cli
 from morseflow.cli import MAX_ENUM_CAP, run
 from morseflow.errors import (
     MissingValue,
@@ -29,6 +34,7 @@ from morseflow.errors import (
     ParseError,
     PreconditionViolated,
 )
+from conftest import torus
 
 P3_SCX = "0 : 0\n1 : 3\n2 : 1\n0 1 : 2\n1 2 : 4\n"
 
@@ -362,6 +368,21 @@ class TestCli:
         assert code == 0
         assert json.loads(out)["check"] == "ok"
 
+    def test_flow_command_checks_the_matrix_against_the_chain_route(
+        self, p3_file, capsys, monkeypatch
+    ):
+        class Tampered(FlowOperator):
+            def __init__(self, f):
+                super().__init__(f)
+                self._flow[Simplex((1,))] = Chain.unit((2,))  # corrupt the chain route
+
+        monkeypatch.setattr(cli, "FlowOperator", Tampered)
+        code, out = self._json(capsys, ["flow", "--in", p3_file])
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["kind"] == "PropertyViolation"
+        assert "matrix/chain mismatch at (1,)" in error["message"]
+
     def test_determinism_across_processes_and_hash_seeds(self, p3_file):
         """Hash-order must never leak into output; compare fresh interpreters."""
         src = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -397,3 +418,56 @@ class TestCli:
             assert run(argv) == 0
             second = capsys.readouterr().out
             assert first == second
+
+    def test_one_parser_per_process(self, tmp_path, capsys, double_well):
+        """Every command of the benchmark's CLI mix, with a usage error, a domain
+        error and ``export-dot --json`` between them, twice in one process:
+        each call prints what its first call printed and what a fresh
+        ``python -m morseflow.cli`` process prints, with the same exit code."""
+        f = random_morse(torus(4), 3)
+        torus_file = tmp_path / "torus.scx"
+        torus_file.write_text(emit_scx(f.complex, f), encoding="utf-8")
+        bare_file = tmp_path / "torus_bare.scx"
+        bare_file.write_text(emit_scx(f.complex), encoding="utf-8")
+        well_file = tmp_path / "two_triangles.scx"
+        well_file.write_text(emit_scx(double_well.complex, double_well), encoding="utf-8")
+        # A window [level, to] with no critical value in (level, to].
+        values = f.sorted_distinct_values()
+        critical = set(critical_values(f))
+        level, to = next((a, b) for a, b in zip(values, values[1:]) if b not in critical)
+        t, b, w = str(torus_file), str(bare_file), str(well_file)
+        pass_args = ["--min1", "3", "--min0", "0"]
+        commands = [
+            ["validate", "--in", t],
+            ["critical", "--in", t],
+            ["gradient", "--in", t],
+            ["flow", "--in", t],
+            ["levels", "--in", t, "--level", repr(level), "--to", repr(to)],
+            ["homology", "--in", b],
+            ["random", "--in", b, "--seed", "7"],
+            ["export-dot", "--in", t],
+            ["mountain-pass", "--in", w, *pass_args],
+            ["minmax-check", "--in", w, *pass_args],
+            ["minmax-check", "--in", w],
+            ["lscat", "--in", w],
+            ["collapse", "--in", w],
+        ]
+        between = [
+            ["levels", "--in", t, "--level", "nan"],  # usage error
+            ["lscat", "--in", t],  # too large to enumerate
+            ["export-dot", "--in", t, "--json"],
+        ]
+        sequence = commands[:5] + between + commands[5:]
+        first: dict[tuple, tuple[int, str]] = {}
+        for argv in sequence + sequence:
+            result = (run(argv), capsys.readouterr().out)
+            assert first.setdefault(tuple(argv), result) == result, argv
+        assert [first[tuple(argv)][0] for argv in between] == [2, 1, 0]
+        assert all(first[tuple(argv)][0] == 0 for argv in commands)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        for argv, (code, out) in first.items():
+            proc = subprocess.run(
+                [sys.executable, "-m", "morseflow.cli", *argv], capture_output=True, env=env
+            )
+            assert (proc.returncode, proc.stdout) == (code, out.encode("utf-8")), argv

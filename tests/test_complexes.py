@@ -26,7 +26,23 @@ from morseflow.errors import (
     SimplexNotInComplex,
     TooLargeForEnumeration,
 )
-from conftest import random_complex
+from conftest import random_complex, random_instance, torus
+
+
+def incidence_sign_by_sets(coface, face) -> int:
+    """The set-based definition of the incidence sign, as a reference."""
+    omitted = set(coface) - set(face)
+    if len(coface) != len(face) + 1 or len(omitted) != 1:
+        raise ValueError(f"{face!r} is not a codimension-1 face of {coface!r}")
+    i = coface.index(next(iter(omitted)))
+    return -1 if i % 2 else 1
+
+
+def _outcome(sign, coface, face):
+    try:
+        return sign(coface, face)
+    except ValueError as exc:
+        return str(exc)
 
 
 class TestSimplex:
@@ -129,6 +145,32 @@ class TestBoundary:
         assert incidence_sign(Simplex((1, 2)), Simplex((2,))) == 1
         assert incidence_sign(Simplex((1, 2)), Simplex((1,))) == -1
         assert incidence_sign(Simplex((0, 1, 2)), Simplex((0, 2))) == -1
+
+    def test_incidence_sign_matches_set_definition(self):
+        """Every pair of cells: the sign, or the same ``ValueError`` message."""
+        complexes = [torus(5)] + [random_instance(seed)[0] for seed in range(60)]
+        for k in complexes:
+            for coface in k:
+                for face in k:
+                    if len(coface) - len(face) in (0, 1):
+                        assert _outcome(incidence_sign, coface, face) == _outcome(
+                            incidence_sign_by_sets, coface, face
+                        )
+
+    @pytest.mark.parametrize(
+        "coface, face",
+        [
+            ((0, 1, 2), (1,)),  # wrong dimension
+            ((0, 1), (0, 1)),  # equal length
+            ((0, 1, 2), (0, 3)),  # not a subset
+            ((0, 2, 3), (1, 2)),  # not a subset, differs in the prefix
+        ],
+    )
+    def test_incidence_sign_rejects_non_faces(self, coface, face):
+        coface, face = Simplex(coface), Simplex(face)
+        with pytest.raises(ValueError) as err:
+            incidence_sign(coface, face)
+        assert str(err.value) == f"{face!r} is not a codimension-1 face of {coface!r}"
 
 
 class TestChainAlgebra:

@@ -29,7 +29,7 @@ from morseflow.errors import (
     MorseConditionViolated,
     SimplexNotInComplex,
 )
-from conftest import random_instance
+from conftest import random_instance, torus
 
 
 class TestUpperLowerSets:
@@ -106,6 +106,19 @@ class TestGradientField:
         k = build_complex([(0,)])
         field = gradient_field(validate(k, {(0,): 0}))
         assert field.pairs == frozenset()
+
+    def test_validated_field_equals_checked_construction(self):
+        """``validate`` builds its field unchecked; the checked constructor agrees."""
+        functions = [random_morse(torus(m), seed) for m in (3, 5) for seed in range(4)]
+        functions += [random_instance(seed)[1] for seed in range(300)]
+        for f in functions:
+            field = gradient_field(f)
+            pairs = [(c, min(upper_set(f, c))) for c in f.complex if upper_set(f, c)]
+            checked = GradientField(f.complex, pairs)
+            assert field.pairs == checked.pairs
+            assert field.up == checked.up
+            assert field.down == checked.down
+            assert field.critical == checked.critical
 
     def test_exclusivity_everywhere(self, p3_function, triangle_function, circle_function):
         for f in (p3_function, triangle_function, circle_function):
