@@ -42,8 +42,13 @@ SCHEMA = 1
 MAX_ENUM_CAP = 20
 
 
+def _listed(cells) -> list[list[int]]:
+    """Cells already in canonical order, as JSON lists."""
+    return [list(s) for s in cells]
+
+
 def _cells(simplices) -> list[list[int]]:
-    return [list(s) for s in sorted(simplices, key=lambda s: (len(s), tuple(s)))]
+    return _listed(sorted(sorted(simplices), key=len))
 
 
 def _load(args) -> tuple[SimplicialComplex, MorseFunction | None]:
@@ -110,7 +115,7 @@ def _cmd_flow(args):
             for s, row in rows.items()
             for t, coef in row.items()
         )
-        dims.append({"dim": p, "cells": _cells(cells), "entries": entries})
+        dims.append({"dim": p, "cells": _listed(cells), "entries": entries})
     return {"dims": dims, "check": "ok"}
 
 
@@ -121,14 +126,14 @@ def _cmd_levels(args):
     out = {
         "threshold": args.level,
         "sublevel": _cells(level.sublevel),
-        "closure": _cells(level.complex.simplices),
+        "closure": _listed(level.complex),
     }
     if args.to is not None:
-        seq = verify_dmt_a(f, args.level, args.to)
+        seq = verify_dmt_a(f, args.level, args.to, bottom=level.complex)
         out["collapse"] = {
             "to": args.to,
             "pairs": [[list(a), list(b)] for a, b in seq.pairs],
-            "end": _cells(seq.end.simplices),
+            "end": _listed(seq.end),
         }
     return out
 

@@ -181,12 +181,18 @@ def collapse_in_descending_order(
 
 
 def verify_dmt_a(
-    f: MorseFunction, a: float, b: float, field: GradientField | None = None
+    f: MorseFunction,
+    a: float,
+    b: float,
+    field: GradientField | None = None,
+    bottom: SimplicialComplex | None = None,
 ) -> CollapseSequence:
     """Certified collapse of the level subcomplex at ``b`` onto the one at ``a``.
 
     Requires a critical-value-free window ``(a, b]``; the cells in between
-    then split into matched pairs, removed in decreasing value order.
+    then split into matched pairs, removed in decreasing value order.  A
+    caller that holds ``level_subcomplex(f, a).complex`` passes it as
+    ``bottom`` so it is not built twice.
     """
     if not a < b:
         raise PreconditionViolated(f"need a < b, got a={a}, b={b}")
@@ -196,7 +202,8 @@ def verify_dmt_a(
     if field is None:
         field = gradient_field(f)
     top = level_subcomplex(f, b).complex
-    bottom = level_subcomplex(f, a).complex
+    if bottom is None:
+        bottom = level_subcomplex(f, a).complex
     pairs = pair_off_removable(field, top.simplices - bottom.simplices)
     return collapse_in_descending_order(top, bottom, pairs, f)
 

@@ -13,11 +13,17 @@ through private constructors that skip the checks: ``_trusted`` for a face
 sliced out of a simplex or a vertex read from one, ``Chain._make`` for the
 results of chain arithmetic, ``SimplicialComplex._sub`` for a face-closed
 subset of a complex, and ``SimplicialComplex._from_faces`` for the face
-closure that ``build_complex`` walks.  They are used on such data only.
+closure of a face map ``cell -> cell.faces()``.  Two face maps go there:
+the one ``build_complex`` makes of its listed simplices, and the one
+``parse_scx`` makes of the lines of a ``.scx`` file, which is also its
+duplicate check.  They are used on such data only.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -52,18 +58,19 @@ class Simplex(tuple):
         return len(self) - 1
 
     def faces(self) -> tuple["Simplex", ...]:
-        """The codimension-1 faces, one per omitted vertex (so in decreasing order)."""
-        if len(self) == 1:
+        """The codimension-1 faces in canonical (increasing) order."""
+        n = len(self)
+        if n == 1:
             return ()
-        return tuple([_trusted(self[:i] + self[i + 1 :]) for i in range(len(self))])
+        return tuple(map(_trusted, itertools.combinations(self, n - 1)))
 
     def __repr__(self) -> str:
         return f"Simplex{tuple(self)!r}"
 
 
-def _trusted(verts: tuple[int, ...]) -> Simplex:
-    """A simplex from an increasing tuple of distinct vertex ids, unchecked."""
-    return tuple.__new__(Simplex, verts)
+# A simplex from an increasing sequence of distinct vertex ids, unchecked.  A
+# partial of the C constructor, so building a face makes no Python call.
+_trusted = functools.partial(tuple.__new__, Simplex)
 
 
 def simplex_key(s: Simplex) -> tuple[int, tuple[int, ...]]:
@@ -108,7 +115,7 @@ class SimplicialComplex:
         faces: dict[Simplex, tuple[Simplex, ...]] = {}
         for s in cells:
             fs = s.faces()
-            for t in fs:
+            for t in reversed(fs):  # the face without the lowest vertex first
                 if t not in cells:
                     raise MalformedSimplex(
                         f"not face-closed: {t!r} (a face of {s!r}) is missing"
@@ -118,22 +125,33 @@ class SimplicialComplex:
 
     @classmethod
     def _from_faces(cls, faces: dict[Simplex, tuple[Simplex, ...]]) -> "SimplicialComplex":
-        """The complex whose cells are the keys, each mapped to its ``faces()``; unchecked."""
+        """The complex generated by the keys, each mapped to its ``faces()``; unchecked.
+
+        One walk adds the missing faces to ``faces``, which the complex then
+        keeps; on a face-closed map it adds nothing and calls no ``faces()``.
+        """
+        stack = [t for fs in faces.values() for t in fs if t not in faces]
+        while stack:
+            s = stack.pop()
+            if s not in faces:
+                faces[s] = fs = s.faces()
+                stack.extend(fs)
         complex = object.__new__(cls)
         complex._index(faces)
         return complex
 
     def _index(self, faces: dict[Simplex, tuple[Simplex, ...]]) -> None:
-        # Canonical order is by dimension, then vertex order; ``faces()``
-        # lists a cell's faces in decreasing order, so reversing sorts them.
+        # Canonical order is by dimension, then vertex order.
         order = tuple(sorted(sorted(faces), key=len))
         cofaces: dict[Simplex, list[Simplex]] = {s: [] for s in order}
         for s in order:
             for t in faces[s]:
                 cofaces[t].append(s)  # in canonical order, as ``s`` runs through it
-        self._cells = frozenset(faces)
+        # Built from the canonical order, so the set iterates alike however
+        # the face map was filled.
+        self._cells = frozenset(order)
         self._order = order
-        self._faces = {s: fs[::-1] for s, fs in faces.items()}
+        self._faces = faces
         self._cofaces = {s: tuple(c) for s, c in cofaces.items()}
         self._by_dim = _group_by_dim(order)
         self._hash = hash(self._cells)
@@ -221,25 +239,26 @@ class SimplicialComplex:
 
 def build_complex(simplices: Iterable[Iterable[int]]) -> SimplicialComplex:
     """Face closure of the given simplices; idempotent on face-closed input."""
-    listed = [as_simplex(s) for s in simplices]
-    if not listed:
-        raise EmptyInput("cannot build a complex from an empty list of simplices")
     faces: dict[Simplex, tuple[Simplex, ...]] = {}
-    stack = listed
-    while stack:
-        s = stack.pop()
-        if s in faces:
-            continue
-        faces[s] = fs = s.faces()
-        stack.extend(fs)
+    for s in simplices:
+        s = as_simplex(s)
+        if s not in faces:
+            faces[s] = s.faces()
+    if not faces:
+        raise EmptyInput("cannot build a complex from an empty list of simplices")
     return SimplicialComplex._from_faces(faces)
 
 
 def _group_by_dim(order: tuple[Simplex, ...]) -> dict[int, tuple[Simplex, ...]]:
-    by_dim: dict[int, list[Simplex]] = {}
-    for s in order:
-        by_dim.setdefault(len(s) - 1, []).append(s)
-    return {d: tuple(v) for d, v in by_dim.items()}
+    """``order`` is sorted by dimension, so each dimension is one slice of it."""
+    by_dim: dict[int, tuple[Simplex, ...]] = {}
+    start = 0
+    while start < len(order):
+        size = len(order[start])
+        end = bisect_right(order, size, start, key=len)
+        by_dim[size - 1] = order[start:end]
+        start = end
+    return by_dim
 
 
 def is_subcomplex(sub: SimplicialComplex, ambient: SimplicialComplex) -> bool:

@@ -2,10 +2,11 @@
 
 A function is accepted when every cell has at most one "wrong-order"
 neighbour above and below.  The associated gradient field is the matching of
-those exceptional pairs.  ``validate`` classifies every cell in one pass and
-the function it returns owns its field, which ``gradient_field`` and
-``critical_cells`` only read.  The field is acyclic for every valid function;
-``validate`` re-checks that once as an internal tripwire.
+those exceptional pairs.  ``validate`` compares every face with each of its
+cofaces once, and the function it returns owns its field, which
+``gradient_field`` and ``critical_cells`` only read.  The field is acyclic
+for every valid function; ``validate`` re-checks that once as an internal
+tripwire.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Iterable, Mapping
 
@@ -71,43 +73,53 @@ def validate(complex: SimplicialComplex, values: Mapping) -> MorseFunction:
     """Check finite, total values and the at-most-one-exception conditions.
 
     Raises ``MorseConditionViolated`` carrying the full list of offending
-    simplices.  The same pass over the cells collects the exceptional pairs,
-    whose gradient field the returned function carries.  Exclusivity and
+    simplices.  The same pass over the incidences collects the exceptional
+    pairs, whose gradient field the returned function carries.  Exclusivity and
     acyclicity hold for every valid function and are rechecked as tripwires.
     """
     norm: dict[Simplex, float] = {}
+    cells = complex.simplices
     for cell, val in values.items():
-        cell = as_simplex(cell)
-        if cell not in complex:
+        if not isinstance(cell, Simplex):
+            cell = Simplex(cell)
+        if cell not in cells:
             raise SimplexNotInComplex(f"value given for {cell!r}, which is not in the complex")
-        norm[cell] = float(val)
-        if not math.isfinite(norm[cell]):
-            raise PreconditionViolated(f"value {norm[cell]!r} for {cell!r} is not finite")
-    for cell in complex:
-        if cell not in norm:
-            raise MissingValue(f"no value for {cell!r}")
-    violations = []
-    clashes = []
-    up: dict[Simplex, Simplex] = {}
-    faces, cofaces = complex._faces, complex._cofaces
-    for cell in complex:
-        val = norm[cell]
-        ups = [c for c in cofaces[cell] if norm[c] <= val]
-        lows = [c for c in faces[cell] if norm[c] >= val]
-        if len(ups) > 1 or len(lows) > 1:
-            violations.append((cell, len(ups), len(lows)))
-        elif ups and lows:
-            clashes.append(cell)
-        elif ups:
-            up[cell] = ups[0]
-    if violations:
-        raise MorseConditionViolated(violations)
+        val = float(val)
+        if not math.isfinite(val):
+            raise PreconditionViolated(f"value {val!r} for {cell!r} is not finite")
+        norm[cell] = val
+    if len(norm) != len(cells):  # every key is a cell, so some cell has no value
+        for cell in complex:
+            if cell not in norm:
+                raise MissingValue(f"no value for {cell!r}")
+    # Each codimension-1 incidence is compared once.  It is exceptional when
+    # the face's value is at least the coface's: then the coface is in the
+    # face's upper set and the face is in the coface's lower set.
+    lowers: list[Simplex] = []
+    uppers: list[Simplex] = []
+    faces = complex._faces
+    for upper in complex:
+        val = norm[upper]
+        for lower in faces[upper]:
+            if norm[lower] >= val:
+                lowers.append(lower)
+                uppers.append(upper)
+    up = dict(zip(lowers, uppers))
+    down = dict(zip(uppers, lowers))
+    if len(up) < len(lowers) or len(down) < len(uppers):
+        # Some cell is at two exceptional incidences from the same end.
+        n_up, n_low = Counter(lowers), Counter(uppers)
+        raise MorseConditionViolated(
+            [(c, n_up[c], n_low[c]) for c in complex if n_up[c] > 1 or n_low[c] > 1]
+        )
     # Only after the violations: an invalid function may break exclusivity too.
+    clashes = up.keys() & down.keys()
     if clashes:
-        raise AcyclicityBug(f"exclusivity failed at {clashes[0]!r}; this is a library bug")
-    # A matching: an upper cell with two lowers would have two lows, and a
-    # cell that is both a lower and an upper would be a clash.
-    field = GradientField._from_up(complex, up)
+        first = next(c for c in complex if c in clashes)
+        raise AcyclicityBug(f"exclusivity failed at {first!r}; this is a library bug")
+    # A matching of codimension-1 pairs of the complex, keyed in canonical order.
+    up = {c: up[c] for c in sorted(sorted(up), key=len)}
+    field = GradientField._from_matching(complex, up, down)
     if has_closed_path(field):
         raise AcyclicityBug("gradient field of a validated function has a closed path")
     return MorseFunction(complex, norm, field)
@@ -152,11 +164,13 @@ class GradientField:
         self._fill(complex, up, down)
 
     @classmethod
-    def _from_up(cls, complex: SimplicialComplex, up: dict[Simplex, Simplex]) -> "GradientField":
-        """The field of a matching ``lower -> upper`` of codimension-1 pairs of
-        cells of the complex; unchecked."""
+    def _from_matching(
+        cls, complex: SimplicialComplex, up: dict[Simplex, Simplex], down: dict[Simplex, Simplex]
+    ) -> "GradientField":
+        """The field of a matching of codimension-1 pairs of cells of the
+        complex, given as ``lower -> upper`` and ``upper -> lower``; unchecked."""
         field = object.__new__(cls)
-        field._fill(complex, up, {upper: lower for lower, upper in up.items()})
+        field._fill(complex, up, down)
         return field
 
     def _fill(self, complex, up, down) -> None:

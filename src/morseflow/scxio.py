@@ -13,23 +13,28 @@ from __future__ import annotations
 
 import math
 
-from .complexes import Simplex, SimplicialComplex, build_complex
-from .errors import MalformedSimplex, ParseError
+from .complexes import Simplex, SimplicialComplex, _trusted, build_complex
+from .errors import MalformedSimplex, ParseError, SimplexNotInComplex
 from .morse import MorseFunction, validate
 
 
 def parse_scx(text: str) -> tuple[SimplicialComplex, MorseFunction | None]:
-    listed: list[Simplex] = []
+    """The complex of a ``.scx`` text, and its validated function if valued.
+
+    Lines are checked in order and the first bad one raises ``ParseError``
+    with its line number.  The listed cells and their faces go to the
+    complex in one map, which is also the duplicate check.
+    """
+    faces: dict[Simplex, tuple[Simplex, ...]] = {}
     values: dict[Simplex, float] = {}
-    seen: set[Simplex] = set()
     any_value = False
     any_bare = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if ":" in line:
-            left, _, right = line.partition(":")
+        left, colon, right = line.partition(":")
+        if colon:
             try:
                 value = float(right.strip())
             except ValueError:
@@ -38,41 +43,48 @@ def parse_scx(text: str) -> tuple[SimplicialComplex, MorseFunction | None]:
                 raise ParseError(lineno, f"non-finite value {right.strip()!r}")
             any_value = True
         else:
-            left = line
-            value = None
             any_bare = True
         try:
-            verts = [int(tok) for tok in left.split()]
+            verts = list(map(int, left.split()))
         except ValueError:
             raise ParseError(lineno, f"bad vertex id in {left.strip()!r}") from None
-        try:
-            simplex = Simplex(verts)
-        except MalformedSimplex as exc:
-            raise ParseError(lineno, str(exc)) from None
-        if simplex in seen:
+        # ``int`` gives no bools, so a sorted non-empty list with no negative
+        # and no repeated id is a simplex.  Otherwise the checked constructor
+        # raises with the message for the fault.
+        verts.sort()
+        if verts and verts[0] >= 0 and len(set(verts)) == len(verts):
+            simplex = _trusted(verts)
+        else:
+            try:
+                simplex = Simplex(verts)
+            except MalformedSimplex as exc:
+                raise ParseError(lineno, str(exc)) from None
+        if simplex in faces:
             raise ParseError(lineno, f"duplicate simplex {tuple(simplex)}")
-        seen.add(simplex)
-        listed.append(simplex)
-        if value is not None:
+        faces[simplex] = simplex.faces()
+        if colon:
             values[simplex] = value
-    if not listed:
+    if not faces:
         raise ParseError(None, "no simplices in input")
     if any_value and any_bare:
         raise ParseError(None, "either every simplex carries a value or none does")
-    complex = build_complex(listed)
+    complex = SimplicialComplex._from_faces(faces)
     if not any_value:
         return complex, None
     return complex, validate(complex, values)
 
 
 def emit_scx(complex: SimplicialComplex, f: MorseFunction | None = None) -> str:
-    lines = []
-    for cell in complex:
-        ids = " ".join(str(v) for v in cell)
-        if f is None:
-            lines.append(ids)
-        else:
-            lines.append(f"{ids} : {float(f(cell))!r}")
+    if f is None:
+        lines = [" ".join(map(str, cell)) for cell in complex]
+    else:
+        values = f.values
+        try:
+            lines = [
+                f"{' '.join(map(str, cell))} : {float(values[cell])!r}" for cell in complex
+            ]
+        except KeyError as exc:
+            raise SimplexNotInComplex(f"{exc.args[0]!r} has no value") from None
     return "\n".join(lines) + "\n"
 
 

@@ -1,7 +1,9 @@
-"""Shared fixtures: small hand-verified complexes and random instance generators."""
+"""Shared fixtures: small hand-verified complexes, random instance generators
+and a reference ``.scx`` reader."""
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -9,12 +11,14 @@ import pytest
 from morseflow import (
     Chain,
     MorseFunction,
+    Simplex,
     SimplicialComplex,
     boundary,
     build_complex,
     random_morse,
     validate,
 )
+from morseflow.errors import MalformedSimplex, ParseError
 
 
 @pytest.fixture(scope="session")
@@ -125,3 +129,66 @@ def flow_by_chain_algebra(operator, cell) -> Chain:
     return (
         unit + boundary(operator.apply_gradient(unit)) + operator.apply_gradient(boundary(unit))
     )
+
+
+def face_closure(cells) -> set[tuple[int, ...]]:
+    """Face closure as plain tuples, written out independently of the library."""
+    out = set()
+    stack = [tuple(sorted(c)) for c in cells]
+    while stack:
+        s = stack.pop()
+        if s not in out:
+            out.add(s)
+            if len(s) > 1:
+                stack.extend(s[:i] + s[i + 1 :] for i in range(len(s)))
+    return out
+
+
+def reference_parse_scx(text: str):
+    """Oracle for ``parse_scx``: the line-by-line reading through the public
+    checked ``Simplex``, ``build_complex`` and ``validate``.
+
+    Shares no code with ``morseflow.scxio``; the face closure of the listed
+    simplices is taken with plain tuples before ``build_complex`` sees it.
+    """
+    listed: list[Simplex] = []
+    seen: set[Simplex] = set()
+    values: dict[Simplex, float] = {}
+    any_value = any_bare = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        value = None
+        if ":" in line:
+            left, _, right = line.partition(":")
+            try:
+                value = float(right.strip())
+            except ValueError:
+                raise ParseError(lineno, f"bad value {right.strip()!r}") from None
+            if not math.isfinite(value):
+                raise ParseError(lineno, f"non-finite value {right.strip()!r}")
+            any_value = True
+        else:
+            left = line
+            any_bare = True
+        try:
+            verts = [int(tok) for tok in left.split()]
+        except ValueError:
+            raise ParseError(lineno, f"bad vertex id in {left.strip()!r}") from None
+        try:
+            simplex = Simplex(verts)
+        except MalformedSimplex as exc:
+            raise ParseError(lineno, str(exc)) from None
+        if simplex in seen:
+            raise ParseError(lineno, f"duplicate simplex {tuple(simplex)}")
+        seen.add(simplex)
+        listed.append(simplex)
+        if value is not None:
+            values[simplex] = value
+    if not listed:
+        raise ParseError(None, "no simplices in input")
+    if any_value and any_bare:
+        raise ParseError(None, "either every simplex carries a value or none does")
+    complex = build_complex(sorted(face_closure(listed)))
+    return complex, validate(complex, values) if any_value else None

@@ -33,6 +33,7 @@ from morseflow.errors import (
     MorseConditionViolated,
     ParseError,
     PreconditionViolated,
+    SimplexNotInComplex,
 )
 from conftest import torus
 
@@ -115,6 +116,34 @@ class TestScx:
         with pytest.raises(MorseConditionViolated):
             parse_scx(text)
 
+    def test_parse_computes_each_cells_faces_once(self, monkeypatch):
+        # Counts calls, not time: the face map is built once per cell, and
+        # valid lines never go through the checked constructor.
+        complex = torus(5)
+        tops = "".join(f"{' '.join(map(str, c))}\n" for c in complex.cells_of_dim(2))
+        texts = [emit_scx(complex, random_morse(complex, 3)), emit_scx(complex), tops]
+        faces_calls: list = []
+        checked_calls: list = []
+        faces = Simplex.faces
+        new = Simplex.__new__
+
+        def counting_faces(self):
+            faces_calls.append(self)
+            return faces(self)
+
+        def counting_new(cls, vertices):
+            checked_calls.append(vertices)
+            return new(cls, vertices)
+
+        monkeypatch.setattr(Simplex, "faces", counting_faces)
+        monkeypatch.setattr(Simplex, "__new__", counting_new)
+        for text in texts:
+            faces_calls.clear()
+            parsed, _ = parse_scx(text)
+            assert parsed == complex
+            assert sorted(faces_calls) == sorted(complex)
+        assert checked_calls == []
+
     def test_round_trip_exact(self):
         complex, f = parse_scx(P3_SCX)
         text = emit_scx(complex, f)
@@ -127,6 +156,11 @@ class TestScx:
         complex, _ = parse_scx("0 1\n1 2\n")
         complex2, f2 = parse_scx(emit_scx(complex))
         assert complex2 == complex and f2 is None
+
+    def test_emit_names_a_cell_without_value(self):
+        _, f = parse_scx(P3_SCX)
+        with pytest.raises(SimplexNotInComplex, match=r"Simplex\(3,\) has no value"):
+            emit_scx(build_complex([(0, 3)]), f)
 
 
 class TestOff:

@@ -1,6 +1,7 @@
 """Property tests driven by Hypothesis.
 
-They cover the readers, the writer and ``validate``, check every unchecked
+They cover the readers, the writer and ``validate``, check ``parse_scx``
+against a reference reader, check every unchecked
 internal construction of complexes, simplices and chains against the
 checked public constructors, and check the flow rows against chain algebra.
 """
@@ -30,8 +31,14 @@ from morseflow import (
     upper_set,
     validate,
 )
-from morseflow.errors import MorseConditionViolated, MorseflowError, SimplexNotInComplex
-from conftest import flow_by_chain_algebra
+from morseflow.errors import (
+    MissingValue,
+    MorseConditionViolated,
+    MorseflowError,
+    ParseError,
+    SimplexNotInComplex,
+)
+from conftest import face_closure, flow_by_chain_algebra, reference_parse_scx
 
 # Derandomized and without an example database, so every run checks the
 # same inputs.
@@ -110,19 +117,91 @@ def test_validate_agrees_with_the_upper_and_lower_sets(simplices, data):
     assert expected == []
     assert critical_cells(f) == {c for c in complex if not ups[c] and not lows[c]}
     assert gradient_field(f).pairs == {(c, u) for c in complex for u in ups[c]}
+    assert list(gradient_field(f).up) == [c for c in complex if ups[c]]
 
 
-def _closure(cells):
-    """Face closure as plain tuples, written out independently of the library."""
-    out = set()
-    stack = [tuple(sorted(c)) for c in cells]
-    while stack:
-        s = stack.pop()
-        if s not in out:
-            out.add(s)
-            if len(s) > 1:
-                stack.extend(s[:i] + s[i + 1 :] for i in range(len(s)))
-    return out
+def _outcome(read, text):
+    try:
+        return read(text)
+    except Exception as exc:  # any type, so a non-library error shows as a mismatch
+        return exc
+
+
+def assert_parses_like_the_reference(text):
+    """``parse_scx`` and the reference reader agree on ``text``: the same error
+    (type, message, line), or the same complex and function."""
+    expected = _outcome(reference_parse_scx, text)
+    actual = _outcome(parse_scx, text)
+    if isinstance(expected, Exception):
+        assert type(actual) is type(expected), actual
+        assert str(actual) == str(expected)
+        assert getattr(actual, "line", None) == getattr(expected, "line", None)
+        return expected
+    assert not isinstance(actual, Exception), actual
+    (complex, f), (ref_complex, ref_f) = actual, expected
+    assert list(complex) == list(ref_complex)
+    for cell in ref_complex:
+        assert complex.faces_of(cell) == ref_complex.faces_of(cell)
+        assert complex.cofaces_of(cell) == ref_complex.cofaces_of(cell)
+    if ref_f is None:
+        assert f is None
+    else:
+        assert list(f.values.items()) == list(ref_f.values.items())
+        assert f.field.pairs == ref_f.field.pairs
+        assert list(f.field.up) == list(ref_f.field.up)
+        assert f.field.critical == ref_f.field.critical
+    return expected
+
+
+VERTEX_TOKENS = st.sampled_from(["0", "1", "2", "3", "-1", "x", "#", ""])
+VALUE_TOKENS = st.sampled_from(["0", "1", "2", "3", "0.5", "x", "", "nan", "1e999"])
+VALUED_SCX_LIKE = st.lists(
+    st.tuples(st.lists(VERTEX_TOKENS, max_size=4), VALUE_TOKENS).map(
+        lambda line: " ".join(line[0]) + " : " + line[1]
+    ),
+    max_size=8,
+).map("\n".join)
+
+
+@st.composite
+def valued_complexes(draw):
+    """The cells of a small complex in shuffled lines with small integer
+    values, some lines maybe dropped: valid functions, violations and
+    missing values."""
+    cells = sorted(face_closure(draw(st.lists(SMALL_SIMPLEX, min_size=1, max_size=4))))
+    lines = [f"{' '.join(map(str, c))} : {draw(st.integers(0, 6))}" for c in cells]
+    lines = draw(st.permutations(lines))
+    keep = draw(st.integers(max(1, len(lines) - 1), len(lines)))
+    return "\n".join(lines[:keep])
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.one_of(SCX_LIKE, VALUED_SCX_LIKE, valued_complexes()))
+def test_parse_scx_agrees_with_the_reference_reader(text):
+    assert_parses_like_the_reference(text)
+
+
+@pytest.mark.parametrize(
+    "text, kind, line",
+    [
+        (" : 3\n", ParseError, 1),  # no vertex
+        ("0\n-1 2\n", ParseError, 2),  # negative id
+        ("0 : 1\n2 2 : 0\n", ParseError, 2),  # repeated id
+        ("0 1\n0\n1 0\n", ParseError, 3),  # duplicate simplex
+        ("2 : 2\n0 1 2 : 5\n0 : 0\n1 2 : 3\n", MissingValue, None),  # valued, lacks faces
+        ("0 : 0\n1\n0 1 : 1\n", ParseError, None),  # values on some lines only
+        ("# only a comment\n\n   # and another\n", ParseError, None),  # no simplices
+        ("1 0\n0 2 1\n", None, None),  # bare: the closure is built
+        ("0 : 0\n1 : 1\n0 1 : 0.5\n", None, None),  # a valid function
+    ],
+)
+def test_parse_scx_agrees_with_the_reference_reader_by_hand(text, kind, line):
+    expected = assert_parses_like_the_reference(text)
+    if kind is None:
+        assert not isinstance(expected, Exception)
+    else:
+        assert type(expected) is kind
+        assert getattr(expected, "line", None) == line
 
 
 def _assert_same_complex(built, checked, ambient):
@@ -160,23 +239,26 @@ def test_closure_of_agrees_with_the_checked_constructor(simplices, data):
     complex = build_complex(simplices)
     cells = data.draw(st.lists(st.sampled_from(list(complex)), max_size=6))
     _assert_same_complex(
-        complex.closure_of(cells), SimplicialComplex(_closure(cells)), complex
+        complex.closure_of(cells), SimplicialComplex(face_closure(cells)), complex
     )
 
 
 @PROPERTY
 @given(st.lists(SIMPLEX, min_size=1, max_size=5))
 def test_build_complex_agrees_with_the_checked_constructor(simplices):
-    checked = SimplicialComplex(_closure(simplices))
+    checked = SimplicialComplex(face_closure(simplices))
     _assert_same_complex(build_complex(simplices), checked, checked)
 
 
 @PROPERTY
 @given(SIMPLEX)
 def test_faces_are_checked_simplices(vertices):
-    for face in Simplex(vertices).faces():
+    faces = Simplex(vertices).faces()
+    for face in faces:
         assert type(face) is Simplex
         assert face == Simplex(tuple(face))
+    v = tuple(sorted(vertices))
+    assert list(faces) == sorted(v[:i] + v[i + 1 :] for i in range(len(v)) if len(v) > 1)
 
 
 def _chains(dim):
