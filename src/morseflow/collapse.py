@@ -20,7 +20,6 @@ from .complexes import (
     CellIndex,
     Simplex,
     SimplicialComplex,
-    _trusted,
     as_simplex,
     betti_numbers_mod2,
     check_enumerable,
@@ -51,7 +50,7 @@ class FiltrationLevel:
 
 def level_subcomplex(f: MorseFunction, threshold: float) -> FiltrationLevel:
     """Cells valued at most the threshold, together with their face closure."""
-    sub = frozenset(c for c in f.complex if f(c) <= threshold)
+    sub = frozenset([c for c, value in f.values.items() if value <= threshold])
     return FiltrationLevel(float(threshold), sub, f.complex.closure_of(sub))
 
 
@@ -261,39 +260,29 @@ def basin(field: GradientField, f: MorseFunction, vertex) -> Basin:
     Vertices whose (unique) gradient path ends at the minimum, together with
     the pairing edges along those paths.  The result is a tree, collapsed to
     the minimum deepest-vertex-first; the witness is stored after replay.
+
+    The tree is walked uphill from the minimum: a coface edge of a member
+    matched to its other end makes that end a member one step deeper.  Each
+    member's cofaces are read once, so a basin costs its vertices and their
+    cofaces, and the basins of all minima one pass over vertices and edges.
     """
     v = as_simplex(vertex)
     if v not in field.complex or v.dim != 0 or v not in field.critical:
         raise NotACriticalVertex(f"{v!r} is not a critical vertex")
-    complex = field.complex
-    term: dict[Simplex, Simplex] = {}
-    depth: dict[Simplex, int] = {}
-
-    def settle(u: Simplex) -> Simplex:
-        walk: list[Simplex] = []
-        x = u
-        while x not in term and x in field.up:
-            walk.append(x)
-            edge = field.up[x]
-            x = _trusted(edge[:1] if edge[1] == x[0] else edge[1:])
-        if x not in term:
-            term[x] = x
-            depth[x] = 0
-        end = term[x]
-        d = depth[x]
-        for y in reversed(walk):
-            d += 1
-            term[y] = end
-            depth[y] = d
-        return end
-
-    members = [u for u in complex.cells_of_dim(0) if settle(u) == v]
-    pairs = sorted(
-        ((u, field.up[u]) for u in members if u != v),
-        key=lambda p: (-depth[p[0]], simplex_key(p[0])),
-    )
-    cells = set(members) | {edge for _, edge in pairs}
-    sub = SimplicialComplex(cells)
+    cofaces, down = field.complex._cofaces, field.down
+    members = [v]
+    depth = {v: 0}
+    pairs: list[tuple[Simplex, Simplex]] = []
+    for x in members:  # grows as the walk finds members, each once
+        d = depth[x] + 1
+        for edge in cofaces[x]:
+            u = down.get(edge)
+            if u is not None and u != x:
+                members.append(u)
+                depth[u] = d
+                pairs.append((u, edge))
+    pairs.sort(key=lambda p: (-depth[p[0]], simplex_key(p[0])))
+    sub = SimplicialComplex(members + [edge for _, edge in pairs])
     target = SimplicialComplex([v])
     witness = CollapseSequence(sub, target, tuple(pairs))
     witness.replay()

@@ -143,24 +143,20 @@ class SimplicialComplex:
     def _index(self, faces: dict[Simplex, tuple[Simplex, ...]]) -> None:
         # Canonical order is by dimension, then vertex order.
         order = tuple(sorted(sorted(faces), key=len))
-        cofaces: dict[Simplex, list[Simplex]] = {s: [] for s in order}
-        for s in order:
-            for t in faces[s]:
-                cofaces[t].append(s)  # in canonical order, as ``s`` runs through it
         # Built from the canonical order, so the set iterates alike however
         # the face map was filled.
         self._cells = frozenset(order)
         self._order = order
         self._faces = faces
-        self._cofaces = {s: tuple(c) for s, c in cofaces.items()}
+        self._cofaces = _coface_map(order, faces)
         self._by_dim = _group_by_dim(order)
         self._hash = hash(self._cells)
 
     def _sub(self, cells: set[Simplex]) -> "SimplicialComplex":
         """The subcomplex on a face-closed subset of the cells; unchecked.
 
-        Reuses this complex's face tuples and filters its coface tuples, so
-        costs one pass over this complex's cells.
+        Reuses this complex's face tuples and canonical order, so costs one
+        pass over this complex's cells and one over the subcomplex's faces.
         """
         sub = object.__new__(SimplicialComplex)
         # Tuples from lists, not generators: ``tuple`` over-allocates a
@@ -168,8 +164,8 @@ class SimplicialComplex:
         order = tuple([s for s in self._order if s in cells])
         sub._cells = frozenset(cells)
         sub._order = order
-        sub._faces = {s: self._faces[s] for s in order}
-        sub._cofaces = {s: tuple([t for t in self._cofaces[s] if t in cells]) for s in order}
+        sub._faces = faces = {s: self._faces[s] for s in order}
+        sub._cofaces = _coface_map(order, faces)
         sub._by_dim = _group_by_dim(order)
         sub._hash = hash(sub._cells)
         return sub
@@ -247,6 +243,17 @@ def build_complex(simplices: Iterable[Iterable[int]]) -> SimplicialComplex:
     if not faces:
         raise EmptyInput("cannot build a complex from an empty list of simplices")
     return SimplicialComplex._from_faces(faces)
+
+
+def _coface_map(
+    order: tuple[Simplex, ...], faces: dict[Simplex, tuple[Simplex, ...]]
+) -> dict[Simplex, tuple[Simplex, ...]]:
+    """The coface tuples of a face map, each in canonical order as ``order`` is."""
+    cofaces: dict[Simplex, list[Simplex]] = {s: [] for s in order}
+    for s in order:
+        for t in faces[s]:
+            cofaces[t].append(s)
+    return {s: tuple(c) for s, c in cofaces.items()}
 
 
 def _group_by_dim(order: tuple[Simplex, ...]) -> dict[int, tuple[Simplex, ...]]:

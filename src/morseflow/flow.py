@@ -1,7 +1,9 @@
 """The chain-level gradient map, the discrete flow, and its set versions.
 
 The flow of each basis cell is computed once from its vertices and the matched
-pairs (identity plus boundary-of-gradient plus gradient-of-boundary), while
+pairs (identity plus boundary-of-gradient plus gradient-of-boundary) and kept
+as a plain zero-free row ``{cell: coefficient}``; ``flow_of`` wraps a row in a
+``Chain`` on demand, and ``flow_image`` unions the rows directly.
 ``flow_matrix`` rebuilds the same data by sparse matrix composition over the
 face index; the two routes are cross-checked in ``check_flow_matrix``, whose
 row check also takes matrix rows a caller has already built.
@@ -43,8 +45,9 @@ class FlowOperator:
             self._gradient[lower] = Chain._make(upper.dim, {upper: matched[lower][1]})
         # Row of s: s + boundary(V s) + V(boundary s), in one dict; an unmatched
         # cell looks up no upper cell and sign 0.  Omitting vertex i gives a
-        # face with sign (-1)**i, as in ``boundary``.
-        self._flow: dict[Simplex, Chain] = {}
+        # face with sign (-1)**i, as in ``boundary``.  Rows are kept as plain
+        # dicts without zero entries; ``flow_of`` wraps one in a ``Chain``.
+        self._flow: dict[Simplex, dict[Simplex, int]] = {}
         for cell in self.complex:
             row = {cell: 1}
             upper, sign = matched.get(cell, ((), 0))
@@ -55,7 +58,7 @@ class FlowOperator:
                 upper, sign = matched.get(cell[:i] + cell[i + 1 :], ((), 0))
                 if sign:
                     row[upper] = row.get(upper, 0) + (-sign if i % 2 else sign)
-            self._flow[cell] = Chain._make(len(cell) - 1, row)
+            self._flow[cell] = {s: c for s, c in row.items() if c}
 
     def gradient_of(self, cell) -> Chain:
         """The matched-pair image of a single cell; zero when unmatched."""
@@ -66,7 +69,7 @@ class FlowOperator:
     def flow_of(self, cell) -> Chain:
         if cell not in self.complex:
             raise SimplexNotInComplex(f"{cell!r} is not in the complex")
-        return self._flow[cell]
+        return Chain._make(len(cell) - 1, self._flow[cell])
 
     def apply_gradient(self, chain: Chain) -> Chain:
         """Linear extension of the pair map over a chain."""
@@ -138,19 +141,19 @@ def _check_flow_rows(
     operator: FlowOperator, p: int, rows: dict[Simplex, dict[Simplex, int]]
 ) -> FlowMatrixReport:
     """``check_flow_matrix`` on the rows ``flow_matrix(operator, p)`` returned."""
-    f = operator.function
+    values, flows = operator.function.values, operator._flow
     problems: list[str] = []
     for cell, row in rows.items():
-        chain_row = dict(operator.flow_of(cell).coeffs)
-        if chain_row != row:
+        if flows[cell] != row:
             problems.append(f"matrix/chain mismatch at {tuple(cell)}")
         diag = row.get(cell, 0)
         if diag not in (0, 1):
             problems.append(f"diagonal {diag} at {tuple(cell)}")
         elif (diag == 1) != (cell in operator.field.critical):
             problems.append(f"diagonal {diag} disagrees with criticality at {tuple(cell)}")
+        value = values[cell]
         for other, coef in row.items():
-            if other != cell and coef and not f(other) < f(cell):
+            if other != cell and coef and not values[other] < value:
                 problems.append(f"non-decreasing support {tuple(other)} in row {tuple(cell)}")
     report = FlowMatrixReport(p, len(rows), not problems, tuple(problems))
     if problems:
@@ -162,7 +165,7 @@ def flow_image(operator: FlowOperator, cells: Iterable) -> frozenset[Simplex]:
     """Union of the supports of the flowed cells; empty input gives empty."""
     flows = operator._flow
     try:
-        return frozenset().union(*[flows[c].coeffs for c in cells])
+        return frozenset().union(*[flows[c] for c in cells])
     except KeyError as exc:
         raise SimplexNotInComplex(f"{exc.args[0]!r} is not in the complex") from None
 

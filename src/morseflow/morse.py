@@ -198,35 +198,27 @@ class GradientField:
 
 
 def has_closed_path(field: GradientField) -> bool:
-    """Cycle search on the matching-modified incidence digraph."""
-    complex = field.complex
-    succ: dict[Simplex, tuple[Simplex, ...]] = {}
-    for lower, upper in field.pairs:
-        succ[lower] = tuple(c for c in complex.faces_of(upper) if c != lower)
-    state: dict[Simplex, int] = {}  # 1 = on stack, 2 = done
-    for root in succ:
-        if state.get(root):
-            continue
-        stack = [(root, iter(succ[root]))]
-        state[root] = 1
-        while stack:
-            node, it = stack[-1]
-            nxt = next(it, None)
-            if nxt is None:
-                state[node] = 2
-                stack.pop()
-                continue
-            mark = state.get(nxt, 0)
-            if mark == 1:
-                return True
-            if mark == 2:
-                continue
-            if nxt in succ:
-                state[nxt] = 1
-                stack.append((nxt, iter(succ[nxt])))
-            else:
-                state[nxt] = 2
-    return False
+    """Cycle search on the matching-modified incidence digraph.
+
+    Only a matched lower cell has successors there (the other faces of its
+    upper cell), so a cycle runs through lowers alone.  Kahn's algorithm on
+    the lowers: a closed path exists exactly when some lower is never freed.
+    """
+    up = field.up
+    faces = field.complex._faces
+    indeg = dict.fromkeys(up, 0)
+    for lower, upper in up.items():
+        for t in faces[upper]:
+            if t in indeg and t != lower:
+                indeg[t] += 1
+    free = [c for c, n in indeg.items() if not n]
+    for lower in free:  # grows as lowers are freed
+        for t in faces[up[lower]]:
+            if t in indeg and t != lower:
+                indeg[t] -= 1
+                if not indeg[t]:
+                    free.append(t)
+    return len(free) < len(indeg)
 
 
 def gradient_field(f: MorseFunction) -> GradientField:
@@ -290,33 +282,33 @@ def are_equivalent(f: MorseFunction, g: MorseFunction) -> bool:
 def _linear_extension(
     complex: SimplicialComplex,
     up: Mapping[Simplex, Simplex],
+    down: Mapping[Simplex, Simplex],
     key: Callable[[Simplex], object],
 ) -> list[Simplex]:
     """Topological order of the matching-modified face order, smallest key first.
 
     Non-pair face relations keep the face before the coface; matched pairs
-    are reversed.  The order is acyclic exactly when the matching is.
+    (``up`` maps lower to upper, ``down`` upper to lower) are reversed.  The
+    order is acyclic exactly when the matching is.  A cell waits for its faces
+    except its matched lower, and for its matched upper; once placed it frees
+    its cofaces except its matched upper, and its matched lower.
     """
-    succ: dict[Simplex, list[Simplex]] = {c: [] for c in complex}
-    indeg: dict[Simplex, int] = {c: 0 for c in complex}
-    for upper in complex:
-        for lower in complex.faces_of(upper):
-            if up.get(lower) == upper:
-                a, b = upper, lower
-            else:
-                a, b = lower, upper
-            succ[a].append(b)
-            indeg[b] += 1
-    heap = [(key(c), c) for c in complex if indeg[c] == 0]
+    faces, cofaces = complex._faces, complex._cofaces
+    indeg = {c: len(faces[c]) - (c in down) + (c in up) for c in complex}
+    heap = [(key(c), c) for c, n in indeg.items() if not n]
     heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
     order: list[Simplex] = []
     while heap:
-        _, cell = heapq.heappop(heap)
+        cell = pop(heap)[1]
         order.append(cell)
-        for nxt in succ[cell]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                heapq.heappush(heap, (key(nxt), nxt))
+        mate, low = up.get(cell), down.get(cell)
+        for nxt in cofaces[cell] if low is None else (low, *cofaces[cell]):
+            if nxt != mate:
+                n = indeg[nxt] - 1
+                indeg[nxt] = n
+                if not n:
+                    push(heap, (key(nxt), nxt))
     if len(order) != len(complex):
         raise AcyclicityBug("the matching-modified face order has a cycle")
     return order
@@ -331,7 +323,7 @@ def make_injective(f: MorseFunction) -> MorseFunction:
     """
     field = gradient_field(f)
     order = _linear_extension(
-        f.complex, field.up, key=lambda c: (f(c), len(c), tuple(c))
+        f.complex, field.up, field.down, key=lambda c: (f(c), len(c), tuple(c))
     )
     return validate(f.complex, {cell: float(i) for i, cell in enumerate(order)})
 
@@ -343,7 +335,8 @@ def _would_cycle(
     upper: Simplex,
 ) -> bool:
     """Would adding the pair close a gradient cycle?  New cycles must pass it."""
-    stack = [c for c in complex.faces_of(upper) if c != lower]
+    faces = complex._faces
+    stack = [c for c in faces[upper] if c != lower]
     seen: set[Simplex] = set()
     while stack:
         x = stack.pop()
@@ -354,7 +347,7 @@ def _would_cycle(
         seen.add(x)
         nxt = up.get(x)
         if nxt is not None:
-            stack.extend(c for c in complex.faces_of(nxt) if c != x)
+            stack.extend(faces[nxt])  # ``x`` is among them, and already seen
     return False
 
 
@@ -383,5 +376,6 @@ def random_morse(complex: SimplicialComplex, seed: int) -> MorseFunction:
         matched.add(lower)
         matched.add(upper)
     priority = {cell: rng.random() for cell in complex}
-    order = _linear_extension(complex, up, key=lambda c: priority[c])
+    down = {upper: lower for lower, upper in up.items()}
+    order = _linear_extension(complex, up, down, key=priority.__getitem__)
     return validate(complex, {cell: float(i) for i, cell in enumerate(order)})

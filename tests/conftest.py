@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -121,6 +122,22 @@ def torus(m: int) -> SimplicialComplex:
             c, d = (i + 1) % m * m + j, (i + 1) % m * m + (j + 1) % m
             triangles += [(a, b, d), (a, c, d)]
     return build_complex(triangles)
+
+
+class CountingDict(dict):
+    """A dict that counts the reads of each key."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = Counter()
+
+    def __getitem__(self, key):
+        self.reads[key] += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads[key] += 1
+        return super().get(key, default)
 
 
 def flow_by_chain_algebra(operator, cell) -> Chain:

@@ -10,7 +10,6 @@ import sys
 import pytest
 
 from morseflow import (
-    Chain,
     FlowOperator,
     Simplex,
     build_complex,
@@ -408,7 +407,7 @@ class TestCli:
         class Tampered(FlowOperator):
             def __init__(self, f):
                 super().__init__(f)
-                self._flow[Simplex((1,))] = Chain.unit((2,))  # corrupt the chain route
+                self._flow[Simplex((1,))] = {Simplex((2,)): 1}  # corrupt the chain route
 
         monkeypatch.setattr(cli, "FlowOperator", Tampered)
         code, out = self._json(capsys, ["flow", "--in", p3_file])

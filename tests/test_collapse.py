@@ -14,16 +14,19 @@ from morseflow import (
     basin_maximality_report,
     build_complex,
     collapses_to,
+    critical_cells,
     elementary_collapse,
     gradient_field,
     level_subcomplex,
     make_injective,
     maximal_collapsible_to,
+    random_morse,
     validate,
     verify_dmt_a,
     verify_dmt_b,
 )
 from morseflow.collapse import collapse_in_descending_order
+from morseflow.complexes import simplex_key
 from morseflow.errors import (
     CriticalValueInWindow,
     NotACriticalVertex,
@@ -32,7 +35,55 @@ from morseflow.errors import (
     ProofFailure,
     SimplexNotInComplex,
 )
-from conftest import random_instance
+from conftest import CountingDict, random_instance, torus
+
+
+def reference_basin(field, v):
+    """Oracle for ``basin``: settle every vertex by walking its gradient path
+    down to its end, then keep the vertices that end at ``v``.
+
+    Gives the members in canonical order, the witness pairs deepest first,
+    and the cells of the basin.
+    """
+    term: dict[Simplex, Simplex] = {}
+    depth: dict[Simplex, int] = {}
+
+    def settle(u):
+        walk = []
+        x = u
+        while x not in term and x in field.up:
+            walk.append(x)
+            x = Simplex([w for w in field.up[x] if w != x[0]])
+        if x not in term:
+            term[x] = x
+            depth[x] = 0
+        end, d = term[x], depth[x]
+        for y in reversed(walk):
+            d += 1
+            term[y] = end
+            depth[y] = d
+        return end
+
+    members = [u for u in field.complex.cells_of_dim(0) if settle(u) == v]
+    pairs = sorted(
+        ((u, field.up[u]) for u in members if u != v),
+        key=lambda p: (-depth[p[0]], simplex_key(p[0])),
+    )
+    return members, pairs, set(members) | {edge for _, edge in pairs}
+
+
+def check_basins_against_the_oracle(f):
+    """Every minimum's basin equals the oracle's, and the basins partition the vertices."""
+    field = gradient_field(f)
+    covered = []
+    for v in sorted(c for c in field.critical if c.dim == 0):
+        b = basin(field, f, v)
+        members, pairs, cells = reference_basin(field, v)
+        assert b.cells.cells_of_dim(0) == tuple(members)
+        assert b.cells.simplices == cells
+        assert b.witness.pairs == tuple(pairs)
+        covered += members
+    assert sorted(covered) == sorted(f.complex.cells_of_dim(0))
 
 
 class TestLevelSubcomplex:
@@ -246,6 +297,44 @@ class TestBasin:
             for i, a in enumerate(basins):
                 for b in basins[i + 1 :]:
                     assert not (set(a) & set(b))
+
+
+    def test_matches_the_settle_every_vertex_oracle_on_random_instances(self):
+        for seed in range(200):
+            check_basins_against_the_oracle(random_instance(seed)[1])
+
+    def test_matches_the_oracle_on_tori(self):
+        for m in range(3, 9):
+            for seed in range(3):
+                check_basins_against_the_oracle(random_morse(torus(m), seed))
+
+    def test_long_path_with_minima_at_both_ends_is_walked_without_recursion(self):
+        n = 3000
+        k = build_complex([(i, i + 1) for i in range(n - 1)])
+        # Vertex i is valued by twice its distance to the nearer end, each edge
+        # one less than its farther end, except the middle edge, which is critical.
+        dist = [min(i, n - 1 - i) for i in range(n)]
+        values = {(i,): 2 * d for i, d in enumerate(dist)}
+        for i in range(n - 1):
+            values[(i, i + 1)] = 2 * max(dist[i], dist[i + 1]) - 1
+        values[(n // 2 - 1, n // 2)] = n
+        f = validate(k, values)
+        assert sorted(c for c in critical_cells(f) if c.dim == 0) == [(0,), (n - 1,)]
+        check_basins_against_the_oracle(f)
+        deepest = basin(gradient_field(f), f, (0,)).witness.pairs[0]
+        assert deepest == ((n // 2 - 1,), (n // 2 - 2, n // 2 - 1))
+
+    def test_reads_each_vertexs_cofaces_at_most_once_over_all_basins(self):
+        complex = torus(24)
+        f = random_morse(complex, 2)
+        field = gradient_field(f)
+        complex._cofaces = counted = CountingDict(complex._cofaces)
+        minima = [c for c in field.critical if c.dim == 0]
+        assert len(minima) > 1
+        for v in minima:
+            basin(field, f, v)
+        assert set(counted.reads) <= set(complex.cells_of_dim(0))
+        assert max(counted.reads.values()) == 1
 
 
 class TestBasinOracle:

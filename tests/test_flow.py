@@ -54,6 +54,22 @@ class TestFlow:
     def test_p3_edge_23(self, p3_flow):
         assert p3_flow.flow_of((2, 3)).coeffs == {Simplex((2, 3)): 1, Simplex((1, 2)): 1}
 
+    def test_matched_upper_edge_has_the_zero_row(self, p3_flow):
+        assert p3_flow._flow[Simplex((1, 2))] == {}
+        chain = p3_flow.flow_of((1, 2))
+        assert chain == Chain.zero() and chain.is_zero and chain.dim == -1
+
+    def test_flow_of_wraps_the_plain_row(self):
+        complex = torus(4)
+        operator = FlowOperator(random_morse(complex, 3))
+        zero_rows = 0
+        for cell in complex:
+            row = operator._flow[cell]
+            assert type(row) is dict and all(row.values())
+            assert operator.flow_of(cell) == Chain(cell.dim, row)
+            zero_rows += not row
+        assert zero_rows
+
     def test_kernel_matches_chain_algebra_on_random_instances(self):
         for seed in range(60):
             complex, f = random_instance(seed)
@@ -109,7 +125,7 @@ class TestFlowMatrix:
 
     def test_check_detects_tampering(self, p3_function):
         operator = FlowOperator(p3_function)
-        operator._flow[Simplex((2,))] = Chain.unit((3,))  # corrupt the chain route
+        operator._flow[Simplex((2,))] = {Simplex((3,)): 1}  # corrupt the chain route
         with pytest.raises(PropertyViolation):
             check_flow_matrix(operator, 0)
 

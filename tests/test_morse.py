@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import heapq
 import random
+from collections import Counter
 
 import pytest
 
@@ -23,13 +25,74 @@ from morseflow import (
     upper_set,
     validate,
 )
+from morseflow import morse
+from morseflow.complexes import simplex_key
 from morseflow.errors import (
+    AcyclicityBug,
     ComplexMismatch,
     MissingValue,
     MorseConditionViolated,
     SimplexNotInComplex,
 )
-from conftest import random_instance, torus
+from conftest import CountingDict, random_complex, random_instance, torus
+
+
+def reference_has_closed_path(field) -> bool:
+    """Oracle for ``has_closed_path``: recursive three-colour DFS on every cell."""
+    complex = field.complex
+
+    def successors(cell):
+        upper = field.up.get(cell)
+        return [] if upper is None else [c for c in complex.faces_of(upper) if c != cell]
+
+    state = {}
+
+    def visit(cell) -> bool:
+        state[cell] = 1
+        for nxt in successors(cell):
+            if state.get(nxt) == 1 or (nxt not in state and visit(nxt)):
+                return True
+        state[cell] = 2
+        return False
+
+    return any(cell not in state and visit(cell) for cell in complex)
+
+
+def reference_linear_extension(complex, up, down, key):
+    """Oracle for ``morse._linear_extension``: a successor list per incidence and a heap."""
+    succ = {c: [] for c in complex}
+    indeg = {c: 0 for c in complex}
+    for upper in complex:
+        for lower in complex.faces_of(upper):
+            a, b = (upper, lower) if up.get(lower) == upper else (lower, upper)
+            succ[a].append(b)
+            indeg[b] += 1
+    heap = [(key(c), c) for c in complex if indeg[c] == 0]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        _, cell = heapq.heappop(heap)
+        order.append(cell)
+        for nxt in succ[cell]:
+            indeg[nxt] -= 1
+            if indeg[nxt] == 0:
+                heapq.heappush(heap, (key(nxt), nxt))
+    if len(order) != len(complex):
+        raise AcyclicityBug("the matching-modified face order has a cycle")
+    return order
+
+
+def random_matching(complex, rng) -> GradientField:
+    """A raw matching of codimension-1 pairs, acyclic or not."""
+    incidences = [(lower, upper) for upper in complex for lower in complex.faces_of(upper)]
+    rng.shuffle(incidences)
+    used = set()
+    pairs = []
+    for lower, upper in incidences:
+        if lower not in used and upper not in used and rng.random() < 0.7:
+            used |= {lower, upper}
+            pairs.append((lower, upper))
+    return GradientField(complex, pairs)
 
 
 class TestUpperLowerSets:
@@ -157,6 +220,18 @@ class TestGradientPaths:
         for f in (p3_function, circle_function):
             assert not has_closed_path(gradient_field(f))
 
+    def test_closed_path_search_agrees_with_a_dfs_on_raw_matchings(self):
+        rng = random.Random(11)
+        seen = Counter()
+        complexes = [torus(3), build_complex([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])]
+        for trial in range(600):
+            complex = complexes[trial % 2] if trial % 5 == 0 else random_complex(rng, 6, 3)
+            field = random_matching(complex, rng)
+            expected = reference_has_closed_path(field)
+            assert has_closed_path(field) == expected
+            seen[expected] += 1
+        assert seen[True] >= 50 and seen[False] >= 50
+
     def test_values_strictly_decrease_along_paths(self):
         for seed in range(40):
             complex, f = random_instance(seed)
@@ -244,3 +319,40 @@ class TestRandomMorse:
             betti = betti_numbers_mod2(complex)
             for p, b in enumerate(betti):
                 assert counts.get(p, 0) >= b
+
+
+class TestLinearExtension:
+    def test_random_morse_and_make_injective_match_the_reference(self, monkeypatch):
+        functions = []
+        for seed in range(50):
+            functions.append((torus(3 + seed % 6), seed))
+            complex, _ = random_instance(seed)
+            functions.append((complex, seed))
+
+        def run():
+            out = []
+            for complex, seed in functions:
+                f = random_morse(complex, seed)
+                # Still a Morse function (its pairs are some of f's), with ties.
+                tied = validate(complex, {c: v // 3 + len(c) for c, v in f.values.items()})
+                for g in (f, make_injective(f), make_injective(tied)):
+                    out.append(list(g.values.items()))
+            return out
+
+        got = run()
+        monkeypatch.setattr(morse, "_linear_extension", reference_linear_extension)
+        assert got == run()
+
+    def test_cyclic_matching_raises(self, circle):
+        cyclic = GradientField(circle, [((0,), (0, 1)), ((1,), (1, 2)), ((2,), (0, 2))])
+        for extension in (morse._linear_extension, reference_linear_extension):
+            with pytest.raises(AcyclicityBug):
+                extension(circle, cyclic.up, cyclic.down, simplex_key)
+
+    def test_reads_each_cells_cofaces_at_most_once(self):
+        complex = torus(24)
+        f = random_morse(complex, 5)
+        complex._cofaces = counted = CountingDict(complex._cofaces)
+        order = morse._linear_extension(complex, f.field.up, f.field.down, f.values.__getitem__)
+        assert order == sorted(complex, key=f.values.__getitem__)
+        assert counted.reads and max(counted.reads.values()) == 1
