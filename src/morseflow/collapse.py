@@ -6,8 +6,8 @@ when replayed, so a passing verification is a machine-checked certificate.
 
 Replay is one pass that checks every step against the live cells and their
 live-coface counts, then compares what is left with the recorded end once.
-It reads the complex's own incidence, not the searches' ``CellIndex``, so
-search witnesses are checked by separate code.
+It reads the complex's own incidence, not the complex's search index
+(``CellIndex``), so search witnesses are checked by separate code.
 """
 
 from __future__ import annotations
@@ -17,13 +17,12 @@ from typing import Iterable
 
 from .complexes import (
     DEFAULT_ENUM_BOUND,
-    CellIndex,
     Simplex,
     SimplicialComplex,
     as_simplex,
     betti_numbers_mod2,
-    check_enumerable,
     is_subcomplex,
+    search_index,
     simplex_key,
 )
 from .errors import (
@@ -118,12 +117,11 @@ def collapses_to(
     (usually finding the witness without backtracking) and canonical order
     otherwise; decided states are memoised, so the decision is exact either way.
     """
-    check_enumerable(complex, max_enum)
+    index = search_index(complex, max_enum)
     if not is_subcomplex(target, complex):
         raise ComplexMismatch("the target is not a subcomplex of the start complex")
     if (len(complex) - len(target)) % 2:
         return None
-    index = CellIndex(complex)
     goal = index.mask_of(target.simplices)
     cells = index.cells
     key = None if f is None else (lambda p: (-f(cells[p[0]]), -f(cells[p[1]]), p[0]))
@@ -300,8 +298,7 @@ def maximal_collapsible_to(
     v = as_simplex(vertex)
     if v not in complex or v.dim != 0:
         raise NotACriticalVertex(f"{v!r} is not a vertex of the complex")
-    check_enumerable(complex, max_enum)
-    index = CellIndex(complex)
+    index = search_index(complex, max_enum)
     states = index.expansions(1 << index.position[v])
     return [SimplicialComplex(index.cells_of(m)) for m in index.maximal(states)]
 

@@ -1,8 +1,11 @@
 """Finite simplicial complexes, integer chains, and a mod-2 homology oracle.
 
-Everything is immutable after construction.  A complex precomputes its
+A complex's cells never change after construction.  It precomputes its
 codimension-1 incidence in both directions, so the face and coface queries
 sitting in the inner loops of the Morse machinery are dictionary lookups.
+The exhaustive searches share one ``CellIndex`` per complex, which
+``search_index`` builds on first use and the complex keeps with its memos;
+it changes no result.
 The canonical orientation of every simplex is the increasing vertex order;
 all boundary signs derive from it.
 
@@ -30,6 +33,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .errors import (
     EmptyInput,
     MalformedSimplex,
+    ProofFailure,
     SimplexNotInComplex,
     TooLargeForEnumeration,
 )
@@ -108,7 +112,7 @@ def _bits(mask: int) -> Iterator[int]:
 class SimplicialComplex:
     """A finite face-closed set of simplices with two-way incidence indices."""
 
-    __slots__ = ("_cells", "_order", "_faces", "_cofaces", "_by_dim", "_hash")
+    __slots__ = ("_cells", "_order", "_faces", "_cofaces", "_by_dim", "_hash", "_search")
 
     def __init__(self, simplices: Iterable[Iterable[int]]):
         cells = frozenset(as_simplex(s) for s in simplices)
@@ -140,9 +144,11 @@ class SimplicialComplex:
         complex._index(faces)
         return complex
 
-    def _index(self, faces: dict[Simplex, tuple[Simplex, ...]]) -> None:
-        # Canonical order is by dimension, then vertex order.
-        order = tuple(sorted(sorted(faces), key=len))
+    def _index(self, faces: dict[Simplex, tuple[Simplex, ...]], order: tuple | None = None) -> None:
+        """Fill every slot from a face map and, if known, its canonical order."""
+        if order is None:
+            # Canonical order is by dimension, then vertex order.
+            order = tuple(sorted(sorted(faces), key=len))
         # Built from the canonical order, so the set iterates alike however
         # the face map was filled.
         self._cells = frozenset(order)
@@ -151,6 +157,7 @@ class SimplicialComplex:
         self._cofaces = _coface_map(order, faces)
         self._by_dim = _group_by_dim(order)
         self._hash = hash(self._cells)
+        self._search = None
 
     def _sub(self, cells: set[Simplex]) -> "SimplicialComplex":
         """The subcomplex on a face-closed subset of the cells; unchecked.
@@ -162,12 +169,7 @@ class SimplicialComplex:
         # Tuples from lists, not generators: ``tuple`` over-allocates a
         # generator's items and shrinks the result, which raised peak memory.
         order = tuple([s for s in self._order if s in cells])
-        sub._cells = frozenset(cells)
-        sub._order = order
-        sub._faces = faces = {s: self._faces[s] for s in order}
-        sub._cofaces = _coface_map(order, faces)
-        sub._by_dim = _group_by_dim(order)
-        sub._hash = hash(sub._cells)
+        sub._index({s: self._faces[s] for s in order}, order)
         return sub
 
     @property
@@ -273,9 +275,20 @@ def is_subcomplex(sub: SimplicialComplex, ambient: SimplicialComplex) -> bool:
 
 
 class CellIndex:
-    """Bitmask states over one complex: bit ``i`` is the ``i``-th cell in canonical order."""
+    """Bitmask states over one complex: bit ``i`` is the ``i``-th cell in canonical order.
 
-    __slots__ = ("cells", "position", "face_mask", "coface_lists", "full")
+    The one search index of the exhaustive layer: collapse search,
+    anti-collapse expansion, collapse reachability, collapsibility and the
+    cover search behind discrete category.  Every expensive answer is
+    memoised, so repeated queries against one complex stay cheap; the complex
+    keeps its index (see ``search_index``).  The cover family is read off the
+    anti-collapse walks from the vertices, which the basin oracle shares.
+    """
+
+    __slots__ = (
+        "cells", "position", "face_mask", "coface_lists", "full",
+        "_expansions", "_reachable", "_witness", "_maximal", "_precat", "_category",
+    )
 
     def __init__(self, complex: SimplicialComplex):
         self.cells = list(complex)
@@ -283,6 +296,12 @@ class CellIndex:
         self.face_mask = [self.mask_of(complex.faces_of(c)) for c in self.cells]
         self.coface_lists = [[self.position[t] for t in complex.cofaces_of(c)] for c in self.cells]
         self.full = (1 << len(self.cells)) - 1
+        self._expansions: dict[int, set[int]] = {}
+        self._reachable: dict[int, dict[int, tuple | None]] = {}
+        self._witness: dict[int, tuple | None] = {}
+        self._maximal: list[int] | None = None
+        self._precat: dict[int, int] = {}
+        self._category: dict[int, tuple[int, int, int]] = {}
 
     def mask_of(self, cells: Iterable[Simplex]) -> int:
         mask = 0
@@ -321,12 +340,16 @@ class CellIndex:
 
     def expansions(self, start: int) -> set[int]:
         """Every state reachable from the subcomplex ``start`` by elementary
-        anti-collapses, i.e. the subcomplexes that collapse onto it.
+        anti-collapses, i.e. the subcomplexes that collapse onto it; memoised,
+        so callers must not change the set.
 
         ``start`` must be face-closed, so every state reached is too: a cell
         ``i`` outside it has no coface in it, and has all its faces in it once
         the other faces of the coface ``j`` are (they contain those faces).
         """
+        seen = self._expansions.get(start)
+        if seen is not None:
+            return seen
         n = len(self.cells)
         face_mask, coface_lists = self.face_mask, self.coface_lists
         seen = {start}
@@ -343,6 +366,7 @@ class CellIndex:
                     if nxt not in seen:
                         seen.add(nxt)
                         stack.append(nxt)
+        self._expansions[start] = seen
         return seen
 
     def free_pairs(self, mask: int, keep: int = 0) -> list[tuple[int, int]]:
@@ -390,11 +414,100 @@ class CellIndex:
             else:
                 return answer
 
+    def collapse_witness(self, mask: int) -> tuple | None:
+        """Index pairs collapsing the state to a single vertex, or None."""
+        cells = self.cells
 
-def check_enumerable(complex: SimplicialComplex, max_enum: int) -> None:
-    """Guard of the exhaustive searches: at most ``max_enum`` cells."""
+        def is_vertex(state: int) -> bool:
+            return state.bit_count() == 1 and len(cells[state.bit_length() - 1]) == 1
+
+        return self.collapse_search(mask, is_vertex, self._witness)
+
+    def reachable(self, mask: int) -> dict[int, tuple | None]:
+        """Every state reachable from the mask by elementary collapses, mapped to
+        ``(previous state, pair)`` of its first discovery (the mask to ``None``)."""
+        parents = self._reachable.get(mask)
+        if parents is not None:
+            return parents
+        parents = {mask: None}
+        stack = [mask]
+        while stack:
+            cur = stack.pop()
+            for pair in self.free_pairs(cur):
+                nxt = cur & ~(1 << pair[0] | 1 << pair[1])
+                if nxt not in parents:
+                    parents[nxt] = (cur, pair)
+                    stack.append(nxt)
+        self._reachable[mask] = parents
+        return parents
+
+    def collapse_path(self, start: int, goal: int) -> tuple:
+        """One witness pair sequence from start to goal (both states)."""
+        parents = self.reachable(start)
+        if goal not in parents:
+            raise ProofFailure("collapse goal is not reachable")
+        path = []
+        while parents[goal] is not None:
+            goal, pair = parents[goal]
+            path.append(pair)
+        return tuple(reversed(path))
+
+    def maximal_collapsible(self) -> list[int]:
+        """Inclusion-maximal collapsible subcomplex masks (cover family)."""
+        if self._maximal is None:
+            vertices = [1 << i for i, c in enumerate(self.cells) if len(c) == 1]
+            self._maximal = self.maximal(set().union(*map(self.expansions, vertices)))
+        return self._maximal
+
+    def cover_witness(self, target: int, size: int) -> tuple[int, ...] | None:
+        """At most ``size`` family masks covering the target, or None."""
+        if target == 0:
+            return ()
+        if size == 0:
+            return None
+        pivot = (target & -target).bit_length() - 1
+        for fam in self.maximal_collapsible():
+            if fam >> pivot & 1:
+                rest = self.cover_witness(target & ~fam, size - 1)
+                if rest is not None:
+                    return (fam,) + rest
+        return None
+
+    def precat(self, mask: int) -> int:
+        """Fewest collapsible subcomplexes covering the state, minus one."""
+        cached = self._precat.get(mask)
+        if cached is not None:
+            return cached
+        size = 1
+        while True:
+            if self.cover_witness(mask, size) is not None:
+                self._precat[mask] = size - 1
+                return size - 1
+            size += 1
+            if size > len(self.cells) + 1:
+                raise ProofFailure("cover search exceeded the family size")
+
+    def category(self, mask: int) -> tuple[int, int, int]:
+        """The least ``(precat, cell count, state)`` over the states the mask
+        collapses to; its first entry is the discrete category of the mask."""
+        best = self._category.get(mask)
+        if best is None:
+            best = min((self.precat(m), m.bit_count(), m) for m in self.reachable(mask))
+            self._category[mask] = best
+        return best
+
+
+def search_index(complex: SimplicialComplex, max_enum: int) -> CellIndex:
+    """The complex's search index, built on first use.
+
+    The guard of the exhaustive searches, at most ``max_enum`` cells, runs on
+    every call, so a kept index never bypasses the bound.
+    """
     if len(complex) > max_enum:
         raise TooLargeForEnumeration(len(complex), max_enum)
+    if complex._search is None:
+        complex._search = CellIndex(complex)
+    return complex._search
 
 
 def subcomplexes_of(
@@ -404,8 +517,7 @@ def subcomplexes_of(
 
     Brute-force enumeration over all subsets; guarded by ``max_enum``.
     """
-    check_enumerable(complex, max_enum)
-    index = CellIndex(complex)
+    index = search_index(complex, max_enum)
     for mask in range(1 << len(complex)):
         if index.is_closed(mask):
             yield SimplicialComplex(index.cells_of(mask))

@@ -5,8 +5,10 @@ pairs (identity plus boundary-of-gradient plus gradient-of-boundary) and kept
 as a plain zero-free row ``{cell: coefficient}``; ``flow_of`` wraps a row in a
 ``Chain`` on demand, and ``flow_image`` unions the rows directly.
 ``flow_matrix`` rebuilds the same data by sparse matrix composition over the
-face index; the two routes are cross-checked in ``check_flow_matrix``, whose
-row check also takes matrix rows a caller has already built.
+face index, reading the gradient map from the field's matching rather than
+from any table of the operator; the two routes are cross-checked in
+``check_flow_matrix``, whose row check also takes matrix rows a caller has
+already built.
 
 Coefficients are Python integers, so arithmetic is exact at any size.
 """
@@ -30,7 +32,7 @@ from .morse import GradientField, MorseFunction, gradient_field
 class FlowOperator:
     """Chain maps attached to a Morse function and its gradient field."""
 
-    __slots__ = ("function", "field", "complex", "_gradient", "_flow")
+    __slots__ = ("function", "field", "complex", "_flow")
 
     def __init__(self, function: MorseFunction, field: GradientField | None = None):
         self.function = function
@@ -38,11 +40,9 @@ class FlowOperator:
         self.field = gradient_field(function) if field is None else field
         if self.field.complex != self.complex:
             raise ComplexMismatch("field and function live on different complexes")
-        self._gradient: dict[Simplex, Chain] = {}
-        matched: dict[Simplex, tuple[Simplex, int]] = {}
-        for lower, upper in self.field.pairs:
-            matched[lower] = (upper, -incidence_sign(upper, lower))
-            self._gradient[lower] = Chain._make(upper.dim, {upper: matched[lower][1]})
+        matched = {
+            lower: (upper, -incidence_sign(upper, lower)) for lower, upper in self.field.pairs
+        }
         # Row of s: s + boundary(V s) + V(boundary s), in one dict; an unmatched
         # cell looks up no upper cell and sign 0.  Omitting vertex i gives a
         # face with sign (-1)**i, as in ``boundary``.  Rows are kept as plain
@@ -64,7 +64,10 @@ class FlowOperator:
         """The matched-pair image of a single cell; zero when unmatched."""
         if cell not in self.complex:
             raise SimplexNotInComplex(f"{cell!r} is not in the complex")
-        return self._gradient.get(cell, Chain.zero())
+        upper = self.field.up.get(cell)
+        if upper is None:
+            return Chain.zero()
+        return Chain._make(len(upper) - 1, {upper: -incidence_sign(upper, cell)})
 
     def flow_of(self, cell) -> Chain:
         if cell not in self.complex:
@@ -75,11 +78,7 @@ class FlowOperator:
         """Linear extension of the pair map over a chain."""
         acc = Chain.zero()
         for cell, coef in chain.coeffs.items():
-            img = self._gradient.get(cell)
-            if img is not None:
-                acc = acc + img.scaled(coef)
-            elif cell not in self.complex:
-                raise SimplexNotInComplex(f"{cell!r} is not in the complex")
+            acc = acc + self.gradient_of(cell).scaled(coef)
         return acc
 
     def apply_flow(self, chain: Chain) -> Chain:
@@ -102,9 +101,11 @@ def flow_matrix(operator: FlowOperator, p: int) -> dict[Simplex, dict[Simplex, i
     def boundary_row(cell: Simplex) -> dict[Simplex, int]:
         return {face: incidence_sign(cell, face) for face in complex.faces_of(cell)}
 
+    up = operator.field.up
+
     def gradient_row(cell: Simplex) -> dict[Simplex, int]:
-        img = operator._gradient.get(cell)
-        return {} if img is None else dict(img.coeffs)
+        upper = up.get(cell)
+        return {} if upper is None else {upper: -incidence_sign(upper, cell)}
 
     rows: dict[Simplex, dict[Simplex, int]] = {}
     for cell in complex.cells_of_dim(p):

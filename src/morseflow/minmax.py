@@ -4,7 +4,9 @@
 the answer is a critical value; ``check_minmax_data`` verifies exhaustively
 that a family really is min-max data (closure under every map, and a
 sublevel-shrinking map across every regular value).  The mountain-pass and
-category machineries build concrete instances of that shape.
+category machineries build concrete instances of that shape.  The category
+searches run on the complex's own ``CellIndex`` (see ``search_index``), so
+``dgcat`` followed by ``ls_minmax`` on one complex shares every memo.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from .complexes import (
     SimplicialComplex,
     _trusted,
     as_simplex,
-    check_enumerable,
     is_subcomplex,
+    search_index,
     simplex_key,
 )
 from .errors import (
@@ -34,7 +36,6 @@ from .errors import (
     NoPathExists,
     NotLocalMinima,
     PreconditionViolated,
-    ProofFailure,
     ReassemblyFailure,
     SimplexNotInComplex,
     TheoremViolation,
@@ -362,120 +363,6 @@ def mountain_pass(f: MorseFunction, high, low) -> MountainPassResult:
     return MountainPassResult(f(ridge), ridge, witness, tuple(paths), instance)
 
 
-class _CategoryEngine:
-    """Exhaustive collapse-reachability, collapsibility and cover search.
-
-    States are bitmasks over the canonical cell order of one ambient
-    complex; every expensive answer is memoised so repeated category queries
-    against the same complex stay cheap.  The cover family is read off the
-    anti-collapse walks from the vertices.
-    """
-
-    def __init__(self, complex: SimplicialComplex):
-        self.index = CellIndex(complex)
-        self._collapse_witness: dict[int, tuple | None] = {}
-        self._reachable: dict[int, dict[int, tuple | None]] = {}
-        self._precat: dict[int, int] = {}
-        self._dgcat: dict[int, int] = {}
-        self._maximal: list[int] | None = None
-
-    def _is_vertex(self, mask: int) -> bool:
-        return mask.bit_count() == 1 and self.index.cells[mask.bit_length() - 1].dim == 0
-
-    def collapse_witness(self, mask: int) -> tuple | None:
-        """Index pairs collapsing the state to a single vertex, or None."""
-        return self.index.collapse_search(mask, self._is_vertex, self._collapse_witness)
-
-    def reachable(self, mask: int) -> dict[int, tuple | None]:
-        """Every state reachable from the mask by elementary collapses, mapped to
-        ``(previous state, pair)`` of its first discovery (the mask to ``None``)."""
-        parents = self._reachable.get(mask)
-        if parents is not None:
-            return parents
-        parents = {mask: None}
-        stack = [mask]
-        while stack:
-            cur = stack.pop()
-            for pair in self.index.free_pairs(cur):
-                nxt = cur & ~(1 << pair[0] | 1 << pair[1])
-                if nxt not in parents:
-                    parents[nxt] = (cur, pair)
-                    stack.append(nxt)
-        self._reachable[mask] = parents
-        return parents
-
-    def collapse_path(self, start: int, goal: int) -> tuple:
-        """One witness pair sequence from start to goal (both states)."""
-        parents = self.reachable(start)
-        if goal not in parents:
-            raise ProofFailure("collapse goal is not reachable")
-        path = []
-        while parents[goal] is not None:
-            goal, pair = parents[goal]
-            path.append(pair)
-        return tuple(reversed(path))
-
-    def maximal_collapsible(self) -> list[int]:
-        """Inclusion-maximal collapsible subcomplex masks (cover family)."""
-        if self._maximal is None:
-            index = self.index
-            states = set().union(
-                *(index.expansions(1 << i) for i, c in enumerate(index.cells) if c.dim == 0)
-            )
-            self._maximal = index.maximal(states)
-        return self._maximal
-
-    def cover_witness(self, target: int, size: int) -> tuple[int, ...] | None:
-        """At most ``size`` family masks covering the target, or None."""
-        if target == 0:
-            return ()
-        if size == 0:
-            return None
-        pivot = (target & -target).bit_length() - 1
-        for fam in self.maximal_collapsible():
-            if fam >> pivot & 1:
-                rest = self.cover_witness(target & ~fam, size - 1)
-                if rest is not None:
-                    return (fam,) + rest
-        return None
-
-    def precat(self, mask: int) -> int:
-        """Fewest collapsible subcomplexes covering the state, minus one."""
-        cached = self._precat.get(mask)
-        if cached is not None:
-            return cached
-        size = 1
-        while True:
-            if self.cover_witness(mask, size) is not None:
-                self._precat[mask] = size - 1
-                return size - 1
-            size += 1
-            if size > len(self.index.cells) + 1:
-                raise ProofFailure("cover search exceeded the family size")
-
-    def dgcat_value(self, mask: int) -> int:
-        cached = self._dgcat.get(mask)
-        if cached is not None:
-            return cached
-        value = min(self.precat(m) for m in self.reachable(mask))
-        self._dgcat[mask] = value
-        return value
-
-
-_ENGINES: dict[SimplicialComplex, _CategoryEngine] = {}
-
-
-def _engine(complex: SimplicialComplex, max_enum: int) -> _CategoryEngine:
-    check_enumerable(complex, max_enum)
-    engine = _ENGINES.get(complex)
-    if engine is None:
-        if len(_ENGINES) > 16:
-            _ENGINES.clear()
-        engine = _CategoryEngine(complex)
-        _ENGINES[complex] = engine
-    return engine
-
-
 @dataclass(frozen=True)
 class CoverPiece:
     subcomplex: SimplicialComplex
@@ -505,37 +392,31 @@ def dgcat(
     target = complex if sub is None else sub
     if not is_subcomplex(target, complex):
         raise ComplexMismatch("the second complex is not a subcomplex of the first")
-    engine = _engine(complex, max_enum)
-    index = engine.index
+    index = search_index(complex, max_enum)
     start = index.mask_of(target.simplices)
-    best = None
-    for m in sorted(engine.reachable(start)):
-        key = (engine.precat(m), m.bit_count(), m)
-        if best is None or key < best:
-            best = key
-    value, _, chosen = best
+    value, _, chosen = index.category(start)
     pieces = []
-    for fam in engine.cover_witness(chosen, value + 1):
+    for fam in index.cover_witness(chosen, value + 1):
         piece = SimplicialComplex(index.cells_of(fam))
-        pairs = index.pairs_of(engine.collapse_witness(fam))
+        pairs = index.pairs_of(index.collapse_witness(fam))
         vertex = SimplicialComplex(piece.simplices.difference(*pairs))
         pieces.append(CoverPiece(piece, CollapseSequence(piece, vertex, pairs)))
     chosen_complex = SimplicialComplex(index.cells_of(chosen))
-    path = index.pairs_of(engine.collapse_path(start, chosen))
+    path = index.pairs_of(index.collapse_path(start, chosen))
     return CategoryResult(
         value, chosen_complex, CollapseSequence(target, chosen_complex, path), tuple(pieces)
     )
 
 
-def _level_masks(work: MorseFunction, engine: _CategoryEngine) -> list[int]:
+def _level_masks(work: MorseFunction, index: CellIndex) -> list[int]:
     """The distinct level-subcomplex masks, one per distinct value, ascending.
 
     The level subcomplex at ``a`` is the union of the closures of the cells
     valued at most ``a``, so the masks grow by ORing closure masks in value
     order; a mask equal to an earlier one equals the one just before it.
     """
-    cells = engine.index.cells
-    closure = engine.index.closure_masks()
+    cells = index.cells
+    closure = index.closure_masks()
 
     def value(i: int) -> float:
         return work.values[cells[i]]
@@ -550,11 +431,11 @@ def _level_masks(work: MorseFunction, engine: _CategoryEngine) -> list[int]:
     return masks
 
 
-def _family_masks(work: MorseFunction, engine: _CategoryEngine, k: int) -> set[int]:
+def _family_masks(work: MorseFunction, index: CellIndex, k: int) -> set[int]:
     members: set[int] = set()
-    for mask in _level_masks(work, engine):
-        if engine.dgcat_value(mask) >= k - 1:
-            members.update(engine.reachable(mask))
+    for mask in _level_masks(work, index):
+        if index.category(mask)[0] >= k - 1:
+            members.update(index.reachable(mask))
     return members
 
 
@@ -568,8 +449,8 @@ def ls_minmax(
     to be critical.
     """
     work = f if f.is_injective() else make_injective(f)
-    engine = _engine(f.complex, max_enum)
-    top = engine.dgcat_value(engine.index.full)
+    index = search_index(f.complex, max_enum)
+    top = index.category(index.full)[0]
     crit = critical_cells(f)
     out: list[tuple[int, float]] = []
     max_cell_cache: dict[int, Simplex] = {}
@@ -577,12 +458,12 @@ def ls_minmax(
     def max_cell(mask: int) -> Simplex:
         cached = max_cell_cache.get(mask)
         if cached is None:
-            cached = max(engine.index.cells_of(mask), key=work)
+            cached = max(index.cells_of(mask), key=work)
             max_cell_cache[mask] = cached
         return cached
 
     for k in range(1, top + 2):
-        members = _family_masks(work, engine, k)
+        members = _family_masks(work, index, k)
         if not members:
             raise EmptyFamily(f"the depth-{k} family is empty")
         best = min((m for m in members), key=lambda m: (work(max_cell(m)), m.bit_count(), m))
@@ -595,8 +476,8 @@ def ls_minmax(
 
 def ls_bound_check(f: MorseFunction, max_enum: int = DEFAULT_ENUM_BOUND) -> bool:
     """Whether category + 1 is at most the number of critical cells."""
-    engine = _engine(f.complex, max_enum)
-    return engine.dgcat_value(engine.index.full) + 1 <= len(critical_cells(f))
+    index = search_index(f.complex, max_enum)
+    return index.category(index.full)[0] + 1 <= len(critical_cells(f))
 
 
 def ls_instance(
@@ -604,9 +485,9 @@ def ls_instance(
 ) -> MinMaxInstance:
     """The depth-``k`` family paired with the flow-closure map."""
     work = f if f.is_injective() else make_injective(f)
-    engine = _engine(f.complex, max_enum)
-    members = _family_masks(work, engine, k)
-    family = [frozenset(engine.index.cells_of(m)) for m in sorted(members)]
+    index = search_index(f.complex, max_enum)
+    members = _family_masks(work, index, k)
+    family = [frozenset(index.cells_of(m)) for m in sorted(members)]
     operator = FlowOperator(work)
     maps = {
         "flow_closure": lambda cells: frozenset(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -128,6 +129,19 @@ class TestFlowMatrix:
         operator._flow[Simplex((2,))] = {Simplex((3,)): 1}  # corrupt the chain route
         with pytest.raises(PropertyViolation):
             check_flow_matrix(operator, 0)
+
+
+    def test_matrix_route_reads_only_function_field_and_complex(self):
+        for seed in range(20):
+            _, f = random_instance(seed)
+            operator = FlowOperator(f)
+            stripped = SimpleNamespace(
+                function=operator.function, field=operator.field, complex=operator.complex
+            )
+            for p in range(f.complex.dim + 1):
+                rows = flow_matrix(stripped, p)
+                assert rows == flow_matrix(operator, p)
+                assert rows == {c: operator.flow_of(c).coeffs for c in f.complex.cells_of_dim(p)}
 
 
 class TestSupportMaps:

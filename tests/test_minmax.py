@@ -2,18 +2,24 @@
 
 from __future__ import annotations
 
+import gc
+import importlib
+import pkgutil
 from itertools import combinations, permutations
 
 import pytest
 
+import morseflow
 from morseflow import (
     EdgePath,
     FlowOperator,
     MinMaxInstance,
     Simplex,
     SimplicialComplex,
+    basin_maximality_report,
     build_complex,
     check_minmax_data,
+    collapses_to,
     critical_values,
     dgcat,
     enumerate_paths,
@@ -26,19 +32,25 @@ from morseflow import (
     ls_bound_check,
     ls_instance,
     ls_minmax,
+    maximal_collapsible_to,
     minmax_value,
     mountain_pass,
     random_morse,
     simplex_key,
+    subcomplexes_of,
     validate,
 )
+from morseflow.complexes import CellIndex
 from morseflow.errors import (
+    ComplexMismatch,
     DeformationViolated,
     EmptyFamily,
     NoPathExists,
+    NotACriticalVertex,
     NotLocalMinima,
     SimplexNotInComplex,
     TheoremViolation,
+    TooLargeForEnumeration,
 )
 from conftest import random_instance
 
@@ -564,6 +576,94 @@ class TestCategoryAgainstBruteForce:
         assert result.collapsed_to.simplices <= covered
         assert result.collapse_witness.start == complex
         assert result.collapse_witness.replay() == result.collapsed_to
+
+
+class TestSearchIndex:
+    """Each complex owns one search index, built on first exhaustive use."""
+
+    @staticmethod
+    def _two_triangles():
+        complex = build_complex([(0, 1, 2), (1, 2, 3)])
+        return complex, random_morse(complex, 5)
+
+    def test_every_exhaustive_search_shares_one_index(self, monkeypatch):
+        complex, f = self._two_triangles()
+        built = []
+        init = CellIndex.__init__
+
+        def counting_init(index, of):
+            built.append(of)
+            init(index, of)
+
+        monkeypatch.setattr(CellIndex, "__init__", counting_init)
+        field = gradient_field(f)
+        for vertex in complex.vertices:
+            if vertex in field.critical:
+                assert basin_maximality_report(field, f, vertex).contained
+        dgcat(complex)
+        ls_minmax(f)
+        ls_bound_check(f)
+        ls_instance(f, 1)
+        for vertex in complex.vertices:
+            collapses_to(complex, SimplicialComplex([vertex]))
+        list(subcomplexes_of(complex))
+        assert built == [complex]
+
+    def test_indexes_die_with_their_complexes(self):
+        # Vertex ids from 1000 up mark the cells of the complexes made here.
+        complexes = [
+            build_complex([tuple(v + 1000 for v in c) for c in maximal])
+            for maximal in _small_random_maximal_cells(40)
+        ]
+        for complex in complexes:
+            dgcat(complex)
+        del complexes, complex
+        gc.collect()
+        alive = [
+            o for o in gc.get_objects()
+            if isinstance(o, CellIndex) and any(c[0] >= 1000 for c in o.cells)
+        ]
+        assert alive == []
+
+    def test_a_kept_index_never_bypasses_the_bound(self):
+        complex, f = self._two_triangles()
+        field = gradient_field(f)
+        minimum = next(v for v in complex.vertices if v in field.critical)
+        dgcat(complex, max_enum=20)
+        small = len(complex) - 1
+        searches = [
+            lambda: dgcat(complex, max_enum=small),
+            lambda: ls_minmax(f, max_enum=small),
+            lambda: ls_bound_check(f, max_enum=small),
+            lambda: ls_instance(f, 1, max_enum=small),
+            lambda: collapses_to(complex, SimplicialComplex([(0,)]), max_enum=small),
+            lambda: maximal_collapsible_to(complex, (0,), max_enum=small),
+            lambda: basin_maximality_report(field, f, minimum, max_enum=small),
+            lambda: list(subcomplexes_of(complex, max_enum=small)),
+        ]
+        for search in searches:
+            with pytest.raises(TooLargeForEnumeration):
+                search()
+        # The argument checks still come before the bound.
+        with pytest.raises(NotACriticalVertex):
+            maximal_collapsible_to(complex, (0, 1), max_enum=small)
+        with pytest.raises(ComplexMismatch):
+            dgcat(complex, build_complex([(7,)]), max_enum=small)
+
+
+def test_no_module_holds_global_state():
+    """Caches live with the objects they describe, never in a module."""
+    modules = [morseflow] + [
+        importlib.import_module(f"morseflow.{m.name}")
+        for m in pkgutil.iter_modules(morseflow.__path__)
+    ]
+    found = [
+        (module.__name__, name)
+        for module in modules
+        for name, value in vars(module).items()
+        if not name.startswith("__") and isinstance(value, (dict, list, set))
+    ]
+    assert found == []
 
 
 def _deformation_by_scan(instance):
