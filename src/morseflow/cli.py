@@ -265,9 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_in=True):
-        if needs_in:
-            p.add_argument("--in", dest="infile", required=True, help="input file")
+    def common(p):
+        p.add_argument("--in", dest="infile", required=True, help="input file")
         p.add_argument(
             "--format", choices=["auto", "scx", "off"], default="auto", help="input format"
         )

@@ -112,7 +112,7 @@ def _bits(mask: int) -> Iterator[int]:
 class SimplicialComplex:
     """A finite face-closed set of simplices with two-way incidence indices."""
 
-    __slots__ = ("_cells", "_order", "_faces", "_cofaces", "_by_dim", "_hash", "_search")
+    __slots__ = ("_cells", "_order", "_faces", "_cofaces", "_by_dim", "_search")
 
     def __init__(self, simplices: Iterable[Iterable[int]]):
         cells = frozenset(as_simplex(s) for s in simplices)
@@ -156,7 +156,6 @@ class SimplicialComplex:
         self._faces = faces
         self._cofaces = _coface_map(order, faces)
         self._by_dim = _group_by_dim(order)
-        self._hash = hash(self._cells)
         self._search = None
 
     def _sub(self, cells: set[Simplex]) -> "SimplicialComplex":
@@ -201,6 +200,10 @@ class SimplicialComplex:
 
     def closure_of(self, cells: Iterable) -> "SimplicialComplex":
         """The subcomplex generated by the given member cells."""
+        return self._sub(self._closure(cells))
+
+    def _closure(self, cells: Iterable) -> set[Simplex]:
+        """The cells of ``closure_of(cells)``, without building the subcomplex."""
         stack = []
         for c in cells:
             c = as_simplex(c)
@@ -214,7 +217,7 @@ class SimplicialComplex:
                 continue
             out.add(s)
             stack.extend(self._faces[s])
-        return self._sub(out)
+        return out
 
     def __len__(self) -> int:
         return len(self._cells)
@@ -229,7 +232,7 @@ class SimplicialComplex:
         return isinstance(other, SimplicialComplex) and self._cells == other._cells
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._cells)  # a frozenset caches its own hash
 
     def __repr__(self) -> str:
         return f"SimplicialComplex({len(self._cells)} cells, dim {self.dim})"
@@ -286,7 +289,7 @@ class CellIndex:
     """
 
     __slots__ = (
-        "cells", "position", "face_mask", "coface_lists", "full",
+        "cells", "position", "face_mask", "coface_mask", "full",
         "_expansions", "_reachable", "_witness", "_maximal", "_precat", "_category",
     )
 
@@ -294,7 +297,7 @@ class CellIndex:
         self.cells = list(complex)
         self.position = {c: i for i, c in enumerate(self.cells)}
         self.face_mask = [self.mask_of(complex.faces_of(c)) for c in self.cells]
-        self.coface_lists = [[self.position[t] for t in complex.cofaces_of(c)] for c in self.cells]
+        self.coface_mask = [self.mask_of(complex.cofaces_of(c)) for c in self.cells]
         self.full = (1 << len(self.cells)) - 1
         self._expansions: dict[int, set[int]] = {}
         self._reachable: dict[int, dict[int, tuple | None]] = {}
@@ -351,7 +354,7 @@ class CellIndex:
         if seen is not None:
             return seen
         n = len(self.cells)
-        face_mask, coface_lists = self.face_mask, self.coface_lists
+        face_mask, coface_mask = self.face_mask, self.coface_mask
         seen = {start}
         stack = [start]
         while stack:
@@ -359,7 +362,7 @@ class CellIndex:
             for i in range(n):
                 if cur >> i & 1:
                     continue
-                for j in coface_lists[i]:
+                for j in _bits(coface_mask[i]):
                     if face_mask[j] & ~(cur | 1 << i):
                         continue
                     nxt = cur | 1 << i | 1 << j
@@ -371,11 +374,13 @@ class CellIndex:
 
     def free_pairs(self, mask: int, keep: int = 0) -> list[tuple[int, int]]:
         """``(free, coface)`` pairs of the state avoiding ``keep``, by ascending free cell."""
+        coface_mask = self.coface_mask
         out = []
         for i in _bits(mask & ~keep):
-            cof = [j for j in self.coface_lists[i] if mask >> j & 1]
-            if len(cof) == 1 and not keep >> cof[0] & 1:
-                out.append((i, cof[0]))
+            cof = coface_mask[i] & mask
+            # exactly one coface in the state, and not one to keep
+            if cof and not cof & (cof - 1 | keep):
+                out.append((i, cof.bit_length() - 1))
         return out
 
     def collapse_search(

@@ -4,15 +4,18 @@
 the answer is a critical value; ``check_minmax_data`` verifies exhaustively
 that a family really is min-max data (closure under every map, and a
 sublevel-shrinking map across every regular value).  The mountain-pass and
-category machineries build concrete instances of that shape.  The category
-searches run on the complex's own ``CellIndex`` (see ``search_index``), so
-``dgcat`` followed by ``ls_minmax`` on one complex shares every memo.
+category machineries build concrete instances of that shape, and both take
+their values from ``minmax_value``: the Lusternik-Schnirelmann values of
+``ls_minmax`` are its value on the same depth-k family that ``ls_instance``
+returns.  The category searches run on the complex's own ``CellIndex`` (see
+``search_index``), so ``dgcat`` followed by ``ls_minmax`` on one complex
+shares every memo; ``dgcat`` of an empty subcomplex raises ``EmptyInput``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Iterable, Mapping
 
@@ -33,6 +36,7 @@ from .errors import (
     ComplexMismatch,
     DeformationViolated,
     EmptyFamily,
+    EmptyInput,
     NoPathExists,
     NotLocalMinima,
     PreconditionViolated,
@@ -40,7 +44,7 @@ from .errors import (
     SimplexNotInComplex,
     TheoremViolation,
 )
-from .flow import FlowOperator, flow_image, flow_image_closure
+from .flow import FlowOperator, flow_image
 from .morse import (
     GradientField,
     MorseFunction,
@@ -60,7 +64,6 @@ class MinMaxInstance:
     function: MorseFunction
     maps: Mapping[str, SetMap]
     family: list[frozenset[Simplex]]
-    witness: "MinMaxReport | None" = dataclass_field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -139,9 +142,7 @@ def check_minmax_data(instance: MinMaxInstance) -> MinMaxReport:
                 break
         else:
             raise DeformationViolated(a)
-    report = MinMaxReport(checked, eps, witnesses)
-    instance.witness = report
-    return report
+    return MinMaxReport(checked, eps, witnesses)
 
 
 @dataclass(frozen=True)
@@ -392,6 +393,8 @@ def dgcat(
     target = complex if sub is None else sub
     if not is_subcomplex(target, complex):
         raise ComplexMismatch("the second complex is not a subcomplex of the first")
+    if not target.simplices:
+        raise EmptyInput("the discrete category of an empty complex is undefined")
     index = search_index(complex, max_enum)
     start = index.mask_of(target.simplices)
     value, _, chosen = index.category(start)
@@ -431,12 +434,14 @@ def _level_masks(work: MorseFunction, index: CellIndex) -> list[int]:
     return masks
 
 
-def _family_masks(work: MorseFunction, index: CellIndex, k: int) -> set[int]:
+def _ls_family(work: MorseFunction, index: CellIndex, k: int) -> list[frozenset[Simplex]]:
+    """The depth-``k`` family: every collapse of a level subcomplex whose
+    ambient category is at least ``k - 1``, as cell sets sorted by mask."""
     members: set[int] = set()
     for mask in _level_masks(work, index):
         if index.category(mask)[0] >= k - 1:
             members.update(index.reachable(mask))
-    return members
+    return [frozenset(index.cells_of(m)) for m in sorted(members)]
 
 
 def ls_minmax(
@@ -444,33 +449,17 @@ def ls_minmax(
 ) -> list[tuple[int, float]]:
     """Category-filtered min-max values, one per depth up to dgcat + 1.
 
-    The depth-``k`` family holds every collapse of a level subcomplex whose
-    ambient category is at least ``k - 1``; each returned value is asserted
-    to be critical.
+    Each depth's value is ``minmax_value`` of the depth-``k`` family that
+    ``ls_instance`` returns, so it is asserted to be critical; the reported
+    value is ``f`` of the witness member's top cell, which keeps the original
+    value on non-injective input.
     """
     work = f if f.is_injective() else make_injective(f)
     index = search_index(f.complex, max_enum)
-    top = index.category(index.full)[0]
-    crit = critical_cells(f)
     out: list[tuple[int, float]] = []
-    max_cell_cache: dict[int, Simplex] = {}
-
-    def max_cell(mask: int) -> Simplex:
-        cached = max_cell_cache.get(mask)
-        if cached is None:
-            cached = max(index.cells_of(mask), key=work)
-            max_cell_cache[mask] = cached
-        return cached
-
-    for k in range(1, top + 2):
-        members = _family_masks(work, index, k)
-        if not members:
-            raise EmptyFamily(f"the depth-{k} family is empty")
-        best = min((m for m in members), key=lambda m: (work(max_cell(m)), m.bit_count(), m))
-        cell = max_cell(best)
-        if cell not in crit:
-            raise TheoremViolation(f"depth-{k} min-max value {f(cell)} is not critical")
-        out.append((k, f(cell)))
+    for k in range(1, index.category(index.full)[0] + 2):
+        _, member = minmax_value(MinMaxInstance(work, {}, _ls_family(work, index, k)))
+        out.append((k, f(max(member, key=work))))
     return out
 
 
@@ -486,12 +475,7 @@ def ls_instance(
     """The depth-``k`` family paired with the flow-closure map."""
     work = f if f.is_injective() else make_injective(f)
     index = search_index(f.complex, max_enum)
-    members = _family_masks(work, index, k)
-    family = [frozenset(index.cells_of(m)) for m in sorted(members)]
     operator = FlowOperator(work)
-    maps = {
-        "flow_closure": lambda cells: frozenset(
-            flow_image_closure(operator, cells).simplices
-        )
-    }
-    return MinMaxInstance(work, maps, family)
+    closure = work.complex._closure
+    maps = {"flow_closure": lambda cells: frozenset(closure(flow_image(operator, cells)))}
+    return MinMaxInstance(work, maps, _ls_family(work, index, k))

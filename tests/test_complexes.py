@@ -26,6 +26,7 @@ from morseflow.errors import (
     SimplexNotInComplex,
     TooLargeForEnumeration,
 )
+from morseflow.complexes import search_index
 from conftest import random_complex, random_instance, torus
 
 
@@ -256,6 +257,38 @@ class TestSubcomplexEnumeration:
         assert (info.value.size, info.value.bound) == (15, 14)
         assert str(info.value) == "15 simplices exceeds the enumeration bound 14"
         assert len(list(subcomplexes_of(big, max_enum=15))) > 0
+
+
+def _free_pairs_by_lists(index, coface_lists, mask, keep):
+    """``CellIndex.free_pairs`` as it read per-cell coface lists, before coface masks."""
+    out = []
+    for i in range(len(index.cells)):
+        if not (mask & ~keep) >> i & 1:
+            continue
+        cof = [j for j in coface_lists[i] if mask >> j & 1]
+        if len(cof) == 1 and not keep >> cof[0] & 1:
+            out.append((i, cof[0]))
+    return out
+
+
+class TestCellIndex:
+    def test_free_pairs_match_the_coface_list_version(self):
+        rng = random.Random(11)
+        states = 0
+        for seed in range(200):
+            complex, _ = random_instance(seed)
+            if len(complex) > 14:
+                continue
+            index = search_index(complex, 14)
+            coface_lists = [
+                [index.position[t] for t in complex.cofaces_of(c)] for c in index.cells
+            ]
+            for mask in index.reachable(index.full):
+                for keep in (0, rng.getrandbits(len(complex))):
+                    expected = _free_pairs_by_lists(index, coface_lists, mask, keep)
+                    assert index.free_pairs(mask, keep) == expected
+                states += 1
+        assert states > 500
 
 
 class TestHomologyAgainstIndependentOracles:

@@ -20,6 +20,7 @@ from morseflow import (
     build_complex,
     check_minmax_data,
     collapses_to,
+    critical_cells,
     critical_values,
     dgcat,
     enumerate_paths,
@@ -29,6 +30,7 @@ from morseflow import (
     is_connected,
     level_subcomplex,
     component_count,
+    make_injective,
     ls_bound_check,
     ls_instance,
     ls_minmax,
@@ -40,11 +42,13 @@ from morseflow import (
     subcomplexes_of,
     validate,
 )
-from morseflow.complexes import CellIndex
+from morseflow import minmax
+from morseflow.complexes import CellIndex, search_index
 from morseflow.errors import (
     ComplexMismatch,
     DeformationViolated,
     EmptyFamily,
+    EmptyInput,
     NoPathExists,
     NotACriticalVertex,
     NotLocalMinima,
@@ -413,6 +417,13 @@ class TestCategory:
         assert result.category == 0
         result.collapse_witness.replay()
 
+    def test_empty_subcomplex_rejected(self):
+        complex = build_complex([(0, 1), (1, 2)])
+        # Before the enumeration bound too.
+        for max_enum in (14, 1):
+            with pytest.raises(EmptyInput):
+                dgcat(complex, SimplicialComplex([]), max_enum=max_enum)
+
 
 class TestLsMinmax:
     def test_triangle(self, triangle_function):
@@ -439,6 +450,95 @@ class TestLsMinmax:
     def test_depth_one_value_is_the_global_minimum(self, double_well, circle_function):
         for f in (double_well, circle_function):
             assert ls_minmax(f)[0] == (1, min(f.values.values()))
+
+
+def _ls_minmax_before_the_engine(f, max_enum=14):
+    """``ls_minmax`` as it stood before it went through ``minmax_value``: its own
+    minimum over the depth-k family's masks, with each mask's top cell cached."""
+    work = f if f.is_injective() else make_injective(f)
+    index = search_index(f.complex, max_enum)
+    top = index.category(index.full)[0]
+    crit = critical_cells(f)
+    out = []
+    max_cell_cache = {}
+
+    def max_cell(mask):
+        if mask not in max_cell_cache:
+            max_cell_cache[mask] = max(index.cells_of(mask), key=work)
+        return max_cell_cache[mask]
+
+    for k in range(1, top + 2):
+        members = set()
+        for mask in minmax._level_masks(work, index):
+            if index.category(mask)[0] >= k - 1:
+                members.update(index.reachable(mask))
+        if not members:
+            raise EmptyFamily(f"the depth-{k} family is empty")
+        best = min(members, key=lambda m: (work(max_cell(m)), m.bit_count(), m))
+        cell = max_cell(best)
+        if cell not in crit:
+            raise TheoremViolation(f"depth-{k} min-max value {f(cell)} is not critical")
+        out.append((k, f(cell)))
+    return out
+
+
+class TestLsThroughTheEngine:
+    """The LS values are ``minmax_value`` of the family ``ls_instance`` returns."""
+
+    def test_one_minmax_value_per_depth_on_the_ls_instance_family(
+        self, monkeypatch, triangle_function, circle_function, double_well
+    ):
+        families = []
+        evaluate = minmax.minmax_value
+
+        def counting(instance):
+            families.append(instance.family)
+            return evaluate(instance)
+
+        monkeypatch.setattr(minmax, "minmax_value", counting)
+        for f in (triangle_function, circle_function, double_well):
+            families.clear()
+            values = ls_minmax(f)
+            assert families == [ls_instance(f, k).family for k, _ in values]
+
+    def test_matches_the_pre_change_version_on_random_instances(self):
+        checked = 0
+        for seed in range(300):
+            complex, f = random_instance(seed)
+            if len(complex) <= 14:
+                assert ls_minmax(f) == _ls_minmax_before_the_engine(f)
+                checked += 1
+        assert checked > 150
+
+    def test_matches_the_pre_change_version_on_non_injective_functions(self):
+        tied = [validate(build_complex([(0, 1)]), {(0,): 0, (1,): 1, (0, 1): 1})]
+        for seed in range(50):
+            complex, f = random_instance(seed)
+            if len(complex) <= 14:
+                # Still a Morse function (its pairs are some of f's), with ties.
+                tied.append(validate(complex, {c: v // 3 + len(c) for c, v in f.values.items()}))
+        assert sum(not f.is_injective() for f in tied) > 20
+        for f in tied:
+            assert ls_minmax(f) == _ls_minmax_before_the_engine(f)
+
+    def test_flow_closure_builds_no_complex_per_member(self, monkeypatch, double_well):
+        calls = []
+        sub = SimplicialComplex._sub
+
+        def counting(complex, cells):
+            calls.append(len(cells))
+            return sub(complex, cells)
+
+        monkeypatch.setattr(SimplicialComplex, "_sub", counting)
+        report = check_minmax_data(ls_instance(double_well, 1))
+        assert report.closure_checked > 0
+        assert calls == []
+
+    def test_checking_leaves_the_instance_as_it_was(self, circle_function):
+        instance = ls_instance(circle_function, 1)
+        before = dict(vars(instance))
+        check_minmax_data(instance)
+        assert vars(instance) == before
 
 
 class TestSquareCycle:
