@@ -5,10 +5,10 @@ pairs (identity plus boundary-of-gradient plus gradient-of-boundary) and kept
 as a plain zero-free row ``{cell: coefficient}``; ``flow_of`` wraps a row in a
 ``Chain`` on demand, and ``flow_image`` unions the rows directly.
 ``flow_matrix`` rebuilds the same data by sparse matrix composition over the
-face index, reading the gradient map from the field's matching rather than
-from any table of the operator; the two routes are cross-checked in
-``check_flow_matrix``, whose row check also takes matrix rows a caller has
-already built.
+face index, with a gradient table built from the field's pairs, not the
+operator's, and boundary signs read from face positions; the two routes are
+cross-checked in ``check_flow_matrix``, whose row check also takes matrix
+rows a caller has already built.
 
 Coefficients are Python integers, so arithmetic is exact at any size.
 """
@@ -92,30 +92,34 @@ def flow_matrix(operator: FlowOperator, p: int) -> dict[Simplex, dict[Simplex, i
     """Rows of the dimension-``p`` flow, built by sparse matrix composition.
 
     ``rows[s][t]`` is the coefficient of ``t`` in the flowed ``s``; zero
-    entries are dropped.
+    entries are dropped.  The gradient map on dimensions ``p - 1`` and ``p``
+    is one table ``lower -> (upper, coefficient)`` from the field's pairs, and
+    face ``j`` of an ``n``-vertex cell omits vertex ``n - 1 - j``, so its
+    boundary sign is ``(-1)**(n - 1 - j)``.
     """
     complex = operator.complex
     if not 0 <= p <= complex.dim:
         raise ValueError(f"dimension {p} is outside 0..{complex.dim}")
-
-    def boundary_row(cell: Simplex) -> dict[Simplex, int]:
-        return {face: incidence_sign(cell, face) for face in complex.faces_of(cell)}
-
-    up = operator.field.up
-
-    def gradient_row(cell: Simplex) -> dict[Simplex, int]:
-        upper = up.get(cell)
-        return {} if upper is None else {upper: -incidence_sign(upper, cell)}
-
+    gradient = {
+        lower: (upper, -incidence_sign(upper, lower))
+        for lower, upper in operator.field.pairs
+        if p <= len(lower) <= p + 1
+    }
     rows: dict[Simplex, dict[Simplex, int]] = {}
     for cell in complex.cells_of_dim(p):
         acc: dict[Simplex, int] = {cell: 1}
-        for mid, vc in gradient_row(cell).items():
-            for target, bc in boundary_row(mid).items():
+        if cell in gradient:
+            upper, vc = gradient[cell]
+            bc = 1 if len(upper) % 2 else -1  # face 0 omits the last vertex
+            for target in complex.faces_of(upper):
                 acc[target] = acc.get(target, 0) + vc * bc
-        for face, bc in boundary_row(cell).items():
-            for target, vc in gradient_row(face).items():
+                bc = -bc
+        bc = 1 if len(cell) % 2 else -1
+        for face in complex.faces_of(cell):
+            if face in gradient:
+                target, vc = gradient[face]
                 acc[target] = acc.get(target, 0) + bc * vc
+            bc = -bc
         rows[cell] = {s: c for s, c in acc.items() if c}
     return rows
 

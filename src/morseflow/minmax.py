@@ -196,13 +196,15 @@ def enumerate_paths(
 
     Paths are vertex-simple and avoid every critical vertex other than the
     two endpoints, and once a path touches the basin its remaining edge
-    values must strictly decrease.  One depth-first walk with an explicit
-    stack enforces all three rules as it extends a path, so no prefix that
-    breaks one is ever extended: a broken tail stays broken, because the
-    tail starts at the first basin vertex.  The pruning keeps the walk off
-    dead prefixes, but the number of admissible paths (and so the output)
-    can still grow exponentially with the size of the complex.  Paths come
-    back sorted by length, then by their edges.
+    values must strictly decrease.  One backtracking walk extends a single
+    path (an edge list and a visited set, both popped on the way back) and
+    enforces all three rules as it extends, so no prefix that breaks one is
+    ever extended: a broken tail stays broken, because the tail starts at
+    the first basin vertex.  The number of admissible paths (and so the
+    output) can still grow exponentially with the size of the complex.
+    Cofaces are tried in canonical order, so paths are found in order of
+    their edges, and a stable sort by length returns them sorted by length,
+    then by their edges.
     """
     v1 = as_simplex(high)
     v0 = as_simplex(low)
@@ -223,32 +225,37 @@ def enumerate_paths(
         )
     basin_vertices = frozenset(basin(field, f, v0).cells.cells_of_dim(0))
     blocked = {c for c in crit if c.dim == 0 and c != v0}
-    values, faces_of, cofaces_of = f.values, complex.faces_of, complex.cofaces_of
-    result: list[EdgePath] = []
-    # (vertex, visited vertices, edges so far, last edge value once in the basin)
-    stack = [(v1, frozenset({v1}), (), None)]
+    values, faces_of = f.values, complex.faces_of
+    # Each vertex's steps, in canonical edge order: (edge, far end, value, far end in basin).
+    steps: dict[Simplex, list[tuple]] = {v: [] for v in complex.vertices}
+    for edge in complex.cells_of_dim(1):
+        a, b = faces_of(edge)
+        for near, far in ((a, b), (b, a)):
+            if far not in blocked:
+                steps[near].append((edge, far, values[edge], far in basin_vertices))
+    path, visited, found = [], {v1}, []
+    # (steps left to try, vertex reached, last edge value once in the basin)
+    stack = [(iter(steps[v1]), v1, None)]
     while stack:
-        cur, visited, edges, tail = stack.pop()
-        for edge in cofaces_of(cur):
-            value = values[edge]
-            if tail is not None and value >= tail:
+        todo, _, tail = stack[-1]
+        for edge, far, value, in_basin in todo:
+            if far in visited or (tail is not None and value >= tail):
                 continue
-            a, b = faces_of(edge)
-            nxt = b if a == cur else a
-            if nxt in visited or nxt in blocked:
-                continue
-            extended = edges + (edge,)
-            in_basin = nxt in basin_vertices
+            path.append(edge)
+            visited.add(far)
             if in_basin:
-                result.append(EdgePath(v1, extended, v0))
-            entered = tail is not None or in_basin
-            stack.append((nxt, visited | {nxt}, extended, value if entered else None))
-    if not result:
+                found.append(tuple(path))
+            stack.append((iter(steps[far]), far, value if in_basin or tail is not None else None))
+            break
+        else:
+            visited.discard(stack.pop()[1])
+            del path[-1:]  # empty when the start vertex's steps run out
+    if not found:
         raise NoPathExists(
             f"no admissible edge path from {tuple(v1)} to the basin of {tuple(v0)}"
         )
-    result.sort(key=lambda p: (len(p.edges), p.edges))
-    return result
+    found.sort(key=len)
+    return [EdgePath(v1, edges, v0) for edges in found]
 
 
 def flow_path(operator: FlowOperator, path: EdgePath) -> EdgePath:
@@ -299,17 +306,37 @@ class MountainPassResult:
     instance: MinMaxInstance
 
 
+def _flow_images(operator: FlowOperator) -> SetMap:
+    """``flow_image`` of ``operator``, computed once per distinct cell set and,
+    like ``flow_image``, taking any iterable of cells.  Each distinct set it
+    keeps, given or returned, is one shared object, so a family and the
+    images of its members are stored once."""
+    images, shared = {}, {}  # set -> its image; set -> the one object for its value
+
+    def flow(cells: Iterable) -> frozenset[Simplex]:
+        cells = frozenset(cells)
+        image = images.get(cells)
+        if image is None:
+            image = flow_image(operator, cells)
+            cells = shared.setdefault(cells, cells)  # first: a set can be its own image
+            images[cells] = image = shared.setdefault(image, image)
+        return image
+
+    return flow
+
+
 def _orbit_closure(
-    operator: FlowOperator, seeds: Iterable[frozenset[Simplex]]
+    flow: SetMap, complex: SimplicialComplex, seeds: Iterable[frozenset[Simplex]]
 ) -> tuple[list[frozenset[Simplex]], dict[frozenset[Simplex], int]]:
     """The seeds together with all their forward images under the flow map.
 
-    The image map is deterministic, so each walk stops as soon as it meets a
-    set already in the family; the result is closed under the flow map by
-    construction.  Returns the family, sorted by size and then by cells, and
-    ``origin``, which maps each member to the index of the first seed whose
-    orbit reaches it: a walk that stops early meets a member whose whole
-    forward orbit an earlier seed has already claimed.
+    The image map ``flow`` (see ``_flow_images``) is deterministic, so each
+    walk stops as soon as it meets a set already in the family; the result
+    is closed under the flow map by construction.  Returns the family,
+    sorted by size and then by cells, and ``origin``, which maps each member
+    to the index of the first seed whose orbit reaches it: a walk that stops
+    early meets a member whose whole forward orbit an earlier seed has
+    already claimed.
 
     Members of one size are ordered by their sorted canonical positions.
     With path seeds every member holds exactly one vertex (the flow sends a
@@ -325,9 +352,9 @@ def _orbit_closure(
         current = seed
         while current not in origin:
             origin[current] = i
-            current = flow_image(operator, current)
-    n = len(operator.complex)
-    weight = {c: 1 << (n - 1 - i) for i, c in enumerate(operator.complex)}.__getitem__
+            current = flow(current)
+    n = len(complex)
+    weight = {c: 1 << (n - 1 - i) for i, c in enumerate(complex)}.__getitem__
     family = sorted(origin, key=lambda m: (len(m), -sum(map(weight, m))))
     return family, origin
 
@@ -342,18 +369,17 @@ def mountain_pass(f: MorseFunction, high, low) -> MountainPassResult:
     always a critical edge value strictly above the higher minimum.  The
     witness is the first enumerated path, in ``enumerate_paths`` order,
     whose flow orbit reaches the member that attains the value; the orbit
-    closure records that path's index for every member.  Non-injective
-    input is re-ranked first; the reported value is the original value of
-    the ridge edge.
+    closure records that path's index for every member.  The instance's
+    ``"flow"`` map is the closure's own, which keeps every member's image for
+    ``check_minmax_data``.  Non-injective input is re-ranked first; the
+    reported value is the original value of the ridge edge.
     """
     work = f if f.is_injective() else make_injective(f)
     field = gradient_field(work)
     paths = enumerate_paths(work, field, high, low)
-    operator = FlowOperator(work, field)
-    family, origin = _orbit_closure(operator, [p.cells() for p in paths])
-    instance = MinMaxInstance(
-        work, {"flow": lambda cells: flow_image(operator, cells)}, family
-    )
+    flow = _flow_images(FlowOperator(work, field))
+    family, origin = _orbit_closure(flow, work.complex, [p.cells() for p in paths])
+    instance = MinMaxInstance(work, {"flow": flow}, family)
     value_work, witness_cells = minmax_value(instance)
     ridge = max(witness_cells, key=work)
     if ridge.dim != 1 or ridge not in field.critical:

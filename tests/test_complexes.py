@@ -14,10 +14,12 @@ from morseflow import (
     boundary,
     build_complex,
     component_count,
+    emit_scx,
     euler_characteristic,
     incidence_sign,
     is_connected,
     is_subcomplex,
+    parse_scx,
     subcomplexes_of,
 )
 from morseflow.errors import (
@@ -157,6 +159,17 @@ class TestBoundary:
                         assert _outcome(incidence_sign, coface, face) == _outcome(
                             incidence_sign_by_sets, coface, face
                         )
+
+    def test_face_position_gives_the_sign(self):
+        """Face ``j`` of an ``n``-vertex cell has sign ``(-1)**(n - 1 - j)``,
+        which ``flow_matrix`` reads from the face position alone."""
+        built = [torus(4)] + [random_instance(seed)[0] for seed in range(40)]
+        parsed = [parse_scx(emit_scx(k, f))[0] for k, f in map(random_instance, range(20))]
+        subs = [k.closure_of(list(k)[len(k) // 2 :]) for k in built]
+        for k in built + parsed + subs:
+            for cell in k:
+                for j, face in enumerate(k.faces_of(cell)):
+                    assert incidence_sign(cell, face) == (-1) ** (len(cell) - 1 - j)
 
     @pytest.mark.parametrize(
         "coface, face",

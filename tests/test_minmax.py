@@ -16,6 +16,7 @@ from morseflow import (
     MinMaxInstance,
     Simplex,
     SimplicialComplex,
+    basin,
     basin_maximality_report,
     build_complex,
     check_minmax_data,
@@ -286,6 +287,100 @@ class TestPathsAgainstRules:
                 found += self._check(f, high, low)
                 checked += 1
         assert checked >= 100 and found > 0
+
+
+def _paths_by_stack_walk(f, field, high, low):
+    """The enumerator before the backtracking walk, kept as its oracle.
+
+    Every stack entry carries its own frozenset of visited vertices and its
+    own edge tuple, and the paths are sorted by ``(len(edges), edges)`` at
+    the end.
+    """
+    v1, v0 = Simplex(high), Simplex(low)
+    complex, crit = f.complex, field.critical
+    if (
+        v1 not in complex
+        or v0 not in complex
+        or v1.dim != 0
+        or v0.dim != 0
+        or v1 == v0
+        or v1 not in crit
+        or v0 not in crit
+        or not f(v0) < f(v1)
+    ):
+        raise NotLocalMinima(
+            f"need two distinct critical vertices with f({tuple(v0)}) < f({tuple(v1)})"
+        )
+    basin_vertices = frozenset(basin(field, f, v0).cells.cells_of_dim(0))
+    blocked = {c for c in crit if c.dim == 0 and c != v0}
+    result = []
+    stack = [(v1, frozenset({v1}), (), None)]
+    while stack:
+        cur, visited, edges, tail = stack.pop()
+        for edge in complex.cofaces_of(cur):
+            value = f.values[edge]
+            if tail is not None and value >= tail:
+                continue
+            a, b = complex.faces_of(edge)
+            nxt = b if a == cur else a
+            if nxt in visited or nxt in blocked:
+                continue
+            extended = edges + (edge,)
+            in_basin = nxt in basin_vertices
+            if in_basin:
+                result.append(EdgePath(v1, extended, v0))
+            entered = tail is not None or in_basin
+            stack.append((nxt, visited | {nxt}, extended, value if entered else None))
+    if not result:
+        raise NoPathExists(
+            f"no admissible edge path from {tuple(v1)} to the basin of {tuple(v0)}"
+        )
+    result.sort(key=lambda p: (len(p.edges), p.edges))
+    return result
+
+
+def _outcome(walk, f, field, high, low):
+    try:
+        return walk(f, field, high, low)
+    except (NoPathExists, NotLocalMinima) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def grid4_functions():
+    """``random_morse`` on the 4 x 4 vertex grid, each square cut along a diagonal."""
+    triangles = []
+    for a in (0, 1, 2, 4, 5, 6, 8, 9, 10):
+        triangles += [(a, a + 4, a + 5), (a, a + 1, a + 5)]
+    grid = build_complex(triangles)
+    return [random_morse(grid, seed) for seed in range(25)]
+
+
+class TestBacktrackingAgainstStackWalk:
+    """``enumerate_paths`` against the stack walk it replaced: the same paths
+    in the same order, and the same errors."""
+
+    def _check(self, f):
+        field = gradient_field(f)
+        vertices = [v[0] for v in f.complex.vertices]
+        counts = {list: 0, NoPathExists: 0, NotLocalMinima: 0}
+        for high in vertices:
+            for low in vertices:
+                expected = _outcome(_paths_by_stack_walk, f, field, (high,), (low,))
+                assert _outcome(enumerate_paths, f, field, (high,), (low,)) == expected
+                counts[expected[0] if isinstance(expected, tuple) else list] += 1
+        return counts
+
+    def test_fixtures(self, p3_function, double_well):
+        assert self._check(p3_function)[list] == 1
+        assert self._check(double_well)[list] == 1
+
+    def test_every_vertex_pair_on_grids(self, grid_functions, grid4_functions):
+        totals = {list: 0, NoPathExists: 0, NotLocalMinima: 0}
+        for f in grid_functions + grid4_functions:
+            for kind, n in self._check(f).items():
+                totals[kind] += n
+        assert totals[list] >= 150 and totals[NoPathExists] > 0, totals
 
 
 def _first_path_reaching(result):
@@ -809,3 +904,55 @@ class TestDeformationAgainstScan:
             self._check(result)
             checked += 1
         assert checked >= 50
+
+
+def _regular_value_count(f):
+    return len(set(f.sorted_distinct_values()) - set(critical_values(f)))
+
+
+class TestFlowImageMap:
+    """The mountain-pass instance's ``"flow"`` map: ``flow_image`` computed once
+    per distinct cell set, with one shared object per distinct set."""
+
+    def test_checking_computes_no_member_image_again(
+        self, monkeypatch, grid_functions, double_well
+    ):
+        results = [mountain_pass(double_well, (3,), (0,)), *_grid_passes(grid_functions)]
+        calls = []
+        real = minmax.flow_image
+
+        def counting(operator, cells):
+            calls.append(1)
+            return real(operator, cells)
+
+        monkeypatch.setattr(minmax, "flow_image", counting)
+        for result in results:
+            calls.clear()
+            check_minmax_data(result.instance)
+            assert len(calls) <= _regular_value_count(result.instance.function)
+
+    def test_report_equals_the_report_without_the_cache(self, grid_functions):
+        checked = 0
+        for result in _grid_passes(grid_functions):
+            instance = result.instance
+            operator = FlowOperator(instance.function)
+            plain = {"flow": lambda cells: flow_image(operator, cells)}
+            uncached = MinMaxInstance(instance.function, plain, list(instance.family))
+            assert check_minmax_data(instance) == check_minmax_data(uncached)
+            checked += 1
+        assert checked >= 50
+
+    def test_images_are_flow_images_and_shared(self, grid_functions, double_well):
+        results = [mountain_pass(double_well, (3,), (0,)), *_grid_passes(grid_functions)]
+        for result in results:
+            flow, family = result.instance.maps["flow"], result.instance.family
+            operator = FlowOperator(result.instance.function)
+            members = {id(m) for m in family}
+            for member in family:
+                image = flow(member)
+                assert image == flow_image(operator, member)
+                # The image is the family's own member, and equal inputs,
+                # in any iterable, give the identical object.
+                assert id(image) in members
+                assert flow(frozenset(list(member))) is image
+                assert flow(sorted(member, key=simplex_key)) is image
