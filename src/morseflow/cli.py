@@ -129,7 +129,7 @@ def _cmd_levels(args):
         "closure": _listed(level.complex),
     }
     if args.to is not None:
-        seq = verify_dmt_a(f, args.level, args.to, bottom=level.complex)
+        seq = verify_dmt_a(f, args.level, args.to)
         out["collapse"] = {
             "to": args.to,
             "pairs": [[list(a), list(b)] for a, b in seq.pairs],

@@ -8,6 +8,12 @@ Replay is one pass that checks every step against the live cells and their
 live-coface counts, then compares what is left with the recorded end once.
 It reads the complex's own incidence, not the complex's search index
 (``CellIndex``), so search witnesses are checked by separate code.
+
+A level subcomplex is the sublevel set plus the matched lower faces of its
+cells (Forman's level-subcomplex structure), which holds for a function
+from ``validate``; every verifier gets its levels from ``level_subcomplex``,
+and the function keeps each level it builds, at most one per distinct value
+plus the empty one.
 """
 
 from __future__ import annotations
@@ -48,43 +54,65 @@ class FiltrationLevel:
 
 
 def level_subcomplex(f: MorseFunction, threshold: float) -> FiltrationLevel:
-    """Cells valued at most the threshold, together with their face closure."""
-    sub = frozenset([c for c, value in f.values.items() if value <= threshold])
-    return FiltrationLevel(float(threshold), sub, f.complex.closure_of(sub))
+    """Cells valued at most the threshold, together with their face closure.
+
+    ``f`` must come from ``validate``.  Then the closure adds only the
+    matched lower faces ``down[s]`` of sublevel cells ``s``: a face ``r`` of
+    ``s`` with ``f(s) <= a < f(r)`` is ``down[s]`` if it has codimension 1,
+    and otherwise lies in two codimension-1 faces of ``s``, at most one of
+    them valued at least ``f(s)``, so the other is a sublevel cell that
+    has ``r`` as a face of lower codimension.  Sublevel sets of one function
+    are nested, so their size names them: ``f`` keeps each level it builds
+    under that size, at most one per distinct value plus the empty one, and
+    thresholds in one value gap share one complex.
+    """
+    sub = [c for c, value in f.values.items() if value <= threshold]
+    known = f._levels.get(len(sub))
+    if known is None:
+        down = f.field.down
+        cells = set(sub)
+        cells.update([down[c] for c in sub if c in down])
+        known = f._levels[len(sub)] = (frozenset(sub), f.complex._sub(cells))
+    return FiltrationLevel(float(threshold), *known)
 
 
 def _collapse_pairs(start: SimplicialComplex, pairs: Iterable[tuple]) -> set[Simplex]:
     """Remove the pairs from ``start`` in order, checking each step; the cells left.
 
     Every step must be an elementary collapse of the cells still live, with
-    the errors and messages of ``elementary_collapse``.
+    the errors and messages of ``elementary_collapse``.  Once both cells are
+    live, the free cell is a codimension-1 face of the coface exactly when it
+    is among the coface's faces.
     """
-    live = set(start.simplices)
+    faces, cofaces = start._faces, start._cofaces
+    live = set(start._cells)
     live_cofaces: dict[Simplex, int] = {}
     for free, coface in pairs:
-        free = as_simplex(free)
-        coface = as_simplex(coface)
+        if not isinstance(free, Simplex):
+            free = Simplex(free)
+        if not isinstance(coface, Simplex):
+            coface = Simplex(coface)
         if free not in live or coface not in live:
             raise SimplexNotInComplex(
                 f"({free!r}, {coface!r}) is not a pair of cells of the complex"
             )
-        if coface.dim != free.dim + 1 or not set(free) < set(coface):
+        if free not in faces[coface]:
             raise NotFreeFace(
                 free, coface, f"{coface!r} is not a codimension-1 coface of {free!r}"
             )
-        if live_cofaces.get(free, len(start.cofaces_of(free))) != 1:
-            cofs = [tuple(c) for c in start.cofaces_of(free) if c in live]
+        if live_cofaces.get(free, len(cofaces[free])) != 1:
+            cofs = [tuple(c) for c in cofaces[free] if c in live]
             raise NotFreeFace(free, coface, f"{free!r} has cofaces {cofs}, so it is not free")
         for cell in (free, coface):
             live.remove(cell)
-            for t in start.faces_of(cell):
-                live_cofaces[t] = live_cofaces.get(t, len(start.cofaces_of(t))) - 1
+            for t in faces[cell]:
+                live_cofaces[t] = live_cofaces.get(t, len(cofaces[t])) - 1
     return live
 
 
 def elementary_collapse(complex: SimplicialComplex, free, coface) -> SimplicialComplex:
     """Remove a free face and its unique coface; raises ``NotFreeFace`` otherwise."""
-    return SimplicialComplex(_collapse_pairs(complex, [(free, coface)]))
+    return complex._sub(_collapse_pairs(complex, [(free, coface)]))
 
 
 @dataclass(frozen=True)
@@ -188,8 +216,9 @@ def verify_dmt_a(
 
     Requires a critical-value-free window ``(a, b]``; the cells in between
     then split into matched pairs, removed in decreasing value order.  A
-    caller that holds ``level_subcomplex(f, a).complex`` passes it as
-    ``bottom`` so it is not built twice.
+    given ``field`` must be ``f``'s, else ``ComplexMismatch``; a given
+    ``bottom`` must be ``level_subcomplex(f, a).complex``, which ``f`` keeps
+    once built anyway.
     """
     if not a < b:
         raise PreconditionViolated(f"need a < b, got a={a}, b={b}")
@@ -198,6 +227,8 @@ def verify_dmt_a(
         raise CriticalValueInWindow(f"critical values {inside} lie in ({a}, {b}]")
     if field is None:
         field = gradient_field(f)
+    elif field is not f.field and field != f.field:
+        raise ComplexMismatch("the field is not the gradient field of the function")
     top = level_subcomplex(f, b).complex
     if bottom is None:
         bottom = level_subcomplex(f, a).complex
@@ -280,8 +311,9 @@ def basin(field: GradientField, f: MorseFunction, vertex) -> Basin:
                 depth[u] = d
                 pairs.append((u, edge))
     pairs.sort(key=lambda p: (-depth[p[0]], simplex_key(p[0])))
-    sub = SimplicialComplex(members + [edge for _, edge in pairs])
-    target = SimplicialComplex([v])
+    faces = field.complex._faces
+    sub = SimplicialComplex._from_faces({c: faces[c] for c in members + [e for _, e in pairs]})
+    target = SimplicialComplex._from_faces({v: ()})
     witness = CollapseSequence(sub, target, tuple(pairs))
     witness.replay()
     return Basin(v, sub, witness)
@@ -300,7 +332,7 @@ def maximal_collapsible_to(
         raise NotACriticalVertex(f"{v!r} is not a vertex of the complex")
     index = search_index(complex, max_enum)
     states = index.expansions(1 << index.position[v])
-    return [SimplicialComplex(index.cells_of(m)) for m in index.maximal(states)]
+    return [complex._sub(set(index.cells_of(m))) for m in index.maximal(states)]
 
 
 @dataclass(frozen=True)

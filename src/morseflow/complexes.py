@@ -525,7 +525,7 @@ def subcomplexes_of(
     index = search_index(complex, max_enum)
     for mask in range(1 << len(complex)):
         if index.is_closed(mask):
-            yield SimplicialComplex(index.cells_of(mask))
+            yield complex._sub(set(index.cells_of(mask)))
 
 
 def euler_characteristic(complex: SimplicialComplex) -> int:

@@ -186,10 +186,13 @@ def verify_flow_collapse(
     """Certified collapse of a level subcomplex onto its flow-image closure.
 
     The cells dropped by the flow split into matched pairs, removed in
-    decreasing value order exactly as in the window verifier.
+    decreasing value order exactly as in the window verifier.  A given
+    operator must carry ``f``'s field, else ``ComplexMismatch``.
     """
     if operator is None:
         operator = FlowOperator(f)
+    elif operator.field is not f.field and operator.field != f.field:
+        raise ComplexMismatch("the operator's field is not the gradient field of the function")
     top = level_subcomplex(f, threshold).complex
     image = flow_image_closure(operator, top.simplices)
     pairs = pair_off_removable(operator.field, top.simplices - image.simplices)

@@ -426,11 +426,11 @@ def dgcat(
     value, _, chosen = index.category(start)
     pieces = []
     for fam in index.cover_witness(chosen, value + 1):
-        piece = SimplicialComplex(index.cells_of(fam))
+        piece = complex._sub(set(index.cells_of(fam)))
         pairs = index.pairs_of(index.collapse_witness(fam))
-        vertex = SimplicialComplex(piece.simplices.difference(*pairs))
+        vertex = piece._sub(piece.simplices.difference(*pairs))
         pieces.append(CoverPiece(piece, CollapseSequence(piece, vertex, pairs)))
-    chosen_complex = SimplicialComplex(index.cells_of(chosen))
+    chosen_complex = complex._sub(set(index.cells_of(chosen)))
     path = index.pairs_of(index.collapse_path(start, chosen))
     return CategoryResult(
         value, chosen_complex, CollapseSequence(target, chosen_complex, path), tuple(pieces)

@@ -6,7 +6,8 @@ those exceptional pairs.  ``validate`` compares every face with each of its
 cofaces once, and the function it returns owns its field, which
 ``gradient_field`` and ``critical_cells`` only read.  The field is acyclic
 for every valid function; ``validate`` re-checks that once as an internal
-tripwire.
+tripwire.  A function also keeps the level subcomplexes it has been asked
+for (see ``collapse.level_subcomplex``); the memo takes no part in equality.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ class MorseFunction:
     values: Mapping[Simplex, float]
     # Derived from the values, so it takes no part in equality.
     field: GradientField = dataclass_field(compare=False, repr=False)
+    # ``level_subcomplex``'s memo: sublevel size -> (sublevel, level complex).
+    _levels: dict = dataclass_field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __call__(self, cell) -> float:
         try:

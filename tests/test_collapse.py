@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import random
 from itertools import combinations
 
 import pytest
 
 from morseflow import (
     CollapseSequence,
+    FlowOperator,
     Simplex,
     SimplicialComplex,
     basin,
@@ -15,20 +18,26 @@ from morseflow import (
     build_complex,
     collapses_to,
     critical_cells,
+    critical_values,
+    dgcat,
     elementary_collapse,
     gradient_field,
     level_subcomplex,
     make_injective,
     maximal_collapsible_to,
     random_morse,
+    subcomplexes_of,
     validate,
     verify_dmt_a,
     verify_dmt_b,
+    verify_flow_collapse,
 )
-from morseflow.collapse import collapse_in_descending_order
-from morseflow.complexes import simplex_key
+from morseflow.collapse import _collapse_pairs, collapse_in_descending_order
+from morseflow.complexes import as_simplex, simplex_key
 from morseflow.errors import (
+    ComplexMismatch,
     CriticalValueInWindow,
+    MalformedSimplex,
     NotACriticalVertex,
     NotFreeFace,
     PreconditionViolated,
@@ -422,3 +431,269 @@ class TestNonInjectiveInputs:
         bogus = CollapseSequence(triangle, point, (((1, 2), (0, 1, 2)),))
         with pytest.raises(ProofFailure):
             bogus.replay()
+
+
+def tied_functions():
+    """Valid functions with ties: each matched lower cell takes its upper's value.
+
+    In the linear extension behind ``random_morse`` the lower cell comes after
+    its upper and before its other cofaces, and its own faces come before the
+    upper, so the tie keeps the function valid and its field unchanged.
+    """
+    out = []
+    for seed in range(100):
+        complex, f = random_instance(seed)
+        values = dict(f.values)
+        for lower, upper in f.field.pairs:
+            values[lower] = values[upper]
+        out.append(validate(complex, values))
+    return out
+
+
+def grid4_function(seed):
+    triangles = []
+    for a in (0, 1, 2, 4, 5, 6, 8, 9, 10):
+        triangles += [(a, a + 4, a + 5), (a, a + 1, a + 5)]
+    return random_morse(build_complex(triangles), seed)
+
+
+def level_inputs():
+    """Random instances, 4 x 4 grid and 6 x 6 torus functions, and tied functions."""
+    fs = [random_instance(seed)[1] for seed in range(300)]
+    fs += [grid4_function(seed) for seed in range(5)]
+    fs += [random_morse(torus(6), seed) for seed in range(3)]
+    return fs + tied_functions()
+
+
+def thresholds(f):
+    """Every distinct value, one below the minimum and one above the maximum."""
+    values = f.sorted_distinct_values()
+    return [values[0] - 1.0, *values, values[-1] + 1.0]
+
+
+class TestLevelMemo:
+    """Each function builds each of its level subcomplexes once, by matched faces."""
+
+    def test_matched_face_closure_is_the_face_closure(self):
+        levels = 0
+        for f in level_inputs():
+            for t in thresholds(f):
+                level = level_subcomplex(f, t)
+                assert level.threshold == t
+                assert level.sublevel == {c for c, v in f.values.items() if v <= t}
+                expected = f.complex.closure_of(level.sublevel)
+                assert level.complex == expected
+                assert list(level.complex) == list(expected)
+                levels += 1
+        assert levels > 3000
+
+    def test_one_value_gap_gives_one_complex(self):
+        for f in [random_instance(seed)[1] for seed in range(50)] + tied_functions()[:20]:
+            values = f.sorted_distinct_values()
+            below = level_subcomplex(f, values[0] - 2.0)
+            assert level_subcomplex(f, values[0] - 1.0).complex is below.complex
+            for a, b in zip(values, values[1:] + (values[-1] + 2.0,)):
+                first = level_subcomplex(f, a)
+                again = level_subcomplex(f, (a + b) / 2)
+                assert again.complex is first.complex
+                assert again.sublevel is first.sublevel
+                assert again.threshold == (a + b) / 2
+
+    def test_corpus_loop_builds_each_level_once(self, monkeypatch):
+        """Windows, critical cells and one flow collapse per function, as the
+        benchmark's corpus runs them: one ``_sub`` per distinct level, plus
+        the flow image's closure."""
+        built = []
+        sub = SimplicialComplex._sub
+
+        def counting_sub(self, cells):
+            built.append(len(cells))
+            return sub(self, cells)
+
+        monkeypatch.setattr(SimplicialComplex, "_sub", counting_sub)
+        for seed in range(60):
+            _, f = random_instance(seed)
+            field = gradient_field(f)
+            values = f.sorted_distinct_values()
+            crit = sorted(field.critical, key=lambda c: (f(c), simplex_key(c)))
+            asked = []
+            for i, c in enumerate(crit):
+                upper = f(crit[i + 1]) if i + 1 < len(crit) else None
+                between = [v for v in values if f(c) < v and (upper is None or v < upper)]
+                if between:
+                    verify_dmt_a(f, f(c), max(between), field)
+                    asked += [f(c), max(between)]
+            for i, cell in enumerate(crit):
+                low = f(crit[i - 1]) if i else f(cell) - 1.0
+                verify_dmt_b(f, cell, low, f(cell))
+                asked += [low, f(cell)]
+            median = values[len(values) // 2]
+            verify_flow_collapse(f, median, FlowOperator(f, field))
+            asked.append(median)
+            distinct = {sum(v <= t for v in f.values.values()) for t in asked}
+            assert len(built) == len(distinct) + 1, seed
+            assert len(f._levels) == len(distinct)
+            built.clear()
+
+    def test_memo_is_invisible(self):
+        for seed in range(20):
+            complex, f = random_instance(seed)
+            g = validate(complex, f.values)
+            before = repr(f)
+            for t in thresholds(f):
+                level_subcomplex(f, t)
+            assert f._levels and not g._levels
+            assert f == g and g == f
+            assert repr(f) == before == repr(g)
+            fresh = dataclasses.replace(f)
+            assert fresh == f and fresh._levels == {}
+
+
+def _collapse_pairs_before(start, pairs):
+    """Oracle: the replay kernel before it read the incidence maps directly,
+    with set-based codimension-1 checks and ``as_simplex`` on every cell."""
+    live = set(start.simplices)
+    live_cofaces = {}
+    for free, coface in pairs:
+        free = as_simplex(free)
+        coface = as_simplex(coface)
+        if free not in live or coface not in live:
+            raise SimplexNotInComplex(
+                f"({free!r}, {coface!r}) is not a pair of cells of the complex"
+            )
+        if coface.dim != free.dim + 1 or not set(free) < set(coface):
+            raise NotFreeFace(
+                free, coface, f"{coface!r} is not a codimension-1 coface of {free!r}"
+            )
+        if live_cofaces.get(free, len(start.cofaces_of(free))) != 1:
+            cofs = [tuple(c) for c in start.cofaces_of(free) if c in live]
+            raise NotFreeFace(free, coface, f"{free!r} has cofaces {cofs}, so it is not free")
+        for cell in (free, coface):
+            live.remove(cell)
+            for t in start.faces_of(cell):
+                live_cofaces[t] = live_cofaces.get(t, len(start.cofaces_of(t))) - 1
+    return live
+
+
+def _replay_outcome(kernel, start, pairs):
+    try:
+        return "ok", kernel(start, pairs)
+    except (SimplexNotInComplex, NotFreeFace, MalformedSimplex) as exc:
+        return type(exc), str(exc), getattr(exc, "free", None), getattr(exc, "coface", None)
+
+
+def _random_pairs(complex, rng, kind):
+    """A random valid collapse sequence, then one step of the given kind."""
+    live = set(complex)
+    removed = []
+    pairs = []
+    for _ in range(rng.randint(0, 6)):
+        free = [
+            (a, b)
+            for b in sorted(live, key=simplex_key)
+            for a in complex.faces_of(b)
+            if a in live and sum(c in live for c in complex.cofaces_of(a)) == 1
+        ]
+        if not free:
+            break
+        pair = rng.choice(free)
+        pairs.append(pair)
+        live -= set(pair)
+        removed += pair
+    cells = sorted(live, key=simplex_key)
+    if kind == "not free":
+        pairs += [
+            (a, b) for a in cells for b in complex.cofaces_of(a)
+            if b in live and sum(c in live for c in complex.cofaces_of(a)) > 1
+        ][:1]
+    elif kind == "not a coface" and cells:
+        x, y = rng.choice(cells), rng.choice(cells)
+        if x not in complex.faces_of(y):
+            pairs.append((x, y))
+    elif kind == "missing" and cells:
+        gone = rng.choice(removed) if removed else Simplex((99,))
+        pairs.append((gone, rng.choice(cells)) if rng.random() < 0.5 else (rng.choice(cells), gone))
+    elif kind == "malformed":
+        pairs.append(((1, 1), (1, 2)))
+    # Plain tuples and lists are converted as before.
+    return [tuple(p if rng.random() < 0.7 else list(p) for p in pair) for pair in pairs]
+
+
+class TestReplayKernelAgainstTheOldOne:
+    def test_random_pair_sequences(self):
+        kinds = ("valid", "not free", "not a coface", "missing", "malformed")
+        seen = set()
+        for seed in range(200):
+            complex, _ = random_instance(seed)
+            rng = random.Random(seed)
+            for kind in kinds:
+                pairs = _random_pairs(complex, rng, kind)
+                new = _replay_outcome(_collapse_pairs, complex, pairs)
+                assert new == _replay_outcome(_collapse_pairs_before, complex, pairs)
+                seen.add(new[0])
+        assert seen == {"ok", SimplexNotInComplex, NotFreeFace, MalformedSimplex}
+
+
+def assert_as_checked(complex):
+    """A trusted build equals the checked constructor's, order and incidence too."""
+    checked = SimplicialComplex(list(complex))
+    assert complex == checked
+    assert list(complex) == list(checked)
+    assert complex._faces == checked._faces
+    assert complex._cofaces == checked._cofaces
+    assert complex._by_dim == checked._by_dim
+
+
+class TestTrustedBuilds:
+    def test_basins(self):
+        fs = [random_instance(seed)[1] for seed in range(100)]
+        for f in fs + [random_morse(torus(6), seed) for seed in range(3)]:
+            field = gradient_field(f)
+            for v in field.critical:
+                if v.dim == 0:
+                    bas = basin(field, f, v)
+                    assert_as_checked(bas.cells)
+                    assert_as_checked(bas.witness.end)
+
+    def test_exhaustive_searches(self):
+        for seed in range(60):
+            complex, f = random_instance(seed, max_vertices=5, max_cell=3)
+            if len(complex) > 14:
+                continue
+            for v in complex.cells_of_dim(0):
+                for sub in maximal_collapsible_to(complex, v):
+                    assert_as_checked(sub)
+            for sub in subcomplexes_of(complex):
+                assert_as_checked(sub)
+            result = dgcat(complex)
+            assert_as_checked(result.collapsed_to)
+            for piece in result.cover:
+                assert_as_checked(piece.subcomplex)
+                assert_as_checked(piece.witness.end)
+
+    def test_elementary_collapses(self):
+        for seed in range(100):
+            complex, _ = random_instance(seed)
+            for b in complex:
+                for a in complex.faces_of(b):
+                    if len(complex.cofaces_of(a)) == 1:
+                        assert_as_checked(elementary_collapse(complex, a, b))
+
+
+class TestForeignField:
+    """A field of another function is refused up front, not as a failed proof."""
+
+    def test_field_of_another_function_on_the_same_complex(self, p3_function, p3):
+        other = validate(p3, {(1,): 0, (2,): 1, (3,): 3, (1, 2): 2, (2, 3): 2.5})
+        assert other.field != p3_function.field
+        with pytest.raises(ComplexMismatch):
+            verify_dmt_a(p3_function, 1, 3, other.field)
+
+    def test_field_of_another_complex(self, p3_function, circle_function):
+        with pytest.raises(ComplexMismatch):
+            verify_dmt_a(p3_function, 1, 3, circle_function.field)
+
+    def test_an_equal_field_is_accepted(self, p3_function, p3):
+        twin = validate(p3, p3_function.values)
+        assert twin.field is not p3_function.field
+        assert verify_dmt_a(p3_function, 1, 3, twin.field).pairs

@@ -22,7 +22,7 @@ from morseflow import (
     validate,
     verify_flow_collapse,
 )
-from morseflow.errors import PropertyViolation, SimplexNotInComplex
+from morseflow.errors import ComplexMismatch, PropertyViolation, SimplexNotInComplex
 from conftest import flow_by_chain_algebra, random_instance, torus
 
 
@@ -217,6 +217,20 @@ class TestFlowCollapse:
             operator = FlowOperator(f)
             for a in f.sorted_distinct_values():
                 verify_flow_collapse(f, a, operator).replay()
+
+    def test_operator_of_another_function_on_the_same_complex(self, p3_function, p3):
+        other = validate(p3, {(1,): 0, (2,): 1, (3,): 3, (1, 2): 2, (2, 3): 2.5})
+        with pytest.raises(ComplexMismatch):
+            verify_flow_collapse(p3_function, 4, FlowOperator(other))
+
+    def test_operator_of_another_complex(self, p3_function, circle_function):
+        with pytest.raises(ComplexMismatch):
+            verify_flow_collapse(p3_function, 4, FlowOperator(circle_function))
+
+    def test_operator_with_an_equal_field_is_accepted(self, p3_function, p3):
+        twin = validate(p3, {c: 2 * v for c, v in p3_function.values.items()})
+        assert twin.field == p3_function.field
+        assert verify_flow_collapse(p3_function, 4, FlowOperator(twin)).replay()
 
 
 class TestMembership:
