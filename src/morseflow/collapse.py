@@ -210,15 +210,12 @@ def verify_dmt_a(
     a: float,
     b: float,
     field: GradientField | None = None,
-    bottom: SimplicialComplex | None = None,
 ) -> CollapseSequence:
     """Certified collapse of the level subcomplex at ``b`` onto the one at ``a``.
 
     Requires a critical-value-free window ``(a, b]``; the cells in between
     then split into matched pairs, removed in decreasing value order.  A
-    given ``field`` must be ``f``'s, else ``ComplexMismatch``; a given
-    ``bottom`` must be ``level_subcomplex(f, a).complex``, which ``f`` keeps
-    once built anyway.
+    given ``field`` must be ``f``'s, else ``ComplexMismatch``.
     """
     if not a < b:
         raise PreconditionViolated(f"need a < b, got a={a}, b={b}")
@@ -230,8 +227,7 @@ def verify_dmt_a(
     elif field is not f.field and field != f.field:
         raise ComplexMismatch("the field is not the gradient field of the function")
     top = level_subcomplex(f, b).complex
-    if bottom is None:
-        bottom = level_subcomplex(f, a).complex
+    bottom = level_subcomplex(f, a).complex
     pairs = pair_off_removable(field, top.simplices - bottom.simplices)
     return collapse_in_descending_order(top, bottom, pairs, f)
 
@@ -311,9 +307,8 @@ def basin(field: GradientField, f: MorseFunction, vertex) -> Basin:
                 depth[u] = d
                 pairs.append((u, edge))
     pairs.sort(key=lambda p: (-depth[p[0]], simplex_key(p[0])))
-    faces = field.complex._faces
-    sub = SimplicialComplex._from_faces({c: faces[c] for c in members + [e for _, e in pairs]})
-    target = SimplicialComplex._from_faces({v: ()})
+    sub = SimplicialComplex._from_cells(members + [e for _, e in pairs])
+    target = SimplicialComplex._from_cells([v])
     witness = CollapseSequence(sub, target, tuple(pairs))
     witness.replay()
     return Basin(v, sub, witness)

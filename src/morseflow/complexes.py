@@ -1,11 +1,13 @@
 """Finite simplicial complexes, integer chains, and a mod-2 homology oracle.
 
-A complex's cells never change after construction.  It precomputes its
-codimension-1 incidence in both directions, so the face and coface queries
-sitting in the inner loops of the Morse machinery are dictionary lookups.
+A complex's cells never change after construction.  Each cell is one
+object: every face tuple holds the complex's own cells, not copies of them.
+The face map is built with the complex, so the face queries sitting in the
+inner loops of the Morse machinery are dictionary lookups; the coface map
+is built from it on first use, since most complexes never read it.
 The exhaustive searches share one ``CellIndex`` per complex, which
 ``search_index`` builds on first use and the complex keeps with its memos;
-it changes no result.
+neither changes a result.
 The canonical orientation of every simplex is the increasing vertex order;
 all boundary signs derive from it.
 
@@ -15,11 +17,10 @@ from objects already checked is valid by construction, so it is built
 through private constructors that skip the checks: ``_trusted`` for a face
 sliced out of a simplex or a vertex read from one, ``Chain._make`` for the
 results of chain arithmetic, ``SimplicialComplex._sub`` for a face-closed
-subset of a complex, and ``SimplicialComplex._from_faces`` for the face
-closure of a face map ``cell -> cell.faces()``.  Two face maps go there:
-the one ``build_complex`` makes of its listed simplices, and the one
-``parse_scx`` makes of the lines of a ``.scx`` file, which is also its
-duplicate check.  They are used on such data only.
+subset of a complex, and ``SimplicialComplex._from_cells`` for the face
+closure of distinct ``Simplex`` cells: the simplices ``build_complex`` is
+given, the lines of a ``.scx`` file that ``parse_scx`` has checked, and a
+basin's vertices and edges.  They are used on such data only.
 """
 
 from __future__ import annotations
@@ -112,49 +113,33 @@ def _bits(mask: int) -> Iterator[int]:
 class SimplicialComplex:
     """A finite face-closed set of simplices with two-way incidence indices."""
 
-    __slots__ = ("_cells", "_order", "_faces", "_cofaces", "_by_dim", "_search")
+    __slots__ = ("_cells", "_order", "_faces", "_coface_tuples", "_by_dim", "_search")
 
     def __init__(self, simplices: Iterable[Iterable[int]]):
         cells = frozenset(as_simplex(s) for s in simplices)
-        faces: dict[Simplex, tuple[Simplex, ...]] = {}
         for s in cells:
-            fs = s.faces()
-            for t in reversed(fs):  # the face without the lowest vertex first
+            for t in reversed(s.faces()):  # the face without the lowest vertex first
                 if t not in cells:
                     raise MalformedSimplex(
                         f"not face-closed: {t!r} (a face of {s!r}) is missing"
                     )
-            faces[s] = fs
-        self._index(faces)
+        self._index(*_face_closure(cells))
 
     @classmethod
-    def _from_faces(cls, faces: dict[Simplex, tuple[Simplex, ...]]) -> "SimplicialComplex":
-        """The complex generated by the keys, each mapped to its ``faces()``; unchecked.
-
-        One walk adds the missing faces to ``faces``, which the complex then
-        keeps; on a face-closed map it adds nothing and calls no ``faces()``.
-        """
-        stack = [t for fs in faces.values() for t in fs if t not in faces]
-        while stack:
-            s = stack.pop()
-            if s not in faces:
-                faces[s] = fs = s.faces()
-                stack.extend(fs)
+    def _from_cells(cls, cells: Iterable[Simplex]) -> "SimplicialComplex":
+        """The face closure of the given cells; unchecked."""
         complex = object.__new__(cls)
-        complex._index(faces)
+        complex._index(*_face_closure(cells))
         return complex
 
-    def _index(self, faces: dict[Simplex, tuple[Simplex, ...]], order: tuple | None = None) -> None:
-        """Fill every slot from a face map and, if known, its canonical order."""
-        if order is None:
-            # Canonical order is by dimension, then vertex order.
-            order = tuple(sorted(sorted(faces), key=len))
+    def _index(self, faces: dict[Simplex, tuple[Simplex, ...]], order: tuple) -> None:
+        """Fill every slot from a face map and its canonical order."""
         # Built from the canonical order, so the set iterates alike however
         # the face map was filled.
         self._cells = frozenset(order)
         self._order = order
         self._faces = faces
-        self._cofaces = _coface_map(order, faces)
+        self._coface_tuples = None
         self._by_dim = _group_by_dim(order)
         self._search = None
 
@@ -170,6 +155,18 @@ class SimplicialComplex:
         order = tuple([s for s in self._order if s in cells])
         sub._index({s: self._faces[s] for s in order}, order)
         return sub
+
+    @property
+    def _cofaces(self) -> dict[Simplex, tuple[Simplex, ...]]:
+        """The coface tuples, each in canonical order, built on first use:
+        most complexes never read them."""
+        if self._coface_tuples is None:
+            cofaces: dict[Simplex, list[Simplex]] = {s: [] for s in self._order}
+            for s in self._order:
+                for t in self._faces[s]:
+                    cofaces[t].append(s)
+            self._coface_tuples = {s: tuple(c) for s, c in cofaces.items()}
+        return self._coface_tuples
 
     @property
     def simplices(self) -> frozenset[Simplex]:
@@ -240,25 +237,38 @@ class SimplicialComplex:
 
 def build_complex(simplices: Iterable[Iterable[int]]) -> SimplicialComplex:
     """Face closure of the given simplices; idempotent on face-closed input."""
-    faces: dict[Simplex, tuple[Simplex, ...]] = {}
-    for s in simplices:
-        s = as_simplex(s)
-        if s not in faces:
-            faces[s] = s.faces()
-    if not faces:
+    cells = list(map(as_simplex, simplices))
+    if not cells:
         raise EmptyInput("cannot build a complex from an empty list of simplices")
-    return SimplicialComplex._from_faces(faces)
+    return SimplicialComplex._from_cells(cells)
 
 
-def _coface_map(
-    order: tuple[Simplex, ...], faces: dict[Simplex, tuple[Simplex, ...]]
-) -> dict[Simplex, tuple[Simplex, ...]]:
-    """The coface tuples of a face map, each in canonical order as ``order`` is."""
-    cofaces: dict[Simplex, list[Simplex]] = {s: [] for s in order}
-    for s in order:
-        for t in faces[s]:
-            cofaces[t].append(s)
-    return {s: tuple(c) for s, c in cofaces.items()}
+def _face_closure(cells: Iterable[Simplex]) -> tuple[dict, tuple[Simplex, ...]]:
+    """The face map and canonical order of the face closure of the cells.
+
+    The closure is taken one dimension at a time, top down: a layer's faces
+    are combinations of its vertices, only those not yet present become new
+    cells, and every face tuple holds the complex's own cells.
+    """
+    own: dict[tuple, Simplex] = {}
+    layers: dict[int, list[Simplex]] = {}
+    for s in cells:
+        if s not in own:
+            own[s] = s
+            layers.setdefault(len(s), []).append(s)
+    faces: dict[Simplex, tuple[Simplex, ...]] = {}
+    for k in range(max(layers, default=0), 1, -1):
+        layer = layers[k]
+        below = layers.setdefault(k - 1, [])
+        for t in {t for s in layer for t in itertools.combinations(s, k - 1)}.difference(own):
+            own[t] = t = _trusted(t)
+            below.append(t)
+        get = own.__getitem__
+        for s in layer:
+            faces[s] = tuple(map(get, itertools.combinations(s, k - 1)))
+    faces.update(dict.fromkeys(layers.get(1, ()), ()))
+    # Canonical order is by dimension, then vertex order.
+    return faces, tuple(itertools.chain.from_iterable(sorted(layers[k]) for k in sorted(layers)))
 
 
 def _group_by_dim(order: tuple[Simplex, ...]) -> dict[int, tuple[Simplex, ...]]:

@@ -26,20 +26,23 @@ from .collapse import (
 )
 from .complexes import Chain, Simplex, SimplicialComplex, _trusted, incidence_sign
 from .errors import ComplexMismatch, PropertyViolation, SimplexNotInComplex
-from .morse import GradientField, MorseFunction, gradient_field
+from .morse import GradientField, MorseFunction
 
 
 class FlowOperator:
-    """Chain maps attached to a Morse function and its gradient field."""
+    """Chain maps attached to a Morse function and its gradient field.
+
+    A given field must be the function's, else ``ComplexMismatch``.
+    """
 
     __slots__ = ("function", "field", "complex", "_flow")
 
     def __init__(self, function: MorseFunction, field: GradientField | None = None):
         self.function = function
         self.complex = function.complex
-        self.field = gradient_field(function) if field is None else field
-        if self.field.complex != self.complex:
-            raise ComplexMismatch("field and function live on different complexes")
+        self.field = function.field if field is None else field
+        if self.field is not function.field and self.field != function.field:
+            raise ComplexMismatch("the field is not the gradient field of the function")
         matched = {
             lower: (upper, -incidence_sign(upper, lower)) for lower, upper in self.field.pairs
         }

@@ -91,7 +91,12 @@ def validate(complex: SimplicialComplex, values: Mapping) -> MorseFunction:
         if not math.isfinite(val):
             raise PreconditionViolated(f"value {val!r} for {cell!r} is not finite")
         norm[cell] = val
-    if len(norm) != len(cells):  # every key is a cell, so some cell has no value
+    return _validated(complex, norm)
+
+
+def _validated(complex: SimplicialComplex, norm: dict[Simplex, float]) -> MorseFunction:
+    """``validate`` after its first loop: ``norm`` maps cells to finite floats."""
+    if len(norm) != len(complex):  # every key is a cell, so some cell has no value
         for cell in complex:
             if cell not in norm:
                 raise MissingValue(f"no value for {cell!r}")

@@ -15,43 +15,42 @@ import math
 
 from .complexes import Simplex, SimplicialComplex, _trusted, build_complex
 from .errors import MalformedSimplex, ParseError, SimplexNotInComplex
-from .morse import MorseFunction, validate
+from .morse import MorseFunction, _validated
 
 
 def parse_scx(text: str) -> tuple[SimplicialComplex, MorseFunction | None]:
     """The complex of a ``.scx`` text, and its validated function if valued.
 
     Lines are checked in order and the first bad one raises ``ParseError``
-    with its line number.  The listed cells and their faces go to the
-    complex in one map, which is also the duplicate check.
+    with its line number.  One map from each listed cell to its value is
+    both the duplicate check and, once its face closure is the complex, the
+    function's values.
     """
-    faces: dict[Simplex, tuple[Simplex, ...]] = {}
-    values: dict[Simplex, float] = {}
+    listed: dict[Simplex, float | None] = {}
     any_value = False
     any_bare = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        left, colon, right = line.partition(":")
+        left, colon, right = raw.partition("#")[0].partition(":")
         if colon:
             try:
-                value = float(right.strip())
+                value = float(right)
             except ValueError:
                 raise ParseError(lineno, f"bad value {right.strip()!r}") from None
             if not math.isfinite(value):
                 raise ParseError(lineno, f"non-finite value {right.strip()!r}")
             any_value = True
-        else:
-            any_bare = True
         try:
-            verts = list(map(int, left.split()))
+            verts = sorted(map(int, left.split()))
         except ValueError:
             raise ParseError(lineno, f"bad vertex id in {left.strip()!r}") from None
+        if not colon:
+            if not verts:
+                continue  # a blank or comment-only line
+            value = None
+            any_bare = True
         # ``int`` gives no bools, so a sorted non-empty list with no negative
         # and no repeated id is a simplex.  Otherwise the checked constructor
         # raises with the message for the fault.
-        verts.sort()
         if verts and verts[0] >= 0 and len(set(verts)) == len(verts):
             simplex = _trusted(verts)
         else:
@@ -59,19 +58,17 @@ def parse_scx(text: str) -> tuple[SimplicialComplex, MorseFunction | None]:
                 simplex = Simplex(verts)
             except MalformedSimplex as exc:
                 raise ParseError(lineno, str(exc)) from None
-        if simplex in faces:
+        if simplex in listed:
             raise ParseError(lineno, f"duplicate simplex {tuple(simplex)}")
-        faces[simplex] = simplex.faces()
-        if colon:
-            values[simplex] = value
-    if not faces:
+        listed[simplex] = value
+    if not listed:
         raise ParseError(None, "no simplices in input")
     if any_value and any_bare:
         raise ParseError(None, "either every simplex carries a value or none does")
-    complex = SimplicialComplex._from_faces(faces)
+    complex = SimplicialComplex._from_cells(listed)
     if not any_value:
         return complex, None
-    return complex, validate(complex, values)
+    return complex, _validated(complex, listed)
 
 
 def emit_scx(complex: SimplicialComplex, f: MorseFunction | None = None) -> str:

@@ -12,6 +12,7 @@ import pytest
 from morseflow import (
     FlowOperator,
     Simplex,
+    SimplicialComplex,
     build_complex,
     critical_cells,
     critical_values,
@@ -25,7 +26,7 @@ from morseflow import (
     random_morse,
     validate,
 )
-from morseflow import cli
+from morseflow import cli, complexes
 from morseflow.cli import MAX_ENUM_CAP, run
 from morseflow.errors import (
     MissingValue,
@@ -116,15 +117,29 @@ class TestScx:
             parse_scx(text)
 
     def test_parse_computes_each_cells_faces_once(self, monkeypatch):
-        # Counts calls, not time: the face map is built once per cell, and
-        # valid lines never go through the checked constructor.
+        # Counts calls, not time: one face closure per parse builds every
+        # face tuple, each from the complex's own cells; only the faces no
+        # line lists become new cells, each once; and valid lines never go
+        # through the checked constructor or ``Simplex.faces``.
         complex = torus(5)
         tops = "".join(f"{' '.join(map(str, c))}\n" for c in complex.cells_of_dim(2))
         texts = [emit_scx(complex, random_morse(complex, 3)), emit_scx(complex), tops]
+        closures: list = []
+        made: list = []
         faces_calls: list = []
         checked_calls: list = []
+        closure = complexes._face_closure
+        trusted = complexes._trusted
         faces = Simplex.faces
         new = Simplex.__new__
+
+        def counting_closure(cells):
+            closures.append(out := closure(cells))
+            return out
+
+        def counting_trusted(vertices):
+            made.append(tuple(vertices))
+            return trusted(vertices)
 
         def counting_faces(self):
             faces_calls.append(self)
@@ -134,13 +149,21 @@ class TestScx:
             checked_calls.append(vertices)
             return new(cls, vertices)
 
+        monkeypatch.setattr(complexes, "_face_closure", counting_closure)
+        monkeypatch.setattr(complexes, "_trusted", counting_trusted)
         monkeypatch.setattr(Simplex, "faces", counting_faces)
         monkeypatch.setattr(Simplex, "__new__", counting_new)
-        for text in texts:
-            faces_calls.clear()
+        new_cells = [[], [], complex.cells_of_dim(0) + complex.cells_of_dim(1)]
+        for text, unlisted in zip(texts, new_cells):
+            closures.clear()
+            made.clear()
             parsed, _ = parse_scx(text)
             assert parsed == complex
-            assert sorted(faces_calls) == sorted(complex)
+            assert len(closures) == 1 and closures[0][0] is parsed._faces
+            assert sorted(made) == sorted(unlisted)
+            own = {c: c for c in parsed}
+            assert all(t is own[t] for fs in parsed._faces.values() for t in fs)
+        assert faces_calls == []
         assert checked_calls == []
 
     def test_round_trip_exact(self):
@@ -302,6 +325,25 @@ class TestCli:
         payload = json.loads(out)
         assert payload["sublevel"] == [[0], [2]]
         assert payload["collapse"]["pairs"] == [[[1], [0, 1]]]
+
+    def test_read_only_commands_build_no_coface_map_of_the_input(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        complex = torus(12)
+        f = random_morse(complex, 7)
+        path = tmp_path / "torus.scx"
+        path.write_text(emit_scx(complex, f), encoding="utf-8")
+        read = []
+        cofaces = SimplicialComplex._cofaces
+        monkeypatch.setattr(
+            SimplicialComplex, "_cofaces", property(lambda k: read.append(len(k)) or cofaces.fget(k))
+        )
+        level = repr(f.sorted_distinct_values()[len(complex) // 2])
+        for command in ("validate", "critical", "gradient", "export-dot", "levels"):
+            argv = [command, "--in", str(path)] + (["--level", level] if command == "levels" else [])
+            assert run(argv) == 0
+        capsys.readouterr()
+        assert len(complex) not in read
 
     def test_collapse_command(self, tmp_path, capsys):
         path = tmp_path / "tri.scx"

@@ -10,21 +10,26 @@ from morseflow import (
     Chain,
     Simplex,
     SimplicialComplex,
+    basin,
     betti_numbers_mod2,
     boundary,
     build_complex,
     component_count,
+    critical_cells,
     emit_scx,
     euler_characteristic,
     incidence_sign,
     is_connected,
     is_subcomplex,
+    level_subcomplex,
     parse_scx,
+    random_morse,
     subcomplexes_of,
 )
 from morseflow.errors import (
     EmptyInput,
     MalformedSimplex,
+    MissingValue,
     SimplexNotInComplex,
     TooLargeForEnumeration,
 )
@@ -341,3 +346,122 @@ class TestHomologyAgainstIndependentOracles:
                 for p in range(k.dim + 1)
             ]
             assert betti_numbers_mod2(k) == expected
+
+
+def assert_cells_shared(complex):
+    """Every face, coface and dimension-group entry is the complex's own cell."""
+    own = {c: c for c in complex}
+    assert all(c is own[c] for c in complex.simplices)
+    for c in complex:
+        assert all(t is own[t] for t in complex.faces_of(c))
+        assert all(t is own[t] for t in complex.cofaces_of(c))
+    for p in range(complex.dim + 1):
+        assert all(c is own[c] for c in complex.cells_of_dim(p))
+
+
+class TestOneObjectPerCell:
+    def test_build_complex(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            assert_cells_shared(random_complex(rng))
+        assert_cells_shared(torus(6))
+        repeated = build_complex([(0, 1, 2), (1, 2), [2, 1, 0], (3,), (1, 2, 3)])
+        assert_cells_shared(repeated)
+        assert len(repeated) == 11
+
+    def test_parse_scx(self):
+        complex = torus(5)
+        f = random_morse(complex, 4)
+        canonical = emit_scx(complex, f)
+        lines = canonical.splitlines()
+        random.Random(1).shuffle(lines)
+        tops = "".join(f"{' '.join(map(str, c))}\n" for c in complex.cells_of_dim(2))
+        for text in (canonical, "\n".join(lines), emit_scx(complex), tops):
+            parsed, g = parse_scx(text)
+            assert parsed == complex
+            assert_cells_shared(parsed)
+            if g is not None:
+                assert g == f
+                own = {c: c for c in parsed}
+                assert all(c is own[c] for c in g.values)
+
+    def test_parse_scx_with_values_missing_faces(self, monkeypatch):
+        built = []
+        from_cells = SimplicialComplex._from_cells
+
+        def spy(cells):
+            built.append(from_cells(cells))
+            return built[-1]
+
+        monkeypatch.setattr(SimplicialComplex, "_from_cells", spy)
+        with pytest.raises(MissingValue, match=r"no value for Simplex\(0,\)"):
+            parse_scx("0 1 : 1\n1 2 : 2\n1 : 0\n")
+        assert len(built) == 1 and len(built[0]) == 5
+        assert_cells_shared(built[0])
+
+    def test_checked_constructor(self):
+        for complex in (torus(5), build_complex([(0, 1, 2), (2, 3)])):
+            for cells in (list(complex), [tuple(c) for c in complex]):
+                checked = SimplicialComplex(cells)
+                assert checked == complex
+                assert_cells_shared(checked)
+
+    def test_subcomplexes(self):
+        for seed in range(60):
+            complex, f = random_instance(seed)
+            own = {c: c for c in complex}
+            for value in f.sorted_distinct_values():
+                sub = level_subcomplex(f, value).complex
+                assert_cells_shared(sub)
+                assert all(c is own[c] for c in sub)
+            sub = complex.closure_of(complex.cells_of_dim(complex.dim))
+            assert_cells_shared(sub)
+
+    def test_basins(self):
+        for complex in [random_instance(seed)[0] for seed in range(60)] + [torus(6)]:
+            f = random_morse(complex, 3)
+            for v in critical_cells(f):
+                if v.dim == 0:
+                    bas = basin(f.field, f, v)
+                    assert_cells_shared(bas.cells)
+                    assert_cells_shared(bas.witness.end)
+
+
+def eager_coface_map(order, faces):
+    """Oracle for the lazy coface map: the eager build of the map, as every
+    complex made it at construction before cofaces were built on first use."""
+    cofaces = {s: [] for s in order}
+    for s in order:
+        for t in faces[s]:
+            cofaces[t].append(s)
+    return {s: tuple(c) for s, c in cofaces.items()}
+
+
+class TestLazyCofaces:
+    def test_lazy_map_matches_the_eager_one(self):
+        complexes = [random_instance(seed)[0] for seed in range(200)]
+        complexes += [torus(m) for m in range(3, 9)]
+        for complex in complexes:
+            expected = eager_coface_map(complex._order, complex._faces)
+            fresh = build_complex(list(complex))
+            assert fresh._coface_tuples is None
+            for k in (complex, fresh):
+                assert list(k._cofaces.items()) == list(expected.items())
+                assert k._cofaces is k._cofaces
+                assert all(k.cofaces_of(c) == expected[c] for c in k)
+
+    def test_lazy_map_of_a_subcomplex(self):
+        for seed in range(100):
+            complex, f = random_instance(seed)
+            for value in f.sorted_distinct_values():
+                sub = level_subcomplex(f, value).complex
+                expected = eager_coface_map(sub._order, sub._faces)
+                assert list(sub._cofaces.items()) == list(expected.items())
+
+    def test_parse_and_critical_cells_build_no_coface_map(self):
+        complex = torus(12)
+        parsed, f = parse_scx(emit_scx(complex, random_morse(complex, 7)))
+        assert len(critical_cells(f)) > 0
+        assert parsed._coface_tuples is None
+        cofaces = parsed.cofaces_of((0,))
+        assert parsed._coface_tuples[(0,)] is cofaces

@@ -233,6 +233,28 @@ class TestFlowCollapse:
         assert verify_flow_collapse(p3_function, 4, FlowOperator(twin)).replay()
 
 
+class TestOperatorField:
+    def test_a_foreign_field_is_refused(self):
+        complex, f = random_instance(3)
+        foreign = random_morse(complex, 12345).field
+        assert foreign != f.field
+        with pytest.raises(ComplexMismatch):
+            FlowOperator(f, foreign)
+
+    def test_a_field_of_another_complex_is_refused(self, p3_function, circle_function):
+        with pytest.raises(ComplexMismatch):
+            FlowOperator(p3_function, circle_function.field)
+
+    def test_an_equal_field_is_accepted(self, p3_function, p3):
+        twin = validate(p3, {c: 2 * v for c, v in p3_function.values.items()})
+        assert twin.field is not p3_function.field
+        operator = FlowOperator(p3_function, twin.field)
+        assert operator.field is twin.field
+        assert operator._flow == FlowOperator(p3_function)._flow
+        for p in range(p3.dim + 1):
+            check_flow_matrix(operator, p)
+
+
 class TestMembership:
     def test_gradient_rejects_foreign_cells(self, p3_flow):
         with pytest.raises(SimplexNotInComplex):
