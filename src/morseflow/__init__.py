@@ -20,17 +20,13 @@ from .complexes import (
     is_connected,
     is_subcomplex,
     simplex_key,
-    subcomplexes_of,
 )
 from .morse import (
     GradientField,
-    GradientPath,
     MorseFunction,
-    are_equivalent,
     critical_cells,
     critical_values,
     gradient_field,
-    gradient_paths_from,
     has_closed_path,
     lower_set,
     make_injective,

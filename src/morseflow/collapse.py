@@ -41,7 +41,7 @@ from .errors import (
     SignatureMismatch,
     SimplexNotInComplex,
 )
-from .morse import GradientField, MorseFunction, critical_cells, critical_values, gradient_field
+from .morse import GradientField, MorseFunction, _own_field, critical_cells, critical_values
 
 
 @dataclass(frozen=True)
@@ -222,10 +222,7 @@ def verify_dmt_a(
     inside = [v for v in critical_values(f) if a < v <= b]
     if inside:
         raise CriticalValueInWindow(f"critical values {inside} lie in ({a}, {b}]")
-    if field is None:
-        field = gradient_field(f)
-    elif field is not f.field and field != f.field:
-        raise ComplexMismatch("the field is not the gradient field of the function")
+    field = _own_field(f, field)
     top = level_subcomplex(f, b).complex
     bottom = level_subcomplex(f, a).complex
     pairs = pair_off_removable(field, top.simplices - bottom.simplices)
@@ -285,12 +282,14 @@ def basin(field: GradientField, f: MorseFunction, vertex) -> Basin:
     Vertices whose (unique) gradient path ends at the minimum, together with
     the pairing edges along those paths.  The result is a tree, collapsed to
     the minimum deepest-vertex-first; the witness is stored after replay.
+    ``field`` must be ``f``'s, else ``ComplexMismatch``.
 
     The tree is walked uphill from the minimum: a coface edge of a member
     matched to its other end makes that end a member one step deeper.  Each
     member's cofaces are read once, so a basin costs its vertices and their
     cofaces, and the basins of all minima one pass over vertices and edges.
     """
+    _own_field(f, field)
     v = as_simplex(vertex)
     if v not in field.complex or v.dim != 0 or v not in field.critical:
         raise NotACriticalVertex(f"{v!r} is not a critical vertex")

@@ -328,10 +328,6 @@ class CellIndex:
     def pairs_of(self, index_pairs: Iterable[tuple[int, int]]) -> tuple:
         return tuple((self.cells[i], self.cells[j]) for i, j in index_pairs)
 
-    def is_closed(self, mask: int) -> bool:
-        """Whether the state is face-closed, i.e. a subcomplex."""
-        return not any(self.face_mask[i] & ~mask for i in _bits(mask))
-
     @staticmethod
     def maximal(masks: Iterable[int]) -> list[int]:
         """The inclusion-maximal masks, largest first, then by value."""
@@ -340,16 +336,6 @@ class CellIndex:
             if not any(m & o == m for o in out):
                 out.append(m)
         return out
-
-    def closure_masks(self) -> list[int]:
-        """Per cell, the mask of the subcomplex it generates."""
-        closure: list[int] = []
-        for i, faces in enumerate(self.face_mask):
-            mask = 1 << i
-            for j in _bits(faces):  # faces come first in canonical order
-                mask |= closure[j]
-            closure.append(mask)
-        return closure
 
     def expansions(self, start: int) -> set[int]:
         """Every state reachable from the subcomplex ``start`` by elementary
@@ -523,19 +509,6 @@ def search_index(complex: SimplicialComplex, max_enum: int) -> CellIndex:
     if complex._search is None:
         complex._search = CellIndex(complex)
     return complex._search
-
-
-def subcomplexes_of(
-    complex: SimplicialComplex, max_enum: int = DEFAULT_ENUM_BOUND
-) -> Iterator[SimplicialComplex]:
-    """Every face-closed subset (the empty one included), in a fixed order.
-
-    Brute-force enumeration over all subsets; guarded by ``max_enum``.
-    """
-    index = search_index(complex, max_enum)
-    for mask in range(1 << len(complex)):
-        if index.is_closed(mask):
-            yield complex._sub(set(index.cells_of(mask)))
 
 
 def euler_characteristic(complex: SimplicialComplex) -> int:

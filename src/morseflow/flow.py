@@ -25,8 +25,8 @@ from .collapse import (
     pair_off_removable,
 )
 from .complexes import Chain, Simplex, SimplicialComplex, _trusted, incidence_sign
-from .errors import ComplexMismatch, PropertyViolation, SimplexNotInComplex
-from .morse import GradientField, MorseFunction
+from .errors import PropertyViolation, SimplexNotInComplex
+from .morse import GradientField, MorseFunction, _own_field
 
 
 class FlowOperator:
@@ -40,9 +40,7 @@ class FlowOperator:
     def __init__(self, function: MorseFunction, field: GradientField | None = None):
         self.function = function
         self.complex = function.complex
-        self.field = function.field if field is None else field
-        if self.field is not function.field and self.field != function.field:
-            raise ComplexMismatch("the field is not the gradient field of the function")
+        self.field = _own_field(function, field)
         matched = {
             lower: (upper, -incidence_sign(upper, lower)) for lower, upper in self.field.pairs
         }
@@ -194,8 +192,7 @@ def verify_flow_collapse(
     """
     if operator is None:
         operator = FlowOperator(f)
-    elif operator.field is not f.field and operator.field != f.field:
-        raise ComplexMismatch("the operator's field is not the gradient field of the function")
+    _own_field(f, operator.field)
     top = level_subcomplex(f, threshold).complex
     image = flow_image_closure(operator, top.simplices)
     pairs = pair_off_removable(operator.field, top.simplices - image.simplices)

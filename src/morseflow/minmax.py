@@ -48,6 +48,7 @@ from .flow import FlowOperator, flow_image
 from .morse import (
     GradientField,
     MorseFunction,
+    _own_field,
     critical_cells,
     critical_values,
     gradient_field,
@@ -204,22 +205,15 @@ def enumerate_paths(
     output) can still grow exponentially with the size of the complex.
     Cofaces are tried in canonical order, so paths are found in order of
     their edges, and a stable sort by length returns them sorted by length,
-    then by their edges.
+    then by their edges.  ``field`` must be ``f``'s, else ``ComplexMismatch``.
     """
+    _own_field(f, field)
     v1 = as_simplex(high)
     v0 = as_simplex(low)
     complex = f.complex
     crit = field.critical
-    if (
-        v1 not in complex
-        or v0 not in complex
-        or v1.dim != 0
-        or v0.dim != 0
-        or v1 == v0
-        or v1 not in crit
-        or v0 not in crit
-        or not f(v0) < f(v1)
-    ):
+    # ``f``'s critical cells lie in its complex, and f(v0) < f(v1) keeps them apart.
+    if v1.dim != 0 or v0.dim != 0 or v1 not in crit or v0 not in crit or not f(v0) < f(v1):
         raise NotLocalMinima(
             f"need two distinct critical vertices with f({tuple(v0)}) < f({tuple(v1)})"
         )
@@ -440,21 +434,17 @@ def dgcat(
 def _level_masks(work: MorseFunction, index: CellIndex) -> list[int]:
     """The distinct level-subcomplex masks, one per distinct value, ascending.
 
-    The level subcomplex at ``a`` is the union of the closures of the cells
-    valued at most ``a``, so the masks grow by ORing closure masks in value
-    order; a mask equal to an earlier one equals the one just before it.
+    As ``level_subcomplex`` proves, the level subcomplex at ``a`` is the
+    cells valued at most ``a`` together with their matched lower faces, so
+    the masks grow by ORing those bits in value order; a mask equal to an
+    earlier one equals the one just before it.
     """
-    cells = index.cells
-    closure = index.closure_masks()
-
-    def value(i: int) -> float:
-        return work.values[cells[i]]
-
+    position, down, value = index.position, work.field.down, work.values.__getitem__
     masks: list[int] = []
     mask = 0
-    for _, group in groupby(sorted(range(len(cells)), key=value), key=value):
-        for i in group:
-            mask |= closure[i]
+    for _, group in groupby(sorted(index.cells, key=value), key=value):
+        for c in group:  # an unmatched cell ORs its own bit twice
+            mask |= 1 << position[c] | 1 << position[down.get(c, c)]
         if not masks or masks[-1] != mask:
             masks.append(mask)
     return masks

@@ -79,6 +79,7 @@ def validate(complex: SimplicialComplex, values: Mapping) -> MorseFunction:
     simplices.  The same pass over the incidences collects the exceptional
     pairs, whose gradient field the returned function carries.  Exclusivity and
     acyclicity hold for every valid function and are rechecked as tripwires.
+    The returned values are keyed by the complex's own cells.
     """
     norm: dict[Simplex, float] = {}
     cells = complex.simplices
@@ -100,6 +101,7 @@ def _validated(complex: SimplicialComplex, norm: dict[Simplex, float]) -> MorseF
         for cell in complex:
             if cell not in norm:
                 raise MissingValue(f"no value for {cell!r}")
+    norm = {cell: norm[cell] for cell in complex}  # keyed by the complex's own cells
     # Each codimension-1 incidence is compared once.  It is exceptional when
     # the face's value is at least the coface's: then the coface is in the
     # face's upper set and the face is in the coface's lower set.
@@ -234,57 +236,14 @@ def gradient_field(f: MorseFunction) -> GradientField:
     return f.field
 
 
-@dataclass(frozen=True)
-class GradientPath:
-    """Alternating lower/upper cell sequence walked along matched pairs."""
-
-    cells: tuple[Simplex, ...]
-
-    @property
-    def is_trivial(self) -> bool:
-        return len(self.cells) == 1
-
-    @property
-    def is_closed(self) -> bool:
-        return len(self.cells) > 1 and self.cells[-1] == self.cells[0]
-
-
-def gradient_paths_from(field: GradientField, start) -> list[GradientPath]:
-    """Every maximal gradient path out of ``start``, in depth-first order.
-
-    On an acyclic field each branch ends at an unmatched cell.  If a cycle is
-    re-entered (possible only for raw matchings) the branch is truncated at
-    the repeated cell, so the search always terminates.  Every branch is
-    listed, so the output can be exponential in the size of the complex.
-    """
-    complex = field.complex
-    start = as_simplex(start)
-    if start not in complex:
-        raise SimplexNotInComplex(f"{start!r} is not in the complex")
-    out: list[GradientPath] = []
-    # Walks still to extend, next one last; lowers is None once a branch is truncated.
-    stack = [((start,), frozenset((start,)))]
-    while stack:
-        cells, lowers = stack.pop()
-        upper = None if lowers is None else field.up.get(cells[-1])
-        if upper is None:
-            out.append(GradientPath(cells))
-            continue
-        for nxt in reversed(complex.faces_of(upper)):
-            if nxt != cells[-1]:
-                stack.append((cells + (upper, nxt), None if nxt in lowers else lowers | {nxt}))
-    return out
-
-
-def are_equivalent(f: MorseFunction, g: MorseFunction) -> bool:
-    """Same strict order on every codimension-1 face relation."""
-    if f.complex != g.complex:
-        raise ComplexMismatch("the functions live on different complexes")
-    for upper in f.complex:
-        for lower in f.complex.faces_of(upper):
-            if (f(lower) < f(upper)) != (g(lower) < g(upper)):
-                return False
-    return True
+def _own_field(f: MorseFunction, field: GradientField | None) -> GradientField:
+    """``f``'s field when ``field`` is ``None``; else ``field``, which must be
+    ``f``'s field or equal to it, or ``ComplexMismatch`` is raised."""
+    if field is None:
+        return f.field
+    if field is not f.field and field != f.field:
+        raise ComplexMismatch("the field is not the gradient field of the function")
+    return field
 
 
 def _linear_extension(

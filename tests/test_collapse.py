@@ -21,12 +21,12 @@ from morseflow import (
     critical_values,
     dgcat,
     elementary_collapse,
+    enumerate_paths,
     gradient_field,
     level_subcomplex,
     make_injective,
     maximal_collapsible_to,
     random_morse,
-    subcomplexes_of,
     validate,
     verify_dmt_a,
     verify_dmt_b,
@@ -664,8 +664,6 @@ class TestTrustedBuilds:
             for v in complex.cells_of_dim(0):
                 for sub in maximal_collapsible_to(complex, v):
                     assert_as_checked(sub)
-            for sub in subcomplexes_of(complex):
-                assert_as_checked(sub)
             result = dgcat(complex)
             assert_as_checked(result.collapsed_to)
             for piece in result.cover:
@@ -698,3 +696,23 @@ class TestForeignField:
         twin = validate(p3, p3_function.values)
         assert twin.field is not p3_function.field
         assert verify_dmt_a(p3_function, 1, 3, twin.field).pairs
+
+    def test_basins_and_paths_refuse_a_foreign_field(self):
+        # On the path 0-1-2-3, f pairs (1) with (0, 1) and g pairs it with (1, 2).
+        path = build_complex([(0, 1), (1, 2), (2, 3)])
+        shared = {(0,): 0, (1,): 2, (2,): 1, (3,): 0.5, (2, 3): 4}
+        f = validate(path, {**shared, (0, 1): 1.5, (1, 2): 3})
+        g = validate(path, {**shared, (0, 1): 3, (1, 2): 1.5})
+        assert f.field.pairs == {((1,), (0, 1))} and g.field.pairs == {((1,), (1, 2))}
+        searches = [
+            lambda field: basin(field, f, (0,)).cells,
+            lambda field: basin_maximality_report(field, f, (0,)).basin.cells,
+            lambda field: enumerate_paths(f, field, (2,), (0,)),
+        ]
+        twin = validate(path, f.values).field
+        for search in searches:
+            with pytest.raises(ComplexMismatch):
+                search(g.field)
+            assert search(twin) == search(f.field)
+        assert basin(f.field, f, (0,)).cells.simplices == {(0,), (1,), (0, 1)}
+        assert len(enumerate_paths(f, f.field, (2,), (0,))) == 2

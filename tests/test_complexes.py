@@ -24,7 +24,7 @@ from morseflow import (
     level_subcomplex,
     parse_scx,
     random_morse,
-    subcomplexes_of,
+    validate,
 )
 from morseflow.errors import (
     EmptyInput,
@@ -250,18 +250,6 @@ class TestHomologyOracle:
 
 
 class TestSubcomplexEnumeration:
-    def test_point_has_two_subcomplexes(self, point):
-        subs = list(subcomplexes_of(point))
-        assert len(subs) == 2
-        assert any(len(s) == 0 for s in subs)
-
-    def test_edge_closure_has_five_subcomplexes(self, edge):
-        assert len(list(subcomplexes_of(edge))) == 5
-
-    def test_all_results_are_subcomplexes(self, triangle):
-        for sub in subcomplexes_of(triangle):
-            assert is_subcomplex(sub, triangle)
-
     def test_is_subcomplex(self, p3, point):
         vertex = build_complex([(1,)])
         assert is_subcomplex(vertex, p3)
@@ -271,10 +259,10 @@ class TestSubcomplexEnumeration:
         big = build_complex([(0, 1, 2, 3)])
         assert len(big) == 15
         with pytest.raises(TooLargeForEnumeration) as info:
-            list(subcomplexes_of(big))
+            search_index(big, 14)
         assert (info.value.size, info.value.bound) == (15, 14)
         assert str(info.value) == "15 simplices exceeds the enumeration bound 14"
-        assert len(list(subcomplexes_of(big, max_enum=15))) > 0
+        assert search_index(big, max_enum=15).cells == list(big)
 
 
 def _free_pairs_by_lists(index, coface_lists, mask, keep):
@@ -405,6 +393,17 @@ class TestOneObjectPerCell:
                 checked = SimplicialComplex(cells)
                 assert checked == complex
                 assert_cells_shared(checked)
+
+    def test_validate(self):
+        for complex in (build_complex([(0, 1, 2)]), torus(5)):
+            f = random_morse(complex, 2)
+            own = {c: c for c in complex}
+            items = list(f.values.items())
+            random.Random(3).shuffle(items)
+            for values in ({tuple(c): v for c, v in items}, {Simplex(c): v for c, v in items}):
+                g = validate(complex, values)
+                assert g == f
+                assert all(c is own[c] for c in g.values)
 
     def test_subcomplexes(self):
         for seed in range(60):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import gc
 import importlib
 import pkgutil
-from itertools import combinations, permutations
+from itertools import combinations, groupby, permutations
 
 import pytest
 
@@ -40,7 +40,6 @@ from morseflow import (
     mountain_pass,
     random_morse,
     simplex_key,
-    subcomplexes_of,
     validate,
 )
 from morseflow import minmax
@@ -547,6 +546,31 @@ class TestLsMinmax:
             assert ls_minmax(f)[0] == (1, min(f.values.values()))
 
 
+def _closure_level_masks(work, index):
+    """The distinct level-subcomplex masks as they were built before
+    ``minmax._level_masks`` read the matched lower faces: ORs of per-cell
+    closure masks in value order, one per distinct value, without repeats."""
+    closure = []
+    for i, faces in enumerate(index.face_mask):
+        mask = 1 << i
+        for j in range(i):  # faces come first in canonical order
+            if faces >> j & 1:
+                mask |= closure[j]
+        closure.append(mask)
+
+    def value(i):
+        return work.values[index.cells[i]]
+
+    masks = []
+    mask = 0
+    for _, group in groupby(sorted(range(len(index.cells)), key=value), key=value):
+        for i in group:
+            mask |= closure[i]
+        if not masks or masks[-1] != mask:
+            masks.append(mask)
+    return masks
+
+
 def _ls_minmax_before_the_engine(f, max_enum=14):
     """``ls_minmax`` as it stood before it went through ``minmax_value``: its own
     minimum over the depth-k family's masks, with each mask's top cell cached."""
@@ -564,7 +588,7 @@ def _ls_minmax_before_the_engine(f, max_enum=14):
 
     for k in range(1, top + 2):
         members = set()
-        for mask in minmax._level_masks(work, index):
+        for mask in _closure_level_masks(work, index):
             if index.category(mask)[0] >= k - 1:
                 members.update(index.reachable(mask))
         if not members:
@@ -615,6 +639,27 @@ class TestLsThroughTheEngine:
         assert sum(not f.is_injective() for f in tied) > 20
         for f in tied:
             assert ls_minmax(f) == _ls_minmax_before_the_engine(f)
+
+    def test_level_masks_and_families_match_the_closure_masks(
+        self, triangle_function, circle_function, double_well
+    ):
+        fs = [triangle_function, circle_function, double_well]
+        for seed in range(300):
+            complex, f = random_instance(seed)
+            if len(complex) <= 14:
+                fs.append(f)
+        for f in fs:
+            work = f if f.is_injective() else make_injective(f)
+            index = search_index(f.complex, 14)
+            expected = _closure_level_masks(work, index)
+            assert minmax._level_masks(work, index) == expected
+            for k in range(1, index.category(index.full)[0] + 2):
+                members = set()
+                for mask in expected:
+                    if index.category(mask)[0] >= k - 1:
+                        members.update(index.reachable(mask))
+                family = [frozenset(index.cells_of(m)) for m in sorted(members)]
+                assert ls_instance(f, k).family == family
 
     def test_flow_closure_builds_no_complex_per_member(self, monkeypatch, double_well):
         calls = []
@@ -801,7 +846,6 @@ class TestSearchIndex:
         ls_instance(f, 1)
         for vertex in complex.vertices:
             collapses_to(complex, SimplicialComplex([vertex]))
-        list(subcomplexes_of(complex))
         assert built == [complex]
 
     def test_indexes_die_with_their_complexes(self):
@@ -834,7 +878,6 @@ class TestSearchIndex:
             lambda: collapses_to(complex, SimplicialComplex([(0,)]), max_enum=small),
             lambda: maximal_collapsible_to(complex, (0,), max_enum=small),
             lambda: basin_maximality_report(field, f, minimum, max_enum=small),
-            lambda: list(subcomplexes_of(complex, max_enum=small)),
         ]
         for search in searches:
             with pytest.raises(TooLargeForEnumeration):
