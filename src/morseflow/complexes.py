@@ -5,9 +5,13 @@ object: every face tuple holds the complex's own cells, not copies of them.
 The face map is built with the complex, so the face queries sitting in the
 inner loops of the Morse machinery are dictionary lookups; the coface map
 is built from it on first use, since most complexes never read it.
-The exhaustive searches share one ``CellIndex`` per complex, which
-``search_index`` builds on first use and the complex keeps with its memos;
-neither changes a result.
+One integer incidence per complex, also built on first use, gives each
+cell its position in canonical order and its face and coface positions:
+``random_morse``, ``make_injective`` and the bitmask ``CellIndex`` work on
+it, while loading, validating and homology stay on the face map, so a
+complex that is only read never builds it.  The exhaustive searches share
+one ``CellIndex`` per complex, which ``search_index`` builds on first use
+and the complex keeps with its memos; none of these changes a result.
 The canonical orientation of every simplex is the increasing vertex order;
 all boundary signs derive from it.
 
@@ -113,7 +117,7 @@ def _bits(mask: int) -> Iterator[int]:
 class SimplicialComplex:
     """A finite face-closed set of simplices with two-way incidence indices."""
 
-    __slots__ = ("_cells", "_order", "_faces", "_coface_tuples", "_by_dim", "_search")
+    __slots__ = ("_cells", "_order", "_faces", "_coface_tuples", "_ids", "_by_dim", "_search")
 
     def __init__(self, simplices: Iterable[Iterable[int]]):
         cells = frozenset(as_simplex(s) for s in simplices)
@@ -140,6 +144,7 @@ class SimplicialComplex:
         self._order = order
         self._faces = faces
         self._coface_tuples = None
+        self._ids = None
         self._by_dim = _group_by_dim(order)
         self._search = None
 
@@ -167,6 +172,14 @@ class SimplicialComplex:
                     cofaces[t].append(s)
             self._coface_tuples = {s: tuple(c) for s, c in cofaces.items()}
         return self._coface_tuples
+
+    @property
+    def _incidence(self) -> "_Incidence":
+        """The integer incidence, built on first use (see ``_Incidence``):
+        only ``random_morse``, ``make_injective`` and ``CellIndex`` read it."""
+        if self._ids is None:
+            self._ids = _Incidence(self)
+        return self._ids
 
     @property
     def simplices(self) -> frozenset[Simplex]:
@@ -283,12 +296,36 @@ def _group_by_dim(order: tuple[Simplex, ...]) -> dict[int, tuple[Simplex, ...]]:
     return by_dim
 
 
+class _Incidence:
+    """A complex's cells as positions: cell ``i`` is the ``i``-th in canonical order.
+
+    ``position`` maps each cell to its position; ``faces[i]`` and
+    ``cofaces[i]`` hold the positions of cell ``i``'s codimension-1 faces and
+    cofaces, each in canonical order.  Canonical order is ``simplex_key``
+    order, so comparing positions compares cells by dimension, then vertices.
+    """
+
+    __slots__ = ("position", "faces", "cofaces")
+
+    def __init__(self, complex: SimplicialComplex):
+        self.position = position = dict(zip(complex._order, itertools.count()))
+        self.faces = [tuple(map(position.__getitem__, complex._faces[c])) for c in complex]
+        self.cofaces = [[] for _ in self.faces]
+        for i, ids in enumerate(self.faces):
+            for j in ids:
+                self.cofaces[j].append(i)
+
+
 def is_subcomplex(sub: SimplicialComplex, ambient: SimplicialComplex) -> bool:
     return sub.simplices <= ambient.simplices
 
 
 class CellIndex:
     """Bitmask states over one complex: bit ``i`` is the ``i``-th cell in canonical order.
+
+    A view of the complex's integer incidence, built on first use: the cells,
+    their positions and the face and coface masks come from it, so the index
+    keeps no position map of its own.
 
     The one search index of the exhaustive layer: collapse search,
     anti-collapse expansion, collapse reachability, collapsibility and the
@@ -305,9 +342,9 @@ class CellIndex:
 
     def __init__(self, complex: SimplicialComplex):
         self.cells = list(complex)
-        self.position = {c: i for i, c in enumerate(self.cells)}
-        self.face_mask = [self.mask_of(complex.faces_of(c)) for c in self.cells]
-        self.coface_mask = [self.mask_of(complex.cofaces_of(c)) for c in self.cells]
+        self.position = complex._incidence.position
+        self.face_mask = [sum(1 << j for j in ids) for ids in complex._incidence.faces]
+        self.coface_mask = [sum(1 << j for j in ids) for ids in complex._incidence.cofaces]
         self.full = (1 << len(self.cells)) - 1
         self._expansions: dict[int, set[int]] = {}
         self._reachable: dict[int, dict[int, tuple | None]] = {}

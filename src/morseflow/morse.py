@@ -12,12 +12,12 @@ for (see ``collapse.level_subcomplex``); the memo takes no part in equality.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Iterable, Mapping
+from heapq import heapify, heappop, heappush
+from typing import Iterable, Mapping
 
 from .complexes import Simplex, SimplicialComplex, as_simplex
 from .errors import (
@@ -246,75 +246,78 @@ def _own_field(f: MorseFunction, field: GradientField | None) -> GradientField:
     return field
 
 
-def _linear_extension(
-    complex: SimplicialComplex,
-    up: Mapping[Simplex, Simplex],
-    down: Mapping[Simplex, Simplex],
-    key: Callable[[Simplex], object],
-) -> list[Simplex]:
-    """Topological order of the matching-modified face order, smallest key first.
+def _linear_extension(incidence, up: list[int], key: list) -> list[int]:
+    """Topological order of the matching-modified face order, as positions,
+    smallest ``(key[i], i)`` first.
 
-    Non-pair face relations keep the face before the coface; matched pairs
-    (``up`` maps lower to upper, ``down`` upper to lower) are reversed.  The
-    order is acyclic exactly when the matching is.  A cell waits for its faces
-    except its matched lower, and for its matched upper; once placed it frees
-    its cofaces except its matched upper, and its matched lower.
+    ``up[i]`` is the position of cell ``i``'s matched upper, or -1.  Non-pair
+    face relations keep the face before the coface; matched pairs are
+    reversed.  The order is acyclic exactly when the matching is.  A cell
+    waits for its faces except its matched lower, and for its matched upper;
+    once placed it frees its cofaces except its matched upper, and its
+    matched lower.
     """
-    faces, cofaces = complex._faces, complex._cofaces
-    indeg = {c: len(faces[c]) - (c in down) + (c in up) for c in complex}
-    heap = [(key(c), c) for c, n in indeg.items() if not n]
-    heapq.heapify(heap)
-    push, pop = heapq.heappush, heapq.heappop
-    order: list[Simplex] = []
+    faces, cofaces = incidence.faces, incidence.cofaces
+    indeg = [len(ids) for ids in faces]
+    down = [-1] * len(faces)
+    for lower, upper in enumerate(up):
+        if upper >= 0:
+            indeg[lower] += 1
+            indeg[upper] -= 1
+            down[upper] = lower
+    heap = [(key[i], i) for i, n in enumerate(indeg) if not n]
+    heapify(heap)
+    order: list[int] = []
     while heap:
-        cell = pop(heap)[1]
-        order.append(cell)
-        mate, low = up.get(cell), down.get(cell)
-        for nxt in cofaces[cell] if low is None else (low, *cofaces[cell]):
-            if nxt != mate:
-                n = indeg[nxt] - 1
-                indeg[nxt] = n
+        i = heappop(heap)[1]
+        order.append(i)
+        mate, low = up[i], down[i]
+        for j in cofaces[i] if low < 0 else (low, *cofaces[i]):
+            if j != mate:
+                n = indeg[j] - 1
+                indeg[j] = n
                 if not n:
-                    push(heap, (key(nxt), nxt))
-    if len(order) != len(complex):
+                    heappush(heap, (key[j], j))
+    if len(order) != len(faces):
         raise AcyclicityBug("the matching-modified face order has a cycle")
     return order
+
+
+def _ranked(complex: SimplicialComplex, order: list[int]) -> MorseFunction:
+    """The function valued 0, 1, 2, ... along an order of positions."""
+    cells = complex._order
+    return _validated(complex, {cells[i]: float(r) for r, i in enumerate(order)})
 
 
 def make_injective(f: MorseFunction) -> MorseFunction:
     """An injective function equivalent to ``f`` with the same gradient field.
 
     Cells are re-ranked 0, 1, 2, ... along a linear extension of the
-    matching-modified face order, keyed by the original values so the
-    ranking stays as close to ``f`` as any linear extension allows.
+    matching-modified face order on the complex's integer incidence, keyed by
+    ``(f(c), position of c)`` so the ranking stays as close to ``f`` as any
+    linear extension allows; position order is ``simplex_key`` order.
     """
-    field = gradient_field(f)
-    order = _linear_extension(
-        f.complex, field.up, field.down, key=lambda c: (f(c), len(c), tuple(c))
-    )
-    return validate(f.complex, {cell: float(i) for i, cell in enumerate(order)})
+    complex = f.complex
+    position = complex._incidence.position
+    up = [-1] * len(complex)
+    for lower, upper in f.field.up.items():
+        up[position[lower]] = position[upper]
+    return _ranked(complex, _linear_extension(complex._incidence, up, list(map(f, complex))))
 
 
-def _would_cycle(
-    complex: SimplicialComplex,
-    up: Mapping[Simplex, Simplex],
-    lower: Simplex,
-    upper: Simplex,
-) -> bool:
-    """Would adding the pair close a gradient cycle?  New cycles must pass it."""
-    faces = complex._faces
+def _would_cycle(faces: list[tuple[int, ...]], up: list[int], lower: int, upper: int) -> bool:
+    """Would adding the pair of positions close a gradient cycle?  New cycles
+    must pass it."""
     stack = [c for c in faces[upper] if c != lower]
-    seen: set[Simplex] = set()
+    seen: set[int] = set()
     while stack:
         x = stack.pop()
         if x == lower:
             return True
-        if x in seen:
-            continue
-        seen.add(x)
-        nxt = up.get(x)
-        if nxt is not None:
-            stack.extend(faces[nxt])  # ``x`` is among them, and already seen
+        if x not in seen:
+            seen.add(x)
+            if up[x] >= 0:
+                stack.extend(faces[up[x]])  # ``x`` is among them, and already seen
     return False
 
 
@@ -323,26 +326,22 @@ def random_morse(complex: SimplicialComplex, seed: int) -> MorseFunction:
 
     Grows a random acyclic matching by shuffling the codimension-1 incidences
     and rejecting any pair that would close a gradient cycle, then assigns
-    0, 1, 2, ... along a randomly tie-broken linear extension.  The output
-    always passes ``validate``.
+    0, 1, 2, ... along a linear extension keyed by a random priority per
+    cell, ties by position.  It works on the complex's integer incidence,
+    which the first call builds.  The output always passes ``validate``.
     """
     rng = random.Random(seed)
-    incidences = [(lower, upper) for upper in complex for lower in complex.faces_of(upper)]
+    faces = complex._incidence.faces
+    incidences = [(lower, upper) for upper, ids in enumerate(faces) for lower in ids]
     rng.shuffle(incidences)
     skip = rng.random() * 0.6
-    up: dict[Simplex, Simplex] = {}
-    matched: set[Simplex] = set()
+    up = [-1] * len(faces)
+    matched = bytearray(len(faces))
     for lower, upper in incidences:
-        if lower in matched or upper in matched:
+        if matched[lower] or matched[upper] or rng.random() < skip:
             continue
-        if rng.random() < skip:
-            continue
-        if _would_cycle(complex, up, lower, upper):
-            continue
-        up[lower] = upper
-        matched.add(lower)
-        matched.add(upper)
-    priority = {cell: rng.random() for cell in complex}
-    down = {upper: lower for lower, upper in up.items()}
-    order = _linear_extension(complex, up, down, key=priority.__getitem__)
-    return validate(complex, {cell: float(i) for i, cell in enumerate(order)})
+        if not _would_cycle(faces, up, lower, upper):
+            up[lower] = upper
+            matched[lower] = matched[upper] = 1
+    priority = [rng.random() for _ in faces]
+    return _ranked(complex, _linear_extension(complex._incidence, up, priority))

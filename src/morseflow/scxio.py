@@ -6,7 +6,9 @@ total when present (the listed simplices must already be face-closed);
 without values the face closure of the listed simplices is built.
 
 The OFF reader keeps only the combinatorics: coordinates are parsed and
-discarded, polygon faces are fan-triangulated.
+discarded, polygon faces are fan-triangulated.  It raises ``ParseError`` for
+a negative count, a face that lists a vertex twice and any token after the
+last declared face.
 """
 
 from __future__ import annotations
@@ -105,10 +107,11 @@ def parse_off(text: str) -> SimplicialComplex:
     header = take(str, "OFF header")
     if header != "OFF":
         raise ParseError(None, f"not an OFF file (header {header!r})")
-    n_vertices = take(int, "vertex count")
-    n_faces = take(int, "face count")
-    take(int, "edge count")
-    if n_vertices <= 0:
+    counts = [take(int, f"{what} count") for what in ("vertex", "face", "edge")]
+    if min(counts) < 0:
+        raise ParseError(None, f"negative count in {counts}")
+    n_vertices, n_faces, _ = counts
+    if n_vertices == 0:
         raise ParseError(None, "no vertices")
     for _ in range(3 * n_vertices):
         take(float, "coordinate")
@@ -121,12 +124,12 @@ def parse_off(text: str) -> SimplicialComplex:
         for v in ids:
             if not 0 <= v < n_vertices:
                 raise ParseError(None, f"vertex index {v} out of range")
-        for i in range(1, size - 1):
-            tri = (ids[0], ids[i], ids[i + 1])
-            try:
-                triangles.append(Simplex(tri))
-            except MalformedSimplex as exc:
-                raise ParseError(None, f"degenerate face {tri}: {exc}") from None
+        if len(set(ids)) < size:
+            raise ParseError(None, f"degenerate face {ids}: a vertex is listed twice")
+        # Distinct ids in range, so every fan triangle is a simplex.
+        triangles += [Simplex((ids[0], ids[i], ids[i + 1])) for i in range(1, size - 1)]
+    if pos < len(tokens):
+        raise ParseError(None, f"unexpected token {tokens[pos]!r} after the last face")
     if triangles:
         return build_complex(triangles)
     return build_complex([(v,) for v in range(n_vertices)])

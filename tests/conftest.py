@@ -140,6 +140,18 @@ class CountingDict(dict):
         return super().get(key, default)
 
 
+class CountingList(list):
+    """A list that counts the reads of each index."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = Counter()
+
+    def __getitem__(self, index):
+        self.reads[index] += 1
+        return super().__getitem__(index)
+
+
 def flow_by_chain_algebra(operator, cell) -> Chain:
     """The flow of one cell as the chain sum s + boundary(V s) + V(boundary s)."""
     unit = Chain.unit(cell)

@@ -215,6 +215,28 @@ class TestOff:
         complex = parse_off("OFF\n2 0 0\n0 0 0\n1 1 1\n")
         assert len(complex) == 2
 
+    @pytest.mark.parametrize(
+        "counts", ["-1 1 0", "3 -1 0", "3 1 -1"], ids=["vertices", "faces", "edges"]
+    )
+    def test_negative_count(self, counts):
+        with pytest.raises(ParseError, match="negative count"):
+            parse_off(f"OFF\n{counts}\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+
+    def test_tokens_after_the_last_face(self):
+        for text in (
+            "OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+            "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2 7\n",
+        ):
+            with pytest.raises(ParseError, match="after the last face"):
+                parse_off(text)
+        assert len(parse_off("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2 # end\n")) == 7
+
+    def test_face_listing_a_vertex_twice(self):
+        points = "0 0 0\n1 0 0\n0 1 0\n1 1 0\n"
+        for face in ("3 0 1 1", "4 0 1 2 1", "4 0 1 0 2", "5 0 1 2 3 0"):
+            with pytest.raises(ParseError, match="listed twice"):
+                parse_off(f"OFF\n4 1 0\n{points}{face}\n")
+
 
 class TestCli:
     def _json(self, capsys, argv):
@@ -298,6 +320,13 @@ class TestCli:
         code, out = self._json(capsys, ["critical", "--in", str(path)])
         assert code == 1
         assert json.loads(out)["error"]["kind"] == "MissingValue"
+
+    def test_off_with_an_undeclared_face_is_a_json_error(self, tmp_path, capsys):
+        path = tmp_path / "tri.off"
+        path.write_text("OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", encoding="utf-8")
+        code, out = self._json(capsys, ["homology", "--in", str(path)])
+        assert code == 1
+        assert json.loads(out)["error"]["kind"] == "ParseError"
 
     def test_off_input(self, tmp_path, capsys):
         path = tmp_path / "tri.off"

@@ -24,7 +24,9 @@ from morseflow import (
     validate,
 )
 from morseflow import morse
-from morseflow.complexes import simplex_key
+from morseflow.collapse import level_subcomplex
+from morseflow.complexes import _Incidence, search_index, simplex_key
+from morseflow.scxio import emit_scx, parse_scx
 from morseflow.errors import (
     AcyclicityBug,
     ComplexMismatch,
@@ -32,7 +34,7 @@ from morseflow.errors import (
     MorseConditionViolated,
     SimplexNotInComplex,
 )
-from conftest import CountingDict, random_complex, random_instance, torus
+from conftest import CountingList, random_complex, random_instance, torus
 
 
 def order_equivalent(f, g) -> bool:
@@ -67,28 +69,118 @@ def reference_has_closed_path(field) -> bool:
     return any(cell not in state and visit(cell) for cell in complex)
 
 
-def reference_linear_extension(complex, up, down, key):
+def reference_linear_extension(incidence, up, key):
     """Oracle for ``morse._linear_extension``: a successor list per incidence and a heap."""
-    succ = {c: [] for c in complex}
-    indeg = {c: 0 for c in complex}
-    for upper in complex:
-        for lower in complex.faces_of(upper):
-            a, b = (upper, lower) if up.get(lower) == upper else (lower, upper)
+    succ = [[] for _ in incidence.faces]
+    indeg = [0] * len(incidence.faces)
+    for upper, ids in enumerate(incidence.faces):
+        for lower in ids:
+            a, b = (upper, lower) if up[lower] == upper else (lower, upper)
             succ[a].append(b)
             indeg[b] += 1
-    heap = [(key(c), c) for c in complex if indeg[c] == 0]
+    heap = [(key[i], i) for i, n in enumerate(indeg) if n == 0]
     heapq.heapify(heap)
     order = []
     while heap:
-        _, cell = heapq.heappop(heap)
-        order.append(cell)
-        for nxt in succ[cell]:
+        _, i = heapq.heappop(heap)
+        order.append(i)
+        for nxt in succ[i]:
             indeg[nxt] -= 1
             if indeg[nxt] == 0:
-                heapq.heappush(heap, (key(nxt), nxt))
+                heapq.heappush(heap, (key[nxt], nxt))
+    if len(order) != len(incidence.faces):
+        raise AcyclicityBug("the matching-modified face order has a cycle")
+    return order
+
+
+# The Simplex-keyed generator that ``random_morse`` and ``make_injective``
+# replaced, kept as their oracle: the same shuffle, matching, cycle test and
+# heap order, over dicts of cells instead of the integer incidence.
+
+
+def reference_simplex_linear_extension(complex, up, down, key):
+    faces, cofaces = complex._faces, complex._cofaces
+    indeg = {c: len(faces[c]) - (c in down) + (c in up) for c in complex}
+    heap = [(key(c), c) for c, n in indeg.items() if not n]
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
+    order = []
+    while heap:
+        cell = pop(heap)[1]
+        order.append(cell)
+        mate, low = up.get(cell), down.get(cell)
+        for nxt in cofaces[cell] if low is None else (low, *cofaces[cell]):
+            if nxt != mate:
+                n = indeg[nxt] - 1
+                indeg[nxt] = n
+                if not n:
+                    push(heap, (key(nxt), nxt))
     if len(order) != len(complex):
         raise AcyclicityBug("the matching-modified face order has a cycle")
     return order
+
+
+def reference_make_injective(f):
+    field = gradient_field(f)
+    order = reference_simplex_linear_extension(
+        f.complex, field.up, field.down, key=lambda c: (f(c), len(c), tuple(c))
+    )
+    return validate(f.complex, {cell: float(i) for i, cell in enumerate(order)})
+
+
+def reference_would_cycle(complex, up, lower, upper):
+    faces = complex._faces
+    stack = [c for c in faces[upper] if c != lower]
+    seen = set()
+    while stack:
+        x = stack.pop()
+        if x == lower:
+            return True
+        if x in seen:
+            continue
+        seen.add(x)
+        nxt = up.get(x)
+        if nxt is not None:
+            stack.extend(faces[nxt])
+    return False
+
+
+def reference_random_morse(complex, seed):
+    rng = random.Random(seed)
+    incidences = [(lower, upper) for upper in complex for lower in complex.faces_of(upper)]
+    rng.shuffle(incidences)
+    skip = rng.random() * 0.6
+    up = {}
+    matched = set()
+    for lower, upper in incidences:
+        if lower in matched or upper in matched:
+            continue
+        if rng.random() < skip:
+            continue
+        if reference_would_cycle(complex, up, lower, upper):
+            continue
+        up[lower] = upper
+        matched.add(lower)
+        matched.add(upper)
+    priority = {cell: rng.random() for cell in complex}
+    down = {upper: lower for lower, upper in up.items()}
+    order = reference_simplex_linear_extension(complex, up, down, key=priority.__getitem__)
+    return validate(complex, {cell: float(i) for i, cell in enumerate(order)})
+
+
+def grid(m):
+    """The m x m vertex grid, each square cut along a diagonal."""
+    triangles = []
+    for i in range(m - 1):
+        for j in range(m - 1):
+            a = i * m + j
+            triangles += [(a, a + m, a + m + 1), (a, a + 1, a + m + 1)]
+    return build_complex(triangles)
+
+
+def tied(f):
+    """A Morse function with ties whose pairs are some of ``f``'s."""
+    return validate(f.complex, {c: v // 3 + len(c) for c, v in f.values.items()})
 
 
 def random_matching(complex, rng) -> GradientField:
@@ -314,20 +406,34 @@ class TestRandomMorse:
 
 
 class TestLinearExtension:
+    @staticmethod
+    def _functions():
+        """(complex, seed) pairs: tori, grids and small random complexes."""
+        out = [(torus(m), seed) for m in range(3, 10) for seed in range(4)]
+        out += [(grid(3), seed) for seed in range(40)]
+        out += [(grid(4), seed) for seed in range(25)]
+        out += [(random_instance(seed)[0], seed) for seed in range(300)]
+        return out
+
+    def test_random_morse_and_make_injective_match_the_simplex_oracle(self):
+        for complex, seed in self._functions():
+            f = random_morse(complex, seed)
+            expected = reference_random_morse(complex, seed)
+            assert list(f.values.items()) == list(expected.values.items())
+            assert f.field == expected.field
+            for g, h in ((f, expected), (tied(f), tied(expected))):
+                got, want = make_injective(g), reference_make_injective(h)
+                assert list(got.values.items()) == list(want.values.items())
+                assert got.field == want.field
+
     def test_random_morse_and_make_injective_match_the_reference(self, monkeypatch):
-        functions = []
-        for seed in range(50):
-            functions.append((torus(3 + seed % 6), seed))
-            complex, _ = random_instance(seed)
-            functions.append((complex, seed))
+        functions = self._functions()
 
         def run():
             out = []
             for complex, seed in functions:
                 f = random_morse(complex, seed)
-                # Still a Morse function (its pairs are some of f's), with ties.
-                tied = validate(complex, {c: v // 3 + len(c) for c, v in f.values.items()})
-                for g in (f, make_injective(f), make_injective(tied)):
+                for g in (f, make_injective(f), make_injective(tied(f))):
                     out.append(list(g.values.items()))
             return out
 
@@ -337,15 +443,77 @@ class TestLinearExtension:
 
     def test_cyclic_matching_raises(self, circle):
         cyclic = GradientField(circle, [((0,), (0, 1)), ((1,), (1, 2)), ((2,), (0, 2))])
+        incidence = circle._incidence
+        up = [-1] * len(circle)
+        for lower, upper in cyclic.up.items():
+            up[incidence.position[lower]] = incidence.position[upper]
+        key = list(range(len(circle)))
         for extension in (morse._linear_extension, reference_linear_extension):
             with pytest.raises(AcyclicityBug):
-                extension(circle, cyclic.up, cyclic.down, simplex_key)
+                extension(incidence, up, key)
+        with pytest.raises(AcyclicityBug):
+            reference_simplex_linear_extension(circle, cyclic.up, cyclic.down, simplex_key)
 
     def test_reads_each_cells_cofaces_at_most_once(self):
         complex = torus(24)
         f = random_morse(complex, 5)
-        # Cofaces are built on first use; count the reads of the built map.
-        complex._coface_tuples = counted = CountingDict(complex._cofaces)
-        order = morse._linear_extension(complex, f.field.up, f.field.down, f.values.__getitem__)
-        assert order == sorted(complex, key=f.values.__getitem__)
+        incidence = complex._incidence
+        position = incidence.position
+        up = [-1] * len(complex)
+        for lower, upper in f.field.up.items():
+            up[position[lower]] = position[upper]
+        key = [f(c) for c in complex]
+        incidence.cofaces = counted = CountingList(incidence.cofaces)
+        order = morse._linear_extension(incidence, up, key)
+        assert order == sorted(range(len(complex)), key=key.__getitem__)
         assert counted.reads and max(counted.reads.values()) == 1
+
+
+class TestIntegerIncidence:
+    """Only the callers that need the integer incidence build it."""
+
+    def test_loading_and_reading_build_no_incidence(self):
+        complex = torus(12)
+        parsed, f = parse_scx(emit_scx(complex, random_morse(complex, 7)))
+        validate(parsed, {tuple(c): v for c, v in f.values.items()})
+        assert len(critical_cells(f)) > 0
+        assert gradient_field(f) is f.field
+        for value in f.sorted_distinct_values()[::50]:
+            level_subcomplex(f, value)
+        assert parsed._ids is None
+
+    def test_random_morse_builds_it_once(self, monkeypatch):
+        complex = torus(5)
+        built = []
+        init = _Incidence.__init__
+
+        def counting_init(incidence, of):
+            built.append(of)
+            init(incidence, of)
+
+        monkeypatch.setattr(_Incidence, "__init__", counting_init)
+        assert complex._ids is None
+        random_morse(complex, 1)
+        first = complex._ids
+        random_morse(complex, 2)
+        assert complex._ids is first and built == [complex]
+
+    def test_cell_index_masks_match_the_face_and_coface_queries(self):
+        checked = 0
+        for seed in range(300):
+            complex, _ = random_instance(seed)
+            if len(complex) > 14:
+                continue
+            index = search_index(complex, 14)
+            cells = list(complex)
+
+            def mask(of):
+                return sum(1 << cells.index(t) for t in of)
+
+            assert index.cells == cells
+            assert index.position is complex._incidence.position
+            assert index.position == {c: i for i, c in enumerate(cells)}
+            assert index.face_mask == [mask(complex.faces_of(c)) for c in cells]
+            assert index.coface_mask == [mask(complex.cofaces_of(c)) for c in cells]
+            checked += 1
+        assert checked > 50
