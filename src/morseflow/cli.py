@@ -64,33 +64,32 @@ def _load(args) -> tuple[SimplicialComplex, MorseFunction | None]:
     return parse_scx(text)
 
 
-def _need_function(f: MorseFunction | None) -> MorseFunction:
+def _load_function(args) -> MorseFunction:
+    """The input's Morse function, whose ``complex`` is the loaded complex."""
+    _, f = _load(args)
     if f is None:
         raise MissingValue("this command needs simplex values in the input file")
     return f
 
 
 def _cmd_validate(args):
-    complex, f = _load(args)
-    f = _need_function(f)
+    f = _load_function(args)
     return {
         "valid": True,
-        "simplexCount": len(complex),
-        "dim": complex.dim,
+        "simplexCount": len(f.complex),
+        "dim": f.complex.dim,
         "criticalCount": len(critical_cells(f)),
         "injective": f.is_injective(),
     }
 
 
 def _cmd_critical(args):
-    _, f = _load(args)
-    f = _need_function(f)
+    f = _load_function(args)
     return {"critical": _cells(critical_cells(f)), "values": critical_values(f)}
 
 
 def _cmd_gradient(args):
-    _, f = _load(args)
-    f = _need_function(f)
+    f = _load_function(args)
     field = gradient_field(f)
     return {
         "pairs": [[list(a), list(b)] for a, b in sorted(field.pairs)],
@@ -101,8 +100,8 @@ def _cmd_gradient(args):
 
 
 def _cmd_flow(args):
-    complex, f = _load(args)
-    f = _need_function(f)
+    f = _load_function(args)
+    complex = f.complex
     operator = FlowOperator(f)
     dims = []
     for p in range(complex.dim + 1):
@@ -120,8 +119,7 @@ def _cmd_flow(args):
 
 
 def _cmd_levels(args):
-    _, f = _load(args)
-    f = _need_function(f)
+    f = _load_function(args)
     level = level_subcomplex(f, args.level)
     out = {
         "threshold": args.level,
@@ -160,8 +158,7 @@ def _cmd_homology(args):
 
 
 def _cmd_mountain_pass(args):
-    _, f = _load(args)
-    f = _need_function(f)
+    f = _load_function(args)
     result = mountain_pass(f, (args.min1,), (args.min0,))
     return {
         "c": result.value,
@@ -175,8 +172,7 @@ def _cmd_mountain_pass(args):
 
 
 def _cmd_lscat(args):
-    _, f = _load(args)
-    f = _need_function(f)
+    f = _load_function(args)
     # One value per depth 1 .. dgcat + 1.
     values = ls_minmax(f, args.max_enum)
     critical_count = len(critical_cells(f))
@@ -189,8 +185,7 @@ def _cmd_lscat(args):
 
 
 def _cmd_minmax_check(args):
-    _, f = _load(args)
-    f = _need_function(f)
+    f = _load_function(args)
     if (args.min0 is None) != (args.min1 is None):
         raise PreconditionViolated("give both --min0 and --min1, or neither")
     if args.min0 is not None and args.min1 is not None:
@@ -218,8 +213,7 @@ def _cmd_random(args):
 
 
 def _cmd_export_dot(args):
-    _, f = _load(args)
-    f = _need_function(f)
+    f = _load_function(args)
     field = gradient_field(f)
     lines = ["digraph gradient {"]
     for cell in f.complex:

@@ -3,6 +3,9 @@
 The verifiers here return replayable ``CollapseSequence`` witnesses rather
 than bare booleans: a witness re-checks the free-face condition step by step
 when replayed, so a passing verification is a machine-checked certificate.
+The window verifier here and the flow verifier in ``flow`` build theirs in
+one place: the function's matched pairs between two complexes, in
+decreasing value order, replayed once before the sequence is returned.
 
 Replay is one pass that checks every step against the live cells and their
 live-coface counts, then compares what is left with the recorded end once.
@@ -159,50 +162,31 @@ def collapses_to(
     return CollapseSequence(complex, target, index.pairs_of(pairs))
 
 
-def pair_off_removable(field: GradientField, cells: Iterable[Simplex]) -> list:
-    """Split a removable cell set into its matched pairs.
-
-    Raises ``ProofFailure`` if some cell is unmatched or matched outside the
-    set; valid inputs to the collapse verifiers never trigger this.
-    """
-    cells = frozenset(cells)
-    pairs = []
-    seen: set[Simplex] = set()
-    for cell in sorted(cells, key=simplex_key):
-        if cell in seen:
-            continue
-        partner = field.pair_of(cell)
-        if partner is None:
-            raise ProofFailure(f"{cell!r} is unmatched but should collapse away")
-        if partner not in cells:
-            raise ProofFailure(f"partner {partner!r} of {cell!r} is outside the removable set")
-        lower, upper = (cell, partner) if cell.dim < partner.dim else (partner, cell)
-        seen.add(lower)
-        seen.add(upper)
-        pairs.append((lower, upper))
-    return pairs
-
-
-def collapse_in_descending_order(
-    start: SimplicialComplex,
-    end: SimplicialComplex,
-    pairs: Iterable[tuple[Simplex, Simplex]],
-    f: MorseFunction,
+def _replayed_collapse(
+    f: MorseFunction, top: SimplicialComplex, end: SimplicialComplex
 ) -> CollapseSequence:
-    """Remove the pairs in decreasing value order, certifying each step."""
-    ordered = sorted(
-        pairs,
-        key=lambda p: (-max(f(p[0]), f(p[1])), -min(f(p[0]), f(p[1])), simplex_key(p[0])),
-    )
+    """Collapse ``top`` onto ``end`` along ``f``'s matched pairs, replayed.
+
+    The cells of ``top`` outside ``end`` must split into pairs of ``f``'s
+    field, else ``ProofFailure``.  They are removed in decreasing value
+    order, highest lower cell first (a matched lower is valued at least its
+    upper), and the sequence is replayed before it is returned; a step that
+    is not free when its turn comes raises ``ProofFailure``.
+    """
+    removable = top.simplices - end.simplices
+    up, values = f.field.up, f.values
+    pairs = [(c, up[c]) for c in removable if c in up]
+    if {c for pair in pairs for c in pair} != removable:
+        raise ProofFailure("the cells to remove do not split into matched pairs")
+    pairs.sort(key=lambda p: (-values[p[0]], -values[p[1]], simplex_key(p[0])))
+    sequence = CollapseSequence(top, end, tuple(pairs))
     try:
-        remaining = _collapse_pairs(start, ordered)
+        sequence.replay()
     except NotFreeFace as exc:
         raise ProofFailure(
             f"pair ({exc.free!r}, {exc.coface!r}) was not free when its turn came"
         ) from exc
-    if remaining != end.simplices:
-        raise ProofFailure("descending pair removal did not reach the target complex")
-    return CollapseSequence(start, end, tuple(ordered))
+    return sequence
 
 
 def verify_dmt_a(
@@ -214,19 +198,17 @@ def verify_dmt_a(
     """Certified collapse of the level subcomplex at ``b`` onto the one at ``a``.
 
     Requires a critical-value-free window ``(a, b]``; the cells in between
-    then split into matched pairs, removed in decreasing value order.  A
-    given ``field`` must be ``f``'s, else ``ComplexMismatch``.
+    then split into matched pairs, removed in decreasing value order, and
+    the sequence is replayed before it is returned.  A given ``field`` must
+    be ``f``'s, else ``ComplexMismatch``.
     """
     if not a < b:
         raise PreconditionViolated(f"need a < b, got a={a}, b={b}")
     inside = [v for v in critical_values(f) if a < v <= b]
     if inside:
         raise CriticalValueInWindow(f"critical values {inside} lie in ({a}, {b}]")
-    field = _own_field(f, field)
-    top = level_subcomplex(f, b).complex
-    bottom = level_subcomplex(f, a).complex
-    pairs = pair_off_removable(field, top.simplices - bottom.simplices)
-    return collapse_in_descending_order(top, bottom, pairs, f)
+    _own_field(f, field)
+    return _replayed_collapse(f, level_subcomplex(f, b).complex, level_subcomplex(f, a).complex)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ as a plain zero-free row ``{cell: coefficient}``; ``flow_of`` wraps a row in a
 face index, with a gradient table built from the field's pairs, not the
 operator's, and boundary signs read from face positions; the two routes are
 cross-checked in ``check_flow_matrix``, whose row check also takes matrix
-rows a caller has already built.
+rows a caller has already built.  ``verify_flow_collapse`` certifies the
+collapse of a level subcomplex onto its flow-image closure with the
+collapse module's sequence builder, so its witness comes back replayed.
 
 Coefficients are Python integers, so arithmetic is exact at any size.
 """
@@ -18,12 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .collapse import (
-    CollapseSequence,
-    collapse_in_descending_order,
-    level_subcomplex,
-    pair_off_removable,
-)
+from .collapse import CollapseSequence, _replayed_collapse, level_subcomplex
 from .complexes import Chain, Simplex, SimplicialComplex, _trusted, incidence_sign
 from .errors import PropertyViolation, SimplexNotInComplex
 from .morse import GradientField, MorseFunction, _own_field
@@ -187,13 +184,12 @@ def verify_flow_collapse(
     """Certified collapse of a level subcomplex onto its flow-image closure.
 
     The cells dropped by the flow split into matched pairs, removed in
-    decreasing value order exactly as in the window verifier.  A given
+    decreasing value order and replayed by the window verifier's own
+    builder, so the sequence returned has already been replayed.  A given
     operator must carry ``f``'s field, else ``ComplexMismatch``.
     """
     if operator is None:
         operator = FlowOperator(f)
     _own_field(f, operator.field)
     top = level_subcomplex(f, threshold).complex
-    image = flow_image_closure(operator, top.simplices)
-    pairs = pair_off_removable(operator.field, top.simplices - image.simplices)
-    return collapse_in_descending_order(top, image, pairs, f)
+    return _replayed_collapse(f, top, flow_image_closure(operator, top.simplices))

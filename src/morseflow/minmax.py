@@ -14,7 +14,7 @@ shares every memo; ``dgcat`` of an empty subcomplex raises ``EmptyInput``.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Iterable, Mapping
@@ -25,7 +25,6 @@ from .complexes import (
     CellIndex,
     Simplex,
     SimplicialComplex,
-    _trusted,
     as_simplex,
     is_subcomplex,
     search_index,
@@ -113,8 +112,12 @@ def check_minmax_data(instance: MinMaxInstance) -> MinMaxReport:
 
     Closure: every map sends every family member to a family member.
     Deformation: across every regular value ``a`` in the image, some map
-    sends the sublevel set just above ``a`` inside the one just below, with
-    epsilon realised as half the minimum gap between distinct values.
+    sends the sublevel set just above ``a`` inside the one just below.  The
+    report's epsilon is half the minimum gap between distinct values; no
+    value lies within it of ``a``, so the sets at ``a + epsilon`` and
+    ``a - epsilon`` are the cells valued at most ``a`` and below ``a``.
+    They are selected by comparing with ``a`` itself, because the float
+    sums ``a + epsilon`` and ``a - epsilon`` can round onto an adjacent value.
     """
     f = instance.function
     if not f.is_injective():
@@ -127,7 +130,6 @@ def check_minmax_data(instance: MinMaxInstance) -> MinMaxReport:
             if frozenset(h(member)) not in members:
                 raise ClosureViolated(name, member)
             checked += 1
-    eps = f.min_value_gap() / 2.0
     crit = set(critical_values(f))
     order = sorted(f.complex, key=f.values.__getitem__)  # sublevel sets are its prefixes
     keys = [f.values[c] for c in order]
@@ -135,15 +137,15 @@ def check_minmax_data(instance: MinMaxInstance) -> MinMaxReport:
     for a in f.sorted_distinct_values():
         if a in crit:
             continue
-        above = frozenset(order[: bisect_right(keys, a + eps)])
-        below = frozenset(order[: bisect_right(keys, a - eps)])
+        above = frozenset(order[: bisect_right(keys, a)])
+        below = frozenset(order[: bisect_left(keys, a)])
         for name in sorted(instance.maps):
             if frozenset(instance.maps[name](above)) <= below:
                 witnesses[a] = name
                 break
         else:
             raise DeformationViolated(a)
-    return MinMaxReport(checked, eps, witnesses)
+    return MinMaxReport(checked, f.min_value_gap() / 2.0, witnesses)
 
 
 @dataclass(frozen=True)
@@ -154,40 +156,8 @@ class EdgePath:
     edges: tuple[Simplex, ...]
     low: Simplex
 
-    def vertex_sequence(self) -> tuple[Simplex, ...]:
-        verts = [self.start]
-        cur = self.start[0]
-        for e in self.edges:
-            if cur not in e:
-                raise ValueError(f"edge {tuple(e)} does not continue the path at {cur}")
-            cur = e[0] if e[1] == cur else e[1]
-            verts.append(_trusted((cur,)))
-        return tuple(verts)
-
     def cells(self) -> frozenset[Simplex]:
         return frozenset((self.start, *self.edges))
-
-
-def _admissible(
-    path: EdgePath, f: MorseFunction, basin_vertices: frozenset[Simplex]
-) -> bool:
-    try:
-        verts = path.vertex_sequence()
-    except ValueError:
-        return False
-    if not path.edges:
-        return False
-    if len(set(verts)) != len(verts):
-        return False
-    if verts[-1] not in basin_vertices:
-        return False
-    values = [f(e) for e in path.edges]
-    for j in range(1, len(verts)):
-        if verts[j] in basin_vertices:
-            tail = values[j - 1 :]
-            if any(x <= y for x, y in zip(tail, tail[1:])):
-                return False
-    return True
 
 
 def enumerate_paths(
@@ -260,6 +230,13 @@ def flow_path(operator: FlowOperator, path: EdgePath) -> EdgePath:
     ``ReassemblyFailure``.  Flowed paths may legitimately pass through other
     critical vertices (a diversion around a 2-simplex can land on one), so
     that constraint is not re-imposed here.
+
+    The image is walked from the start vertex, taking the one unused edge at
+    each vertex.  A vertex reached twice would leave two unused edges at
+    some step, so a walk that uses every edge proves the path contiguous and
+    vertex-simple.  The vertices it reaches are then checked for the two
+    rules left: the path ends in the basin, and edge values strictly
+    decrease from the first basin vertex on.
     """
     image = flow_image(operator, path.cells())
     verts = sorted((c for c in image if c.dim == 0), key=simplex_key)
@@ -271,6 +248,7 @@ def flow_path(operator: FlowOperator, path: EdgePath) -> EdgePath:
     if not edges:
         raise ReassemblyFailure("flow image lost every edge of the path")
     seq: list[Simplex] = []
+    reached: list[int] = []
     cur = path.start[0]
     remaining = set(edges)
     while remaining:
@@ -281,14 +259,14 @@ def flow_path(operator: FlowOperator, path: EdgePath) -> EdgePath:
         seq.append(edge)
         remaining.remove(edge)
         cur = edge[0] if edge[1] == cur else edge[1]
-    new_path = EdgePath(path.start, tuple(seq), path.low)
+        reached.append(cur)
     f = operator.function
-    basin_vertices = frozenset(
-        basin(operator.field, f, path.low).cells.cells_of_dim(0)
-    )
-    if not _admissible(new_path, f, basin_vertices):
+    in_basin = {v[0] for v in basin(operator.field, f, path.low).cells.cells_of_dim(0)}
+    entry = next((j for j, v in enumerate(reached) if v in in_basin), len(seq))
+    tail = [f.values[e] for e in seq[entry:]]
+    if cur not in in_basin or any(x <= y for x, y in zip(tail, tail[1:])):
         raise ReassemblyFailure("flowed path violates the path invariants")
-    return new_path
+    return EdgePath(path.start, tuple(seq), path.low)
 
 
 @dataclass(frozen=True)

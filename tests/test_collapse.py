@@ -11,6 +11,8 @@ import pytest
 from morseflow import (
     CollapseSequence,
     FlowOperator,
+    GradientField,
+    MorseFunction,
     Simplex,
     SimplicialComplex,
     basin,
@@ -22,6 +24,7 @@ from morseflow import (
     dgcat,
     elementary_collapse,
     enumerate_paths,
+    flow_image_closure,
     gradient_field,
     level_subcomplex,
     make_injective,
@@ -32,7 +35,7 @@ from morseflow import (
     verify_dmt_b,
     verify_flow_collapse,
 )
-from morseflow.collapse import _collapse_pairs, collapse_in_descending_order
+from morseflow.collapse import _collapse_pairs, _replayed_collapse
 from morseflow.complexes import as_simplex, simplex_key
 from morseflow.errors import (
     ComplexMismatch,
@@ -156,10 +159,21 @@ class TestReplayMidSequence:
             CollapseSequence(triangle, point, pairs).replay()
 
     def test_descending_order_wraps_a_stuck_pair(self, triangle, point, triangle_function):
-        pairs = [(Simplex((0,)), Simplex((0, 1))), (Simplex((1, 2)), Simplex((0, 1, 2)))]
-        message = r"pair \(Simplex\(0,\), Simplex\(0, 1\)\) was not free when its turn came"
+        # Not a gradient of these values: the highest lower cell, 2, still has
+        # the live coface 12 when its pair's turn comes.
+        field = GradientField(triangle, [((1,), (1, 2)), ((2,), (0, 2)), ((0, 1), (0, 1, 2))])
+        f = MorseFunction(triangle, triangle_function.values, field)
+        message = r"pair \(Simplex\(2,\), Simplex\(0, 2\)\) was not free when its turn came"
         with pytest.raises(ProofFailure, match=message):
-            collapse_in_descending_order(triangle, point, pairs, triangle_function)
+            _replayed_collapse(f, triangle, point)
+
+    def test_cells_outside_the_matching_are_a_proof_failure(
+        self, triangle, point, triangle_function
+    ):
+        field = GradientField(triangle, [((1, 2), (0, 1, 2))])
+        f = MorseFunction(triangle, triangle_function.values, field)
+        with pytest.raises(ProofFailure, match="do not split into matched pairs"):
+            _replayed_collapse(f, triangle, point)
 
 
 class TestCollapsesTo:
@@ -227,6 +241,90 @@ class TestVerifyDmtA:
                 else:
                     continue
                 verify_dmt_a(f, c, b).replay()
+
+
+def reference_pair_off_removable(field, cells):
+    """Oracle: the parent library's split of a removable cell set into its
+    matched pairs, walking the cells in canonical order."""
+    cells = frozenset(cells)
+    pairs = []
+    seen = set()
+    for cell in sorted(cells, key=simplex_key):
+        if cell in seen:
+            continue
+        partner = field.pair_of(cell)
+        if partner is None:
+            raise ProofFailure(f"{cell!r} is unmatched but should collapse away")
+        if partner not in cells:
+            raise ProofFailure(f"partner {partner!r} of {cell!r} is outside the removable set")
+        lower, upper = (cell, partner) if cell.dim < partner.dim else (partner, cell)
+        seen.add(lower)
+        seen.add(upper)
+        pairs.append((lower, upper))
+    return pairs
+
+
+def reference_descending_pairs(f, top, end):
+    """Oracle: the pairs of ``top`` minus ``end`` in the parent library's
+    descending order, by the larger value, then the smaller, then the first cell."""
+    pairs = reference_pair_off_removable(f.field, top.simplices - end.simplices)
+    return tuple(
+        sorted(
+            pairs,
+            key=lambda p: (-max(f(p[0]), f(p[1])), -min(f(p[0]), f(p[1])), simplex_key(p[0])),
+        )
+    )
+
+
+def maximal_windows(f):
+    """Each critical value ``c`` with the largest value below the next one, or
+    the largest value when ``c`` is the last; windows holding no value are left out."""
+    values = f.sorted_distinct_values()
+    crit = critical_values(f)
+    out = []
+    for i, c in enumerate(crit):
+        upper = crit[i + 1] if i + 1 < len(crit) else float("inf")
+        between = [v for v in values if c < v < upper]
+        if between:
+            out.append((c, between[-1]))
+    return out
+
+
+class TestCertificatesAgainstTheParentOrder:
+    """The verifiers' pairs equal the ones the separate pairing and sorting
+    oracle gives, on every maximal window and at the median value."""
+
+    def _check(self, f):
+        for a, b in maximal_windows(f):
+            seq = verify_dmt_a(f, a, b)
+            top, end = level_subcomplex(f, b).complex, level_subcomplex(f, a).complex
+            assert seq.start is top and seq.end is end
+            assert seq.pairs == reference_descending_pairs(f, top, end)
+        values = f.sorted_distinct_values()
+        median = values[len(values) // 2]
+        operator = FlowOperator(f)
+        seq = verify_flow_collapse(f, median, operator)
+        top = level_subcomplex(f, median).complex
+        image = flow_image_closure(operator, top.simplices)
+        assert seq.start is top and seq.end.simplices == image.simplices
+        assert seq.pairs == reference_descending_pairs(f, top, image)
+        return len(seq.pairs)
+
+    def test_random_instances(self):
+        moved = sum(self._check(random_instance(seed)[1]) for seed in range(300))
+        assert moved > 0
+
+    def test_tori(self):
+        for m in range(3, 10):
+            for seed in range(2):
+                self._check(random_morse(torus(m), seed))
+
+    def test_lower_cells_of_equal_value(self):
+        # Both lower cells are valued 5, so the upper cells' values decide.
+        k = build_complex([(0, 1), (2, 3)])
+        f = validate(k, {(0,): 0, (2,): 0, (1,): 5, (0, 1): 3, (3,): 5, (2, 3): 4})
+        self._check(f)
+        assert verify_dmt_a(f, 0, 5).pairs == (((3,), (2, 3)), ((1,), (0, 1)))
 
 
 class TestVerifyDmtB:

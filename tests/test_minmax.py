@@ -52,6 +52,7 @@ from morseflow.errors import (
     NoPathExists,
     NotACriticalVertex,
     NotLocalMinima,
+    ReassemblyFailure,
     SimplexNotInComplex,
     TheoremViolation,
     TooLargeForEnumeration,
@@ -121,6 +122,20 @@ class TestCheckMinMaxData:
             report = check_minmax_data(ls_instance(circle_function, k))
             assert report.closure_checked >= 1
 
+    def test_adjacent_float_values_keep_their_own_sublevel_sets(self):
+        # h shrinks only the whole edge, so it fails at the regular value of
+        # the edge: the set just above it is {0, 01}, which h fixes.  With
+        # the edge at 1 - 2**-53, a +- eps rounds onto the neighbouring value.
+        k = build_complex([(0, 1)])
+        whole = frozenset(k.simplices)
+        family = [frozenset(c) for n in range(4) for c in combinations(whole, n)]
+        maps = {"h": lambda s: frozenset({Simplex((0,))}) if s == whole else s}
+        for edge_value in (1 - 2**-53, 0.5):
+            f = validate(k, {(0,): 0.0, (0, 1): edge_value, (1,): 1.0})
+            with pytest.raises(DeformationViolated) as caught:
+                check_minmax_data(MinMaxInstance(f, maps, family))
+            assert caught.value.value == edge_value
+
 
 class TestEnumeratePaths:
     def test_p3_two_paths(self, p3_function):
@@ -171,13 +186,20 @@ class TestEnumeratePaths:
         assert frozenset({Simplex((3,)), *edges}) not in {p.cells() for p in paths}
 
 
+def _grid(n):
+    """The n x n vertex grid, each square cut along a diagonal."""
+    triangles = []
+    for i in range(n - 1):
+        for j in range(n - 1):
+            a = i * n + j
+            triangles += [(a, a + n, a + n + 1), (a, a + 1, a + n + 1)]
+    return build_complex(triangles)
+
+
 @pytest.fixture(scope="module")
 def grid_functions():
-    """``random_morse`` on the 3 x 3 vertex grid, each square cut along a diagonal."""
-    triangles = []
-    for a in (0, 1, 3, 4):
-        triangles += [(a, a + 3, a + 4), (a, a + 1, a + 4)]
-    grid = build_complex(triangles)
+    """``random_morse`` on the 3 x 3 vertex grid."""
+    grid = _grid(3)
     return [random_morse(grid, seed) for seed in range(40)]
 
 
@@ -347,11 +369,8 @@ def _outcome(walk, f, field, high, low):
 
 @pytest.fixture(scope="module")
 def grid4_functions():
-    """``random_morse`` on the 4 x 4 vertex grid, each square cut along a diagonal."""
-    triangles = []
-    for a in (0, 1, 2, 4, 5, 6, 8, 9, 10):
-        triangles += [(a, a + 4, a + 5), (a, a + 1, a + 5)]
-    grid = build_complex(triangles)
+    """``random_morse`` on the 4 x 4 vertex grid."""
+    grid = _grid(4)
     return [random_morse(grid, seed) for seed in range(25)]
 
 
@@ -424,6 +443,142 @@ class TestWitnessAgainstOrbits:
             assert result.instance.family == _family_by_orbits(result)
             checked += 1
         assert checked >= 50
+
+
+def reference_vertex_sequence(path):
+    """Oracle: the parent library's ``EdgePath.vertex_sequence``."""
+    verts = [path.start]
+    cur = path.start[0]
+    for e in path.edges:
+        if cur not in e:
+            raise ValueError(f"edge {tuple(e)} does not continue the path at {cur}")
+        cur = e[0] if e[1] == cur else e[1]
+        verts.append(Simplex((cur,)))
+    return tuple(verts)
+
+
+def reference_admissible(path, f, basin_vertices):
+    """Oracle: the parent library's check of a reassembled path, which walks
+    it again and re-checks the tail from every basin vertex."""
+    try:
+        verts = reference_vertex_sequence(path)
+    except ValueError:
+        return False
+    if not path.edges:
+        return False
+    if len(set(verts)) != len(verts):
+        return False
+    if verts[-1] not in basin_vertices:
+        return False
+    values = [f(e) for e in path.edges]
+    for j in range(1, len(verts)):
+        if verts[j] in basin_vertices:
+            tail = values[j - 1 :]
+            if any(x <= y for x, y in zip(tail, tail[1:])):
+                return False
+    return True
+
+
+def reference_reassemble(operator, path):
+    """Oracle: the parent library's ``flow_path`` up to its reassembled path."""
+    image = flow_image(operator, path.cells())
+    verts = sorted((c for c in image if c.dim == 0), key=simplex_key)
+    edges = {c for c in image if c.dim == 1}
+    if len(verts) + len(edges) != len(image):
+        raise ReassemblyFailure("flow image contains cells above dimension 1")
+    if verts != [path.start]:
+        raise ReassemblyFailure(f"flow image vertices {verts} are not just the start vertex")
+    if not edges:
+        raise ReassemblyFailure("flow image lost every edge of the path")
+    seq = []
+    cur = path.start[0]
+    remaining = set(edges)
+    while remaining:
+        nxt = [e for e in remaining if cur in e]
+        if len(nxt) != 1:
+            raise ReassemblyFailure(f"image does not reassemble into one path at vertex {cur}")
+        edge = nxt[0]
+        seq.append(edge)
+        remaining.remove(edge)
+        cur = edge[0] if edge[1] == cur else edge[1]
+    return EdgePath(path.start, tuple(seq), path.low)
+
+
+def reference_flow_path(operator, path):
+    """Oracle: the parent library's ``flow_path``."""
+    new_path = reference_reassemble(operator, path)
+    f = operator.function
+    basin_vertices = frozenset(basin(operator.field, f, path.low).cells.cells_of_dim(0))
+    if not reference_admissible(new_path, f, basin_vertices):
+        raise ReassemblyFailure("flowed path violates the path invariants")
+    return new_path
+
+
+def _flow_path_outcome(flow, operator, path):
+    try:
+        return flow(operator, path)
+    except ReassemblyFailure as exc:
+        return str(exc)
+
+
+def _path(f, high, low, edges):
+    """An enumerated path of ``f`` from ``high`` to the basin of ``low``."""
+    path = EdgePath(Simplex((high,)), tuple(map(Simplex, edges)), Simplex((low,)))
+    assert path in enumerate_paths(f, f.field, (high,), (low,))
+    return path
+
+
+class TestFlowPathAgainstTheParentRules:
+    """``flow_path`` against the parent's reassembly and its separate
+    admissibility walk: the same path or the same error message."""
+
+    INVARIANTS = "flowed path violates the path invariants"
+
+    def test_every_enumerated_path_on_grids(self):
+        kinds = {"path": 0, "walk": 0, "rules": 0}
+        for n in (3, 4):
+            grid = _grid(n)
+            for seed in range(50):
+                f = random_morse(grid, seed)
+                operator = FlowOperator(f)
+                for high, low in _ordered_critical_pairs(f):
+                    if not f((low,)) < f((high,)):
+                        continue
+                    try:
+                        paths = enumerate_paths(f, f.field, (high,), (low,))
+                    except NoPathExists:
+                        continue
+                    for path in paths:
+                        expected = _flow_path_outcome(reference_flow_path, operator, path)
+                        assert _flow_path_outcome(flow_path, operator, path) == expected
+                        if isinstance(expected, EdgePath):
+                            kinds["path"] += 1
+                        else:
+                            kinds["rules" if expected == self.INVARIANTS else "walk"] += 1
+        assert min(kinds.values()) > 0, kinds
+
+    def test_a_walked_path_that_ends_outside_the_basin_is_refused(self):
+        f = random_morse(_grid(3), 3)
+        operator = FlowOperator(f)
+        path = _path(f, 1, 3, [(0, 1), (0, 4), (3, 4)])
+        verts = reference_vertex_sequence(reference_reassemble(operator, path))
+        assert verts[-1] not in basin(f.field, f, (3,)).cells
+        with pytest.raises(ReassemblyFailure, match=self.INVARIANTS):
+            flow_path(operator, path)
+
+    def test_a_walked_path_whose_tail_rises_is_refused(self):
+        f = random_morse(_grid(3), 0)
+        operator = FlowOperator(f)
+        path = _path(f, 0, 3, [(0, 4), (3, 4)])
+        walked = reference_reassemble(operator, path)
+        verts = reference_vertex_sequence(walked)
+        basin_cells = basin(f.field, f, (3,)).cells
+        assert verts[-1] in basin_cells
+        first = next(j for j in range(1, len(verts)) if verts[j] in basin_cells)
+        tail = [f(e) for e in walked.edges[first - 1 :]]
+        assert any(x <= y for x, y in zip(tail, tail[1:]))
+        with pytest.raises(ReassemblyFailure, match=self.INVARIANTS):
+            flow_path(operator, path)
 
 
 class TestFlowPath:
