@@ -7,10 +7,12 @@ The window verifier here and the flow verifier in ``flow`` build theirs in
 one place: the function's matched pairs between two complexes, in
 decreasing value order, replayed once before the sequence is returned.
 
-Replay is one pass that checks every step against the live cells and their
-live-coface counts, then compares what is left with the recorded end once.
-It reads the complex's own incidence, not the complex's search index
-(``CellIndex``), so search witnesses are checked by separate code.
+Replay is one pass that checks every step against the live cells, then
+compares what is left with the recorded end once: a cell is free when
+exactly one of its cofaces is live, so no coface counts are kept.  It reads
+the face and coface maps the complex shares with its root, not the
+complex's search index (``CellIndex``), so search witnesses are checked by
+separate code.
 
 A level subcomplex is the sublevel set plus the matched lower faces of its
 cells (Forman's level-subcomplex structure), which holds for a function
@@ -85,11 +87,10 @@ def _collapse_pairs(start: SimplicialComplex, pairs: Iterable[tuple]) -> set[Sim
     Every step must be an elementary collapse of the cells still live, with
     the errors and messages of ``elementary_collapse``.  Once both cells are
     live, the free cell is a codimension-1 face of the coface exactly when it
-    is among the coface's faces.
+    is among the coface's faces, and free when it is its one live coface.
     """
     faces, cofaces = start._faces, start._cofaces
     live = set(start._cells)
-    live_cofaces: dict[Simplex, int] = {}
     for free, coface in pairs:
         if not isinstance(free, Simplex):
             free = Simplex(free)
@@ -103,13 +104,11 @@ def _collapse_pairs(start: SimplicialComplex, pairs: Iterable[tuple]) -> set[Sim
             raise NotFreeFace(
                 free, coface, f"{coface!r} is not a codimension-1 coface of {free!r}"
             )
-        if live_cofaces.get(free, len(cofaces[free])) != 1:
-            cofs = [tuple(c) for c in cofaces[free] if c in live]
+        cofs = [tuple(c) for c in cofaces[free] if c in live]
+        if len(cofs) != 1:
             raise NotFreeFace(free, coface, f"{free!r} has cofaces {cofs}, so it is not free")
-        for cell in (free, coface):
-            live.remove(cell)
-            for t in faces[cell]:
-                live_cofaces[t] = live_cofaces.get(t, len(cofaces[t])) - 1
+        live.remove(free)
+        live.remove(coface)
     return live
 
 
@@ -267,9 +266,11 @@ def basin(field: GradientField, f: MorseFunction, vertex) -> Basin:
     ``field`` must be ``f``'s, else ``ComplexMismatch``.
 
     The tree is walked uphill from the minimum: a coface edge of a member
-    matched to its other end makes that end a member one step deeper.  Each
-    member's cofaces are read once, so a basin costs its vertices and their
-    cofaces, and the basins of all minima one pass over vertices and edges.
+    matched to its other end makes that end a member one step deeper.  The
+    walk reads each member's cofaces once, and the replay reads them again
+    for every member but the minimum.  The tree is a subcomplex of the
+    field's complex that sorts its own cells, so a basin costs its vertices
+    and their cofaces, not a pass over the complex.
     """
     _own_field(f, field)
     v = as_simplex(vertex)
@@ -288,8 +289,9 @@ def basin(field: GradientField, f: MorseFunction, vertex) -> Basin:
                 depth[u] = d
                 pairs.append((u, edge))
     pairs.sort(key=lambda p: (-depth[p[0]], simplex_key(p[0])))
-    sub = SimplicialComplex._from_cells(members + [e for _, e in pairs])
-    target = SimplicialComplex._from_cells([v])
+    # Canonical order without a pass over the complex: vertices, then edges.
+    sub = field.complex._derived(tuple(sorted(members) + sorted([e for _, e in pairs])))
+    target = sub._derived((v,))
     witness = CollapseSequence(sub, target, tuple(pairs))
     witness.replay()
     return Basin(v, sub, witness)

@@ -2,9 +2,16 @@
 
 A complex's cells never change after construction.  Each cell is one
 object: every face tuple holds the complex's own cells, not copies of them.
-The face map is built with the complex, so the face queries sitting in the
-inner loops of the Morse machinery are dictionary lookups; the coface map
-is built from it on first use, since most complexes never read it.
+A loaded complex (from ``build_complex``, ``parse_scx``, ``parse_off`` or
+the checked constructor) is the root of every complex derived from it:
+level subcomplexes, closures, collapses, basins and category pieces keep
+only their cells in canonical order and a reference to the root, and share
+its face map and its coface map.  The face map is built with the root, so
+the face queries sitting in the inner loops of the Morse machinery are
+dictionary lookups; the coface map is built from it on first use, by
+whichever complex of the root's family reads it first, since most never do.
+A cell's faces in a subcomplex are its faces in the root; its cofaces in a
+subcomplex are its root cofaces that are members.
 One integer incidence per complex, also built on first use, gives each
 cell its position in canonical order and its face and coface positions:
 ``random_morse``, ``make_injective`` and the bitmask ``CellIndex`` work on
@@ -21,17 +28,18 @@ from objects already checked is valid by construction, so it is built
 through private constructors that skip the checks: ``_trusted`` for a face
 sliced out of a simplex or a vertex read from one, ``Chain._make`` for the
 results of chain arithmetic, ``SimplicialComplex._sub`` for a face-closed
-subset of a complex, and ``SimplicialComplex._from_cells`` for the face
-closure of distinct ``Simplex`` cells: the simplices ``build_complex`` is
-given, the lines of a ``.scx`` file that ``parse_scx`` has checked, and a
-basin's vertices and edges.  They are used on such data only.
+subset of a complex (``_derived`` when the subset comes in canonical
+order), and ``SimplicialComplex._from_cells`` for the face
+closure of distinct ``Simplex`` cells of fresh input: the simplices
+``build_complex`` is given and the lines of a ``.scx`` file that
+``parse_scx`` has checked.  They are used on such data only.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -117,7 +125,7 @@ def _bits(mask: int) -> Iterator[int]:
 class SimplicialComplex:
     """A finite face-closed set of simplices with two-way incidence indices."""
 
-    __slots__ = ("_cells", "_order", "_faces", "_coface_tuples", "_ids", "_by_dim", "_search")
+    __slots__ = ("_cells", "_order", "_faces", "_root", "_coface_tuples", "_ids", "_search")
 
     def __init__(self, simplices: Iterable[Iterable[int]]):
         cells = frozenset(as_simplex(s) for s in simplices)
@@ -136,42 +144,50 @@ class SimplicialComplex:
         complex._index(*_face_closure(cells))
         return complex
 
-    def _index(self, faces: dict[Simplex, tuple[Simplex, ...]], order: tuple) -> None:
-        """Fill every slot from a face map and its canonical order."""
+    def _index(self, faces: dict, order: tuple, root: SimplicialComplex | None = None) -> None:
+        """Fill every slot from a face map, a canonical order and the root
+        that owns the face map (``None`` when this complex is the root)."""
         # Built from the canonical order, so the set iterates alike however
         # the face map was filled.
         self._cells = frozenset(order)
         self._order = order
         self._faces = faces
+        self._root = root
         self._coface_tuples = None
         self._ids = None
-        self._by_dim = _group_by_dim(order)
         self._search = None
 
     def _sub(self, cells: set[Simplex]) -> "SimplicialComplex":
         """The subcomplex on a face-closed subset of the cells; unchecked.
 
-        Reuses this complex's face tuples and canonical order, so costs one
-        pass over this complex's cells and one over the subcomplex's faces.
+        Shares this complex's face map and root, so costs one pass over this
+        complex's cells.  A member's faces are members, so every reader of
+        the shared face map, which indexes member cells only, reads the
+        subcomplex's faces.
         """
-        sub = object.__new__(SimplicialComplex)
         # Tuples from lists, not generators: ``tuple`` over-allocates a
         # generator's items and shrinks the result, which raised peak memory.
-        order = tuple([s for s in self._order if s in cells])
-        sub._index({s: self._faces[s] for s in order}, order)
+        return self._derived(tuple([s for s in self._order if s in cells]))
+
+    def _derived(self, order: tuple[Simplex, ...]) -> "SimplicialComplex":
+        """The subcomplex on face-closed cells given in canonical order; unchecked."""
+        sub = object.__new__(SimplicialComplex)
+        sub._index(self._faces, order, self if self._root is None else self._root)
         return sub
 
     @property
     def _cofaces(self) -> dict[Simplex, tuple[Simplex, ...]]:
-        """The coface tuples, each in canonical order, built on first use:
-        most complexes never read them."""
-        if self._coface_tuples is None:
-            cofaces: dict[Simplex, list[Simplex]] = {s: [] for s in self._order}
-            for s in self._order:
-                for t in self._faces[s]:
+        """The root's coface tuples, each in canonical order, built on first
+        use by whichever complex of the root's family reads them first: most
+        never do.  A subcomplex's cell may have cofaces outside it here."""
+        root = self if self._root is None else self._root
+        if root._coface_tuples is None:
+            cofaces: dict[Simplex, list[Simplex]] = {s: [] for s in root._order}
+            for s in root._order:
+                for t in root._faces[s]:
                     cofaces[t].append(s)
-            self._coface_tuples = {s: tuple(c) for s, c in cofaces.items()}
-        return self._coface_tuples
+            root._coface_tuples = {s: tuple(c) for s, c in cofaces.items()}
+        return root._coface_tuples
 
     @property
     def _incidence(self) -> "_Incidence":
@@ -187,26 +203,29 @@ class SimplicialComplex:
 
     @property
     def dim(self) -> int:
-        return max(self._by_dim) if self._by_dim else -1
+        return len(self._order[-1]) - 1 if self._order else -1
 
     @property
     def vertices(self) -> tuple[Simplex, ...]:
         return self.cells_of_dim(0)
 
     def cells_of_dim(self, p: int) -> tuple[Simplex, ...]:
-        return self._by_dim.get(p, ())
+        order = self._order  # sorted by dimension, so each dimension is one slice
+        return order[bisect_left(order, p + 1, key=len) : bisect_right(order, p + 1, key=len)]
 
     def faces_of(self, s) -> tuple[Simplex, ...]:
-        try:
-            return self._faces[s]
-        except KeyError:
-            raise SimplexNotInComplex(f"{s!r} is not in the complex") from None
+        return self._faces[self._member(s)]
 
     def cofaces_of(self, s) -> tuple[Simplex, ...]:
-        try:
-            return self._cofaces[s]
-        except KeyError:
-            raise SimplexNotInComplex(f"{s!r} is not in the complex") from None
+        cells = self._cells
+        return tuple([c for c in self._cofaces[self._member(s)] if c in cells])
+
+    def _member(self, s) -> Simplex:
+        """``s`` as a cell of the complex, in any vertex order; else ``SimplexNotInComplex``."""
+        s = as_simplex(s)
+        if s not in self._cells:
+            raise SimplexNotInComplex(f"{s!r} is not in the complex")
+        return s
 
     def closure_of(self, cells: Iterable) -> "SimplicialComplex":
         """The subcomplex generated by the given member cells."""
@@ -214,12 +233,7 @@ class SimplicialComplex:
 
     def _closure(self, cells: Iterable) -> set[Simplex]:
         """The cells of ``closure_of(cells)``, without building the subcomplex."""
-        stack = []
-        for c in cells:
-            c = as_simplex(c)
-            if c not in self._cells:
-                raise SimplexNotInComplex(f"{c!r} is not in the complex")
-            stack.append(c)
+        stack = list(map(self._member, cells))
         out: set[Simplex] = set()
         while stack:
             s = stack.pop()
@@ -282,18 +296,6 @@ def _face_closure(cells: Iterable[Simplex]) -> tuple[dict, tuple[Simplex, ...]]:
     faces.update(dict.fromkeys(layers.get(1, ()), ()))
     # Canonical order is by dimension, then vertex order.
     return faces, tuple(itertools.chain.from_iterable(sorted(layers[k]) for k in sorted(layers)))
-
-
-def _group_by_dim(order: tuple[Simplex, ...]) -> dict[int, tuple[Simplex, ...]]:
-    """``order`` is sorted by dimension, so each dimension is one slice of it."""
-    by_dim: dict[int, tuple[Simplex, ...]] = {}
-    start = 0
-    while start < len(order):
-        size = len(order[start])
-        end = bisect_right(order, size, start, key=len)
-        by_dim[size - 1] = order[start:end]
-        start = end
-    return by_dim
 
 
 class _Incidence:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from itertools import combinations
+from itertools import combinations, takewhile
 
 import pytest
 
@@ -432,6 +432,8 @@ class TestBasin:
         assert deepest == ((n // 2 - 1,), (n // 2 - 2, n // 2 - 1))
 
     def test_reads_each_vertexs_cofaces_at_most_once_over_all_basins(self):
+        """At most once per reader: the walk reads every vertex's cofaces, and
+        the basin's replay, which shares the map, every vertex but the minimum's."""
         complex = torus(24)
         f = random_morse(complex, 2)
         field = gradient_field(f)
@@ -441,8 +443,8 @@ class TestBasin:
         assert len(minima) > 1
         for v in minima:
             basin(field, f, v)
-        assert set(counted.reads) <= set(complex.cells_of_dim(0))
-        assert max(counted.reads.values()) == 1
+        # Every vertex drains to one minimum, so each lies in exactly one basin.
+        assert counted.reads == {v: 1 if v in minima else 2 for v in complex.vertices}
 
 
 class TestBasinOracle:
@@ -718,29 +720,63 @@ def _random_pairs(complex, rng, kind):
     return [tuple(p if rng.random() < 0.7 else list(p) for p in pair) for pair in pairs]
 
 
+REPLAY_KINDS = ("valid", "not free", "not a coface", "missing", "malformed")
+
+
 class TestReplayKernelAgainstTheOldOne:
     def test_random_pair_sequences(self):
-        kinds = ("valid", "not free", "not a coface", "missing", "malformed")
         seen = set()
         for seed in range(200):
             complex, _ = random_instance(seed)
             rng = random.Random(seed)
-            for kind in kinds:
+            for kind in REPLAY_KINDS:
                 pairs = _random_pairs(complex, rng, kind)
                 new = _replay_outcome(_collapse_pairs, complex, pairs)
                 assert new == _replay_outcome(_collapse_pairs_before, complex, pairs)
                 seen.add(new[0])
         assert seen == {"ok", SimplexNotInComplex, NotFreeFace, MalformedSimplex}
 
+    def test_random_pair_sequences_on_subcomplexes(self):
+        """Levels and closures read their root's coface map, which lists
+        cofaces outside them; the oracle replays on the checked rebuild,
+        which has a map of its own."""
+        seen = set()
+        outside = 0  # steps whose free cell has a root coface outside the start
+        for seed in range(150):
+            complex, f = random_instance(seed)
+            rng = random.Random(seed)
+            starts = [level_subcomplex(f, t).complex for t in thresholds(f)]
+            cells = list(complex)
+            for _ in range(3):
+                picked = rng.sample(cells, rng.randint(1, min(3, len(cells))))
+                starts.append(complex.closure_of(picked))
+            for start in dict.fromkeys(starts):  # each distinct start once
+                rebuilt = SimplicialComplex(list(start))
+                for kind in REPLAY_KINDS:
+                    pairs = _random_pairs(start, rng, kind)
+                    new = _replay_outcome(_collapse_pairs, start, pairs)
+                    assert new == _replay_outcome(_collapse_pairs_before, rebuilt, pairs)
+                    seen.add(new[0])
+                    if new[0] == "ok":
+                        outside += sum(
+                            not set(complex.cofaces_of(a)) <= start.simplices for a, _ in pairs
+                        )
+        assert seen == {"ok", SimplexNotInComplex, NotFreeFace, MalformedSimplex}
+        assert outside > 0
+
 
 def assert_as_checked(complex):
-    """A trusted build equals the checked constructor's, order and incidence too."""
+    """A trusted build equals the checked constructor's, order and incidence
+    too, as the public views show them."""
     checked = SimplicialComplex(list(complex))
     assert complex == checked
     assert list(complex) == list(checked)
-    assert complex._faces == checked._faces
-    assert complex._cofaces == checked._cofaces
-    assert complex._by_dim == checked._by_dim
+    for c in complex:
+        assert complex.faces_of(c) == checked.faces_of(c)
+        assert complex.cofaces_of(c) == checked.cofaces_of(c)
+    assert complex.dim == checked.dim
+    for p in range(-1, complex.dim + 2):
+        assert complex.cells_of_dim(p) == checked.cells_of_dim(p)
 
 
 class TestTrustedBuilds:
@@ -775,6 +811,64 @@ class TestTrustedBuilds:
                 for a in complex.faces_of(b):
                     if len(complex.cofaces_of(a)) == 1:
                         assert_as_checked(elementary_collapse(complex, a, b))
+
+
+def derived_complexes(complex, f):
+    """Every kind of complex derived from ``complex``: levels, closures,
+    elementary collapses, basin trees and ends, and on at most 14 cells the
+    maximal collapsible subcomplexes and ``dgcat``'s pieces; then the same
+    derived once more from a middle level."""
+    out = [level_subcomplex(f, t).complex for t in thresholds(f)]
+    for k in (complex, out[len(out) // 2]):
+        out += [k.closure_of([c]) for c in k]
+        out += [
+            elementary_collapse(k, a, b)
+            for b in k for a in k.faces_of(b) if len(k.cofaces_of(a)) == 1
+        ]
+        if len(k) <= 14:
+            for v in k.vertices:
+                out += maximal_collapsible_to(k, v)
+            result = dgcat(k)
+            out.append(result.collapsed_to)
+            out += [x for piece in result.cover for x in (piece.subcomplex, piece.witness.end)]
+    for v in f.field.critical:
+        if v.dim == 0:
+            bas = basin(f.field, f, v)
+            out += [bas.cells, bas.witness.end]
+    return out
+
+
+class TestSharedIncidence:
+    """A loaded complex owns the face and coface maps of every complex derived
+    from it, and only it builds a coface map."""
+
+    def test_derived_complexes_share_the_roots_face_map(self):
+        proper = set()
+        for seed in range(100):
+            complex, f = random_instance(seed, max_vertices=5, max_cell=3)
+            for sub in derived_complexes(complex, f):
+                assert sub._root is complex and sub._faces is complex._faces
+                assert sub._coface_tuples is None
+                proper.add(len(sub) < len(complex))
+            assert complex._coface_tuples is not None  # read by collapses and basins
+        assert proper == {True, False}  # the top level is the whole complex
+
+    def test_a_window_sweep_builds_a_coface_map_on_the_root_only(self):
+        complex = torus(8)
+        f = random_morse(complex, 3)
+        values = f.sorted_distinct_values()
+        crit = set(critical_values(f))
+        swept = 0
+        # Every value ``a`` with the largest ``b`` that keeps (a, b] free of critical values.
+        for i, a in enumerate(values):
+            regular = list(takewhile(lambda v: v not in crit, values[i + 1 :]))
+            if regular:
+                seq = verify_dmt_a(f, a, regular[-1])
+                assert seq.start._faces is seq.end._faces is complex._faces
+                swept += 1
+        assert swept > len(values) // 2
+        assert complex._coface_tuples is not None
+        assert all(level._coface_tuples is None for _, level in f._levels.values())
 
 
 class TestForeignField:
