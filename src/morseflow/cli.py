@@ -23,7 +23,7 @@ from .complexes import (
 )
 from .errors import MissingValue, MorseflowError, PreconditionViolated, UnreadableInput
 from .flow import FlowOperator, _check_flow_rows, flow_matrix
-from .minmax import check_minmax_data, ls_instance, ls_minmax, mountain_pass
+from .minmax import check_minmax_data, ls_bound_check, ls_instance, ls_minmax, mountain_pass
 from .morse import (
     MorseFunction,
     critical_cells,
@@ -92,7 +92,7 @@ def _cmd_gradient(args):
     f = _load_function(args)
     field = gradient_field(f)
     return {
-        "pairs": [[list(a), list(b)] for a, b in sorted(field.pairs)],
+        "pairs": [[list(a), list(b)] for a, b in sorted(field.up.items())],
         "critical": _cells(field.critical),
         # validate rejects a field with a closed path, so none is left to find.
         "hasClosedPath": False,
@@ -175,12 +175,11 @@ def _cmd_lscat(args):
     f = _load_function(args)
     # One value per depth 1 .. dgcat + 1.
     values = ls_minmax(f, args.max_enum)
-    critical_count = len(critical_cells(f))
     return {
         "dgcat": len(values) - 1,
         "values": [[k, v] for k, v in values],
-        "criticalCount": critical_count,
-        "boundHolds": len(values) <= critical_count,
+        "criticalCount": len(critical_cells(f)),
+        "boundHolds": ls_bound_check(f, args.max_enum),
     }
 
 
@@ -221,7 +220,7 @@ def _cmd_export_dot(args):
         label = f"{name}\\nf={f(cell)!r}"
         extra = ", peripheries=2" if cell in field.critical else ""
         lines.append(f'  "{name}" [label="{label}"{extra}];')
-    for lower, upper in sorted(field.pairs):
+    for lower, upper in sorted(field.up.items()):
         a = " ".join(str(v) for v in lower)
         b = " ".join(str(v) for v in upper)
         lines.append(f'  "{a}" -> "{b}";')

@@ -17,8 +17,8 @@ separate code.
 A level subcomplex is the sublevel set plus the matched lower faces of its
 cells (Forman's level-subcomplex structure), which holds for a function
 from ``validate``; every verifier gets its levels from ``level_subcomplex``,
-and the function keeps each level it builds, at most one per distinct value
-plus the empty one.
+and the function keeps each level complex it builds, at most one per
+distinct value plus the empty one; the sublevel set itself is not kept.
 """
 
 from __future__ import annotations
@@ -67,18 +67,19 @@ def level_subcomplex(f: MorseFunction, threshold: float) -> FiltrationLevel:
     and otherwise lies in two codimension-1 faces of ``s``, at most one of
     them valued at least ``f(s)``, so the other is a sublevel cell that
     has ``r`` as a face of lower codimension.  Sublevel sets of one function
-    are nested, so their size names them: ``f`` keeps each level it builds
-    under that size, at most one per distinct value plus the empty one, and
-    thresholds in one value gap share one complex.
+    are nested, so their size names them: ``f`` keeps each level complex it
+    builds under that size, at most one per distinct value plus the empty
+    one, and thresholds in one value gap share one complex.  The sublevel
+    set is listed on every call, so the memo keeps no copy of it.
     """
     sub = [c for c, value in f.values.items() if value <= threshold]
-    known = f._levels.get(len(sub))
-    if known is None:
+    level = f._levels.get(len(sub))
+    if level is None:
         down = f.field.down
         cells = set(sub)
         cells.update([down[c] for c in sub if c in down])
-        known = f._levels[len(sub)] = (frozenset(sub), f.complex._sub(cells))
-    return FiltrationLevel(float(threshold), *known)
+        level = f._levels[len(sub)] = f.complex._sub(cells)
+    return FiltrationLevel(float(threshold), frozenset(sub), level)
 
 
 def _collapse_pairs(start: SimplicialComplex, pairs: Iterable[tuple]) -> set[Simplex]:
@@ -263,7 +264,8 @@ def basin(field: GradientField, f: MorseFunction, vertex) -> Basin:
     Vertices whose (unique) gradient path ends at the minimum, together with
     the pairing edges along those paths.  The result is a tree, collapsed to
     the minimum deepest-vertex-first; the witness is stored after replay.
-    ``field`` must be ``f``'s, else ``ComplexMismatch``.
+    ``field`` must be ``f``'s, else ``ComplexMismatch``.  The minimum is the
+    complex's own cell, however the caller names the vertex.
 
     The tree is walked uphill from the minimum: a coface edge of a member
     matched to its other end makes that end a member one step deeper.  The
@@ -276,6 +278,7 @@ def basin(field: GradientField, f: MorseFunction, vertex) -> Basin:
     v = as_simplex(vertex)
     if v not in field.complex or v.dim != 0 or v not in field.critical:
         raise NotACriticalVertex(f"{v!r} is not a critical vertex")
+    v = field.complex._own(v)
     cofaces, down = field.complex._cofaces, field.down
     members = [v]
     depth = {v: 0}

@@ -227,6 +227,11 @@ class SimplicialComplex:
             raise SimplexNotInComplex(f"{s!r} is not in the complex")
         return s
 
+    def _own(self, s: Simplex) -> Simplex:
+        """The complex's own object for its cell ``s``, found by bisecting the
+        canonical order: cells built by a caller are equal to it, not it."""
+        return self._order[bisect_left(self._order, simplex_key(s), key=simplex_key)]
+
     def closure_of(self, cells: Iterable) -> "SimplicialComplex":
         """The subcomplex generated by the given member cells."""
         return self._sub(self._closure(cells))

@@ -39,7 +39,7 @@ class FlowOperator:
         self.complex = function.complex
         self.field = _own_field(function, field)
         matched = {
-            lower: (upper, -incidence_sign(upper, lower)) for lower, upper in self.field.pairs
+            lower: (upper, -incidence_sign(upper, lower)) for lower, upper in self.field.up.items()
         }
         # Row of s: s + boundary(V s) + V(boundary s), in one dict; an unmatched
         # cell looks up no upper cell and sign 0.  Omitting vertex i gives a
@@ -100,7 +100,7 @@ def flow_matrix(operator: FlowOperator, p: int) -> dict[Simplex, dict[Simplex, i
         raise ValueError(f"dimension {p} is outside 0..{complex.dim}")
     gradient = {
         lower: (upper, -incidence_sign(upper, lower))
-        for lower, upper in operator.field.pairs
+        for lower, upper in operator.field.up.items()
         if p <= len(lower) <= p + 1
     }
     rows: dict[Simplex, dict[Simplex, int]] = {}

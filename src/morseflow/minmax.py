@@ -176,10 +176,10 @@ def enumerate_paths(
     Cofaces are tried in canonical order, so paths are found in order of
     their edges, and a stable sort by length returns them sorted by length,
     then by their edges.  ``field`` must be ``f``'s, else ``ComplexMismatch``.
+    Each path's ``start`` and ``low`` are the complex's own cells.
     """
     _own_field(f, field)
-    v1 = as_simplex(high)
-    v0 = as_simplex(low)
+    v1, v0 = as_simplex(high), as_simplex(low)
     complex = f.complex
     crit = field.critical
     # ``f``'s critical cells lie in its complex, and f(v0) < f(v1) keeps them apart.
@@ -187,6 +187,7 @@ def enumerate_paths(
         raise NotLocalMinima(
             f"need two distinct critical vertices with f({tuple(v0)}) < f({tuple(v1)})"
         )
+    v1, v0 = complex._own(v1), complex._own(v0)
     basin_vertices = frozenset(basin(field, f, v0).cells.cells_of_dim(0))
     blocked = {c for c in crit if c.dim == 0 and c != v0}
     values, faces_of = f.values, complex.faces_of

@@ -2,12 +2,15 @@
 
 A function is accepted when every cell has at most one "wrong-order"
 neighbour above and below.  The associated gradient field is the matching of
-those exceptional pairs.  ``validate`` compares every face with each of its
-cofaces once, and the function it returns owns its field, which
-``gradient_field`` and ``critical_cells`` only read.  The field is acyclic
-for every valid function; ``validate`` re-checks that once as an internal
-tripwire.  A function also keeps the level subcomplexes it has been asked
-for (see ``collapse.level_subcomplex``); the memo takes no part in equality.
+those exceptional pairs, stored once as the maps ``up`` (lower to upper) and
+``down`` (upper to lower); its ``pairs`` are derived from ``up`` when read.
+``validate`` compares every face with each of its cofaces once, and the
+function it returns owns its field, which ``gradient_field`` and
+``critical_cells`` only read.  The field is acyclic for every valid
+function; ``validate`` re-checks that once as an internal tripwire.  A
+function also keeps the level subcomplexes it has been asked for, one
+complex per level (see ``collapse.level_subcomplex``); the memo takes no
+part in equality.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ class MorseFunction:
     values: Mapping[Simplex, float]
     # Derived from the values, so it takes no part in equality.
     field: GradientField = dataclass_field(compare=False, repr=False)
-    # ``level_subcomplex``'s memo: sublevel size -> (sublevel, level complex).
+    # ``level_subcomplex``'s memo: sublevel size -> level complex.
     _levels: dict = dataclass_field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __call__(self, cell) -> float:
@@ -127,8 +130,6 @@ def _validated(complex: SimplicialComplex, norm: dict[Simplex, float]) -> MorseF
     if clashes:
         first = next(c for c in complex if c in clashes)
         raise AcyclicityBug(f"exclusivity failed at {first!r}; this is a library bug")
-    # A matching of codimension-1 pairs of the complex, keyed in canonical order.
-    up = {c: up[c] for c in sorted(sorted(up), key=len)}
     field = GradientField._from_matching(complex, up, down)
     if has_closed_path(field):
         raise AcyclicityBug("gradient field of a validated function has a closed path")
@@ -147,25 +148,28 @@ def critical_values(f: MorseFunction) -> list[float]:
 class GradientField:
     """A matching of codimension-1 pairs ``(lower, upper)`` on a complex.
 
+    The matching is stored once, as ``up`` (lower to upper) and ``down``
+    (upper to lower); ``pairs`` builds the set of pairs from ``up`` on each
+    read, and two fields are equal when their complexes and ``up`` maps are.
     Cells in no pair are the critical ones.  The constructor checks the
     matching structure but not acyclicity, so arbitrary matchings can be
-    built for oracle tests; ``validate`` adds the acyclicity tripwire.
+    built for oracle tests; ``validate`` adds the acyclicity tripwire.  It
+    stores the complex's own cells, however the caller names them.
     """
 
-    __slots__ = ("complex", "pairs", "critical", "up", "down")
+    __slots__ = ("complex", "critical", "up", "down")
 
     def __init__(self, complex: SimplicialComplex, pairs: Iterable[tuple]):
         up: dict[Simplex, Simplex] = {}
         down: dict[Simplex, Simplex] = {}
         norm = []
         for lower, upper in pairs:
-            lower = as_simplex(lower)
-            upper = as_simplex(upper)
+            lower, upper = as_simplex(lower), as_simplex(upper)
             if lower not in complex or upper not in complex:
                 raise SimplexNotInComplex(f"pair ({lower!r}, {upper!r}) leaves the complex")
             if upper.dim != lower.dim + 1 or not set(lower) < set(upper):
                 raise ValueError(f"{lower!r} is not a codimension-1 face of {upper!r}")
-            norm.append((lower, upper))
+            norm.append((complex._own(lower), complex._own(upper)))
         for lower, upper in norm:
             if lower in up or lower in down or upper in up or upper in down:
                 raise ValueError("a simplex appears in more than one pair")
@@ -185,26 +189,27 @@ class GradientField:
 
     def _fill(self, complex, up, down) -> None:
         self.complex = complex
-        self.pairs = frozenset(up.items())
         self.up = up
         self.down = down
         self.critical = frozenset([c for c in complex if c not in up and c not in down])
 
-    def pair_of(self, cell) -> Simplex | None:
-        return self.up.get(cell) or self.down.get(cell)
+    @property
+    def pairs(self) -> frozenset[tuple[Simplex, Simplex]]:
+        """The matching as ``(lower, upper)`` pairs, built from ``up`` on each read."""
+        return frozenset(self.up.items())
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GradientField)
             and self.complex == other.complex
-            and self.pairs == other.pairs
+            and self.up == other.up
         )
 
     def __hash__(self) -> int:
         return hash((self.complex, self.pairs))
 
     def __repr__(self) -> str:
-        return f"GradientField({len(self.pairs)} pairs, {len(self.critical)} critical)"
+        return f"GradientField({len(self.up)} pairs, {len(self.critical)} critical)"
 
 
 def has_closed_path(field: GradientField) -> bool:

@@ -252,7 +252,7 @@ def reference_pair_off_removable(field, cells):
     for cell in sorted(cells, key=simplex_key):
         if cell in seen:
             continue
-        partner = field.pair_of(cell)
+        partner = field.up.get(cell) or field.down.get(cell)
         if partner is None:
             raise ProofFailure(f"{cell!r} is unmatched but should collapse away")
         if partner not in cells:
@@ -597,7 +597,7 @@ class TestLevelMemo:
                 first = level_subcomplex(f, a)
                 again = level_subcomplex(f, (a + b) / 2)
                 assert again.complex is first.complex
-                assert again.sublevel is first.sublevel
+                assert again.sublevel == first.sublevel
                 assert again.threshold == (a + b) / 2
 
     def test_corpus_loop_builds_each_level_once(self, monkeypatch):
@@ -868,7 +868,8 @@ class TestSharedIncidence:
                 swept += 1
         assert swept > len(values) // 2
         assert complex._coface_tuples is not None
-        assert all(level._coface_tuples is None for _, level in f._levels.values())
+        assert all(isinstance(level, SimplicialComplex) for level in f._levels.values())
+        assert all(level._coface_tuples is None for level in f._levels.values())
 
 
 class TestForeignField:

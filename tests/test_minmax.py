@@ -13,6 +13,7 @@ import morseflow
 from morseflow import (
     EdgePath,
     FlowOperator,
+    GradientField,
     MinMaxInstance,
     Simplex,
     SimplicialComplex,
@@ -45,6 +46,7 @@ from morseflow import (
 from morseflow import minmax
 from morseflow.complexes import CellIndex, search_index
 from morseflow.errors import (
+    ClosureViolated,
     ComplexMismatch,
     DeformationViolated,
     EmptyFamily,
@@ -57,7 +59,7 @@ from morseflow.errors import (
     TheoremViolation,
     TooLargeForEnumeration,
 )
-from conftest import random_instance
+from conftest import random_instance, torus
 
 
 class TestMinMaxValue:
@@ -122,6 +124,17 @@ class TestCheckMinMaxData:
             report = check_minmax_data(ls_instance(circle_function, k))
             assert report.closure_checked >= 1
 
+    def test_a_map_that_leaves_the_family_is_named(self, p3_function):
+        one, two, three = (Simplex((v,)) for v in (1, 2, 3))
+        family = [frozenset({one}), frozenset({one, two}), frozenset({three})]
+        # "grow" adds vertex 2: {1} and {1, 2} land in the family, {3} does not.
+        maps = {"fixed": lambda s: s, "grow": lambda s: s | {two}}
+        with pytest.raises(ClosureViolated) as caught:
+            check_minmax_data(MinMaxInstance(p3_function, maps, family))
+        assert caught.value.map_name == "grow"
+        assert caught.value.member is family[2]
+        assert str(caught.value) == "map 'grow' leaves the family on [(3,)]"
+
     def test_adjacent_float_values_keep_their_own_sublevel_sets(self):
         # h shrinks only the whole edge, so it fails at the regular value of
         # the edge: the set just above it is {0, 01}, which h fixes.  With
@@ -135,6 +148,39 @@ class TestCheckMinMaxData:
             with pytest.raises(DeformationViolated) as caught:
                 check_minmax_data(MinMaxInstance(f, maps, family))
             assert caught.value.value == edge_value
+
+
+class TestOwnCells:
+    """Cells named by plain vertex tuples come back as the complex's own
+    objects, so a derived result holds one object per cell."""
+
+    def test_basin_of_a_tuple_vertex(self):
+        f = random_morse(torus(6), 2)
+        own = {c: c for c in f.complex}
+        for vertex in sorted(c for c in f.field.critical if c.dim == 0):
+            found = basin(f.field, f, tuple(vertex))
+            assert found.minimum is own[vertex]
+            assert all(own[c] is c for c in found.cells)
+            assert all(own[c] is c for c in found.witness.end)
+
+    def test_paths_of_tuple_vertices(self, grid_functions):
+        checked = 0
+        for result in _grid_passes(grid_functions[:10]):
+            own = {c: c for c in result.instance.function.complex}
+            for path in (result.witness, *result.paths):
+                assert own[path.start] is path.start and own[path.low] is path.low
+                assert all(own[e] is e for e in path.edges)
+                checked += 1
+        assert checked > 10
+
+    def test_checked_field_of_tuple_pairs(self, triangle_function):
+        complex = triangle_function.complex
+        own = {c: c for c in complex}
+        pairs = [(tuple(lower), tuple(upper)) for lower, upper in triangle_function.field.pairs]
+        field = GradientField(complex, pairs)
+        for lower, upper in field.up.items():
+            assert own[lower] is lower and own[upper] is upper
+            assert field.down[upper] is lower
 
 
 class TestEnumeratePaths:

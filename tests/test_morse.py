@@ -271,6 +271,17 @@ class TestGradientField:
         field = gradient_field(validate(k, {(0,): 0}))
         assert field.pairs == frozenset()
 
+    def test_the_matching_is_stored_once(self, triangle_function):
+        """``up`` and ``down`` hold the matching; ``pairs`` is read from ``up``."""
+        field = gradient_field(triangle_function)
+        assert "pairs" not in GradientField.__slots__ and not hasattr(field, "pair_of")
+        assert field.pairs == frozenset(field.up.items())
+        assert field.pairs == {(lower, upper) for upper, lower in field.down.items()}
+        assert hash(field) == hash((field.complex, field.pairs))
+        assert repr(field) == "GradientField(3 pairs, 1 critical)"
+        reordered = GradientField(field.complex, sorted(field.pairs, reverse=True))
+        assert reordered == field and hash(reordered) == hash(field)
+
     def test_validated_field_equals_checked_construction(self):
         """``validate`` builds its field unchecked; the checked constructor agrees."""
         functions = [random_morse(torus(m), seed) for m in (3, 5) for seed in range(4)]
