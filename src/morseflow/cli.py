@@ -22,7 +22,7 @@ from .complexes import (
     euler_characteristic,
 )
 from .errors import MissingValue, MorseflowError, PreconditionViolated, UnreadableInput
-from .flow import FlowOperator, _check_flow_rows, flow_matrix
+from .flow import FlowOperator, check_flow_matrix
 from .minmax import check_minmax_data, ls_bound_check, ls_instance, ls_minmax, mountain_pass
 from .morse import (
     MorseFunction,
@@ -103,17 +103,13 @@ def _cmd_flow(args):
     f = _load_function(args)
     complex = f.complex
     operator = FlowOperator(f)
+    rows = operator._flow
     dims = []
     for p in range(complex.dim + 1):
-        rows = flow_matrix(operator, p)
-        _check_flow_rows(operator, p, rows)
+        check_flow_matrix(operator, p)  # the operator's rows now equal the matrix rows
         cells = list(complex.cells_of_dim(p))
         index = {c: i for i, c in enumerate(cells)}
-        entries = sorted(
-            [index[s], index[t], coef]
-            for s, row in rows.items()
-            for t, coef in row.items()
-        )
+        entries = sorted([index[s], index[t], coef] for s in cells for t, coef in rows[s].items())
         dims.append({"dim": p, "cells": _listed(cells), "entries": entries})
     return {"dims": dims, "check": "ok"}
 

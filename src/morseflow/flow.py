@@ -1,16 +1,17 @@
 """The chain-level gradient map, the discrete flow, and its set versions.
 
-The flow of each basis cell is computed once from its vertices and the matched
-pairs (identity plus boundary-of-gradient plus gradient-of-boundary) and kept
-as a plain zero-free row ``{cell: coefficient}``; ``flow_of`` wraps a row in a
-``Chain`` on demand, and ``flow_image`` unions the rows directly.
-``flow_matrix`` rebuilds the same data by sparse matrix composition over the
-face index, with a gradient table built from the field's pairs, not the
-operator's, and boundary signs read from face positions; the two routes are
-cross-checked in ``check_flow_matrix``, whose row check also takes matrix
-rows a caller has already built.  ``verify_flow_collapse`` certifies the
-collapse of a level subcomplex onto its flow-image closure with the
-collapse module's sequence builder, so its witness comes back replayed.
+The flow of each basis cell is computed once from the complex's face map and
+the matched pairs (identity plus boundary-of-gradient plus
+gradient-of-boundary) and kept as a plain zero-free row ``{cell:
+coefficient}`` whose keys are the complex's own cells; ``flow_of`` wraps a row
+in a ``Chain`` on demand, and ``flow_image`` unions the rows directly, so its
+sets hold the complex's own cells too.  ``flow_matrix`` rebuilds the same data
+by sparse matrix composition over ``faces_of``, with a gradient table built
+from the field's pairs, not the operator's, and boundary signs read from face
+positions; the two routes are cross-checked in ``check_flow_matrix``.
+``verify_flow_collapse`` certifies the collapse of a level subcomplex onto
+its flow-image closure with the collapse module's sequence builder, so its
+witness comes back replayed.
 
 Coefficients are Python integers, so arithmetic is exact at any size.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .collapse import CollapseSequence, _replayed_collapse, level_subcomplex
-from .complexes import Chain, Simplex, SimplicialComplex, _trusted, incidence_sign
+from .complexes import Chain, Simplex, SimplicialComplex, incidence_sign
 from .errors import PropertyViolation, SimplexNotInComplex
 from .morse import GradientField, MorseFunction, _own_field
 
@@ -42,18 +43,20 @@ class FlowOperator:
             lower: (upper, -incidence_sign(upper, lower)) for lower, upper in self.field.up.items()
         }
         # Row of s: s + boundary(V s) + V(boundary s), in one dict; an unmatched
-        # cell looks up no upper cell and sign 0.  Omitting vertex i gives a
-        # face with sign (-1)**i, as in ``boundary``.  Rows are kept as plain
-        # dicts without zero entries; ``flow_of`` wraps one in a ``Chain``.
+        # cell looks up no upper cell and sign 0.  The face map lists a cell's
+        # faces omitting its last vertex first, so reversed, face i omits
+        # vertex i and has sign (-1)**i, as in ``boundary``; every entry is
+        # the complex's own cell.  Rows are kept as plain dicts without zero
+        # entries; ``flow_of`` wraps one in a ``Chain``.
+        faces = self.complex._faces
         self._flow: dict[Simplex, dict[Simplex, int]] = {}
         for cell in self.complex:
             row = {cell: 1}
             upper, sign = matched.get(cell, ((), 0))
-            for i in range(len(upper)):
-                face = _trusted(upper[:i] + upper[i + 1 :])
+            for i, face in enumerate(reversed(faces.get(upper, ()))):
                 row[face] = row.get(face, 0) + (-sign if i % 2 else sign)
-            for i in range(len(cell)):
-                upper, sign = matched.get(cell[:i] + cell[i + 1 :], ((), 0))
+            for i, face in enumerate(reversed(faces[cell])):
+                upper, sign = matched.get(face, ((), 0))
                 if sign:
                     row[upper] = row.get(upper, 0) + (-sign if i % 2 else sign)
             self._flow[cell] = {s: c for s, c in row.items() if c}
@@ -135,15 +138,10 @@ def check_flow_matrix(operator: FlowOperator, p: int) -> FlowMatrixReport:
 
     Asserts the diagonal is 0/1 and marks exactly the critical cells, and
     that every off-diagonal entry points at a strictly smaller value.
-    Raises ``PropertyViolation`` with the report when anything fails.
+    Raises ``PropertyViolation`` with the report when anything fails.  Once
+    it passes, the operator's rows of dimension ``p`` equal the matrix rows.
     """
-    return _check_flow_rows(operator, p, flow_matrix(operator, p))
-
-
-def _check_flow_rows(
-    operator: FlowOperator, p: int, rows: dict[Simplex, dict[Simplex, int]]
-) -> FlowMatrixReport:
-    """``check_flow_matrix`` on the rows ``flow_matrix(operator, p)`` returned."""
+    rows = flow_matrix(operator, p)
     values, flows = operator.function.values, operator._flow
     problems: list[str] = []
     for cell, row in rows.items():

@@ -299,26 +299,18 @@ def _flow_images(operator: FlowOperator) -> SetMap:
 
 
 def _orbit_closure(
-    flow: SetMap, complex: SimplicialComplex, seeds: Iterable[frozenset[Simplex]]
+    flow: SetMap, seeds: Iterable[frozenset[Simplex]]
 ) -> tuple[list[frozenset[Simplex]], dict[frozenset[Simplex], int]]:
     """The seeds together with all their forward images under the flow map.
 
     The image map ``flow`` (see ``_flow_images``) is deterministic, so each
     walk stops as soon as it meets a set already in the family; the result
-    is closed under the flow map by construction.  Returns the family,
-    sorted by size and then by cells, and ``origin``, which maps each member
-    to the index of the first seed whose orbit reaches it: a walk that stops
-    early meets a member whose whole forward orbit an earlier seed has
-    already claimed.
-
-    Members of one size are ordered by their sorted canonical positions.
-    With path seeds every member holds exactly one vertex (the flow sends a
-    vertex to one vertex and an edge to edges), so this is the order of
-    their canonically sorted cells.  The key is the negated sum of the
-    weights ``2**(n - 1 - p)`` of the positions ``p``: where two sorted
-    position lists first differ, the smaller position is the smallest one in
-    just one member, and its weight exceeds the sum of all larger ones, so
-    that member has the larger sum and sorts first.
+    is closed under the flow map by construction.  Returns the family in the
+    order the walk first reaches its members (each seed, then the new part
+    of its forward orbit), and ``origin``, which maps each member to the
+    index of the first seed whose orbit reaches it: a walk that stops early
+    meets a member whose whole forward orbit an earlier seed has already
+    claimed.
     """
     origin: dict[frozenset[Simplex], int] = {}
     for i, seed in enumerate(seeds):
@@ -326,10 +318,7 @@ def _orbit_closure(
         while current not in origin:
             origin[current] = i
             current = flow(current)
-    n = len(complex)
-    weight = {c: 1 << (n - 1 - i) for i, c in enumerate(complex)}.__getitem__
-    family = sorted(origin, key=lambda m: (len(m), -sum(map(weight, m))))
-    return family, origin
+    return list(origin), origin
 
 
 def mountain_pass(f: MorseFunction, high, low) -> MountainPassResult:
@@ -340,8 +329,12 @@ def mountain_pass(f: MorseFunction, high, low) -> MountainPassResult:
     flow map (a diverted path can fold onto a branching edge set), while the
     orbit closure is, so the min-max principle applies and the value is
     always a critical edge value strictly above the higher minimum.  The
-    witness is the first enumerated path, in ``enumerate_paths`` order,
-    whose flow orbit reaches the member that attains the value; the orbit
+    family lists the members in the order the closure's walk first reaches
+    them: paths in ``enumerate_paths`` order, each followed by the new part
+    of its forward orbit; its cells are the complex's own.  The answer does
+    not depend on that order, since ``minmax_value`` breaks ties by
+    canonical cell order.  The witness is the first enumerated path whose
+    flow orbit reaches the member that attains the value; the orbit
     closure records that path's index for every member.  The instance's
     ``"flow"`` map is the closure's own, which keeps every member's image for
     ``check_minmax_data``.  Non-injective input is re-ranked first; the
@@ -351,7 +344,7 @@ def mountain_pass(f: MorseFunction, high, low) -> MountainPassResult:
     field = gradient_field(work)
     paths = enumerate_paths(work, field, high, low)
     flow = _flow_images(FlowOperator(work, field))
-    family, origin = _orbit_closure(flow, work.complex, [p.cells() for p in paths])
+    family, origin = _orbit_closure(flow, [p.cells() for p in paths])
     instance = MinMaxInstance(work, {"flow": flow}, family)
     value_work, witness_cells = minmax_value(instance)
     ridge = max(witness_cells, key=work)

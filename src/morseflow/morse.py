@@ -82,7 +82,9 @@ def validate(complex: SimplicialComplex, values: Mapping) -> MorseFunction:
     simplices.  The same pass over the incidences collects the exceptional
     pairs, whose gradient field the returned function carries.  Exclusivity and
     acyclicity hold for every valid function and are rechecked as tripwires.
-    The returned values are keyed by the complex's own cells.
+    A cell named twice, say as ``(0, 1)`` and ``(1, 0)``, raises
+    ``PreconditionViolated``.  The returned values are keyed by the
+    complex's own cells.
     """
     norm: dict[Simplex, float] = {}
     cells = complex.simplices
@@ -91,6 +93,8 @@ def validate(complex: SimplicialComplex, values: Mapping) -> MorseFunction:
             cell = Simplex(cell)
         if cell not in cells:
             raise SimplexNotInComplex(f"value given for {cell!r}, which is not in the complex")
+        if cell in norm:
+            raise PreconditionViolated(f"value given twice for {cell!r}")
         val = float(val)
         if not math.isfinite(val):
             raise PreconditionViolated(f"value {val!r} for {cell!r} is not finite")

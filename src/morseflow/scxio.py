@@ -5,6 +5,12 @@ optional `` : value`` suffix and ``#`` comments.  Values must be finite, and
 total when present (the listed simplices must already be face-closed);
 without values the face closure of the listed simplices is built.
 
+Both readers take plain ASCII numbers only.  Python's ``int`` and ``float``
+also read ``_`` digit separators and non-ASCII digits, so ``0 1_2`` would be
+the edge (0, 12); a ``_`` or a non-ASCII character outside a comment raises
+``ParseError`` instead, in ``.scx`` with its line number.  Comments may hold
+any text.
+
 The OFF reader keeps only the combinatorics: coordinates are parsed and
 discarded, polygon faces are fan-triangulated.  It raises ``ParseError`` for
 a negative count, a face that lists a vertex twice and any token after the
@@ -31,8 +37,12 @@ def parse_scx(text: str) -> tuple[SimplicialComplex, MorseFunction | None]:
     listed: dict[Simplex, float | None] = {}
     any_value = False
     any_bare = False
+    plain = text.isascii() and "_" not in text  # else each line's data is scanned
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        left, colon, right = raw.partition("#")[0].partition(":")
+        data = raw.partition("#")[0]
+        if not plain and (not data.isascii() or "_" in data):
+            raise ParseError(lineno, f"non-ASCII text or '_' in {data!r}")
+        left, colon, right = data.partition(":")
         if colon:
             try:
                 value = float(right)
@@ -100,6 +110,8 @@ def parse_off(text: str) -> SimplicialComplex:
         tok = tokens[pos]
         pos += 1
         try:
+            if not tok.isascii() or "_" in tok:
+                raise ValueError  # ``int`` and ``float`` would read 1_0 or ٣
             return kind(tok)
         except ValueError:
             raise ParseError(None, f"expected {what}, got {tok!r}") from None

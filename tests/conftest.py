@@ -185,7 +185,10 @@ def reference_parse_scx(text: str):
     values: dict[Simplex, float] = {}
     any_value = any_bare = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        data = raw.split("#", 1)[0]
+        if "_" in data or any(ord(ch) > 127 for ch in data):
+            raise ParseError(lineno, f"non-ASCII text or '_' in {data!r}")
+        line = data.strip()
         if not line:
             continue
         value = None

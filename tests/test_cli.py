@@ -81,6 +81,9 @@ class TestScx:
     def test_comments_and_blanks(self):
         complex, _ = parse_scx("# a comment\n\n0 1  # trailing\n")
         assert len(complex) == 3
+        # Comments may hold any text, even what numbers may not.
+        complex, f = parse_scx("# naïve_1 ٣\n0 : 0  # café\n1 : 1\n0 1 : 2 # x_y\n")
+        assert len(complex) == 3 and f((0, 1)) == 2.0
 
     def test_repeated_vertex_rejected(self):
         with pytest.raises(ParseError):
@@ -106,6 +109,28 @@ class TestScx:
         assert run(["critical", "--in", str(path)]) == 1
         error = json.loads(capsys.readouterr().out)["error"]
         assert (error["kind"], error["line"]) == ("ParseError", 1)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("0 1_2\n", 1),
+            ("0 : 0\n1 : 1\n0 1 : 1_0.5\n", 3),
+            ("\u0663\n", 1),
+            ("0\n0\u00a01\n", 2),
+        ],
+        ids=["separator-in-id", "separator-in-value", "arabic-indic-digit", "no-break-space"],
+    )
+    def test_numbers_must_be_plain_ascii(self, text, line, tmp_path, capsys):
+        # ``int`` and ``float`` read each of these: as the edge (0, 12), the
+        # value 10.5, the vertex 3 and the edge (0, 1).
+        with pytest.raises(ParseError) as info:
+            parse_scx(text)
+        assert info.value.line == line
+        path = tmp_path / "bad.scx"
+        path.write_text(text, encoding="utf-8")
+        assert run(["homology", "--in", str(path)]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert (error["kind"], error["line"]) == ("ParseError", line)
 
     def test_values_must_cover_the_closure(self):
         with pytest.raises(MissingValue):
@@ -189,6 +214,8 @@ class TestOff:
     def test_single_triangle(self):
         text = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
         assert len(parse_off(text)) == 7
+        # Comments may hold any text, even what numbers may not.
+        assert len(parse_off(text.replace("\n", " # naïve_1 ٣\n"))) == 7
 
     def test_tetrahedron_boundary(self):
         text = (
@@ -236,6 +263,23 @@ class TestOff:
         for face in ("3 0 1 1", "4 0 1 2 1", "4 0 1 0 2", "5 0 1 2 3 0"):
             with pytest.raises(ParseError, match="listed twice"):
                 parse_off(f"OFF\n4 1 0\n{points}{face}\n")
+
+    @pytest.mark.parametrize(
+        "text, token",
+        [
+            ("OFF\n\u0663 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", "\u0663"),
+            ("OFF\n3 1 0\n0 0 0\n1_0 0 0\n0 1 0\n3 0 1 2\n", "1_0"),
+            ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 \u0662\n", "\u0662"),
+        ],
+        ids=["count", "coordinate", "face-vertex"],
+    )
+    def test_numbers_must_be_plain_ascii(self, text, token, tmp_path, capsys):
+        with pytest.raises(ParseError, match=f"got {token!r}"):
+            parse_off(text)
+        path = tmp_path / "bad.off"
+        path.write_text(text, encoding="utf-8")
+        assert run(["homology", "--in", str(path)]) == 1
+        assert json.loads(capsys.readouterr().out)["error"]["kind"] == "ParseError"
 
 
 class TestCli:

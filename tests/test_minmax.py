@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import importlib
 import pkgutil
+import random
 from itertools import combinations, groupby, permutations
 
 import pytest
@@ -172,6 +173,21 @@ class TestOwnCells:
                 assert all(own[e] is e for e in path.edges)
                 checked += 1
         assert checked > 10
+
+    def test_flow_rows_and_mountain_pass_families(self):
+        f = random_morse(torus(6), 2)
+        own = {c: c for c in f.complex}
+        rows = FlowOperator(f)._flow
+        assert sum(map(len, rows.values())) == 371
+        assert all(own[s] is s and all(own[t] is t for t in row) for s, row in rows.items())
+        grid = _grid(4)
+        references = 0
+        for result in _grid_passes([random_morse(grid, seed) for seed in range(40)]):
+            own = {c: c for c in result.instance.function.complex}
+            for member in result.instance.family:
+                assert all(own[c] is c for c in member)
+                references += len(member)
+        assert references > 10**6
 
     def test_checked_field_of_tuple_pairs(self, triangle_function):
         complex = triangle_function.complex
@@ -462,15 +478,15 @@ def _first_path_reaching(result):
 
 
 def _family_by_orbits(result):
-    """The flow orbits of the paths, sorted by size and then by sorted cells."""
+    """The flow orbits of the paths, in the order a walk first reaches them."""
     operator = FlowOperator(result.instance.function)
-    members = set()
+    members = {}
     for path in result.paths:
         current = path.cells()
         while current not in members:
-            members.add(current)
+            members[current] = None
             current = flow_image(operator, current)
-    return sorted(members, key=lambda m: (len(m), sorted(m, key=simplex_key)))
+    return list(members)
 
 
 class TestWitnessAgainstOrbits:
@@ -489,6 +505,44 @@ class TestWitnessAgainstOrbits:
             assert result.instance.family == _family_by_orbits(result)
             checked += 1
         assert checked >= 50
+
+
+class TestFamilyOrder:
+    """The min-max answer does not depend on the order of the family."""
+
+    @staticmethod
+    def _reordered(instance):
+        rng = random.Random(len(instance.family))
+        shuffled = list(instance.family)
+        rng.shuffle(shuffled)
+        for family in (shuffled, instance.family[::-1]):
+            yield MinMaxInstance(instance.function, instance.maps, family)
+
+    def test_grid_passes(self, grid_functions):
+        checked = 0
+        for result in _grid_passes(grid_functions):
+            value = minmax_value(result.instance)
+            report = check_minmax_data(result.instance)
+            for instance in self._reordered(result.instance):
+                assert minmax_value(instance) == value
+                assert check_minmax_data(instance) == report
+            checked += 1
+        assert checked >= 50
+
+    def test_ls_instances(self):
+        # Only the value: these families may be unclosed, and which member a
+        # closure failure names depends on the order.
+        checked = 0
+        for seed in range(60):
+            complex, f = random_instance(seed)
+            if len(complex) <= 14:
+                for k, _ in ls_minmax(f):
+                    instance = ls_instance(f, k)
+                    value = minmax_value(instance)
+                    for reordered in self._reordered(instance):
+                        assert minmax_value(reordered) == value
+                    checked += 1
+        assert checked > 30
 
 
 def reference_vertex_sequence(path):

@@ -32,6 +32,7 @@ from morseflow.errors import (
     ComplexMismatch,
     MissingValue,
     MorseConditionViolated,
+    PreconditionViolated,
     SimplexNotInComplex,
 )
 from conftest import CountingList, random_complex, random_instance, torus
@@ -236,6 +237,12 @@ class TestValidate:
         values = {(1,): 0, (2,): 3, (3,): 1, (1, 2): 2, (2, 3): 4, (9,): 0}
         with pytest.raises(SimplexNotInComplex):
             validate(p3, values)
+
+    def test_a_cell_named_twice(self):
+        # (1, 0) is the edge (0, 1) again; its second value must not win.
+        values = {(0,): 0, (1,): 1, (0, 1): 2, (1, 0): 0.5}
+        with pytest.raises(PreconditionViolated, match=r"twice for Simplex\(0, 1\)"):
+            validate(build_complex([(0, 1)]), values)
 
 
 class TestCriticalCells:

@@ -47,6 +47,7 @@ PROPERTY = settings(max_examples=100, deadline=None, database=None, derandomize=
 # Vertex ids stay below 6 so the face closure of a fuzzed line stays small.
 TOKENS = st.sampled_from(
     ["0", "1", "2", "3", "4", "5", "-1", "x", ":", "#", "0.5", "1e999", "nan", "-inf", "", "\t"]
+    + ["1_0", "\u0663", "\u00a0"]  # ``int`` and ``float`` read these; the readers must not
 )
 LINES = st.lists(TOKENS, max_size=8).map(" ".join)
 SCX_LIKE = st.lists(LINES, max_size=8).map("\n".join)
@@ -79,6 +80,7 @@ def test_emit_then_parse_round_trips(simplices, seed, scale):
 
 OFF_TOKENS = st.sampled_from(
     ["OFF", "COFF", "0", "1", "2", "3", "4", "-1", "0.5", "nan", "1e999", "x", "#", ""]
+    + ["1_0", "\u0663"]
 )
 OFF_LIKE = st.lists(st.lists(OFF_TOKENS, max_size=6).map(" ".join), max_size=8).map("\n".join)
 
