@@ -53,7 +53,7 @@ def _cells(simplices) -> list[list[int]]:
 
 def _load(args) -> tuple[SimplicialComplex, MorseFunction | None]:
     try:
-        text = Path(args.infile).read_text(encoding="utf-8")
+        text = Path(args.infile).read_bytes().decode("utf-8")  # no newline translation
     except (OSError, UnicodeDecodeError) as exc:
         raise UnreadableInput(f"cannot read {args.infile}: {exc}") from None
     fmt = args.format

@@ -10,13 +10,20 @@ their values from ``minmax_value``: the Lusternik-Schnirelmann values of
 returns.  The category searches run on the complex's own ``CellIndex`` (see
 ``search_index``), so ``dgcat`` followed by ``ls_minmax`` on one complex
 shares every memo; ``dgcat`` of an empty subcomplex raises ``EmptyInput``.
+The mountain-pass family is built on position bitmasks of the complex's
+cells, the positions its integer incidence gives: the path walk carries
+each path's cell mask and flow-image mask, the orbit closure is keyed by
+masks, and cell sets are built once per member, only for what the result
+returns.  Its ``"flow"`` map is a table from each member to its image, the
+family's own object.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import reduce
 from itertools import groupby
+from operator import or_
 from typing import Callable, Iterable, Mapping
 
 from .collapse import CollapseSequence, basin
@@ -116,8 +123,9 @@ def check_minmax_data(instance: MinMaxInstance) -> MinMaxReport:
     report's epsilon is half the minimum gap between distinct values; no
     value lies within it of ``a``, so the sets at ``a + epsilon`` and
     ``a - epsilon`` are the cells valued at most ``a`` and below ``a``.
-    They are selected by comparing with ``a`` itself, because the float
-    sums ``a + epsilon`` and ``a - epsilon`` can round onto an adjacent value.
+    They are built as prefixes of the cells in value order, one set per
+    value, never from the float sums ``a + epsilon`` and ``a - epsilon``,
+    which can round onto an adjacent value.
     """
     f = instance.function
     if not f.is_injective():
@@ -131,20 +139,21 @@ def check_minmax_data(instance: MinMaxInstance) -> MinMaxReport:
                 raise ClosureViolated(name, member)
             checked += 1
     crit = set(critical_values(f))
-    order = sorted(f.complex, key=f.values.__getitem__)  # sublevel sets are its prefixes
-    keys = [f.values[c] for c in order]
     witnesses: dict[float, str] = {}
-    for a in f.sorted_distinct_values():
-        if a in crit:
-            continue
-        above = frozenset(order[: bisect_right(keys, a)])
-        below = frozenset(order[: bisect_left(keys, a)])
-        for name in sorted(instance.maps):
-            if frozenset(instance.maps[name](above)) <= below:
-                witnesses[a] = name
-                break
-        else:
-            raise DeformationViolated(a)
+    below: frozenset[Simplex] = frozenset()
+    # Injective, so each value is one cell's, and the set above a value is
+    # the set above the previous value plus that cell.
+    for cell in sorted(f.complex, key=f.values.__getitem__):
+        a = f.values[cell]
+        above = below | {cell}
+        if a not in crit:
+            for name in sorted(instance.maps):
+                if frozenset(instance.maps[name](above)) <= below:
+                    witnesses[a] = name
+                    break
+            else:
+                raise DeformationViolated(a)
+        below = above
     return MinMaxReport(checked, f.min_value_gap() / 2.0, witnesses)
 
 
@@ -176,7 +185,23 @@ def enumerate_paths(
     Cofaces are tried in canonical order, so paths are found in order of
     their edges, and a stable sort by length returns them sorted by length,
     then by their edges.  ``field`` must be ``f``'s, else ``ComplexMismatch``.
-    Each path's ``start`` and ``low`` are the complex's own cells.
+    Each path's ``start`` and ``low`` are the complex's own cells.  The
+    walk is the one ``mountain_pass`` runs (see ``_admissible_walk``).
+    """
+    return [path for path, _, _ in _admissible_walk(f, field, high, low)[2]]
+
+
+def _admissible_walk(
+    f: MorseFunction, field: GradientField, high, low
+) -> tuple[FlowOperator, dict[Simplex, int], list[tuple[EdgePath, int, int]]]:
+    """The walk of ``enumerate_paths``, with each path's cells and flow image
+    as position bitmasks: bit ``i`` stands for the complex's ``i``-th cell.
+
+    Returns the flow operator of ``f`` and ``field``, each cell's flow-row
+    mask (the bits of its flow's support), and the admissible paths in
+    ``enumerate_paths`` order, each with its cell mask and its flow-image
+    mask.  A stack frame carries both masks of its path, each grown by one
+    OR per step, since the flow image of a set is the union of its rows.
     """
     _own_field(f, field)
     v1, v0 = as_simplex(high), as_simplex(low)
@@ -188,29 +213,36 @@ def enumerate_paths(
             f"need two distinct critical vertices with f({tuple(v0)}) < f({tuple(v1)})"
         )
     v1, v0 = complex._own(v1), complex._own(v0)
+    operator = FlowOperator(f, field)
+    position = complex._incidence.position
+    # A row's cells are distinct, so the sum of their bits is its mask.
+    rows = {c: sum(1 << position[s] for s in row) for c, row in operator._flow.items()}
     basin_vertices = frozenset(basin(field, f, v0).cells.cells_of_dim(0))
     blocked = {c for c in crit if c.dim == 0 and c != v0}
-    values, faces_of = f.values, complex.faces_of
-    # Each vertex's steps, in canonical edge order: (edge, far end, value, far end in basin).
+    # Each vertex's steps, in canonical edge order: (edge, far end, value,
+    # far end in basin, edge bit, edge row mask).
     steps: dict[Simplex, list[tuple]] = {v: [] for v in complex.vertices}
     for edge in complex.cells_of_dim(1):
-        a, b = faces_of(edge)
+        (a, b), bit, row = complex.faces_of(edge), 1 << position[edge], rows[edge]
         for near, far in ((a, b), (b, a)):
             if far not in blocked:
-                steps[near].append((edge, far, values[edge], far in basin_vertices))
+                steps[near].append((edge, far, f.values[edge], far in basin_vertices, bit, row))
     path, visited, found = [], {v1}, []
-    # (steps left to try, vertex reached, last edge value once in the basin)
-    stack = [(iter(steps[v1]), v1, None)]
+    # (steps left to try, vertex reached, last edge value once in the basin,
+    # cell mask, flow-image mask)
+    stack = [(iter(steps[v1]), v1, None, 1 << position[v1], rows[v1])]
     while stack:
-        todo, _, tail = stack[-1]
-        for edge, far, value, in_basin in todo:
+        todo, _, tail, cells, image = stack[-1]
+        for edge, far, value, in_basin, bit, row in todo:
             if far in visited or (tail is not None and value >= tail):
                 continue
             path.append(edge)
             visited.add(far)
+            cells, image = cells | bit, image | row
             if in_basin:
-                found.append(tuple(path))
-            stack.append((iter(steps[far]), far, value if in_basin or tail is not None else None))
+                found.append((EdgePath(v1, tuple(path), v0), cells, image))
+            tail = value if in_basin or tail is not None else None
+            stack.append((iter(steps[far]), far, tail, cells, image))
             break
         else:
             visited.discard(stack.pop()[1])
@@ -219,8 +251,7 @@ def enumerate_paths(
         raise NoPathExists(
             f"no admissible edge path from {tuple(v1)} to the basin of {tuple(v0)}"
         )
-    found.sort(key=len)
-    return [EdgePath(v1, edges, v0) for edges in found]
+    return operator, rows, sorted(found, key=lambda entry: len(entry[0].edges))
 
 
 def flow_path(operator: FlowOperator, path: EdgePath) -> EdgePath:
@@ -279,54 +310,12 @@ class MountainPassResult:
     instance: MinMaxInstance
 
 
-def _flow_images(operator: FlowOperator) -> SetMap:
-    """``flow_image`` of ``operator``, computed once per distinct cell set and,
-    like ``flow_image``, taking any iterable of cells.  Each distinct set it
-    keeps, given or returned, is one shared object, so a family and the
-    images of its members are stored once."""
-    images, shared = {}, {}  # set -> its image; set -> the one object for its value
-
-    def flow(cells: Iterable) -> frozenset[Simplex]:
-        cells = frozenset(cells)
-        image = images.get(cells)
-        if image is None:
-            image = flow_image(operator, cells)
-            cells = shared.setdefault(cells, cells)  # first: a set can be its own image
-            images[cells] = image = shared.setdefault(image, image)
-        return image
-
-    return flow
-
-
-def _orbit_closure(
-    flow: SetMap, seeds: Iterable[frozenset[Simplex]]
-) -> tuple[list[frozenset[Simplex]], dict[frozenset[Simplex], int]]:
-    """The seeds together with all their forward images under the flow map.
-
-    The image map ``flow`` (see ``_flow_images``) is deterministic, so each
-    walk stops as soon as it meets a set already in the family; the result
-    is closed under the flow map by construction.  Returns the family in the
-    order the walk first reaches its members (each seed, then the new part
-    of its forward orbit), and ``origin``, which maps each member to the
-    index of the first seed whose orbit reaches it: a walk that stops early
-    meets a member whose whole forward orbit an earlier seed has already
-    claimed.
-    """
-    origin: dict[frozenset[Simplex], int] = {}
-    for i, seed in enumerate(seeds):
-        current = seed
-        while current not in origin:
-            origin[current] = i
-            current = flow(current)
-    return list(origin), origin
-
-
 def mountain_pass(f: MorseFunction, high, low) -> MountainPassResult:
     """Lowest ridge crossing between two critical vertices.
 
     The min-max family is the flow-orbit closure of the admissible edge
-    paths from ``enumerate_paths``: paths alone are not closed under the
-    flow map (a diverted path can fold onto a branching edge set), while the
+    paths of ``enumerate_paths``: paths alone are not closed under the flow
+    map (a diverted path can fold onto a branching edge set), while the
     orbit closure is, so the min-max principle applies and the value is
     always a critical edge value strictly above the higher minimum.  The
     family lists the members in the order the closure's walk first reaches
@@ -334,26 +323,49 @@ def mountain_pass(f: MorseFunction, high, low) -> MountainPassResult:
     of its forward orbit; its cells are the complex's own.  The answer does
     not depend on that order, since ``minmax_value`` breaks ties by
     canonical cell order.  The witness is the first enumerated path whose
-    flow orbit reaches the member that attains the value; the orbit
-    closure records that path's index for every member.  The instance's
-    ``"flow"`` map is the closure's own, which keeps every member's image for
-    ``check_minmax_data``.  Non-injective input is re-ranked first; the
-    reported value is the original value of the ridge edge.
+    flow orbit reaches the member that attains the value.
+
+    The closure runs on the position bitmasks of ``_admissible_walk``,
+    which hands over each path's cell and flow-image masks: a path whose
+    image is already a member needs no ``flow_image``, an image that is a
+    new member calls it once, and each member's set is built once.  The
+    instance's ``"flow"`` map is a table from each member to its image,
+    which is the family's own object, so equal inputs in any iterable give
+    the identical image and ``check_minmax_data`` computes no member's
+    image again; any other set falls back to ``flow_image``.  Non-injective
+    input is re-ranked first; the reported value is the original value of
+    the ridge edge.
     """
     work = f if f.is_injective() else make_injective(f)
-    field = gradient_field(work)
-    paths = enumerate_paths(work, field, high, low)
-    flow = _flow_images(FlowOperator(work, field))
-    family, origin = _orbit_closure(flow, [p.cells() for p in paths])
+    operator, rows, found = _admissible_walk(work, gradient_field(work), high, low)
+    # members: cell mask -> member, in the order the walk reaches them;
+    # seeds[j]: the first path whose orbit reaches member j; images: member -> its image.
+    members, seeds, images = {}, [], {}
+    for path, mask, image in found:
+        if mask in members:
+            continue  # an earlier path's orbit holds this path and all of its orbit
+        member = members[mask] = path.cells()
+        seeds.append(path)
+        while image not in members:
+            images[member] = flowed = members[image] = flow_image(operator, member)
+            seeds.append(path)
+            member, image = flowed, reduce(or_, map(rows.__getitem__, flowed), 0)
+        images[member] = members[image]
+
+    def flow(cells: Iterable) -> frozenset[Simplex]:
+        image = images.get(cells := frozenset(cells))
+        return flow_image(operator, cells) if image is None else image
+
+    family = list(members.values())
     instance = MinMaxInstance(work, {"flow": flow}, family)
     value_work, witness_cells = minmax_value(instance)
     ridge = max(witness_cells, key=work)
-    if ridge.dim != 1 or ridge not in field.critical:
+    if ridge.dim != 1 or ridge not in operator.field.critical:
         raise TheoremViolation(f"min-max cell {tuple(ridge)} is not a critical edge")
     if not value_work > work(as_simplex(high)):
         raise TheoremViolation("min-max value does not exceed the higher minimum")
-    witness = paths[origin[witness_cells]]
-    return MountainPassResult(f(ridge), ridge, witness, tuple(paths), instance)
+    witness = seeds[family.index(witness_cells)]  # members are distinct sets
+    return MountainPassResult(f(ridge), ridge, witness, tuple(p for p, _, _ in found), instance)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,12 @@ without values the face closure of the listed simplices is built.
 Both readers take plain ASCII numbers only.  Python's ``int`` and ``float``
 also read ``_`` digit separators and non-ASCII digits, so ``0 1_2`` would be
 the edge (0, 12); a ``_`` or a non-ASCII character outside a comment raises
-``ParseError`` instead, in ``.scx`` with its line number.  Comments may hold
-any text.
+``ParseError`` instead, in ``.scx`` with its line number.  Lines end at
+``\\n`` only, after an optional ``\\r``, and outside a comment the only
+control character either reader takes is tab (and, in OFF, ``\\r``):
+``str.splitlines`` and ``str.split`` would also break at a form feed, an
+information separator or a Unicode line separator and hide it.  Comments
+may hold any text.
 
 The OFF reader keeps only the combinatorics: coordinates are parsed and
 discarded, polygon faces are fan-triangulated.  It raises ``ParseError`` for
@@ -20,10 +24,20 @@ last declared face.
 from __future__ import annotations
 
 import math
+import re
 
 from .complexes import Simplex, SimplicialComplex, _trusted, build_complex
 from .errors import MalformedSimplex, ParseError, SimplexNotInComplex
 from .morse import MorseFunction, _validated
+
+
+# Tab, newline, and printable ASCII but ``_``: what ``.scx`` takes outside comments.
+_SCX_TEXT = bytes([9, 10, *range(0x20, 0x5F), *range(0x60, 0x7F)])
+
+
+def _foreign(text: str) -> bool:
+    """Whether ``text`` holds a character ``.scx`` refuses outside comments."""
+    return not text.isascii() or bool(text.encode("ascii").translate(None, _SCX_TEXT))
 
 
 def parse_scx(text: str) -> tuple[SimplicialComplex, MorseFunction | None]:
@@ -37,11 +51,11 @@ def parse_scx(text: str) -> tuple[SimplicialComplex, MorseFunction | None]:
     listed: dict[Simplex, float | None] = {}
     any_value = False
     any_bare = False
-    plain = text.isascii() and "_" not in text  # else each line's data is scanned
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    plain = not _foreign(text)  # else each line's data is scanned
+    for lineno, raw in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
         data = raw.partition("#")[0]
-        if not plain and (not data.isascii() or "_" in data):
-            raise ParseError(lineno, f"non-ASCII text or '_' in {data!r}")
+        if not plain and _foreign(data):
+            raise ParseError(lineno, f"non-ASCII text, control character or '_' in {data!r}")
         left, colon, right = data.partition(":")
         if colon:
             try:
@@ -98,9 +112,8 @@ def emit_scx(complex: SimplicialComplex, f: MorseFunction | None = None) -> str:
 
 
 def parse_off(text: str) -> SimplicialComplex:
-    tokens = []
-    for raw in text.splitlines():
-        tokens.extend(raw.split("#", 1)[0].split())
+    # Split at ASCII whitespace only, so a token keeps any other character.
+    tokens = re.findall(r"[^ \t\r\n]+", re.sub(r"#[^\n]*", "", text))
     pos = 0
 
     def take(kind, what):
@@ -110,8 +123,8 @@ def parse_off(text: str) -> SimplicialComplex:
         tok = tokens[pos]
         pos += 1
         try:
-            if not tok.isascii() or "_" in tok:
-                raise ValueError  # ``int`` and ``float`` would read 1_0 or ٣
+            if not tok.isascii() or not tok.isprintable() or "_" in tok:
+                raise ValueError  # ``int`` and ``float`` would read 1_0, ٣ or \x1c1
             return kind(tok)
         except ValueError:
             raise ParseError(None, f"expected {what}, got {tok!r}") from None

@@ -184,10 +184,13 @@ def reference_parse_scx(text: str):
     seen: set[Simplex] = set()
     values: dict[Simplex, float] = {}
     any_value = any_bare = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.split("\n")
+    for lineno, raw in enumerate(lines, start=1):
+        if lineno < len(lines) and raw.endswith("\r"):
+            raw = raw[:-1]  # a CR ends a line only before an LF
         data = raw.split("#", 1)[0]
-        if "_" in data or any(ord(ch) > 127 for ch in data):
-            raise ParseError(lineno, f"non-ASCII text or '_' in {data!r}")
+        if any(ch == "_" or not (ch == "\t" or " " <= ch <= "~") for ch in data):
+            raise ParseError(lineno, f"non-ASCII text, control character or '_' in {data!r}")
         line = data.strip()
         if not line:
             continue

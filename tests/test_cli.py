@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -82,8 +83,10 @@ class TestScx:
         complex, _ = parse_scx("# a comment\n\n0 1  # trailing\n")
         assert len(complex) == 3
         # Comments may hold any text, even what numbers may not.
-        complex, f = parse_scx("# naïve_1 ٣\n0 : 0  # café\n1 : 1\n0 1 : 2 # x_y\n")
+        complex, f = parse_scx("# naïve_1 ٣\n0 : 0  # café\x1c\u2028\n1 : 1\n0 1 : 2 # x_y\n")
         assert len(complex) == 3 and f((0, 1)) == 2.0
+        complex, _ = parse_scx("0\t1\r\n1 2\r\n")
+        assert len(complex) == 5
 
     def test_repeated_vertex_rejected(self):
         with pytest.raises(ParseError):
@@ -117,12 +120,21 @@ class TestScx:
             ("0 : 0\n1 : 1\n0 1 : 1_0.5\n", 3),
             ("\u0663\n", 1),
             ("0\n0\u00a01\n", 2),
+            ("0 : 0\u20281 : 1\n0 1 : 2\n", 1),
+            ("0\n0\x1f1\n", 2),
+            ("0\r1\n", 1),
+            ("0 1\r\n1\x0c\r\n", 2),
         ],
-        ids=["separator-in-id", "separator-in-value", "arabic-indic-digit", "no-break-space"],
+        ids=[
+            "separator-in-id", "separator-in-value", "arabic-indic-digit", "no-break-space",
+            "line-separator", "unit-separator", "lone-carriage-return", "form-feed",
+        ],
     )
     def test_numbers_must_be_plain_ascii(self, text, line, tmp_path, capsys):
-        # ``int`` and ``float`` read each of these: as the edge (0, 12), the
-        # value 10.5, the vertex 3 and the edge (0, 1).
+        # ``int`` and ``float`` read each of these, and ``str.splitlines`` and
+        # ``str.split`` break at the control characters: as the edge (0, 12),
+        # the value 10.5, the vertex 3, the edge (0, 1), a valued edge, the
+        # edge (0, 1), two vertices and the vertex 1.
         with pytest.raises(ParseError) as info:
             parse_scx(text)
         assert info.value.line == line
@@ -215,7 +227,8 @@ class TestOff:
         text = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
         assert len(parse_off(text)) == 7
         # Comments may hold any text, even what numbers may not.
-        assert len(parse_off(text.replace("\n", " # naïve_1 ٣\n"))) == 7
+        assert len(parse_off(text.replace("\n", " # naïve_1 ٣\x1c\u2028\n"))) == 7
+        assert len(parse_off(text.replace("\n", "\r\n").replace(" ", "\t"))) == 7
 
     def test_tetrahedron_boundary(self):
         text = (
@@ -270,11 +283,15 @@ class TestOff:
             ("OFF\n\u0663 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", "\u0663"),
             ("OFF\n3 1 0\n0 0 0\n1_0 0 0\n0 1 0\n3 0 1 2\n", "1_0"),
             ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 \u0662\n", "\u0662"),
+            ("OFF\n3\u00a01 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", "3\u00a01"),
+            ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0\x1c1 2\n", "0\x1c1"),
+            ("OFF\n3 1 0\n0 0 0\x0b\n1 0 0\n0 1 0\n3 0 1 2\n", "0\x0b"),
         ],
-        ids=["count", "coordinate", "face-vertex"],
+        ids=["count", "coordinate", "face-vertex", "no-break-space", "group-separator",
+             "vertical-tab"],
     )
     def test_numbers_must_be_plain_ascii(self, text, token, tmp_path, capsys):
-        with pytest.raises(ParseError, match=f"got {token!r}"):
+        with pytest.raises(ParseError, match=re.escape(f"got {token!r}")):
             parse_off(text)
         path = tmp_path / "bad.off"
         path.write_text(text, encoding="utf-8")

@@ -436,6 +436,13 @@ def grid4_functions():
     return [random_morse(grid, seed) for seed in range(25)]
 
 
+@pytest.fixture(scope="module")
+def grid4_passes(grid4_functions):
+    """The mountain passes of ``grid4_functions``, on the grid size of the
+    benchmark's ``mountain`` workload."""
+    return list(_grid_passes(grid4_functions))
+
+
 class TestBacktrackingAgainstStackWalk:
     """``enumerate_paths`` against the stack walk it replaced: the same paths
     in the same order, and the same errors."""
@@ -498,13 +505,13 @@ class TestWitnessAgainstOrbits:
             assert result.witness == _first_path_reaching(result)
             assert result.instance.family == _family_by_orbits(result)
 
-    def test_every_critical_pair_on_grids(self, grid_functions):
+    def test_every_critical_pair_on_grids(self, grid_functions, grid4_passes):
         checked = 0
-        for result in _grid_passes(grid_functions):
+        for result in [*_grid_passes(grid_functions), *grid4_passes]:
             assert result.witness == _first_path_reaching(result)
             assert result.instance.family == _family_by_orbits(result)
             checked += 1
-        assert checked >= 50
+        assert checked >= 150
 
 
 class TestFamilyOrder:
@@ -1209,8 +1216,8 @@ def _regular_value_count(f):
 
 
 class TestFlowImageMap:
-    """The mountain-pass instance's ``"flow"`` map: ``flow_image`` computed once
-    per distinct cell set, with one shared object per distinct set."""
+    """The mountain-pass instance's ``"flow"`` map: a table from each member to
+    its image, the family's own object, and ``flow_image`` for any other set."""
 
     def test_checking_computes_no_member_image_again(
         self, monkeypatch, grid_functions, double_well
@@ -1240,8 +1247,10 @@ class TestFlowImageMap:
             checked += 1
         assert checked >= 50
 
-    def test_images_are_flow_images_and_shared(self, grid_functions, double_well):
-        results = [mountain_pass(double_well, (3,), (0,)), *_grid_passes(grid_functions)]
+    def test_images_are_flow_images_and_shared(self, grid_functions, grid4_passes, double_well):
+        results = [
+            mountain_pass(double_well, (3,), (0,)), *_grid_passes(grid_functions), *grid4_passes
+        ]
         for result in results:
             flow, family = result.instance.maps["flow"], result.instance.family
             operator = FlowOperator(result.instance.function)

@@ -48,6 +48,7 @@ PROPERTY = settings(max_examples=100, deadline=None, database=None, derandomize=
 TOKENS = st.sampled_from(
     ["0", "1", "2", "3", "4", "5", "-1", "x", ":", "#", "0.5", "1e999", "nan", "-inf", "", "\t"]
     + ["1_0", "\u0663", "\u00a0"]  # ``int`` and ``float`` read these; the readers must not
+    + ["\r", "\x1c", "\u2028"]  # ``str.splitlines`` breaks at these; the readers must not
 )
 LINES = st.lists(TOKENS, max_size=8).map(" ".join)
 SCX_LIKE = st.lists(LINES, max_size=8).map("\n".join)
@@ -80,7 +81,7 @@ def test_emit_then_parse_round_trips(simplices, seed, scale):
 
 OFF_TOKENS = st.sampled_from(
     ["OFF", "COFF", "0", "1", "2", "3", "4", "-1", "0.5", "nan", "1e999", "x", "#", ""]
-    + ["1_0", "\u0663"]
+    + ["1_0", "\u0663", "\u00a0", "\x1c"]
 )
 OFF_LIKE = st.lists(st.lists(OFF_TOKENS, max_size=6).map(" ".join), max_size=8).map("\n".join)
 
@@ -195,6 +196,9 @@ def test_parse_scx_agrees_with_the_reference_reader(text):
         ("# only a comment\n\n   # and another\n", ParseError, None),  # no simplices
         ("1 0\n0 2 1\n", None, None),  # bare: the closure is built
         ("0 : 0\n1 : 1\n0 1 : 0.5\n", None, None),  # a valid function
+        ("0 : 0\u20281 : 1\n0 1 : 2\n", ParseError, 1),  # a line ends at LF only
+        ("0 1\r\n1 # \x1c\u2028\r\n", None, None),  # CRLF; a comment holds anything
+        ("0\n1\x1f2\n", ParseError, 2),  # a control character
     ],
 )
 def test_parse_scx_agrees_with_the_reference_reader_by_hand(text, kind, line):
