@@ -23,16 +23,18 @@ The canonical orientation of every simplex is the increasing vertex order;
 all boundary signs derive from it.
 
 The public constructors check their input: ``Simplex(...)``, ``Chain(...)``
-and ``SimplicialComplex(...)`` raise on anything malformed.  Data derived
-from objects already checked is valid by construction, so it is built
-through private constructors that skip the checks: ``_trusted`` for a face
-sliced out of a simplex or a vertex read from one, ``Chain._make`` for the
-results of chain arithmetic, ``SimplicialComplex._sub`` for a face-closed
-subset of a complex (``_derived`` when the subset comes in canonical
-order), and ``SimplicialComplex._from_cells`` for the face
-closure of distinct ``Simplex`` cells of fresh input: the simplices
-``build_complex`` is given and the lines of a ``.scx`` file that
-``parse_scx`` has checked.  They are used on such data only.
+and ``SimplicialComplex(...)`` raise on anything malformed.  Every chain,
+the results of chain arithmetic and ``boundary`` included, is built through
+``Chain(...)``, so every chain the library returns has passed its checks.
+Other data derived from objects already checked is valid by construction,
+so it is built through private constructors that skip the checks:
+``_trusted`` for a face sliced out of a simplex or a vertex read from one,
+``SimplicialComplex._sub`` for a face-closed subset of a complex
+(``_derived`` when the subset comes in canonical order), and
+``SimplicialComplex._from_cells`` for the face closure of distinct
+``Simplex`` cells of fresh input: the simplices ``build_complex`` is given
+and the lines of a ``.scx`` file that ``parse_scx`` has checked.  They are
+used on such data only.
 """
 
 from __future__ import annotations
@@ -635,27 +637,14 @@ class Chain:
         if not clean:
             object.__setattr__(self, "dim", -1)
 
-    @classmethod
-    def _make(cls, dim: int, coeffs: dict[Simplex, int]) -> "Chain":
-        """A chain from ``Simplex`` keys of dimension ``dim`` and integer values, unchecked.
-
-        Zero coefficients are dropped and the zero chain gets dimension -1,
-        as in the checked constructor.
-        """
-        chain = object.__new__(cls)
-        clean = {s: c for s, c in coeffs.items() if c}
-        object.__setattr__(chain, "dim", dim if clean else -1)
-        object.__setattr__(chain, "coeffs", clean)
-        return chain
-
     @staticmethod
     def zero() -> "Chain":
-        return Chain._make(-1, {})
+        return Chain(-1, {})
 
     @staticmethod
     def unit(s) -> "Chain":
         s = as_simplex(s)
-        return Chain._make(s.dim, {s: 1})
+        return Chain(s.dim, {s: 1})
 
     @property
     def is_zero(self) -> bool:
@@ -671,7 +660,7 @@ class Chain:
             return self
         if not isinstance(k, int):
             raise ValueError(f"coefficients must be integers, got {k!r}")
-        return Chain._make(self.dim, {s: k * c for s, c in self.coeffs.items()})
+        return Chain(self.dim, {s: k * c for s, c in self.coeffs.items()})
 
     def __add__(self, other: "Chain") -> "Chain":
         if not self.coeffs:
@@ -683,7 +672,7 @@ class Chain:
         acc = dict(self.coeffs)
         for s, c in other.coeffs.items():
             acc[s] = acc.get(s, 0) + c
-        return Chain._make(self.dim, acc)
+        return Chain(self.dim, acc)
 
     def __neg__(self) -> "Chain":
         return self.scaled(-1)
@@ -703,4 +692,4 @@ def boundary(chain: Chain) -> Chain:
             face = _trusted(s[:i] + s[i + 1 :])
             acc[face] = acc.get(face, 0) + coef * sign
             sign = -sign
-    return Chain._make(chain.dim - 1, acc)
+    return Chain(chain.dim - 1, acc)

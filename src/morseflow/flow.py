@@ -3,8 +3,11 @@
 The flow of each basis cell is computed once from the complex's face map and
 the matched pairs (identity plus boundary-of-gradient plus
 gradient-of-boundary) and kept as a plain zero-free row ``{cell:
-coefficient}`` whose keys are the complex's own cells; ``flow_of`` wraps a row
-in a ``Chain`` on demand, and ``flow_image`` unions the rows directly, so its
+coefficient}`` whose keys are the complex's own cells.  The four chain maps,
+``flow_of``, ``gradient_of``, ``apply_flow`` and ``apply_gradient``, run one
+pass that adds coefficient times row over a chain's terms (a gradient row is
+a cell's matched upper cell with the pair's coefficient) and build one
+checked ``Chain`` per call.  ``flow_image`` unions the rows directly, so its
 sets hold the complex's own cells too.  ``flow_matrix`` rebuilds the same data
 by sparse matrix composition over ``faces_of``, with a gradient table built
 from the field's pairs, not the operator's, and boundary signs read from face
@@ -19,7 +22,7 @@ Coefficients are Python integers, so arithmetic is exact at any size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Mapping
 
 from .collapse import CollapseSequence, _replayed_collapse, level_subcomplex
 from .complexes import Chain, Simplex, SimplicialComplex, incidence_sign
@@ -63,30 +66,39 @@ class FlowOperator:
 
     def gradient_of(self, cell) -> Chain:
         """The matched-pair image of a single cell; zero when unmatched."""
-        if cell not in self.complex:
-            raise SimplexNotInComplex(f"{cell!r} is not in the complex")
-        upper = self.field.up.get(cell)
-        if upper is None:
-            return Chain.zero()
-        return Chain._make(len(upper) - 1, {upper: -incidence_sign(upper, cell)})
+        return self._map({cell: 1}, self._gradient_row)
 
     def flow_of(self, cell) -> Chain:
-        if cell not in self.complex:
-            raise SimplexNotInComplex(f"{cell!r} is not in the complex")
-        return Chain._make(len(cell) - 1, self._flow[cell])
+        return self._map({cell: 1}, self._flow.__getitem__)
 
     def apply_gradient(self, chain: Chain) -> Chain:
         """Linear extension of the pair map over a chain."""
-        acc = Chain.zero()
-        for cell, coef in chain.coeffs.items():
-            acc = acc + self.gradient_of(cell).scaled(coef)
-        return acc
+        return self._map(chain.coeffs, self._gradient_row)
 
     def apply_flow(self, chain: Chain) -> Chain:
-        acc = Chain.zero()
-        for cell, coef in chain.coeffs.items():
-            acc = acc + self.flow_of(cell).scaled(coef)
-        return acc
+        return self._map(chain.coeffs, self._flow.__getitem__)
+
+    def _gradient_row(self, cell: Simplex) -> dict[Simplex, int]:
+        """A cell's matched upper cell with the pair's coefficient; empty when unmatched."""
+        upper = self.field.up.get(cell)
+        return {} if upper is None else {upper: -incidence_sign(upper, cell)}
+
+    def _map(self, terms: Mapping, row_of: Callable[[Simplex], Mapping]) -> Chain:
+        """The sum of coefficient times row over the terms, as one checked ``Chain``.
+
+        Each cell must be in the complex, else ``SimplexNotInComplex``; its
+        row is ``row_of(cell)``.  The rows' keys are the complex's own cells.
+        """
+        cells = self.complex.simplices
+        acc: dict[Simplex, int] = {}
+        for cell, coef in terms.items():
+            if cell not in cells:
+                raise SimplexNotInComplex(f"{cell!r} is not in the complex")
+            for s, c in row_of(cell).items():
+                acc[s] = acc.get(s, 0) + coef * c
+        # A chain's terms share one dimension, so do their rows' cells; an
+        # empty sum is the zero chain, of dimension -1.
+        return Chain(len(next(iter(acc), ())) - 1, acc)
 
 
 def flow_matrix(operator: FlowOperator, p: int) -> dict[Simplex, dict[Simplex, int]]:

@@ -10,12 +10,13 @@ their values from ``minmax_value``: the Lusternik-Schnirelmann values of
 returns.  The category searches run on the complex's own ``CellIndex`` (see
 ``search_index``), so ``dgcat`` followed by ``ls_minmax`` on one complex
 shares every memo; ``dgcat`` of an empty subcomplex raises ``EmptyInput``.
-The mountain-pass family is built on position bitmasks of the complex's
-cells, the positions its integer incidence gives: the path walk carries
-each path's cell mask and flow-image mask, the orbit closure is keyed by
-masks, and cell sets are built once per member, only for what the result
-returns.  Its ``"flow"`` map is a table from each member to its image, the
-family's own object.
+The mountain-pass family is built on position bitmasks: the path walk
+numbers the complex's vertices and edges, the only cells a path or its flow
+image holds, in canonical order, without building the complex's integer
+incidence.  It carries each path's cell mask and flow-image mask, the orbit
+closure is keyed by masks, and cell sets are built once per member, only
+for what the result returns.  Its ``"flow"`` map is a table from each
+member to its image, the family's own object.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ def check_minmax_data(instance: MinMaxInstance) -> MinMaxReport:
     return MinMaxReport(checked, f.min_value_gap() / 2.0, witnesses)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgePath:
     """A simple edge path from a high critical vertex into a minimum's basin."""
 
@@ -195,13 +196,15 @@ def _admissible_walk(
     f: MorseFunction, field: GradientField, high, low
 ) -> tuple[FlowOperator, dict[Simplex, int], list[tuple[EdgePath, int, int]]]:
     """The walk of ``enumerate_paths``, with each path's cells and flow image
-    as position bitmasks: bit ``i`` stands for the complex's ``i``-th cell.
+    as position bitmasks: bit ``i`` stands for the ``i``-th of the complex's
+    vertices and edges in canonical order.
 
-    Returns the flow operator of ``f`` and ``field``, each cell's flow-row
-    mask (the bits of its flow's support), and the admissible paths in
-    ``enumerate_paths`` order, each with its cell mask and its flow-image
-    mask.  A stack frame carries both masks of its path, each grown by one
-    OR per step, since the flow image of a set is the union of its rows.
+    Returns the flow operator of ``f`` and ``field``, each vertex's and
+    edge's flow-row mask (the bits of its flow's support), and the
+    admissible paths in ``enumerate_paths`` order, each with its cell mask
+    and its flow-image mask.  A stack frame carries both masks of its path,
+    each grown by one OR per step, since the flow image of a set is the
+    union of its rows.
     """
     _own_field(f, field)
     v1, v0 = as_simplex(high), as_simplex(low)
@@ -214,9 +217,11 @@ def _admissible_walk(
         )
     v1, v0 = complex._own(v1), complex._own(v0)
     operator = FlowOperator(f, field)
-    position = complex._incidence.position
-    # A row's cells are distinct, so the sum of their bits is its mask.
-    rows = {c: sum(1 << position[s] for s in row) for c, row in operator._flow.items()}
+    # A path and its flow image hold vertices and edges only, numbered in
+    # canonical order; a row's cells are distinct, so its bits sum to its mask.
+    low_cells = complex.vertices + complex.cells_of_dim(1)
+    position = dict(zip(low_cells, range(len(low_cells))))
+    rows = {c: sum(1 << position[s] for s in operator._flow[c]) for c in low_cells}
     basin_vertices = frozenset(basin(field, f, v0).cells.cells_of_dim(0))
     blocked = {c for c in crit if c.dim == 0 and c != v0}
     # Each vertex's steps, in canonical edge order: (edge, far end, value,

@@ -123,7 +123,7 @@ def parse_off(text: str) -> SimplicialComplex:
         tok = tokens[pos]
         pos += 1
         try:
-            if not tok.isascii() or not tok.isprintable() or "_" in tok:
+            if _foreign(tok):
                 raise ValueError  # ``int`` and ``float`` would read 1_0, ٣ or \x1c1
             return kind(tok)
         except ValueError:

@@ -113,6 +113,16 @@ def random_instance(seed: int, max_vertices: int = 8, max_cell: int = 4):
     return complex, random_morse(complex, rng.randrange(2**32))
 
 
+def grid(n: int) -> SimplicialComplex:
+    """The n x n vertex grid, each square cut along a diagonal."""
+    triangles = []
+    for i in range(n - 1):
+        for j in range(n - 1):
+            a = i * n + j
+            triangles += [(a, a + n, a + n + 1), (a, a + 1, a + n + 1)]
+    return build_complex(triangles)
+
+
 def torus(m: int) -> SimplicialComplex:
     """The m x m grid on the torus, each square cut along a diagonal (m >= 3)."""
     triangles = []

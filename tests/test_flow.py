@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -100,6 +101,41 @@ class TestFlow:
                 assert boundary(operator.apply_flow(chain)) == operator.apply_flow(
                     boundary(chain)
                 )
+
+
+class TestChainsOfThousandsOfTerms:
+    """The chain maps on whole and random chains of the m = 12 and m = 24 tori."""
+
+    @staticmethod
+    def _summed(dim, chain, image_of):
+        """The sum of coefficient times image over the chain's terms, by a counter."""
+        total = Counter()
+        for cell, coef in chain.coeffs.items():
+            total.update({s: coef * c for s, c in image_of(cell).items()})
+        return Chain(dim, dict(total))
+
+    @pytest.mark.parametrize("m", [12, 24])
+    def test_maps_match_the_matrix_rows_and_the_cell_images(self, m):
+        complex = torus(m)
+        rng = random.Random(m)
+        for seed in range(3):
+            operator = FlowOperator(random_morse(complex, seed))
+            for p in range(complex.dim + 1):
+                rows = flow_matrix(operator, p)
+                cells = complex.cells_of_dim(p)
+                picked = rng.sample(cells, len(cells) // 3)
+                for chain in (
+                    Chain(p, dict.fromkeys(cells, 1)),
+                    Chain(p, {c: rng.choice((-2, -1, 1, 3)) for c in picked}),
+                ):
+                    flowed = operator.apply_flow(chain)
+                    assert flowed == self._summed(p, chain, rows.__getitem__)
+                    graded = operator.apply_gradient(chain)
+                    assert graded == self._summed(
+                        p + 1, chain, lambda c: operator.gradient_of(c).coeffs
+                    )
+                    for result in (flowed, graded):
+                        assert all(complex._own(s) is s for s in result.coeffs)
 
 
 class TestFlowMatrix:
@@ -261,6 +297,19 @@ class TestMembership:
             p3_flow.apply_gradient(Chain.unit((7, 8)))
         with pytest.raises(SimplexNotInComplex):
             p3_flow.flow_of((9,))
+
+    def test_each_chain_map_names_the_foreign_cell(self, p3_flow):
+        foreign = Simplex((7, 8))
+        mixed = Chain(1, {(1, 2): 1, foreign: 2})  # a member first, then the foreign cell
+        for call, arg, name in (
+            (p3_flow.flow_of, (7, 8), "(7, 8)"),
+            (p3_flow.gradient_of, foreign, "Simplex(7, 8)"),
+            (p3_flow.apply_flow, mixed, "Simplex(7, 8)"),
+            (p3_flow.apply_gradient, mixed, "Simplex(7, 8)"),
+        ):
+            with pytest.raises(SimplexNotInComplex) as exc:
+                call(arg)
+            assert str(exc.value) == f"{name} is not in the complex"
 
     def test_image_rejects_foreign_cells(self, p3_flow):
         with pytest.raises(SimplexNotInComplex):

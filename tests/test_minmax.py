@@ -60,7 +60,7 @@ from morseflow.errors import (
     TheoremViolation,
     TooLargeForEnumeration,
 )
-from conftest import random_instance, torus
+from conftest import grid, random_instance, torus
 
 
 class TestMinMaxValue:
@@ -180,9 +180,9 @@ class TestOwnCells:
         rows = FlowOperator(f)._flow
         assert sum(map(len, rows.values())) == 371
         assert all(own[s] is s and all(own[t] is t for t in row) for s, row in rows.items())
-        grid = _grid(4)
+        complex = grid(4)
         references = 0
-        for result in _grid_passes([random_morse(grid, seed) for seed in range(40)]):
+        for result in _grid_passes([random_morse(complex, seed) for seed in range(40)]):
             own = {c: c for c in result.instance.function.complex}
             for member in result.instance.family:
                 assert all(own[c] is c for c in member)
@@ -248,21 +248,11 @@ class TestEnumeratePaths:
         assert frozenset({Simplex((3,)), *edges}) not in {p.cells() for p in paths}
 
 
-def _grid(n):
-    """The n x n vertex grid, each square cut along a diagonal."""
-    triangles = []
-    for i in range(n - 1):
-        for j in range(n - 1):
-            a = i * n + j
-            triangles += [(a, a + n, a + n + 1), (a, a + 1, a + n + 1)]
-    return build_complex(triangles)
-
-
 @pytest.fixture(scope="module")
 def grid_functions():
     """``random_morse`` on the 3 x 3 vertex grid."""
-    grid = _grid(3)
-    return [random_morse(grid, seed) for seed in range(40)]
+    complex = grid(3)
+    return [random_morse(complex, seed) for seed in range(40)]
 
 
 def _critical_vertices(field):
@@ -432,8 +422,8 @@ def _outcome(walk, f, field, high, low):
 @pytest.fixture(scope="module")
 def grid4_functions():
     """``random_morse`` on the 4 x 4 vertex grid."""
-    grid = _grid(4)
-    return [random_morse(grid, seed) for seed in range(25)]
+    complex = grid(4)
+    return [random_morse(complex, seed) for seed in range(25)]
 
 
 @pytest.fixture(scope="module")
@@ -644,9 +634,9 @@ class TestFlowPathAgainstTheParentRules:
     def test_every_enumerated_path_on_grids(self):
         kinds = {"path": 0, "walk": 0, "rules": 0}
         for n in (3, 4):
-            grid = _grid(n)
+            complex = grid(n)
             for seed in range(50):
-                f = random_morse(grid, seed)
+                f = random_morse(complex, seed)
                 operator = FlowOperator(f)
                 for high, low in _ordered_critical_pairs(f):
                     if not f((low,)) < f((high,)):
@@ -665,7 +655,7 @@ class TestFlowPathAgainstTheParentRules:
         assert min(kinds.values()) > 0, kinds
 
     def test_a_walked_path_that_ends_outside_the_basin_is_refused(self):
-        f = random_morse(_grid(3), 3)
+        f = random_morse(grid(3), 3)
         operator = FlowOperator(f)
         path = _path(f, 1, 3, [(0, 1), (0, 4), (3, 4)])
         verts = reference_vertex_sequence(reference_reassemble(operator, path))
@@ -674,7 +664,7 @@ class TestFlowPathAgainstTheParentRules:
             flow_path(operator, path)
 
     def test_a_walked_path_whose_tail_rises_is_refused(self):
-        f = random_morse(_grid(3), 0)
+        f = random_morse(grid(3), 0)
         operator = FlowOperator(f)
         path = _path(f, 0, 3, [(0, 4), (3, 4)])
         walked = reference_reassemble(operator, path)
@@ -689,6 +679,10 @@ class TestFlowPathAgainstTheParentRules:
 
 
 class TestFlowPath:
+    def test_edge_path_has_slots(self):
+        path = EdgePath(Simplex((3,)), (Simplex((2, 3)),), Simplex((1,)))
+        assert not hasattr(path, "__dict__")
+
     def test_p3_short_path_flows_to_long_path(self, p3_function):
         operator = FlowOperator(p3_function)
         path = EdgePath(Simplex((3,)), (Simplex((2, 3)),), Simplex((1,)))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
 from collections import Counter
 
@@ -19,6 +20,7 @@ from morseflow import (
     has_closed_path,
     lower_set,
     make_injective,
+    mountain_pass,
     random_morse,
     upper_set,
     validate,
@@ -32,10 +34,11 @@ from morseflow.errors import (
     ComplexMismatch,
     MissingValue,
     MorseConditionViolated,
+    NoPathExists,
     PreconditionViolated,
     SimplexNotInComplex,
 )
-from conftest import CountingList, random_complex, random_instance, torus
+from conftest import CountingList, grid, random_complex, random_instance, torus
 
 
 def order_equivalent(f, g) -> bool:
@@ -499,6 +502,19 @@ class TestIntegerIncidence:
         for value in f.sorted_distinct_values()[::50]:
             level_subcomplex(f, value)
         assert parsed._ids is None
+
+    def test_mountain_pass_builds_no_incidence(self):
+        parsed, f = parse_scx(emit_scx(grid(4), random_morse(grid(4), 3)))
+        assert f.is_injective()  # else ``make_injective`` would build it
+        vertices = sorted((c for c in critical_cells(f) if c.dim == 0), key=f)
+        passes = 0
+        for low, high in itertools.combinations(vertices, 2):
+            try:
+                mountain_pass(f, high, low)
+            except NoPathExists:
+                continue
+            passes += 1
+        assert passes and parsed._ids is None
 
     def test_random_morse_builds_it_once(self, monkeypatch):
         complex = torus(5)
