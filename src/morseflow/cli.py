@@ -3,6 +3,14 @@
 All JSON is deterministic: keys sorted, simplex lists in canonical order, a
 top-level ``"schema": 1`` marker.  Exit codes: 0 success, 1 domain error
 (with a machine-readable error object on stdout), 2 usage error.
+
+Each command is declared once, in the table of ``build_parser``: its name,
+its handler, whether it needs simplex values, and its own options.  ``run``
+loads the input once, through ``_load``, which raises ``MissingValue`` for a
+command that needs values when the file has none, and then calls the
+handler with the arguments, the complex and the function (``None`` for a
+file without values).  ``build_parser`` is cached, so a process builds the
+parser on its first call and reuses it.
 """
 
 from __future__ import annotations
@@ -38,7 +46,9 @@ SCHEMA = 1
 # every collapse of the complex and every subcomplex that collapses to a
 # vertex, and both counts can grow exponentially with the cells: on triangle
 # fans lscat took 0.06 s at 21 cells and 3.1 s at 31 (2-core VM).  The
-# collapse command's memoised search is not exhaustive and takes any bound.
+# collapse command takes any bound, although its memoised search is exhaustive
+# whenever the answer is "no" and the parity test passes: 0.21 s on a 43-cell
+# complex, unfinished after 150 s on a 77-cell one.
 MAX_ENUM_CAP = 20
 
 
@@ -51,45 +61,38 @@ def _cells(simplices) -> list[list[int]]:
     return _listed(sorted(sorted(simplices), key=len))
 
 
-def _load(args) -> tuple[SimplicialComplex, MorseFunction | None]:
+def _load(args, needs_values: bool) -> tuple[SimplicialComplex, MorseFunction | None]:
+    """The input's complex and Morse function, whose ``complex`` is that complex.
+
+    A file without values gives ``None`` for the function, or ``MissingValue``
+    when the command needs values.
+    """
     try:
         text = Path(args.infile).read_bytes().decode("utf-8")  # no newline translation
     except (OSError, UnicodeDecodeError) as exc:
         raise UnreadableInput(f"cannot read {args.infile}: {exc}") from None
-    fmt = args.format
-    if fmt == "auto":
-        fmt = "off" if args.infile.lower().endswith(".off") else "scx"
-    if fmt == "off":
-        return parse_off(text), None
-    return parse_scx(text)
-
-
-def _load_function(args) -> MorseFunction:
-    """The input's Morse function, whose ``complex`` is the loaded complex."""
-    _, f = _load(args)
-    if f is None:
+    off = args.format == "off" or (args.format == "auto" and args.infile.lower().endswith(".off"))
+    complex, f = (parse_off(text), None) if off else parse_scx(text)
+    if needs_values and f is None:
         raise MissingValue("this command needs simplex values in the input file")
-    return f
+    return complex, f
 
 
-def _cmd_validate(args):
-    f = _load_function(args)
+def _cmd_validate(args, complex, f):
     return {
         "valid": True,
-        "simplexCount": len(f.complex),
-        "dim": f.complex.dim,
+        "simplexCount": len(complex),
+        "dim": complex.dim,
         "criticalCount": len(critical_cells(f)),
         "injective": f.is_injective(),
     }
 
 
-def _cmd_critical(args):
-    f = _load_function(args)
+def _cmd_critical(args, complex, f):
     return {"critical": _cells(critical_cells(f)), "values": critical_values(f)}
 
 
-def _cmd_gradient(args):
-    f = _load_function(args)
+def _cmd_gradient(args, complex, f):
     field = gradient_field(f)
     return {
         "pairs": [[list(a), list(b)] for a, b in sorted(field.up.items())],
@@ -99,9 +102,7 @@ def _cmd_gradient(args):
     }
 
 
-def _cmd_flow(args):
-    f = _load_function(args)
-    complex = f.complex
+def _cmd_flow(args, complex, f):
     operator = FlowOperator(f)
     rows = operator._flow
     dims = []
@@ -114,8 +115,7 @@ def _cmd_flow(args):
     return {"dims": dims, "check": "ok"}
 
 
-def _cmd_levels(args):
-    f = _load_function(args)
+def _cmd_levels(args, complex, f):
     level = level_subcomplex(f, args.level)
     out = {
         "threshold": args.level,
@@ -132,8 +132,7 @@ def _cmd_levels(args):
     return out
 
 
-def _cmd_collapse(args):
-    complex, f = _load(args)
+def _cmd_collapse(args, complex, f):
     for vertex in complex.cells_of_dim(0):
         seq = collapses_to(complex, SimplicialComplex([vertex]), f, args.max_enum)
         if seq is not None:
@@ -145,16 +144,14 @@ def _cmd_collapse(args):
     return {"collapsible": False}
 
 
-def _cmd_homology(args):
-    complex, _ = _load(args)
+def _cmd_homology(args, complex, f):
     return {
         "euler": euler_characteristic(complex),
         "betti": betti_numbers_mod2(complex),
     }
 
 
-def _cmd_mountain_pass(args):
-    f = _load_function(args)
+def _cmd_mountain_pass(args, complex, f):
     result = mountain_pass(f, (args.min1,), (args.min0,))
     return {
         "c": result.value,
@@ -167,8 +164,7 @@ def _cmd_mountain_pass(args):
     }
 
 
-def _cmd_lscat(args):
-    f = _load_function(args)
+def _cmd_lscat(args, complex, f):
     # One value per depth 1 .. dgcat + 1.
     values = ls_minmax(f, args.max_enum)
     return {
@@ -179,13 +175,11 @@ def _cmd_lscat(args):
     }
 
 
-def _cmd_minmax_check(args):
-    f = _load_function(args)
+def _cmd_minmax_check(args, complex, f):
     if (args.min0 is None) != (args.min1 is None):
         raise PreconditionViolated("give both --min0 and --min1, or neither")
     if args.min0 is not None and args.min1 is not None:
-        result = mountain_pass(f, (args.min1,), (args.min0,))
-        instance = result.instance
+        instance = mountain_pass(f, (args.min1,), (args.min0,)).instance
         kind = "paths"
     else:
         instance = ls_instance(f, 1, args.max_enum)
@@ -201,17 +195,14 @@ def _cmd_minmax_check(args):
     }
 
 
-def _cmd_random(args):
-    complex, _ = _load(args)
-    f = random_morse(complex, args.seed)
-    return {"scx": emit_scx(complex, f)}
+def _cmd_random(args, complex, f):
+    return {"scx": emit_scx(complex, random_morse(complex, args.seed))}
 
 
-def _cmd_export_dot(args):
-    f = _load_function(args)
+def _cmd_export_dot(args, complex, f):
     field = gradient_field(f)
     lines = ["digraph gradient {"]
-    for cell in f.complex:
+    for cell in complex:
         name = " ".join(str(v) for v in cell)
         label = f"{name}\\nf={f(cell)!r}"
         extra = ", peripheries=2" if cell in field.critical else ""
@@ -248,73 +239,57 @@ def _enum_bound(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and then shared.
+
+    One table declares each command: its name, its handler, whether it needs
+    simplex values, and its own options.  ``parse_args`` keeps no state in
+    the parser and returns a fresh namespace each time.
+    """
     parser = argparse.ArgumentParser(
         prog="morseflow", description="Discrete Morse theory toolbox"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    capped = dict(type=_enum_bound, default=DEFAULT_ENUM_BOUND)
+    for name, handler, needs_values, options in [
+        ("validate", _cmd_validate, True, []),
+        ("critical", _cmd_critical, True, []),
+        ("gradient", _cmd_gradient, True, []),
+        ("flow", _cmd_flow, True, []),
+        ("homology", _cmd_homology, False, []),
+        ("levels", _cmd_levels, True, [
+            ("--level", dict(type=_finite_float, required=True)),
+            ("--to", dict(type=_finite_float, default=None)),
+        ]),
+        ("collapse", _cmd_collapse, False, [
+            ("--max-enum", dict(type=_non_negative_int, default=DEFAULT_ENUM_BOUND)),
+        ]),
+        ("mountain-pass", _cmd_mountain_pass, True, [
+            ("--min1", dict(type=int, required=True, help="higher critical vertex id")),
+            ("--min0", dict(type=int, required=True, help="lower critical vertex id")),
+        ]),
+        ("lscat", _cmd_lscat, True, [("--max-enum", capped)]),
+        ("minmax-check", _cmd_minmax_check, True, [
+            ("--min1", dict(type=int, default=None)),
+            ("--min0", dict(type=int, default=None)),
+            ("--max-enum", dict(capped, help=(
+                "enumeration bound of the category form; the path form (--min0/--min1) ignores it"
+            ))),
+        ]),
+        ("random", _cmd_random, False, [("--seed", dict(type=int, required=True))]),
+        ("export-dot", _cmd_export_dot, True, [
+            ("--json", dict(action="store_true", help="wrap the DOT text in JSON")),
+        ]),
+    ]:
+        p = sub.add_parser(name)
         p.add_argument("--in", dest="infile", required=True, help="input file")
         p.add_argument(
             "--format", choices=["auto", "scx", "off"], default="auto", help="input format"
         )
-
-    for name, handler in [
-        ("validate", _cmd_validate),
-        ("critical", _cmd_critical),
-        ("gradient", _cmd_gradient),
-        ("flow", _cmd_flow),
-        ("homology", _cmd_homology),
-    ]:
-        p = sub.add_parser(name)
-        common(p)
-        p.set_defaults(handler=handler)
-
-    p = sub.add_parser("levels")
-    common(p)
-    p.add_argument("--level", type=_finite_float, required=True)
-    p.add_argument("--to", type=_finite_float, default=None)
-    p.set_defaults(handler=_cmd_levels)
-
-    p = sub.add_parser("collapse")
-    common(p)
-    p.add_argument("--max-enum", type=_non_negative_int, default=DEFAULT_ENUM_BOUND)
-    p.set_defaults(handler=_cmd_collapse)
-
-    p = sub.add_parser("mountain-pass")
-    common(p)
-    p.add_argument("--min1", type=int, required=True, help="higher critical vertex id")
-    p.add_argument("--min0", type=int, required=True, help="lower critical vertex id")
-    p.set_defaults(handler=_cmd_mountain_pass)
-
-    p = sub.add_parser("lscat")
-    common(p)
-    p.add_argument("--max-enum", type=_enum_bound, default=DEFAULT_ENUM_BOUND)
-    p.set_defaults(handler=_cmd_lscat)
-
-    p = sub.add_parser("minmax-check")
-    common(p)
-    p.add_argument("--min1", type=int, default=None)
-    p.add_argument("--min0", type=int, default=None)
-    p.add_argument(
-        "--max-enum",
-        type=_enum_bound,
-        default=DEFAULT_ENUM_BOUND,
-        help="enumeration bound of the category form; the path form (--min0/--min1) ignores it",
-    )
-    p.set_defaults(handler=_cmd_minmax_check)
-
-    p = sub.add_parser("random")
-    common(p)
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(handler=_cmd_random)
-
-    p = sub.add_parser("export-dot")
-    common(p)
-    p.add_argument("--json", action="store_true", help="wrap the DOT text in JSON")
-    p.set_defaults(handler=_cmd_export_dot)
-
+        for flag, settings in options:
+            p.add_argument(flag, **settings)
+        p.set_defaults(handler=handler, needs_values=needs_values)
     return parser
 
 
@@ -332,20 +307,13 @@ def _describe(exc: MorseflowError) -> dict:
     return out
 
 
-@functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    # Built on the first call and reused: ``parse_args`` keeps no state in the
-    # parser and returns a fresh namespace each time.
-    return build_parser()
-
-
 def run(argv: list[str]) -> int:
     try:
-        args = _shared_parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        payload = args.handler(args)
+        payload = args.handler(args, *_load(args, args.needs_values))
     except MorseflowError as exc:
         error = {"schema": SCHEMA, "error": _describe(exc)}
         print(json.dumps(error, sort_keys=True, allow_nan=False))

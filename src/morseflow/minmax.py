@@ -21,6 +21,7 @@ member to its image, the family's own object.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import groupby
@@ -155,7 +156,13 @@ def check_minmax_data(instance: MinMaxInstance) -> MinMaxReport:
             else:
                 raise DeformationViolated(a)
         below = above
-    return MinMaxReport(checked, f.min_value_gap() / 2.0, witnesses)
+    gap = f.min_value_gap()
+    if math.isinf(gap):
+        # Only two values can lie more than the largest float apart; half
+        # their distance is finite.  Any finite gap halves as before.
+        low, high = f.sorted_distinct_values()
+        return MinMaxReport(checked, high / 2 - low / 2, witnesses)
+    return MinMaxReport(checked, gap / 2.0, witnesses)
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import re
@@ -376,11 +377,27 @@ class TestCli:
         assert payload["betti"] == [1, 1]
 
     def test_value_commands_require_values(self, tmp_path, capsys):
+        """Each command that reads values refuses a bare file; the other three run."""
         path = tmp_path / "bare.scx"
         path.write_text("0 1\n", encoding="utf-8")
-        code, out = self._json(capsys, ["critical", "--in", str(path)])
-        assert code == 1
-        assert json.loads(out)["error"]["kind"] == "MissingValue"
+        bare = ["--in", str(path)]
+        for argv in [
+            ["validate"],
+            ["critical"],
+            ["gradient"],
+            ["flow"],
+            ["levels", "--level", "0"],
+            ["mountain-pass", "--min1", "1", "--min0", "0"],
+            ["lscat"],
+            ["minmax-check"],
+            ["export-dot"],
+        ]:
+            code, out = self._json(capsys, [*argv, *bare])
+            assert code == 1, argv
+            assert json.loads(out)["error"]["kind"] == "MissingValue", argv
+        for argv in [["homology"], ["random", "--seed", "0"], ["collapse"]]:
+            code, out = self._json(capsys, [*argv, *bare])
+            assert (code, json.loads(out)["command"]) == (0, argv[0])
 
     def test_off_with_an_undeclared_face_is_a_json_error(self, tmp_path, capsys):
         path = tmp_path / "tri.off"
@@ -519,6 +536,15 @@ class TestCli:
         assert payload["ok"] is True
         assert payload["instance"] == "paths"
 
+    def test_minmax_check_on_values_further_apart_than_the_largest_float(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "far.scx"
+        path.write_text("0 : -1e308\n1 : 1e308\n", encoding="utf-8")
+        code, out = self._json(capsys, ["minmax-check", "--in", str(path)])
+        assert code == 0
+        assert json.loads(out)["epsilon"] == 1e308
+
     def test_export_dot(self, p3_file, capsys):
         code = run(["export-dot", "--in", p3_file])
         out = capsys.readouterr().out
@@ -589,7 +615,7 @@ class TestCli:
             assert first == second
 
     def test_one_parser_per_process(self, tmp_path, capsys, double_well):
-        """Every command of the benchmark's CLI mix, with a usage error, a domain
+        """Every command the parser declares, with a usage error, a domain
         error and ``export-dot --json`` between them, twice in one process:
         each call prints what its first call printed and what a fresh
         ``python -m morseflow.cli`` process prints, with the same exit code."""
@@ -626,6 +652,9 @@ class TestCli:
             ["lscat", "--in", t],  # too large to enumerate
             ["export-dot", "--in", t, "--json"],
         ]
+        parser = cli.build_parser()
+        declared = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert {argv[0] for argv in commands} == set(declared.choices)
         sequence = commands[:5] + between + commands[5:]
         first: dict[tuple, tuple[int, str]] = {}
         for argv in sequence + sequence:

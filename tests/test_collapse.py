@@ -45,6 +45,7 @@ from morseflow.errors import (
     NotFreeFace,
     PreconditionViolated,
     ProofFailure,
+    SignatureMismatch,
     SimplexNotInComplex,
 )
 from conftest import CountingDict, random_instance, torus
@@ -347,6 +348,23 @@ class TestVerifyDmtB:
         with pytest.raises(PreconditionViolated):
             verify_dmt_b(p3_function, (2,), 2, 3)
 
+    @pytest.mark.parametrize(
+        "before, after",
+        [((1, 0), (2, 0)), ((1, 0), (1, 0)), ((1, 1), (1, 0)), ((2, 0), (1, 1))],
+        ids=["vertex-added", "no-change", "loop-removed", "two-changes"],
+    )
+    def test_a_wrong_signature_for_an_edge_is_refused(
+        self, circle_function, monkeypatch, before, after
+    ):
+        # The top edge of the circle closes a loop, (1, 0) -> (1, 1); any
+        # other change across its value is refused.
+        signatures = iter([before, after])
+        monkeypatch.setattr(
+            "morseflow.collapse.betti_numbers_mod2", lambda complex: list(next(signatures))
+        )
+        with pytest.raises(SignatureMismatch):
+            verify_dmt_b(circle_function, (1, 2), 4, 5)
+
     def test_random_instances_every_critical_cell(self):
         from morseflow import critical_cells
 
@@ -452,6 +470,17 @@ class TestBasinOracle:
         field = gradient_field(p3_function)
         report = basin_maximality_report(field, p3_function, (1,))
         assert report.contained
+
+    def test_strictly_larger_only_when_a_container_is(self, triangle_function):
+        # An edge with one minimum drains wholly into it: its basin is the
+        # only maximal collapser.  The triangle's basin of 0 is its two edges
+        # at 0, inside the whole collapsible triangle.
+        edge_function = validate(build_complex([(0, 1)]), {(0,): 0, (1,): 2, (0, 1): 1})
+        for f, larger in ((edge_function, False), (triangle_function, True)):
+            report = basin_maximality_report(gradient_field(f), f, (0,))
+            assert len(report.containers) == 1
+            assert report.contained
+            assert report.strictly_larger is larger
 
     def test_maximal_collapsible_to_circle_vertex(self, circle):
         # arcs through a fixed vertex are the maximal collapsing subcomplexes

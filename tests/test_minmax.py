@@ -150,6 +150,15 @@ class TestCheckMinMaxData:
                 check_minmax_data(MinMaxInstance(f, maps, family))
             assert caught.value.value == edge_value
 
+    def test_epsilon_is_half_the_gap_without_overflow(self):
+        # Values 2e308 apart: the gap overflows, half of it does not.  One and
+        # two units of the least subnormal: half the gap rounds to even (0.0),
+        # where halving each value first would give one unit.
+        k = build_complex([(0,), (1,)])
+        for low, high, epsilon in ((-1e308, 1e308, 1e308), (5e-324, 1e-323, 0.0)):
+            f = validate(k, {(0,): low, (1,): high})
+            assert check_minmax_data(ls_instance(f, 1)).epsilon == epsilon
+
 
 class TestOwnCells:
     """Cells named by plain vertex tuples come back as the complex's own
