@@ -46,9 +46,11 @@ SCHEMA = 1
 # every collapse of the complex and every subcomplex that collapses to a
 # vertex, and both counts can grow exponentially with the cells: on triangle
 # fans lscat took 0.06 s at 21 cells and 3.1 s at 31 (2-core VM).  The
-# collapse command takes any bound, although its memoised search is exhaustive
-# whenever the answer is "no" and the parity test passes: 0.21 s on a 43-cell
-# complex, unfinished after 150 s on a 77-cell one.
+# collapse command takes any bound, although its one memoised search, onto the
+# first vertex, is exhaustive whenever the answer is "no" and the parity test
+# passes: on the 3 x 3 grid with two hollow triangles hung at a vertex (43
+# cells) it took 0.31 s, and on the 4 x 4 one (77 cells) it was unfinished
+# after 60 s (2-core VM).
 MAX_ENUM_CAP = 20
 
 
@@ -133,15 +135,17 @@ def _cmd_levels(args, complex, f):
 
 
 def _cmd_collapse(args, complex, f):
-    for vertex in complex.cells_of_dim(0):
-        seq = collapses_to(complex, SimplicialComplex([vertex]), f, args.max_enum)
-        if seq is not None:
-            return {
-                "collapsible": True,
-                "vertex": list(vertex),
-                "steps": [[list(a), list(b)] for a, b in seq.pairs],
-            }
-    return {"collapsible": False}
+    # A complex that collapses onto a vertex collapses onto each of its
+    # vertices (the lemma in ``CellIndex``), so the first vertex decides.
+    vertex = complex.vertices[0]
+    seq = collapses_to(complex, SimplicialComplex([vertex]), f, args.max_enum)
+    if seq is None:
+        return {"collapsible": False}
+    return {
+        "collapsible": True,
+        "vertex": list(vertex),
+        "steps": [[list(a), list(b)] for a, b in seq.pairs],
+    }
 
 
 def _cmd_homology(args, complex, f):

@@ -156,7 +156,7 @@ def collapses_to(
     goal = index.mask_of(target.simplices)
     cells = index.cells
     key = None if f is None else (lambda p: (-f(cells[p[0]]), -f(cells[p[1]]), p[0]))
-    pairs = index.collapse_search(index.full, lambda mask: mask == goal, {}, goal, key)
+    pairs = index.collapse_search(index.full, goal, key)
     if pairs is None:
         return None
     return CollapseSequence(complex, target, index.pairs_of(pairs))
@@ -303,17 +303,21 @@ def basin(field: GradientField, f: MorseFunction, vertex) -> Basin:
 def maximal_collapsible_to(
     complex: SimplicialComplex, vertex, max_enum: int = DEFAULT_ENUM_BOUND
 ) -> list[SimplicialComplex]:
-    """Inclusion-maximal subcomplexes collapsing to the vertex.
+    """Inclusion-maximal subcomplexes collapsing to the vertex, largest first.
 
-    Explores every anti-collapse expansion from the single vertex, then keeps
-    the inclusion-maximal states.  Oracle for comparing against ``basin``.
+    A subcomplex collapses onto a vertex exactly when it holds the vertex
+    and is collapsible (the lemma in ``CellIndex``), and a collapsible
+    superset of one holds the vertex too; so these are the inclusion-maximal
+    collapsible subcomplexes that hold the vertex.  Read off the index's one
+    walk over the collapsible subcomplexes, not the gradient: the oracle for
+    comparing against ``basin``.
     """
     v = as_simplex(vertex)
     if v not in complex or v.dim != 0:
         raise NotACriticalVertex(f"{v!r} is not a vertex of the complex")
     index = search_index(complex, max_enum)
-    states = index.expansions(1 << index.position[v])
-    return [complex._sub(set(index.cells_of(m))) for m in index.maximal(states)]
+    bit = 1 << index.position[v]
+    return [complex._sub(set(index.cells_of(m))) for m in index.maximal_collapsible() if m & bit]
 
 
 @dataclass(frozen=True)

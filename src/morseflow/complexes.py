@@ -19,6 +19,9 @@ it, while loading, validating and homology stay on the face map, so a
 complex that is only read never builds it.  The exhaustive searches share
 one ``CellIndex`` per complex, which ``search_index`` builds on first use
 and the complex keeps with its memos; none of these changes a result.
+The index finds every collapsible subcomplex in one walk from all the
+vertices, and the cover family and every vertex's maximal collapsible
+subcomplexes are read off it.
 The canonical orientation of every simplex is the increasing vertex order;
 all boundary signs derive from it.
 
@@ -43,7 +46,7 @@ import functools
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     EmptyInput,
@@ -336,17 +339,28 @@ class CellIndex:
     their positions and the face and coface masks come from it, so the index
     keeps no position map of its own.
 
-    The one search index of the exhaustive layer: collapse search,
-    anti-collapse expansion, collapse reachability, collapsibility and the
-    cover search behind discrete category.  Every expensive answer is
-    memoised, so repeated queries against one complex stay cheap; the complex
-    keeps its index (see ``search_index``).  The cover family is read off the
-    anti-collapse walks from the vertices, which the basin oracle shares.
+    The one search index of the exhaustive layer: collapse search, collapse
+    reachability, the collapsible subcomplexes and the cover search behind
+    discrete category.  Every expensive answer is memoised, so repeated
+    queries against one complex stay cheap; the complex keeps its index (see
+    ``search_index``).
+
+    Each exhaustive question is asked once, by a lemma: a complex that
+    collapses onto a vertex collapses onto each of its vertices.  By
+    induction on the collapse: a first step whose free face is not a vertex
+    keeps the vertices; a first step that removes a free vertex ``u`` with
+    its edge ``ux`` leaves a complex that collapses onto each of its
+    vertices, by steps that stay elementary with ``u`` and ``ux`` present
+    (``ux`` is a coface of ``u`` and ``x`` only), so collapsing onto ``x``
+    and then removing ``(x, ux)`` leaves ``u``.  So the subcomplexes that
+    collapse onto a vertex are the collapsible ones holding it, and one walk
+    (``collapsible``) serves the cover family and every vertex's maximal
+    collapsible subcomplexes, which the basin oracle reads.
     """
 
     __slots__ = (
         "cells", "position", "face_mask", "coface_mask", "full",
-        "_expansions", "_reachable", "_witness", "_maximal", "_precat", "_category",
+        "_collapsible", "_reachable", "_maximal", "_precat", "_category",
     )
 
     def __init__(self, complex: SimplicialComplex):
@@ -355,9 +369,8 @@ class CellIndex:
         self.face_mask = [sum(1 << j for j in ids) for ids in complex._incidence.faces]
         self.coface_mask = [sum(1 << j for j in ids) for ids in complex._incidence.cofaces]
         self.full = (1 << len(self.cells)) - 1
-        self._expansions: dict[int, set[int]] = {}
+        self._collapsible: set[int] | None = None
         self._reachable: dict[int, dict[int, tuple | None]] = {}
-        self._witness: dict[int, tuple | None] = {}
         self._maximal: list[int] | None = None
         self._precat: dict[int, int] = {}
         self._category: dict[int, tuple[int, int, int]] = {}
@@ -383,22 +396,22 @@ class CellIndex:
                 out.append(m)
         return out
 
-    def expansions(self, start: int) -> set[int]:
-        """Every state reachable from the subcomplex ``start`` by elementary
-        anti-collapses, i.e. the subcomplexes that collapse onto it; memoised,
-        so callers must not change the set.
+    def collapsible(self) -> set[int]:
+        """Every collapsible subcomplex, as masks; memoised, so callers must
+        not change the set.
 
-        ``start`` must be face-closed, so every state reached is too: a cell
-        ``i`` outside it has no coface in it, and has all its faces in it once
-        the other faces of the coface ``j`` are (they contain those faces).
+        One walk by elementary anti-collapses from all the vertices at once:
+        the subcomplexes that collapse onto some vertex.  Every state reached
+        is face-closed: a cell ``i`` outside it has no coface in it, and has
+        all its faces in it once the other faces of the coface ``j`` are
+        (they contain those faces).
         """
-        seen = self._expansions.get(start)
-        if seen is not None:
-            return seen
+        if self._collapsible is not None:
+            return self._collapsible
         n = len(self.cells)
         face_mask, coface_mask = self.face_mask, self.coface_mask
-        seen = {start}
-        stack = [start]
+        stack = [1 << i for i, c in enumerate(self.cells) if len(c) == 1]
+        seen = self._collapsible = set(stack)
         while stack:
             cur = stack.pop()
             for i in range(n):
@@ -411,7 +424,6 @@ class CellIndex:
                     if nxt not in seen:
                         seen.add(nxt)
                         stack.append(nxt)
-        self._expansions[start] = seen
         return seen
 
     def free_pairs(self, mask: int, keep: int = 0) -> list[tuple[int, int]]:
@@ -425,24 +437,22 @@ class CellIndex:
                 out.append((i, cof.bit_length() - 1))
         return out
 
-    def collapse_search(
-        self, mask: int, is_goal: Callable[[int], bool], memo: dict, keep: int = 0, key=None
-    ) -> tuple | None:
-        """Depth-first collapse from ``mask`` to a goal state; ``None`` if none exists.
+    def collapse_search(self, mask: int, goal: int, key=None) -> tuple | None:
+        """Depth-first collapse from ``mask`` onto its substate ``goal``, which
+        no step touches; ``None`` if none exists.
 
-        Free pairs avoiding ``keep`` are tried in ascending ``key`` order
-        (canonical without one).  ``memo`` maps decided states to answers and
-        may be shared by searches with the same goal, ``keep`` and ``key``.
+        Free pairs outside the goal are tried in ascending ``key`` order
+        (canonical without one), and decided states are memoised, so the
+        answer is exact.
         """
+        memo: dict[int, tuple | None] = {goal: ()}
         frames: list[list] = []  # [state, untried pairs, pair tried] per open state
         state = mask
         while True:
             if state in memo:
                 answer = memo[state]
-            elif is_goal(state):
-                answer = memo[state] = ()
             else:
-                pairs = self.free_pairs(state, keep)
+                pairs = self.free_pairs(state, goal)
                 if key is not None:
                     pairs.sort(key=key)
                 frames.append([state, iter(pairs), None])
@@ -462,13 +472,13 @@ class CellIndex:
                 return answer
 
     def collapse_witness(self, mask: int) -> tuple | None:
-        """Index pairs collapsing the state to a single vertex, or None."""
-        cells = self.cells
+        """Index pairs collapsing the state onto its first vertex, or None.
 
-        def is_vertex(state: int) -> bool:
-            return state.bit_count() == 1 and len(cells[state.bit_length() - 1]) == 1
-
-        return self.collapse_search(mask, is_vertex, self._witness)
+        Canonical order puts the vertices first, so the lowest bit of a
+        non-empty state is its first vertex; by the class's lemma, a collapsible
+        state collapses onto it.
+        """
+        return self.collapse_search(mask, mask & -mask)
 
     def reachable(self, mask: int) -> dict[int, tuple | None]:
         """Every state reachable from the mask by elementary collapses, mapped to
@@ -502,8 +512,7 @@ class CellIndex:
     def maximal_collapsible(self) -> list[int]:
         """Inclusion-maximal collapsible subcomplex masks (cover family)."""
         if self._maximal is None:
-            vertices = [1 << i for i, c in enumerate(self.cells) if len(c) == 1]
-            self._maximal = self.maximal(set().union(*map(self.expansions, vertices)))
+            self._maximal = self.maximal(self.collapsible())
         return self._maximal
 
     def cover_witness(self, target: int, size: int) -> tuple[int, ...] | None:

@@ -16,6 +16,7 @@ from morseflow import (
     Simplex,
     SimplicialComplex,
     build_complex,
+    collapses_to,
     critical_cells,
     critical_values,
     dgcat,
@@ -37,9 +38,34 @@ from morseflow.errors import (
     PreconditionViolated,
     SimplexNotInComplex,
 )
-from conftest import torus
+from conftest import grid, random_instance, torus
 
 P3_SCX = "0 : 0\n1 : 3\n2 : 1\n0 1 : 2\n1 2 : 4\n"
+
+
+# Neither of these collapses.  The circle has an even cell count, so parity
+# refuses it; the circle with an isolated vertex has an odd one, so its "no"
+# comes from a search.
+CIRCLE_SCX = "0 1\n1 2\n0 2\n"
+CIRCLE_AND_VERTEX_SCX = CIRCLE_SCX + "3\n"
+
+
+def two_hole_grid_scx() -> str:
+    """The 3 x 3 grid with two triangle interiors removed: 31 cells, chi = -1."""
+    complex = grid(3)
+    holes = {(0, 1, 4), (4, 7, 8)}
+    return emit_scx(complex._sub({c for c in complex if c not in holes}))
+
+
+def collapse_by_vertex(complex, f, max_enum):
+    """The collapse command's answer by one search per vertex, in vertex
+    order: the first vertex the complex collapses onto, if any."""
+    for vertex in complex.vertices:
+        seq = collapses_to(complex, SimplicialComplex([vertex]), f, max_enum)
+        if seq is not None:
+            steps = [[list(a), list(b)] for a, b in seq.pairs]
+            return {"collapsible": True, "vertex": list(vertex), "steps": steps}
+    return {"collapsible": False}
 
 
 def long_well_scx(n: int) -> str:
@@ -473,6 +499,38 @@ class TestCli:
         payload = json.loads(out)
         assert payload["vertex"] == [0]
         assert len(payload["steps"]) == 1200
+
+    def _collapse_matches_the_per_vertex_loop(self, tmp_path, capsys, text, max_enum):
+        """Run ``collapse`` on the text, check its answer against
+        ``collapse_by_vertex`` and return whether it is "yes"."""
+        path = tmp_path / "in.scx"
+        path.write_text(text, encoding="utf-8")
+        argv = ["collapse", "--in", str(path), "--max-enum", str(max_enum)]
+        code, out = self._json(capsys, argv)
+        assert code == 0
+        payload = json.loads(out)
+        expected = collapse_by_vertex(*parse_scx(text), max_enum)
+        assert payload == {"schema": 1, "command": "collapse", **expected}
+        return payload["collapsible"]
+
+    @pytest.mark.parametrize(
+        "text, cells",
+        [(CIRCLE_SCX, 6), (CIRCLE_AND_VERTEX_SCX, 7), (two_hole_grid_scx(), 31)],
+        ids=["circle", "circle-and-vertex", "two-hole-grid"],
+    )
+    def test_collapse_command_says_no(self, tmp_path, capsys, text, cells):
+        complex, _ = parse_scx(text)
+        assert len(complex) == cells
+        assert not self._collapse_matches_the_per_vertex_loop(tmp_path, capsys, text, cells)
+
+    def test_collapse_command_matches_the_per_vertex_loop(self, tmp_path, capsys):
+        check = self._collapse_matches_the_per_vertex_loop
+        answers = []
+        for seed in range(120):
+            complex, f = random_instance(seed)
+            for values in (None, f):
+                answers.append(check(tmp_path, capsys, emit_scx(complex, values), 40))
+        assert 0 < answers.count(False) < len(answers)
 
     def test_mountain_pass_on_a_long_path(self):
         _, f = parse_scx(long_well_scx(1200))

@@ -36,7 +36,7 @@ from morseflow import (
     verify_flow_collapse,
 )
 from morseflow.collapse import _collapse_pairs, _replayed_collapse
-from morseflow.complexes import as_simplex, simplex_key
+from morseflow.complexes import as_simplex, search_index, simplex_key
 from morseflow.errors import (
     ComplexMismatch,
     CriticalValueInWindow,
@@ -547,6 +547,66 @@ class TestBasinOracle:
                     continue
                 report = basin_maximality_report(field, f, v, max_enum=14)
                 assert report.contained
+
+
+def anti_collapse_walk(complex, vertex):
+    """Every subcomplex that collapses onto the vertex, as frozensets of cells.
+
+    Oracle for ``CellIndex.collapsible`` and ``maximal_collapsible_to``: one
+    walk per vertex by elementary anti-collapses, each read off ``faces_of``
+    and ``cofaces_of`` (a cell outside the state joins with a coface whose
+    other faces are in it), with no bitmask and no search index.
+    """
+    start = frozenset([vertex])
+    seen = {start}
+    stack = [start]
+    while stack:
+        cur = stack.pop()
+        for cell in complex:
+            if cell in cur:
+                continue
+            for coface in complex.cofaces_of(cell):
+                if set(complex.faces_of(coface)) <= cur | {cell}:
+                    nxt = cur | {cell, coface}
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
+    return seen
+
+
+def small_complexes():
+    """The complexes of ``random_instance`` seeds 0-299 with at most 14 cells."""
+    return [k for k, _ in map(random_instance, range(300)) if len(k) <= 14]
+
+
+class TestOneCollapsibleWalk:
+    """One walk from all the vertices finds every collapsible subcomplex, and
+    a complex collapses onto one vertex exactly when it does onto each."""
+
+    def test_a_complex_collapses_onto_every_vertex_or_none(self):
+        answers = set()
+        for complex in small_complexes():
+            found = [collapses_to(complex, SimplicialComplex([v])) for v in complex.vertices]
+            assert len({seq is None for seq in found}) == 1
+            answers.add(found[0] is None)
+            for v, seq in zip(complex.vertices, found):
+                assert seq is None or seq.replay().simplices == {v}
+        assert answers == {True, False}
+
+    def test_collapsible_is_the_union_of_the_per_vertex_walks(self, circle):
+        for complex in [circle] + small_complexes():
+            index = search_index(complex, 14)
+            walked = set().union(*(anti_collapse_walk(complex, v) for v in complex.vertices))
+            assert {frozenset(index.cells_of(m)) for m in index.collapsible()} == walked
+
+    def test_maximal_collapsible_to_is_the_walks_maximal_states_in_order(self, circle):
+        for complex in [circle] + small_complexes():
+            position = {c: i for i, c in enumerate(complex)}
+            for v in complex.vertices:
+                states = anti_collapse_walk(complex, v)
+                maximal = [s for s in states if not any(s < t for t in states)]
+                maximal.sort(key=lambda s: (-len(s), sum(1 << position[c] for c in s)))
+                assert [sub.simplices for sub in maximal_collapsible_to(complex, v)] == maximal
 
 
 class TestNonInjectiveInputs:

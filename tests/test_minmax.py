@@ -1077,6 +1077,7 @@ class TestCategoryAgainstBruteForce:
             assert piece.subcomplex.simplices in maximal_pieces
             assert piece.witness.start == piece.subcomplex
             assert [c.dim for c in piece.witness.replay()] == [0]
+            assert piece.witness.end == SimplicialComplex([piece.subcomplex.vertices[0]])
             covered |= piece.subcomplex.simplices
         assert result.collapsed_to.simplices <= covered
         assert result.collapse_witness.start == complex
