@@ -23,6 +23,7 @@ distinct value plus the empty one; the sublevel set itself is not kept.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -71,7 +72,11 @@ def level_subcomplex(f: MorseFunction, threshold: float) -> FiltrationLevel:
     builds under that size, at most one per distinct value plus the empty
     one, and thresholds in one value gap share one complex.  The sublevel
     set is listed on every call, so the memo keeps no copy of it.
+    A NaN threshold names no level and raises ``PreconditionViolated``;
+    ``-inf`` names the empty level and ``inf`` the whole complex.
     """
+    if math.isnan(threshold):
+        raise PreconditionViolated("the threshold is NaN, which names no level")
     sub = [c for c, value in f.values.items() if value <= threshold]
     level = f._levels.get(len(sub))
     if level is None:

@@ -19,9 +19,13 @@ it, while loading, validating and homology stay on the face map, so a
 complex that is only read never builds it.  The exhaustive searches share
 one ``CellIndex`` per complex, which ``search_index`` builds on first use
 and the complex keeps with its memos; none of these changes a result.
-The index finds every collapsible subcomplex in one walk from all the
-vertices, and the cover family and every vertex's maximal collapsible
-subcomplexes are read off it.
+The index lists states with one walk, which follows collapses to list the
+states a subcomplex collapses to and anti-collapses from all the vertices
+to list every collapsible subcomplex; the cover family and every vertex's
+maximal collapsible subcomplexes are read off the latter.  A witness
+collapse is found by one plain depth-first search, and the cover that
+fixes a state's category is kept, so ``dgcat`` reads it without a second
+search.
 The canonical orientation of every simplex is the increasing vertex order;
 all boundary signs derive from it.
 
@@ -341,9 +345,13 @@ class CellIndex:
 
     The one search index of the exhaustive layer: collapse search, collapse
     reachability, the collapsible subcomplexes and the cover search behind
-    discrete category.  Every expensive answer is memoised, so repeated
-    queries against one complex stay cheap; the complex keeps its index (see
-    ``search_index``).
+    discrete category.  Two loops walk the states: ``_states`` lists the
+    states reached by pairs that flip two bits, for ``reachable`` (by
+    collapses) and ``collapsible`` (by anti-collapses), and
+    ``collapse_search`` is a plain depth-first search for one witness.
+    Every expensive answer is memoised, the least cover of each state
+    included (``cover``), so repeated queries against one complex stay
+    cheap; the complex keeps its index (see ``search_index``).
 
     Each exhaustive question is asked once, by a lemma: a complex that
     collapses onto a vertex collapses onto each of its vertices.  By
@@ -360,7 +368,7 @@ class CellIndex:
 
     __slots__ = (
         "cells", "position", "face_mask", "coface_mask", "full",
-        "_collapsible", "_reachable", "_maximal", "_precat", "_category",
+        "_collapsible", "_reachable", "_maximal", "_cover", "_category",
     )
 
     def __init__(self, complex: SimplicialComplex):
@@ -372,7 +380,7 @@ class CellIndex:
         self._collapsible: set[int] | None = None
         self._reachable: dict[int, dict[int, tuple | None]] = {}
         self._maximal: list[int] | None = None
-        self._precat: dict[int, int] = {}
+        self._cover: dict[int, tuple[int, ...]] = {}
         self._category: dict[int, tuple[int, int, int]] = {}
 
     def mask_of(self, cells: Iterable[Simplex]) -> int:
@@ -396,6 +404,26 @@ class CellIndex:
                 out.append(m)
         return out
 
+    @staticmethod
+    def _states(starts: Iterable[int], moves) -> dict[int, tuple | None]:
+        """Every state reached from the starts by the pairs ``moves(state)``
+        yields, mapped to ``(previous state, pair)`` of its first discovery
+        (a start to ``None``).
+
+        One LIFO walk for collapses and anti-collapses alike: a pair flips its
+        two bits, which a collapse holds and an anti-collapse lacks.
+        """
+        parents = dict.fromkeys(starts)
+        stack = list(parents)
+        while stack:
+            cur = stack.pop()
+            for pair in moves(cur):
+                nxt = cur ^ (1 << pair[0] | 1 << pair[1])
+                if nxt not in parents:
+                    parents[nxt] = (cur, pair)
+                    stack.append(nxt)
+        return parents
+
     def collapsible(self) -> set[int]:
         """Every collapsible subcomplex, as masks; memoised, so callers must
         not change the set.
@@ -406,25 +434,19 @@ class CellIndex:
         all its faces in it once the other faces of the coface ``j`` are
         (they contain those faces).
         """
-        if self._collapsible is not None:
-            return self._collapsible
-        n = len(self.cells)
-        face_mask, coface_mask = self.face_mask, self.coface_mask
-        stack = [1 << i for i, c in enumerate(self.cells) if len(c) == 1]
-        seen = self._collapsible = set(stack)
-        while stack:
-            cur = stack.pop()
-            for i in range(n):
-                if cur >> i & 1:
-                    continue
-                for j in _bits(coface_mask[i]):
-                    if face_mask[j] & ~(cur | 1 << i):
-                        continue
-                    nxt = cur | 1 << i | 1 << j
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-        return seen
+        if self._collapsible is None:
+            face_mask, coface_mask = self.face_mask, self.coface_mask
+
+            def expansions(cur: int) -> Iterator[tuple[int, int]]:
+                for i in range(len(self.cells)):
+                    if not cur >> i & 1:
+                        for j in _bits(coface_mask[i]):
+                            if not face_mask[j] & ~(cur | 1 << i):
+                                yield i, j
+
+            vertices = [1 << i for i, c in enumerate(self.cells) if len(c) == 1]
+            self._collapsible = set(self._states(vertices, expansions))
+        return self._collapsible
 
     def free_pairs(self, mask: int, keep: int = 0) -> list[tuple[int, int]]:
         """``(free, coface)`` pairs of the state avoiding ``keep``, by ascending free cell."""
@@ -442,34 +464,26 @@ class CellIndex:
         no step touches; ``None`` if none exists.
 
         Free pairs outside the goal are tried in ascending ``key`` order
-        (canonical without one), and decided states are memoised, so the
-        answer is exact.
+        (canonical without one).  Each state is entered once: collapses only
+        remove cells, so a state entered before and left is one from which
+        the goal is out of reach, and the answer is exact.
         """
-        memo: dict[int, tuple | None] = {goal: ()}
-        frames: list[list] = []  # [state, untried pairs, pair tried] per open state
-        state = mask
-        while True:
-            if state in memo:
-                answer = memo[state]
+        entered = {mask}
+        # (state, its untried pairs, the pair that entered it) per open state
+        stack = [(mask, iter(sorted(self.free_pairs(mask, goal), key=key)), None)]
+        while stack:
+            state, pairs, _ = stack[-1]
+            if state == goal:
+                return tuple(pair for _, _, pair in stack[1:])
+            for pair in pairs:
+                nxt = state ^ (1 << pair[0] | 1 << pair[1])
+                if nxt not in entered:
+                    entered.add(nxt)
+                    stack.append((nxt, iter(sorted(self.free_pairs(nxt, goal), key=key)), pair))
+                    break
             else:
-                pairs = self.free_pairs(state, goal)
-                if key is not None:
-                    pairs.sort(key=key)
-                frames.append([state, iter(pairs), None])
-                answer = None  # a fresh frame moves on to its first pair
-            while frames:
-                frame = frames[-1]
-                if answer is None:
-                    frame[2] = next(frame[1], None)
-                    if frame[2] is not None:
-                        state = frame[0] & ~(1 << frame[2][0] | 1 << frame[2][1])
-                        break
-                    memo[frame[0]] = None
-                else:
-                    answer = memo[frame[0]] = (frame[2],) + answer
-                frames.pop()
-            else:
-                return answer
+                stack.pop()
+        return None
 
     def collapse_witness(self, mask: int) -> tuple | None:
         """Index pairs collapsing the state onto its first vertex, or None.
@@ -483,20 +497,9 @@ class CellIndex:
     def reachable(self, mask: int) -> dict[int, tuple | None]:
         """Every state reachable from the mask by elementary collapses, mapped to
         ``(previous state, pair)`` of its first discovery (the mask to ``None``)."""
-        parents = self._reachable.get(mask)
-        if parents is not None:
-            return parents
-        parents = {mask: None}
-        stack = [mask]
-        while stack:
-            cur = stack.pop()
-            for pair in self.free_pairs(cur):
-                nxt = cur & ~(1 << pair[0] | 1 << pair[1])
-                if nxt not in parents:
-                    parents[nxt] = (cur, pair)
-                    stack.append(nxt)
-        self._reachable[mask] = parents
-        return parents
+        if mask not in self._reachable:
+            self._reachable[mask] = self._states([mask], self.free_pairs)
+        return self._reachable[mask]
 
     def collapse_path(self, start: int, goal: int) -> tuple:
         """One witness pair sequence from start to goal (both states)."""
@@ -529,19 +532,23 @@ class CellIndex:
                     return (fam,) + rest
         return None
 
+    def cover(self, mask: int) -> tuple[int, ...]:
+        """The first cover of the state by fewest family masks, found by
+        iterative deepening over ``cover_witness``; memoised."""
+        found = self._cover.get(mask)
+        if found is None:
+            for size in range(1, len(self.cells) + 2):
+                found = self.cover_witness(mask, size)
+                if found is not None:
+                    break
+            else:
+                raise ProofFailure("cover search exceeded the family size")
+            self._cover[mask] = found
+        return found
+
     def precat(self, mask: int) -> int:
         """Fewest collapsible subcomplexes covering the state, minus one."""
-        cached = self._precat.get(mask)
-        if cached is not None:
-            return cached
-        size = 1
-        while True:
-            if self.cover_witness(mask, size) is not None:
-                self._precat[mask] = size - 1
-                return size - 1
-            size += 1
-            if size > len(self.cells) + 1:
-                raise ProofFailure("cover search exceeded the family size")
+        return len(self.cover(mask)) - 1
 
     def category(self, mask: int) -> tuple[int, int, int]:
         """The least ``(precat, cell count, state)`` over the states the mask

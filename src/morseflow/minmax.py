@@ -415,7 +415,7 @@ def dgcat(
     start = index.mask_of(target.simplices)
     value, _, chosen = index.category(start)
     pieces = []
-    for fam in index.cover_witness(chosen, value + 1):
+    for fam in index.cover(chosen):
         piece = complex._sub(set(index.cells_of(fam)))
         pairs = index.pairs_of(index.collapse_witness(fam))
         vertex = piece._sub(piece.simplices.difference(*pairs))

@@ -123,6 +123,19 @@ def grid(n: int) -> SimplicialComplex:
     return build_complex(triangles)
 
 
+def two_hole_grid() -> SimplicialComplex:
+    """The 3 x 3 grid with two triangle interiors removed: 31 cells, chi = -1."""
+    complex = grid(3)
+    return complex._sub({c for c in complex if c not in {(0, 1, 4), (4, 7, 8)}})
+
+
+def hung_triangles_grid() -> SimplicialComplex:
+    """The 3 x 3 grid with hollow triangles 0-9-10 and 0-11-12 hung at vertex 0:
+    43 cells, chi = -1, so it does not collapse though its cell count is odd."""
+    loops = [(0, 9), (9, 10), (0, 10), (0, 11), (11, 12), (0, 12)]
+    return build_complex(list(grid(3)) + loops)
+
+
 def torus(m: int) -> SimplicialComplex:
     """The m x m grid on the torus, each square cut along a diagonal (m >= 3)."""
     triangles = []
@@ -237,3 +250,72 @@ def reference_parse_scx(text: str):
         raise ParseError(None, "either every simplex carries a value or none does")
     complex = build_complex(sorted(face_closure(listed)))
     return complex, validate(complex, values) if any_value else None
+
+
+# The loops ``CellIndex`` ran before its one state walk and its plain
+# depth-first search, kept as oracles: each must give the same answer, in the
+# same order, as the code that replaced it.
+
+
+def frame_collapse_search(index, mask, goal, key=None):
+    """``CellIndex.collapse_search`` as a frame machine with a memo of answers:
+    ``[state, untried pairs, pair tried]`` per open state."""
+    memo = {goal: ()}
+    frames = []
+    state = mask
+    while True:
+        if state in memo:
+            answer = memo[state]
+        else:
+            pairs = index.free_pairs(state, goal)
+            if key is not None:
+                pairs.sort(key=key)
+            frames.append([state, iter(pairs), None])
+            answer = None
+        while frames:
+            frame = frames[-1]
+            if answer is None:
+                frame[2] = next(frame[1], None)
+                if frame[2] is not None:
+                    state = frame[0] & ~(1 << frame[2][0] | 1 << frame[2][1])
+                    break
+                memo[frame[0]] = None
+            else:
+                answer = memo[frame[0]] = (frame[2],) + answer
+            frames.pop()
+        else:
+            return answer
+
+
+def stack_reachable(index, mask):
+    """``CellIndex.reachable`` as its own stack walk by collapses."""
+    parents = {mask: None}
+    stack = [mask]
+    while stack:
+        cur = stack.pop()
+        for pair in index.free_pairs(cur):
+            nxt = cur & ~(1 << pair[0] | 1 << pair[1])
+            if nxt not in parents:
+                parents[nxt] = (cur, pair)
+                stack.append(nxt)
+    return parents
+
+
+def stack_collapsible(index):
+    """``CellIndex.collapsible`` as its own stack walk by anti-collapses."""
+    n = len(index.cells)
+    stack = [1 << i for i, c in enumerate(index.cells) if len(c) == 1]
+    seen = set(stack)
+    while stack:
+        cur = stack.pop()
+        for i in range(n):
+            if cur >> i & 1:
+                continue
+            for j in range(n):
+                if not index.coface_mask[i] >> j & 1 or index.face_mask[j] & ~(cur | 1 << i):
+                    continue
+                nxt = cur | 1 << i | 1 << j
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+    return seen

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -29,7 +30,7 @@ from morseflow import (
     random_morse,
     validate,
 )
-from morseflow import cli, complexes
+from morseflow import cli, complexes, errors
 from morseflow.cli import MAX_ENUM_CAP, run
 from morseflow.errors import (
     MissingValue,
@@ -38,7 +39,7 @@ from morseflow.errors import (
     PreconditionViolated,
     SimplexNotInComplex,
 )
-from conftest import grid, random_instance, torus
+from conftest import random_complex, random_instance, torus, two_hole_grid
 
 P3_SCX = "0 : 0\n1 : 3\n2 : 1\n0 1 : 2\n1 2 : 4\n"
 
@@ -48,13 +49,6 @@ P3_SCX = "0 : 0\n1 : 3\n2 : 1\n0 1 : 2\n1 2 : 4\n"
 # comes from a search.
 CIRCLE_SCX = "0 1\n1 2\n0 2\n"
 CIRCLE_AND_VERTEX_SCX = CIRCLE_SCX + "3\n"
-
-
-def two_hole_grid_scx() -> str:
-    """The 3 x 3 grid with two triangle interiors removed: 31 cells, chi = -1."""
-    complex = grid(3)
-    holes = {(0, 1, 4), (4, 7, 8)}
-    return emit_scx(complex._sub({c for c in complex if c not in holes}))
 
 
 def collapse_by_vertex(complex, f, max_enum):
@@ -515,7 +509,7 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "text, cells",
-        [(CIRCLE_SCX, 6), (CIRCLE_AND_VERTEX_SCX, 7), (two_hole_grid_scx(), 31)],
+        [(CIRCLE_SCX, 6), (CIRCLE_AND_VERTEX_SCX, 7), (emit_scx(two_hole_grid()), 31)],
         ids=["circle", "circle-and-vertex", "two-hole-grid"],
     )
     def test_collapse_command_says_no(self, tmp_path, capsys, text, cells):
@@ -727,3 +721,74 @@ class TestCli:
                 [sys.executable, "-m", "morseflow.cli", *argv], capture_output=True, env=env
             )
             assert (proc.returncode, proc.stdout) == (code, out.encode("utf-8")), argv
+
+
+def contract_files(rng, count):
+    """``(text, vertex ids)`` of ``.scx`` files of four kinds in turn: a
+    ``random_morse`` function, a bare complex, random values (mostly not a
+    Morse function) and a ``random_morse`` function with one malformed line.
+    The ids are the function's critical vertices, for mountain passes, when
+    it has two; otherwise all the complex's vertices."""
+    files = []
+    for i in range(count):
+        complex = random_complex(rng, max_vertices=6, max_cell=3)
+        ids = [c[0] for c in complex.vertices]
+        kind = i % 4
+        if kind == 1:
+            files.append((emit_scx(complex), ids))
+            continue
+        if kind == 2:
+            values = {c: rng.choice([0, 1, 2, 2.5, -1e308, 1e308]) for c in complex}
+            text = "".join(f"{' '.join(map(str, c))} : {v!r}\n" for c, v in values.items())
+            files.append((text, ids))
+            continue
+        f = random_morse(complex, rng.randrange(2**32))
+        minima = [c[0] for c in critical_cells(f) if c.dim == 0]
+        lines = emit_scx(complex, f).splitlines(keepends=True)
+        if kind == 3:
+            bad = rng.choice(["0 0 : 1\n", "1 : x\n", ": 2\n"])
+            lines.insert(rng.randrange(len(lines) + 1), bad)
+        files.append(("".join(lines), minima if len(minima) > 1 else ids))
+    return files
+
+
+def _no_constant(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
+class TestErrorContractOnGeneratedInput:
+    """Every command on generated files keeps the documented contract: exit 0
+    or 1, one JSON line without ``NaN`` or ``Infinity`` (raw DOT only for a
+    successful plain ``export-dot``), nothing on stderr, and an error kind
+    that names a ``MorseflowError`` subclass."""
+
+    def test_every_command_on_generated_files(self, tmp_path, capsys):
+        rng = random.Random(28)
+        codes = {}
+        for i, (text, vertices) in enumerate(contract_files(rng, 200)):
+            path = tmp_path / f"in{i}.scx"
+            path.write_text(text, encoding="utf-8")
+            ids = [str(v) for v in rng.sample(vertices * 2, 2)]
+            level, to = sorted(rng.choice([-1.0, 0.5, 1.0, 2.0, 4.5, 9.0]) for _ in range(2))
+            for argv in [
+                ["validate"], ["critical"], ["gradient"], ["flow"], ["homology"],
+                ["levels", "--level", repr(level)],
+                ["levels", "--level", repr(level), "--to", repr(to)],
+                ["collapse"], ["mountain-pass", "--min1", ids[0], "--min0", ids[1]],
+                ["lscat"], ["minmax-check", "--min1", ids[0], "--min0", ids[1]],
+                ["minmax-check"], ["random", "--seed", str(i)],
+                ["export-dot"], ["export-dot", "--json"],
+            ]:
+                code = run([argv[0], "--in", str(path), *argv[1:]])
+                out, err = capsys.readouterr()
+                assert code in (0, 1) and err == "", (argv, text)
+                codes[code] = codes.get(code, 0) + 1
+                if code == 0 and argv == ["export-dot"]:
+                    assert out.startswith("digraph gradient {\n") and out.endswith("}\n")
+                    continue
+                assert out.count("\n") == 1 and out.endswith("\n"), (argv, text)
+                payload = json.loads(out, parse_constant=_no_constant)
+                if code == 1:
+                    kind = getattr(errors, payload["error"]["kind"])
+                    assert issubclass(kind, errors.MorseflowError), (argv, text)
+        assert set(codes) == {0, 1}

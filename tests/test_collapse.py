@@ -113,6 +113,14 @@ class TestLevelSubcomplex:
         assert level.complex == p3
         assert level.sublevel == p3.simplices
 
+    def test_a_nan_threshold_is_refused_and_infinities_are_not(self, p3_function, p3):
+        for name in (level_subcomplex, verify_flow_collapse):
+            with pytest.raises(PreconditionViolated):
+                name(p3_function, float("nan"))
+        assert len(level_subcomplex(p3_function, float("-inf")).complex) == 0
+        assert level_subcomplex(p3_function, float("inf")).complex == p3
+        assert verify_flow_collapse(p3_function, float("-inf")).pairs == ()
+
     def test_monotone(self, circle_function):
         values = circle_function.sorted_distinct_values()
         previous = None

@@ -34,7 +34,16 @@ from morseflow.errors import (
     TooLargeForEnumeration,
 )
 from morseflow.complexes import search_index
-from conftest import random_complex, random_instance, torus
+from conftest import (
+    frame_collapse_search,
+    hung_triangles_grid,
+    random_complex,
+    random_instance,
+    stack_collapsible,
+    stack_reachable,
+    torus,
+    two_hole_grid,
+)
 
 
 def incidence_sign_by_sets(coface, face) -> int:
@@ -320,6 +329,63 @@ class TestCellIndex:
                     assert index.free_pairs(mask, keep) == expected
                 states += 1
         assert states > 500
+
+
+def indexed_instances(limit=20):
+    """``(index, f)`` for every ``random_instance`` of seeds 0-299 with at
+    most ``limit`` cells, then the 31-cell grid that does not collapse (with
+    no function)."""
+    out = []
+    for seed in range(300):
+        complex, f = random_instance(seed)
+        if len(complex) <= limit:
+            out.append((search_index(complex, limit), f))
+    return out + [(search_index(two_hole_grid(), 31), None)]
+
+
+class TestCellIndexAgainstItsLoops:
+    """The one state walk and the plain depth-first search give what the
+    loops they replaced (``conftest``) gave, pair for pair and in order."""
+
+    def test_collapse_search_matches_the_frame_machine(self):
+        rng = random.Random(28)
+        outcomes = set()
+        for index, f in indexed_instances():
+            cells = index.cells
+            keys = [None]
+            if f is not None:
+                keys.append(lambda p: (-f(cells[p[0]]), -f(cells[p[1]]), p[0]))
+            collapsible = sorted(index.collapsible())
+            goals = {index.full & -index.full, index.full}
+            goals.update(rng.sample(collapsible, min(3, len(collapsible))))
+            searches = [(index.full, goal) for goal in sorted(goals)]
+            # Bit sets that are not subcomplexes make the search back out of
+            # dead ends before it succeeds, which no small subcomplex does.
+            for _ in range(10):
+                start, n = rng.getrandbits(len(cells)), len(cells)
+                searches.append((start, start & rng.getrandbits(n) & rng.getrandbits(n)))
+            for start, goal in searches:
+                for key in keys:
+                    found = index.collapse_search(start, goal, key)
+                    assert found == frame_collapse_search(index, start, goal, key)
+                    outcomes.add(found is None)
+        assert outcomes == {True, False}
+
+    def test_collapse_search_says_no_on_the_grids_as_the_frame_machine_does(self):
+        for complex in (two_hole_grid(), hung_triangles_grid()):
+            index = search_index(complex, 43)
+            first = index.full & -index.full
+            assert index.collapse_search(index.full, first) is None
+            assert frame_collapse_search(index, index.full, first) is None
+
+    def test_reachable_matches_the_stack_walk_in_order(self):
+        for index, _ in indexed_instances() + [(search_index(hung_triangles_grid(), 43), None)]:
+            parents = index.reachable(index.full)
+            assert list(parents.items()) == list(stack_reachable(index, index.full).items())
+
+    def test_collapsible_matches_the_stack_walk(self):
+        for index, _ in indexed_instances():
+            assert index.collapsible() == stack_collapsible(index)
 
 
 class TestHomologyAgainstIndependentOracles:
