@@ -12,13 +12,15 @@ dictionary lookups; the coface map is built from it on first use, by
 whichever complex of the root's family reads it first, since most never do.
 A cell's faces in a subcomplex are its faces in the root; its cofaces in a
 subcomplex are its root cofaces that are members.
-One integer incidence per complex, also built on first use, gives each
-cell its position in canonical order and its face and coface positions:
-``random_morse``, ``make_injective`` and the bitmask ``CellIndex`` work on
-it, while loading, validating and homology stay on the face map, so a
-complex that is only read never builds it.  The exhaustive searches share
-one ``CellIndex`` per complex, which ``search_index`` builds on first use
-and the complex keeps with its memos; none of these changes a result.
+One integer view per complex, a ``CellIndex`` also built on first use,
+gives each cell its position in canonical order and its face and coface
+positions: ``random_morse`` and ``make_injective`` work on it, while
+loading, validating and homology stay on the face map, so a complex that is
+only read never builds it.  The exhaustive searches share the same object:
+``search_index`` checks the enumeration bound and adds the face and coface
+masks on first use, which take quadratic space and so are never built for
+a large complex, and the view keeps its memos; none of these changes a
+result.
 The index lists states with one walk, which follows collapses to list the
 states a subcomplex collapses to and anti-collapses from all the vertices
 to list every collapsible subcomplex; the cover family and every vertex's
@@ -69,7 +71,10 @@ class Simplex(tuple):
     __slots__ = ()
 
     def __new__(cls, vertices: Iterable[int]) -> "Simplex":
-        verts = tuple(sorted(vertices))
+        try:
+            verts = tuple(sorted(vertices))
+        except TypeError:  # not iterable, or vertices that do not compare
+            raise MalformedSimplex(f"not integer vertex ids: {vertices!r}") from None
         if not verts:
             raise MalformedSimplex("a simplex needs at least one vertex")
         for v in verts:
@@ -134,7 +139,7 @@ def _bits(mask: int) -> Iterator[int]:
 class SimplicialComplex:
     """A finite face-closed set of simplices with two-way incidence indices."""
 
-    __slots__ = ("_cells", "_order", "_faces", "_root", "_coface_tuples", "_ids", "_search")
+    __slots__ = ("_cells", "_order", "_faces", "_root", "_coface_tuples", "_ids")
 
     def __init__(self, simplices: Iterable[Iterable[int]]):
         cells = frozenset(as_simplex(s) for s in simplices)
@@ -164,7 +169,6 @@ class SimplicialComplex:
         self._root = root
         self._coface_tuples = None
         self._ids = None
-        self._search = None
 
     def _sub(self, cells: set[Simplex]) -> "SimplicialComplex":
         """The subcomplex on a face-closed subset of the cells; unchecked.
@@ -199,11 +203,11 @@ class SimplicialComplex:
         return root._coface_tuples
 
     @property
-    def _incidence(self) -> "_Incidence":
-        """The integer incidence, built on first use (see ``_Incidence``):
-        only ``random_morse``, ``make_injective`` and ``CellIndex`` read it."""
+    def _incidence(self) -> "CellIndex":
+        """The integer view, built on first use (see ``CellIndex``): only
+        ``random_morse``, ``make_injective`` and ``search_index`` read it."""
         if self._ids is None:
-            self._ids = _Incidence(self)
+            self._ids = CellIndex(self)
         return self._ids
 
     @property
@@ -312,36 +316,23 @@ def _face_closure(cells: Iterable[Simplex]) -> tuple[dict, tuple[Simplex, ...]]:
     return faces, tuple(itertools.chain.from_iterable(sorted(layers[k]) for k in sorted(layers)))
 
 
-class _Incidence:
-    """A complex's cells as positions: cell ``i`` is the ``i``-th in canonical order.
-
-    ``position`` maps each cell to its position; ``faces[i]`` and
-    ``cofaces[i]`` hold the positions of cell ``i``'s codimension-1 faces and
-    cofaces, each in canonical order.  Canonical order is ``simplex_key``
-    order, so comparing positions compares cells by dimension, then vertices.
-    """
-
-    __slots__ = ("position", "faces", "cofaces")
-
-    def __init__(self, complex: SimplicialComplex):
-        self.position = position = dict(zip(complex._order, itertools.count()))
-        self.faces = [tuple(map(position.__getitem__, complex._faces[c])) for c in complex]
-        self.cofaces = [[] for _ in self.faces]
-        for i, ids in enumerate(self.faces):
-            for j in ids:
-                self.cofaces[j].append(i)
-
-
 def is_subcomplex(sub: SimplicialComplex, ambient: SimplicialComplex) -> bool:
     return sub.simplices <= ambient.simplices
 
 
 class CellIndex:
-    """Bitmask states over one complex: bit ``i`` is the ``i``-th cell in canonical order.
+    """A complex's cells as positions, and bitmask states over them: cell and
+    bit ``i`` are the ``i``-th cell in canonical order.
 
-    A view of the complex's integer incidence, built on first use: the cells,
-    their positions and the face and coface masks come from it, so the index
-    keeps no position map of its own.
+    The complex's one integer view, built on first use (``_incidence``).
+    ``cells`` is the complex's canonical order; ``position`` maps each cell
+    to its position; ``faces[i]`` and ``cofaces[i]`` hold the positions of
+    cell ``i``'s codimension-1 faces and cofaces, each in canonical order.
+    Canonical order is ``simplex_key`` order, so comparing positions
+    compares cells by dimension, then vertices.  ``face_mask``,
+    ``coface_mask`` and ``full`` are ``None`` until ``search_index`` has
+    checked the enumeration bound and built them, since they take space
+    quadratic in the number of cells.
 
     The one search index of the exhaustive layer: collapse search, collapse
     reachability, the collapsible subcomplexes and the cover search behind
@@ -367,16 +358,19 @@ class CellIndex:
     """
 
     __slots__ = (
-        "cells", "position", "face_mask", "coface_mask", "full",
+        "cells", "position", "faces", "cofaces", "face_mask", "coface_mask", "full",
         "_collapsible", "_reachable", "_maximal", "_cover", "_category",
     )
 
     def __init__(self, complex: SimplicialComplex):
-        self.cells = list(complex)
-        self.position = complex._incidence.position
-        self.face_mask = [sum(1 << j for j in ids) for ids in complex._incidence.faces]
-        self.coface_mask = [sum(1 << j for j in ids) for ids in complex._incidence.cofaces]
-        self.full = (1 << len(self.cells)) - 1
+        self.cells = complex._order
+        self.position = position = dict(zip(self.cells, itertools.count()))
+        self.faces = [tuple(map(position.__getitem__, complex._faces[c])) for c in self.cells]
+        self.cofaces = [[] for _ in self.faces]
+        for i, ids in enumerate(self.faces):
+            for j in ids:
+                self.cofaces[j].append(i)
+        self.face_mask = self.coface_mask = self.full = None  # see ``search_index``
         self._collapsible: set[int] | None = None
         self._reachable: dict[int, dict[int, tuple | None]] = {}
         self._maximal: list[int] | None = None
@@ -561,16 +555,20 @@ class CellIndex:
 
 
 def search_index(complex: SimplicialComplex, max_enum: int) -> CellIndex:
-    """The complex's search index, built on first use.
+    """The complex's integer view, with its masks built on first use.
 
     The guard of the exhaustive searches, at most ``max_enum`` cells, runs on
-    every call, so a kept index never bypasses the bound.
+    every call, so a kept index never bypasses the bound, and the masks are
+    only ever built for a complex within it.
     """
     if len(complex) > max_enum:
         raise TooLargeForEnumeration(len(complex), max_enum)
-    if complex._search is None:
-        complex._search = CellIndex(complex)
-    return complex._search
+    index = complex._incidence
+    if index.full is None:  # set last, so an interrupted build is redone
+        index.face_mask = [sum(1 << j for j in ids) for ids in index.faces]
+        index.coface_mask = [sum(1 << j for j in ids) for ids in index.cofaces]
+        index.full = (1 << len(index.cells)) - 1
+    return index
 
 
 def euler_characteristic(complex: SimplicialComplex) -> int:

@@ -13,7 +13,7 @@ shares every memo; ``dgcat`` of an empty subcomplex raises ``EmptyInput``.
 The mountain-pass family is built on position bitmasks: the path walk
 numbers the complex's vertices and edges, the only cells a path or its flow
 image holds, in canonical order, without building the complex's integer
-incidence.  It carries each path's cell mask and flow-image mask, the orbit
+view.  It carries each path's cell mask and flow-image mask, the orbit
 closure is keyed by masks, and cell sets are built once per member, only
 for what the result returns.  Its ``"flow"`` map is a table from each
 member to its image, the family's own object.
@@ -21,7 +21,6 @@ member to its image, the family's own object.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import groupby
@@ -122,9 +121,9 @@ def check_minmax_data(instance: MinMaxInstance) -> MinMaxReport:
     Closure: every map sends every family member to a family member.
     Deformation: across every regular value ``a`` in the image, some map
     sends the sublevel set just above ``a`` inside the one just below.  The
-    report's epsilon is half the minimum gap between distinct values; no
-    value lies within it of ``a``, so the sets at ``a + epsilon`` and
-    ``a - epsilon`` are the cells valued at most ``a`` and below ``a``.
+    report's epsilon is half the least gap between distinct values, rounded
+    once; no value lies within it of ``a``, so the sets at ``a + epsilon``
+    and ``a - epsilon`` are the cells valued at most ``a`` and below ``a``.
     They are built as prefixes of the cells in value order, one set per
     value, never from the float sums ``a + epsilon`` and ``a - epsilon``,
     which can round onto an adjacent value.
@@ -156,13 +155,13 @@ def check_minmax_data(instance: MinMaxInstance) -> MinMaxReport:
             else:
                 raise DeformationViolated(a)
         below = above
-    gap = f.min_value_gap()
-    if math.isinf(gap):
-        # Only two values can lie more than the largest float apart; half
-        # their distance is finite.  Any finite gap halves as before.
-        low, high = f.sorted_distinct_values()
-        return MinMaxReport(checked, high / 2 - low / 2, witnesses)
-    return MinMaxReport(checked, gap / 2.0, witnesses)
+    # Half the least gap, rounded once from its exact value, so it is finite
+    # even for two values more than the largest float apart: every float is
+    # a whole number of 2**-1074 units, and integer division rounds once.
+    ratios = [v.as_integer_ratio() for v in f.sorted_distinct_values()]
+    units = [n << (1075 - d.bit_length()) for n, d in ratios]
+    gap = min((b - a for a, b in zip(units, units[1:])), default=1 << 1074)
+    return MinMaxReport(checked, gap / (1 << 1075), witnesses)
 
 
 @dataclass(frozen=True, slots=True)

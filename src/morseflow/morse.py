@@ -56,12 +56,6 @@ class MorseFunction:
     def sorted_distinct_values(self) -> tuple[float, ...]:
         return tuple(sorted(set(self.values.values())))
 
-    def min_value_gap(self) -> float:
-        vals = self.sorted_distinct_values()
-        if len(vals) < 2:
-            return 1.0
-        return min(b - a for a, b in zip(vals, vals[1:]))
-
 
 def upper_set(f: MorseFunction, cell) -> frozenset[Simplex]:
     """Immediate cofaces whose value does not exceed the cell's value."""
@@ -104,11 +98,10 @@ def validate(complex: SimplicialComplex, values: Mapping) -> MorseFunction:
 
 def _validated(complex: SimplicialComplex, norm: dict[Simplex, float]) -> MorseFunction:
     """``validate`` after its first loop: ``norm`` maps cells to finite floats."""
-    if len(norm) != len(complex):  # every key is a cell, so some cell has no value
-        for cell in complex:
-            if cell not in norm:
-                raise MissingValue(f"no value for {cell!r}")
-    norm = {cell: norm[cell] for cell in complex}  # keyed by the complex's own cells
+    try:  # keyed by the complex's own cells, and the first without a value named
+        norm = {cell: norm[cell] for cell in complex}
+    except KeyError as exc:
+        raise MissingValue(f"no value for {exc.args[0]!r}") from None
     # Each codimension-1 incidence is compared once.  It is exceptional when
     # the face's value is at least the coface's: then the coface is in the
     # face's upper set and the face is in the coface's lower set.
@@ -302,7 +295,7 @@ def make_injective(f: MorseFunction) -> MorseFunction:
     """An injective function equivalent to ``f`` with the same gradient field.
 
     Cells are re-ranked 0, 1, 2, ... along a linear extension of the
-    matching-modified face order on the complex's integer incidence, keyed by
+    matching-modified face order on the complex's integer view, keyed by
     ``(f(c), position of c)`` so the ranking stays as close to ``f`` as any
     linear extension allows; position order is ``simplex_key`` order.
     """
@@ -336,7 +329,7 @@ def random_morse(complex: SimplicialComplex, seed: int) -> MorseFunction:
     Grows a random acyclic matching by shuffling the codimension-1 incidences
     and rejecting any pair that would close a gradient cycle, then assigns
     0, 1, 2, ... along a linear extension keyed by a random priority per
-    cell, ties by position.  It works on the complex's integer incidence,
+    cell, ties by position.  It works on the complex's integer view,
     which the first call builds.  The output always passes ``validate``.
     """
     rng = random.Random(seed)

@@ -251,6 +251,18 @@ class TestOff:
         assert len(parse_off(text.replace("\n", " # naïve_1 ٣\x1c\u2028\n"))) == 7
         assert len(parse_off(text.replace("\n", "\r\n").replace(" ", "\t"))) == 7
 
+    def test_refusals(self):
+        triangle = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n"
+        for text, reason in [
+            ("OFF\n0 0 0\n", "no vertices"),
+            (triangle + "2 0 1\n", "face with 2 vertices is not a polygon"),
+            (triangle + "3 0 1 3\n", "vertex index 3 out of range"),
+            (triangle + "3 -1 1 2\n", "vertex index -1 out of range"),
+        ]:
+            with pytest.raises(ParseError) as info:
+                parse_off(text)
+            assert (info.value.line, info.value.reason, str(info.value)) == (None, reason, reason)
+
     def test_tetrahedron_boundary(self):
         text = (
             "OFF\n4 4 0\n"
@@ -587,6 +599,15 @@ class TestCli:
         payload = json.loads(out)
         assert payload["ok"] is True
         assert payload["instance"] == "paths"
+
+    def test_minmax_check_with_one_minimum_is_refused(self, p3_file, capsys):
+        for given in (["--min0", "0"], ["--min1", "2"]):
+            code, out = self._json(capsys, ["minmax-check", "--in", p3_file, *given])
+            assert code == 1
+            assert json.loads(out)["error"] == {
+                "kind": "PreconditionViolated",
+                "message": "give both --min0 and --min1, or neither",
+            }
 
     def test_minmax_check_on_values_further_apart_than_the_largest_float(
         self, tmp_path, capsys

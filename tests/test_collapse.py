@@ -1006,3 +1006,24 @@ class TestForeignField:
             assert search(twin) == search(f.field)
         assert basin(f.field, f, (0,)).cells.simplices == {(0,), (1,), (0, 1)}
         assert len(enumerate_paths(f, f.field, (2,), (0,))) == 2
+
+
+class TestRareRefusals:
+    """Refusals that only a caller's mistake reaches, each with its message."""
+
+    def test_collapses_to_a_target_outside_the_complex(self, p3):
+        with pytest.raises(ComplexMismatch) as info:
+            collapses_to(p3, SimplicialComplex([(5,)]))
+        assert str(info.value) == "the target is not a subcomplex of the start complex"
+
+    def test_verify_dmt_b_with_the_cell_outside_its_window(self, p3_function):
+        # The critical edge 23 is valued 4, outside (0, 3].
+        with pytest.raises(PreconditionViolated) as info:
+            verify_dmt_b(p3_function, (2, 3), 0, 3)
+        assert str(info.value) == "value 4.0 of Simplex(2, 3) is outside (0, 3]"
+
+    def test_verify_dmt_b_with_another_critical_cell_in_its_window(self, p3_function):
+        # The critical vertex 3, valued 1, shares the window (-1, 4] with 23.
+        with pytest.raises(PreconditionViolated) as info:
+            verify_dmt_b(p3_function, (2, 3), -1, 4)
+        assert str(info.value) == "other critical cells [(1,), (3,)] in window"

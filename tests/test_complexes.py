@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -22,6 +23,7 @@ from morseflow import (
     is_connected,
     is_subcomplex,
     level_subcomplex,
+    mountain_pass,
     parse_scx,
     random_morse,
     validate,
@@ -86,6 +88,36 @@ class TestSimplex:
             Simplex([2, 2])
         with pytest.raises(MalformedSimplex):
             Simplex([-1])
+
+    # Inputs that cannot be sorted: not iterable, or vertices that do not compare.
+    UNSORTABLE = [((1, "a"), "(1, 'a')"), ((None, 1), "(None, 1)"), (3, "3")]
+
+    @pytest.mark.parametrize("vertices, shown", UNSORTABLE)
+    def test_rejects_unsortable_input_as_malformed(self, vertices, shown, p3):
+        message = f"not integer vertex ids: {shown}"
+        f = random_morse(p3, 1)
+        calls = [
+            lambda: Simplex(vertices),
+            lambda: build_complex([(0, 1), vertices]),
+            lambda: validate(p3, {**{tuple(c): v for c, v in f.values.items()}, vertices: 9}),
+            lambda: mountain_pass(f, vertices, (1,)),
+        ]
+        for call in calls:
+            with pytest.raises(MalformedSimplex) as info:
+                call()
+            assert str(info.value) == message and info.value.__cause__ is None
+            assert info.value.__suppress_context__
+
+    def test_sortable_malformed_input_keeps_its_message(self):
+        for vertices, message in [
+            (["a"], "vertex ids must be non-negative integers, got 'a'"),
+            ([None], "vertex ids must be non-negative integers, got None"),
+            ([-1, -2], "vertex ids must be non-negative integers, got -2"),
+            ([], "a simplex needs at least one vertex"),
+            ([2, 2], "repeated vertex id in (2, 2)"),
+        ]:
+            with pytest.raises(MalformedSimplex, match=f"^{re.escape(message)}$"):
+                Simplex(vertices)
 
 
 class TestBuildComplex:
@@ -296,7 +328,7 @@ class TestSubcomplexEnumeration:
             search_index(big, 14)
         assert (info.value.size, info.value.bound) == (15, 14)
         assert str(info.value) == "15 simplices exceeds the enumeration bound 14"
-        assert search_index(big, max_enum=15).cells == list(big)
+        assert list(search_index(big, max_enum=15).cells) == list(big)
 
 
 def _free_pairs_by_lists(index, coface_lists, mask, keep):
@@ -558,3 +590,10 @@ class TestLazyCofaces:
         assert parsed._coface_tuples is None
         cofaces = parsed.cofaces_of((0,))
         assert parsed._coface_tuples[(0,)] == cofaces
+
+
+class TestChainRefusals:
+    def test_adding_chains_of_different_dimensions(self):
+        with pytest.raises(ValueError) as info:
+            Chain.unit((0,)) + Chain.unit((0, 1))
+        assert str(info.value) == "cannot add chains of dimensions 0 and 1"

@@ -11,6 +11,7 @@ import pytest
 from morseflow import (
     Chain,
     FlowOperator,
+    MorseFunction,
     Simplex,
     boundary,
     build_complex,
@@ -23,6 +24,7 @@ from morseflow import (
     validate,
     verify_flow_collapse,
 )
+from morseflow import flow
 from morseflow.errors import ComplexMismatch, PropertyViolation, SimplexNotInComplex
 from conftest import flow_by_chain_algebra, random_instance, torus
 
@@ -318,3 +320,48 @@ class TestMembership:
             flow_image(p3_flow, (c for c in [(9,)]))
         with pytest.raises(SimplexNotInComplex):
             flow_image(p3_flow, [(1,), (1, 3)])
+
+
+class TestFlowMatrixRefusals:
+    """``flow_matrix``'s range check and each failure ``check_flow_matrix`` reports."""
+
+    def test_dimension_outside_the_complex(self, p3_function):
+        operator = FlowOperator(p3_function)
+        for p in (-1, 2):
+            with pytest.raises(ValueError) as info:
+                flow_matrix(operator, p)
+            assert str(info.value) == f"dimension {p} is outside 0..1"
+
+    @staticmethod
+    def _problems(operator, p):
+        with pytest.raises(PropertyViolation) as info:
+            check_flow_matrix(operator, p)
+        report = info.value.report
+        assert str(info.value) == f"flow matrix check failed: {report}" and not report.ok
+        return report.problems
+
+    def test_a_diagonal_outside_zero_and_one(self, p3_function, monkeypatch):
+        # With every incidence sign flipped, a matched lower keeps itself twice.
+        sign = flow.incidence_sign
+        monkeypatch.setattr(flow, "incidence_sign", lambda upper, lower: -sign(upper, lower))
+        operator = FlowOperator(p3_function)
+        assert self._problems(operator, 0) == ("diagonal 2 at (2,)",)
+        assert self._problems(operator, 1) == ("diagonal 2 at (1, 2)",)
+
+    def test_a_diagonal_that_disagrees_with_criticality(self, p3_function, monkeypatch):
+        # With every incidence sign zero, a matched cell keeps itself once.
+        monkeypatch.setattr(flow, "incidence_sign", lambda upper, lower: 0)
+        operator = FlowOperator(p3_function)
+        assert self._problems(operator, 0) == ("diagonal 1 disagrees with criticality at (2,)",)
+        assert self._problems(operator, 1) == (
+            "diagonal 1 disagrees with criticality at (1, 2)",
+        )
+
+    def test_support_that_does_not_decrease(self, p3_function):
+        # Unvalidated: the negated values order every cell against the field.
+        g = MorseFunction(
+            p3_function.complex, {c: -v for c, v in p3_function.values.items()}, p3_function.field
+        )
+        operator = FlowOperator(g, g.field)
+        assert self._problems(operator, 0) == ("non-decreasing support (1,) in row (2,)",)
+        assert self._problems(operator, 1) == ("non-decreasing support (1, 2) in row (2, 3)",)

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import gc
 import importlib
+import math
 import pkgutil
 import random
+import struct
+import sys
 from itertools import combinations, groupby, permutations
 
 import pytest
@@ -44,7 +47,7 @@ from morseflow import (
     simplex_key,
     validate,
 )
-from morseflow import minmax
+from morseflow import collapse, minmax
 from morseflow.complexes import CellIndex, search_index
 from morseflow.errors import (
     ClosureViolated,
@@ -55,6 +58,7 @@ from morseflow.errors import (
     NoPathExists,
     NotACriticalVertex,
     NotLocalMinima,
+    PreconditionViolated,
     ReassemblyFailure,
     SimplexNotInComplex,
     TheoremViolation,
@@ -166,6 +170,54 @@ class TestCheckMinMaxData:
         for low, high, epsilon in ((-1e308, 1e308, 1e308), (5e-324, 1e-323, 0.0)):
             f = validate(k, {(0,): low, (1,): high})
             assert check_minmax_data(ls_instance(f, 1)).epsilon == epsilon
+
+
+class TestEpsilonAgainstTwoBranches:
+    """The exact epsilon equals the float formula with its overflow branch,
+    bit for bit."""
+
+    @staticmethod
+    def _epsilon(f):
+        # Every set lands on the empty set, so closure and deformation hold
+        # for any function, and only the epsilon is read.
+        instance = MinMaxInstance(f, {"drop": lambda s: frozenset()}, [frozenset()])
+        return check_minmax_data(instance).epsilon
+
+    def _assert_same(self, f):
+        assert self._epsilon(f).hex() == two_branch_epsilon(f).hex()
+
+    def test_random_instances_and_the_corpus(self):
+        # Seeds 0-23 are the corpus workload's golden inputs (the same draws);
+        # the others are the first of its pool at run seed 1.
+        rng = random.Random(1)
+        for seed in [*range(300), *(rng.randrange(2**32) for _ in range(50))]:
+            self._assert_same(random_instance(seed)[1])
+
+    def test_value_sets_at_the_float_extremes(self):
+        rng = random.Random(0)
+
+        def finite_bits():
+            while True:
+                x = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+                if math.isfinite(x):
+                    return x
+
+        draws = [
+            lambda: rng.randrange(1, 2**52) * 5e-324,  # subnormal
+            lambda: rng.choice((-1, 1)) * rng.randrange(1, 8) * 5e-324,  # tiny subnormal
+            finite_bits,
+            lambda: float(rng.randrange(-10**6, 10**6)),
+            lambda: rng.choice((-1e308, 1e308, -sys.float_info.max, sys.float_info.max)),
+        ]
+        sets = [[-1e308, 1e308], [5e-324, 1e-323], [0.0], [2.2250738585072014e-308, 2.225e-308]]
+        for _ in range(1500):
+            sets.append({rng.choice(draws)() for _ in range(rng.randint(1, 6))})
+        for values in sets:
+            values = list(values)
+            k = build_complex([(v,) for v in range(len(values))])
+            self._assert_same(validate(k, {(v,): x for v, x in enumerate(values)}))
+        far = validate(build_complex([(0,), (1,)]), {(0,): -1e308, (1,): 1e308})
+        assert self._epsilon(far) == 1e308
 
 
 class TestOwnCells:
@@ -1190,6 +1242,9 @@ class TestSearchIndex:
 
     def test_every_exhaustive_search_shares_one_index(self, monkeypatch):
         complex, f = self._two_triangles()
+        # ``random_morse`` built the complex's integer view, without masks.
+        view = complex._ids
+        assert isinstance(view, CellIndex) and view.face_mask is None
         built = []
         init = CellIndex.__init__
 
@@ -1198,6 +1253,15 @@ class TestSearchIndex:
             init(index, of)
 
         monkeypatch.setattr(CellIndex, "__init__", counting_init)
+        searched, masks = [], []
+
+        def recording_search_index(of, max_enum):
+            searched.append(search_index(of, max_enum))
+            masks.append(searched[-1].face_mask)
+            return searched[-1]
+
+        for module in (collapse, minmax):
+            monkeypatch.setattr(module, "search_index", recording_search_index)
         field = gradient_field(f)
         for vertex in complex.vertices:
             if vertex in field.critical:
@@ -1208,7 +1272,18 @@ class TestSearchIndex:
         ls_instance(f, 1)
         for vertex in complex.vertices:
             collapses_to(complex, SimplicialComplex([vertex]))
-        assert built == [complex]
+        assert built == [] and complex._ids is view
+        # Every search read the one view, whose masks were built once.
+        assert len(searched) > 5 and all(index is view for index in searched)
+        assert view.face_mask is not None and all(m is view.face_mask for m in masks)
+
+    def test_an_interrupted_mask_build_is_redone(self):
+        complex, _ = self._two_triangles()
+        view = complex._incidence
+        view.face_mask = []  # as if the build stopped before the coface masks
+        index = search_index(complex, 20)
+        assert index is view and index.full == (1 << len(complex)) - 1
+        assert len(index.face_mask) == len(index.coface_mask) == len(complex)
 
     def test_indexes_die_with_their_complexes(self):
         # Vertex ids from 1000 up mark the cells of the complexes made here.
@@ -1266,11 +1341,23 @@ def test_no_module_holds_global_state():
     assert found == []
 
 
+def two_branch_epsilon(f):
+    """``check_minmax_data``'s epsilon as it was computed in floats: half the
+    least gap, or, when that gap overflows (two values only), half of each
+    value's distance.  The oracle for its one exact formula."""
+    values = f.sorted_distinct_values()
+    gap = min((b - a for a, b in zip(values, values[1:])), default=1.0)
+    if math.isinf(gap):
+        low, high = values
+        return high / 2 - low / 2
+    return gap / 2.0
+
+
 def _deformation_by_scan(instance):
     """Epsilon and the first shrinking map per regular value, each sublevel set a full scan."""
     f = instance.function
     values = sorted({f(c) for c in f.complex})
-    eps = min((b - a for a, b in zip(values, values[1:])), default=1.0) / 2.0
+    eps = two_branch_epsilon(f)
     crit = {f(c) for c in gradient_field(f).critical}
     witnesses = {}
     for a in values:
@@ -1363,3 +1450,39 @@ class TestFlowImageMap:
                 assert id(image) in members
                 assert flow(frozenset(list(member))) is image
                 assert flow(sorted(member, key=simplex_key)) is image
+
+
+class TestRareRefusals:
+    """Refusals that only a caller's mistake reaches, each with its message."""
+
+    def test_check_minmax_data_needs_an_injective_function(self):
+        f = validate(build_complex([(0,), (1,)]), {(0,): 0, (1,): 0})
+        instance = MinMaxInstance(f, {"fixed": lambda s: s}, [frozenset()])
+        with pytest.raises(PreconditionViolated) as info:
+            check_minmax_data(instance)
+        assert str(info.value) == "min-max data checks need an injective function"
+
+    def test_flow_path_of_a_path_holding_a_triangle(self, triangle):
+        # Every cell critical: the triangle flows to itself.
+        f = validate(
+            triangle,
+            {(0,): 0, (1,): 1, (2,): 2, (0, 1): 3, (0, 2): 4, (1, 2): 5, (0, 1, 2): 6},
+        )
+        path = EdgePath(Simplex((0,)), (Simplex((0, 1, 2)),), Simplex((1,)))
+        with pytest.raises(ReassemblyFailure) as info:
+            flow_path(FlowOperator(f), path)
+        assert str(info.value) == "flow image contains cells above dimension 1"
+
+    def test_flow_path_from_a_start_that_is_not_critical(self, double_well):
+        # Vertex 1 is matched with the edge 01, so it flows to vertex 0.
+        path = EdgePath(Simplex((1,)), (Simplex((0, 1)),), Simplex((0,)))
+        with pytest.raises(ReassemblyFailure) as info:
+            flow_path(FlowOperator(double_well), path)
+        assert str(info.value) == "flow image vertices [Simplex(0,)] are not just the start vertex"
+
+    def test_flow_path_that_loses_every_edge(self, double_well):
+        for edges in ((), (Simplex((1, 2, 3)),)):  # the upper 123 of the pair (23, 123)
+            path = EdgePath(Simplex((3,)), edges, Simplex((0,)))
+            with pytest.raises(ReassemblyFailure) as info:
+                flow_path(FlowOperator(double_well), path)
+            assert str(info.value) == "flow image lost every edge of the path"

@@ -11,6 +11,7 @@ import pytest
 
 from morseflow import (
     GradientField,
+    Simplex,
     betti_numbers_mod2,
     build_complex,
     critical_cells,
@@ -27,7 +28,7 @@ from morseflow import (
 )
 from morseflow import morse
 from morseflow.collapse import level_subcomplex
-from morseflow.complexes import _Incidence, search_index, simplex_key
+from morseflow.complexes import CellIndex, search_index, simplex_key
 from morseflow.scxio import emit_scx, parse_scx
 from morseflow.errors import (
     AcyclicityBug,
@@ -37,6 +38,7 @@ from morseflow.errors import (
     NoPathExists,
     PreconditionViolated,
     SimplexNotInComplex,
+    TooLargeForEnumeration,
 )
 from conftest import CountingList, grid, random_complex, random_instance, torus
 
@@ -235,6 +237,16 @@ class TestValidate:
     def test_missing_value(self, p3):
         with pytest.raises(MissingValue):
             validate(p3, {(1,): 0})
+
+    def test_missing_value_names_the_first_cell_in_canonical_order(self, p3):
+        # (2,) is the first cell of p3 without a value; (1, 2) lacks one too.
+        for values in ({(1,): 0}, {(1,): 0, (3,): 1, (2, 3): 4}, {(3,): 1, (2, 3): 4, (1,): 0}):
+            with pytest.raises(MissingValue) as info:
+                validate(p3, values)
+            assert str(info.value) == "no value for Simplex(2,)"
+            assert info.value.__cause__ is None and info.value.__suppress_context__
+        with pytest.raises(MissingValue, match=r"^no value for Simplex\(2, 3\)$"):
+            validate(p3, {(1,): 0, (2,): 3, (3,): 1, (1, 2): 2})
 
     def test_extra_value(self, p3):
         values = {(1,): 0, (2,): 3, (3,): 1, (1, 2): 2, (2, 3): 4, (9,): 0}
@@ -519,18 +531,38 @@ class TestIntegerIncidence:
     def test_random_morse_builds_it_once(self, monkeypatch):
         complex = torus(5)
         built = []
-        init = _Incidence.__init__
+        init = CellIndex.__init__
 
         def counting_init(incidence, of):
             built.append(of)
             init(incidence, of)
 
-        monkeypatch.setattr(_Incidence, "__init__", counting_init)
+        monkeypatch.setattr(CellIndex, "__init__", counting_init)
         assert complex._ids is None
         random_morse(complex, 1)
         first = complex._ids
         random_morse(complex, 2)
+        make_injective(random_morse(complex, 3))
         assert complex._ids is first and built == [complex]
+        assert isinstance(first, CellIndex)
+
+    def test_only_search_index_builds_the_masks(self):
+        complex = build_complex([(0, 1, 2), (1, 2, 3)])
+        random_morse(complex, 1)
+        view = complex._incidence
+        assert view.face_mask is None and view.coface_mask is None and view.full is None
+        assert search_index(complex, 14) is view
+        masks = view.face_mask, view.coface_mask
+        assert view.full == (1 << len(complex)) - 1 and masks[0] is not None
+        assert search_index(complex, 14) is view
+        assert (view.face_mask, view.coface_mask) == masks and view.face_mask is masks[0]
+
+    def test_a_large_complex_never_gets_masks(self):
+        complex = torus(20)  # 2 400 cells: the masks would take 2 400**2 bits
+        random_morse(complex, 1)
+        with pytest.raises(TooLargeForEnumeration):
+            search_index(complex, 14)
+        assert complex._incidence.face_mask is None and complex._incidence.full is None
 
     def test_cell_index_masks_match_the_face_and_coface_queries(self):
         checked = 0
@@ -544,10 +576,40 @@ class TestIntegerIncidence:
             def mask(of):
                 return sum(1 << cells.index(t) for t in of)
 
-            assert index.cells == cells
-            assert index.position is complex._incidence.position
+            assert index.cells is complex._order and list(index.cells) == cells
+            assert index is complex._incidence
             assert index.position == {c: i for i, c in enumerate(cells)}
             assert index.face_mask == [mask(complex.faces_of(c)) for c in cells]
             assert index.coface_mask == [mask(complex.cofaces_of(c)) for c in cells]
             checked += 1
         assert checked > 50
+
+
+class TestRareRefusals:
+    """Refusals that only a caller's mistake reaches, each with its message."""
+
+    def test_calling_a_function_on_a_cell_without_a_value(self, p3_function):
+        with pytest.raises(SimplexNotInComplex) as info:
+            p3_function((9,))
+        assert str(info.value) == "(9,) has no value"
+
+    def test_a_pair_that_leaves_the_complex(self, p3):
+        with pytest.raises(SimplexNotInComplex) as info:
+            GradientField(p3, [((1,), (1, 9))])
+        assert str(info.value) == "pair (Simplex(1,), Simplex(1, 9)) leaves the complex"
+
+    def test_a_pair_that_is_not_a_face_and_coface(self, p3):
+        for lower, upper in (((1,), (2, 3)), ((1, 2), (2,))):
+            with pytest.raises(ValueError) as info:
+                GradientField(p3, [(lower, upper)])
+            message = f"{Simplex(lower)!r} is not a codimension-1 face of {Simplex(upper)!r}"
+            assert str(info.value) == message
+
+    def test_a_cell_in_two_pairs(self, p3):
+        for pairs in (
+            [((1,), (1, 2)), ((2,), (1, 2))],
+            [((2,), (1, 2)), ((3,), (2, 3)), ((2,), (2, 3))],
+        ):
+            with pytest.raises(ValueError) as info:
+                GradientField(p3, pairs)
+            assert str(info.value) == "a simplex appears in more than one pair"
