@@ -4,19 +4,25 @@
 the answer is a critical value; ``check_minmax_data`` verifies exhaustively
 that a family really is min-max data (closure under every map, and a
 sublevel-shrinking map across every regular value).  The mountain-pass and
-category machineries build concrete instances of that shape, and both take
-their values from ``minmax_value``: the Lusternik-Schnirelmann values of
-``ls_minmax`` are its value on the same depth-k family that ``ls_instance``
-returns.  The category searches run on the complex's own ``CellIndex`` (see
-``search_index``), so ``dgcat`` followed by ``ls_minmax`` on one complex
-shares every memo; ``dgcat`` of an empty subcomplex raises ``EmptyInput``.
+category machineries build concrete instances of that shape.  The
+Lusternik-Schnirelmann values of ``ls_minmax`` are ``minmax_value`` of the
+same depth-k family that ``ls_instance`` returns.  The category searches run
+on the complex's own ``CellIndex`` (see ``search_index``), so ``dgcat``
+followed by ``ls_minmax`` on one complex shares every memo; ``dgcat`` of an
+empty subcomplex raises ``EmptyInput``.
 The mountain-pass family is built on position bitmasks: the path walk
 numbers the complex's vertices and edges, the only cells a path or its flow
-image holds, in canonical order, without building the complex's integer
+image holds, in order of value, without building the complex's integer
 view.  It carries each path's cell mask and flow-image mask, the orbit
 closure is keyed by masks, and cell sets are built once per member, only
-for what the result returns.  Its ``"flow"`` map is a table from each
-member to its image, the family's own object.
+for what the result returns.  The mountain pass walks an injective
+function, so distinct cells have distinct bits in value order and a
+member's highest bit is its top cell and its bit count its size: it finds
+the members tied on the least (top value, size) from the masks alone, where
+``minmax_value`` reads each member's values, and both hand their tied
+members to ``_least_member``, which breaks the tie by canonical cell order
+and checks that the value is critical.  Its ``"flow"`` map is a table from
+each member to its image, the family's own object.
 """
 
 from __future__ import annotations
@@ -91,26 +97,26 @@ def minmax_value(instance: MinMaxInstance) -> tuple[float, frozenset[Simplex]]:
     """
     if not instance.family:
         raise EmptyFamily("the family has no members")
-    f = instance.function
-    best = best_key = best_cells = None
-    for member in instance.family:
+    family, values, keys = instance.family, instance.function.values, []
+    for member in family:
         if not member:
             raise EmptyFamily("family members must be non-empty")
         try:
-            key = (max(map(f.values.__getitem__, member)), len(member))
+            keys.append((max(map(values.__getitem__, member)), len(member)))
         except KeyError as exc:
             raise SimplexNotInComplex(f"{exc.args[0]!r} has no value") from None
-        if best is None or key < best_key:
-            best, best_key, best_cells = member, key, None
-        elif key == best_key:
-            # Only a tie needs the canonical cell order.
-            if best_cells is None:
-                best_cells = tuple(sorted(best, key=simplex_key))
-            cells = tuple(sorted(member, key=simplex_key))
-            if cells < best_cells:
-                best, best_cells = member, cells
-    value = best_key[0]
-    if value not in set(critical_values(f)):
+    least = min(keys)
+    return _least_member(instance.function, [m for m, key in zip(family, keys) if key == least])
+
+
+def _least_member(f: MorseFunction, tied: list[frozenset]) -> tuple[float, frozenset]:
+    """Of members tied on (top value, size), the first in canonical cell
+    order, with its top value, which must be critical, else
+    ``TheoremViolation``.  ``minmax_value`` and ``mountain_pass`` each find
+    their own tied members: the first by reading each member's values, the
+    second off the members' masks."""
+    best = tied[0] if len(tied) == 1 else min(tied, key=lambda m: sorted(m, key=simplex_key))
+    if (value := max(map(f.values.__getitem__, best))) not in set(critical_values(f)):
         raise TheoremViolation(f"min-max value {value} is not a critical value")
     return value, best
 
@@ -184,7 +190,7 @@ def enumerate_paths(
     Paths are vertex-simple and avoid every critical vertex other than the
     two endpoints, and once a path touches the basin its remaining edge
     values must strictly decrease.  One backtracking walk extends a single
-    path (an edge list and a visited set, both popped on the way back) and
+    path (an edge list and a visited mask, both popped on the way back) and
     enforces all three rules as it extends, so no prefix that breaks one is
     ever extended: a broken tail stays broken, because the tail starts at
     the first basin vertex.  The number of admissible paths (and so the
@@ -195,68 +201,79 @@ def enumerate_paths(
     Each path's ``start`` and ``low`` are the complex's own cells.  The
     walk is the one ``mountain_pass`` runs (see ``_admissible_walk``).
     """
-    return [path for path, _, _ in _admissible_walk(f, field, high, low)[2]]
+    return [path for path, _, _ in _admissible_walk(f, field, *_minima(f, field, high, low))[2]]
 
 
-def _admissible_walk(
-    f: MorseFunction, field: GradientField, high, low
-) -> tuple[FlowOperator, dict[Simplex, int], list[tuple[EdgePath, int, int]]]:
-    """The walk of ``enumerate_paths``, with each path's cells and flow image
-    as position bitmasks: bit ``i`` stands for the ``i``-th of the complex's
-    vertices and edges in canonical order.
-
-    Returns the flow operator of ``f`` and ``field``, each vertex's and
-    edge's flow-row mask (the bits of its flow's support), and the
-    admissible paths in ``enumerate_paths`` order, each with its cell mask
-    and its flow-image mask.  A stack frame carries both masks of its path,
-    each grown by one OR per step, since the flow image of a set is the
-    union of its rows.
-    """
+def _minima(f: MorseFunction, field: GradientField, high, low) -> tuple[Simplex, Simplex]:
+    """``high`` and ``low`` as the complex's own cells, after checking that
+    ``field`` is ``f``'s and that they are two critical vertices with
+    ``f(low) < f(high)``, else ``NotLocalMinima``."""
     _own_field(f, field)
     v1, v0 = as_simplex(high), as_simplex(low)
-    complex = f.complex
-    crit = field.critical
     # ``f``'s critical cells lie in its complex, and f(v0) < f(v1) keeps them apart.
-    if v1.dim != 0 or v0.dim != 0 or v1 not in crit or v0 not in crit or not f(v0) < f(v1):
+    if v1.dim != 0 or v0.dim != 0 or not {v1, v0} <= field.critical or not f(v0) < f(v1):
         raise NotLocalMinima(
             f"need two distinct critical vertices with f({tuple(v0)}) < f({tuple(v1)})"
         )
-    v1, v0 = complex._own(v1), complex._own(v0)
+    return f.complex._own(v1), f.complex._own(v0)
+
+
+def _admissible_walk(
+    f: MorseFunction, field: GradientField, v1: Simplex, v0: Simplex
+) -> tuple[FlowOperator, dict[Simplex, int], list[tuple[EdgePath, int, int]]]:
+    """The walk of ``enumerate_paths`` from ``v1`` to the basin of ``v0``
+    (checked by ``_minima``), with each path's cells and flow image as
+    position bitmasks: bit ``i`` stands for the ``i``-th of the complex's
+    vertices and edges in order of ``f`` value, ties in canonical order.
+
+    Under an injective ``f`` a set's top cell is then its highest bit, so
+    ``mountain_pass`` reads each member's maximum off its mask.  Returns the
+    flow operator of ``f`` and ``field``, each vertex's and edge's flow-row
+    mask (the bits of its flow's support), and the admissible paths in
+    ``enumerate_paths`` order, each with its cell mask and its flow-image
+    mask.  A stack frame carries both masks of its path, each grown by one
+    OR per step, since the flow image of a set is the union of its rows; the
+    visited vertices are one mask of vertex bits.
+    """
+    complex = f.complex
     operator = FlowOperator(f, field)
     # A path and its flow image hold vertices and edges only, numbered in
-    # canonical order; a row's cells are distinct, so its bits sum to its mask.
-    low_cells = complex.vertices + complex.cells_of_dim(1)
+    # value order; a row's cells are distinct, so its bits sum to its mask.
+    low_cells = sorted(complex.vertices + complex.cells_of_dim(1), key=f.values.__getitem__)
     position = dict(zip(low_cells, range(len(low_cells))))
     rows = {c: sum(1 << position[s] for s in operator._flow[c]) for c in low_cells}
     basin_vertices = frozenset(basin(field, f, v0).cells.cells_of_dim(0))
-    blocked = {c for c in crit if c.dim == 0 and c != v0}
-    # Each vertex's steps, in canonical edge order: (edge, far end, value,
-    # far end in basin, edge bit, edge row mask).
+    # Each vertex's steps, in canonical edge order: (edge, far end's steps,
+    # far end's bit, far end in basin, edge value, edge bit, edge row mask).
     steps: dict[Simplex, list[tuple]] = {v: [] for v in complex.vertices}
     for edge in complex.cells_of_dim(1):
         (a, b), bit, row = complex.faces_of(edge), 1 << position[edge], rows[edge]
         for near, far in ((a, b), (b, a)):
-            if far not in blocked:
-                steps[near].append((edge, far, f.values[edge], far in basin_vertices, bit, row))
-    path, visited, found = [], {v1}, []
-    # (steps left to try, vertex reached, last edge value once in the basin,
-    # cell mask, flow-image mask)
-    stack = [(iter(steps[v1]), v1, None, 1 << position[v1], rows[v1])]
+            far_step = (steps[far], 1 << position[far], far in basin_vertices)
+            steps[near].append((edge, *far_step, f.values[edge], bit, row))
+    path, found = [], []
+    # The critical vertices other than ``v0``, ``v1`` among them, count as
+    # visited from the start, so no path enters one.
+    visited = sum(1 << position[c] for c in field.critical if c.dim == 0 and c != v0)
+    start = 1 << position[v1]
+    # (steps left to try, bit of the vertex reached, last edge value once in
+    # the basin, cell mask, flow-image mask)
+    stack = [(iter(steps[v1]), start, None, start, rows[v1])]
     while stack:
         todo, _, tail, cells, image = stack[-1]
-        for edge, far, value, in_basin, bit, row in todo:
-            if far in visited or (tail is not None and value >= tail):
+        for edge, far_steps, far_bit, in_basin, value, bit, row in todo:
+            if visited & far_bit or (tail is not None and value >= tail):
                 continue
             path.append(edge)
-            visited.add(far)
+            visited |= far_bit
             cells, image = cells | bit, image | row
             if in_basin:
                 found.append((EdgePath(v1, tuple(path), v0), cells, image))
             tail = value if in_basin or tail is not None else None
-            stack.append((iter(steps[far]), far, tail, cells, image))
+            stack.append((iter(far_steps), far_bit, tail, cells, image))
             break
         else:
-            visited.discard(stack.pop()[1])
+            visited ^= stack.pop()[1]
             del path[-1:]  # empty when the start vertex's steps run out
     if not found:
         raise NoPathExists(
@@ -275,7 +292,9 @@ def flow_path(operator: FlowOperator, path: EdgePath) -> EdgePath:
     that constraint is not re-imposed here.
 
     The image is walked from the start vertex, taking the one unused edge at
-    each vertex.  A vertex reached twice would leave two unused edges at
+    each vertex; the edges at a vertex are read from its cofaces, so the walk
+    costs the degrees of the vertices it reaches, not a scan of the image
+    per step.  A vertex reached twice would leave two unused edges at
     some step, so a walk that uses every edge proves the path contiguous and
     vertex-simple.  The vertices it reaches are then checked for the two
     rules left: the path ends in the basin, and edge values strictly
@@ -283,19 +302,19 @@ def flow_path(operator: FlowOperator, path: EdgePath) -> EdgePath:
     """
     image = flow_image(operator, path.cells())
     verts = sorted((c for c in image if c.dim == 0), key=simplex_key)
-    edges = {c for c in image if c.dim == 1}
-    if len(verts) + len(edges) != len(image):
+    remaining = {c for c in image if c.dim == 1}  # the edges, each used once
+    if len(verts) + len(remaining) != len(image):
         raise ReassemblyFailure("flow image contains cells above dimension 1")
     if verts != [path.start]:
         raise ReassemblyFailure(f"flow image vertices {verts} are not just the start vertex")
-    if not edges:
+    if not remaining:
         raise ReassemblyFailure("flow image lost every edge of the path")
+    f = operator.function
     seq: list[Simplex] = []
     reached: list[int] = []
     cur = path.start[0]
-    remaining = set(edges)
     while remaining:
-        nxt = [e for e in remaining if cur in e]
+        nxt = [e for e in f.complex.cofaces_of((cur,)) if e in remaining]
         if len(nxt) != 1:
             raise ReassemblyFailure(f"image does not reassemble into one path at vertex {cur}")
         edge = nxt[0]
@@ -303,7 +322,6 @@ def flow_path(operator: FlowOperator, path: EdgePath) -> EdgePath:
         remaining.remove(edge)
         cur = edge[0] if edge[1] == cur else edge[1]
         reached.append(cur)
-    f = operator.function
     in_basin = {v[0] for v in basin(operator.field, f, path.low).cells.cells_of_dim(0)}
     entry = next((j for j, v in enumerate(reached) if v in in_basin), len(seq))
     tail = [f.values[e] for e in seq[entry:]]
@@ -332,8 +350,8 @@ def mountain_pass(f: MorseFunction, high, low) -> MountainPassResult:
     family lists the members in the order the closure's walk first reaches
     them: paths in ``enumerate_paths`` order, each followed by the new part
     of its forward orbit; its cells are the complex's own.  The answer does
-    not depend on that order, since ``minmax_value`` breaks ties by
-    canonical cell order.  The witness is the first enumerated path whose
+    not depend on that order, since ties break by canonical cell order, as
+    in ``minmax_value``.  The witness is the first enumerated path whose
     flow orbit reaches the member that attains the value.
 
     The closure runs on the position bitmasks of ``_admissible_walk``,
@@ -343,12 +361,23 @@ def mountain_pass(f: MorseFunction, high, low) -> MountainPassResult:
     instance's ``"flow"`` map is a table from each member to its image,
     which is the family's own object, so equal inputs in any iterable give
     the identical image and ``check_minmax_data`` computes no member's
-    image again; any other set falls back to ``flow_image``.  Non-injective
-    input is re-ranked first; the reported value is the original value of
-    the ridge edge.
+    image again; any other set falls back to ``flow_image``.
+
+    The walk runs on an injective function: ``f`` itself, or ``f``
+    re-ranked when it has ties.  Its bits follow that function's values,
+    which are distinct, so a member's top cell is its highest set bit, and
+    the member with the least top value and then the least size is the one
+    with the least ``bit_length()`` and then the least ``bit_count()``.  No
+    member's cells are read to choose it; only a tie on both is broken by
+    canonical cell order, in ``_least_member`` as for ``minmax_value``.
+    The two minima are checked on ``f``'s own values before any
+    re-ranking, so minima of equal value raise ``NotLocalMinima`` in either
+    order, as in ``enumerate_paths``.  The reported value is ``f``'s value
+    of the ridge edge.
     """
+    v1, v0 = _minima(f, f.field, high, low)  # on the caller's values, not re-ranked ones
     work = f if f.is_injective() else make_injective(f)
-    operator, rows, found = _admissible_walk(work, gradient_field(work), high, low)
+    operator, rows, found = _admissible_walk(work, gradient_field(work), v1, v0)
     # members: cell mask -> member, in the order the walk reaches them;
     # seeds[j]: the first path whose orbit reaches member j; images: member -> its image.
     members, seeds, images = {}, [], {}
@@ -369,11 +398,18 @@ def mountain_pass(f: MorseFunction, high, low) -> MountainPassResult:
 
     family = list(members.values())
     instance = MinMaxInstance(work, {"flow": flow}, family)
-    value_work, witness_cells = minmax_value(instance)
+    # Bits follow ``work``'s values, which are distinct, so a member's highest
+    # bit is its top cell and its bit count its size: the least (top value,
+    # size) is the least (highest bit, bit count), and the least mask has the
+    # least highest bit.
+    below = 1 << min(members).bit_length()  # the masks below it share that top bit
+    least = min(mask.bit_count() for mask in members if mask < below)
+    tied = [m for mask, m in members.items() if mask < below and mask.bit_count() == least]
+    value_work, witness_cells = _least_member(work, tied)
     ridge = max(witness_cells, key=work)
     if ridge.dim != 1 or ridge not in operator.field.critical:
         raise TheoremViolation(f"min-max cell {tuple(ridge)} is not a critical edge")
-    if not value_work > work(as_simplex(high)):
+    if not value_work > work(v1):
         raise TheoremViolation("min-max value does not exceed the higher minimum")
     witness = seeds[family.index(witness_cells)]  # members are distinct sets
     return MountainPassResult(f(ridge), ridge, witness, tuple(p for p, _, _ in found), instance)

@@ -13,6 +13,7 @@ import sys
 import pytest
 
 from morseflow import (
+    EdgePath,
     FlowOperator,
     Simplex,
     SimplicialComplex,
@@ -22,6 +23,8 @@ from morseflow import (
     critical_values,
     dgcat,
     emit_scx,
+    enumerate_paths,
+    flow_path,
     ls_bound_check,
     ls_minmax,
     mountain_pass,
@@ -37,9 +40,11 @@ from morseflow.errors import (
     MorseConditionViolated,
     ParseError,
     PreconditionViolated,
+    ReassemblyFailure,
     SimplexNotInComplex,
 )
 from conftest import random_complex, random_instance, torus, two_hole_grid
+from test_minmax import reference_flow_path
 
 P3_SCX = "0 : 0\n1 : 3\n2 : 1\n0 1 : 2\n1 2 : 4\n"
 
@@ -548,6 +553,23 @@ class TestCli:
         assert len(result.paths) == 600
         assert result.witness.edges[-1] == (599, 600)
 
+    def test_flow_path_on_a_long_path(self):
+        # The longest path of the 2 400-vertex well has 2 399 edges; the
+        # flowed paths must match the reassembly that scans every unused edge.
+        _, f = parse_scx(long_well_scx(2400))
+        paths = enumerate_paths(f, f.field, (2399,), (0,))
+        operator = FlowOperator(f)
+        longest = paths[-1]
+        assert len(longest.edges) == 2399
+        for path in (paths[0], paths[len(paths) // 2], longest):
+            assert flow_path(operator, path) == reference_flow_path(operator, path)
+        # Dropping an inner edge leaves the image in two pieces.
+        broken = EdgePath(longest.start, longest.edges[:1000] + longest.edges[1001:], longest.low)
+        with pytest.raises(ReassemblyFailure) as info:
+            reference_flow_path(operator, broken)
+        with pytest.raises(ReassemblyFailure, match=re.escape(str(info.value))):
+            flow_path(operator, broken)
+
     def test_mountain_pass_command_on_a_long_path(self, tmp_path, capsys):
         path = tmp_path / "well.scx"
         path.write_text(long_well_scx(1200), encoding="utf-8")
@@ -556,6 +578,19 @@ class TestCli:
         assert code == 0
         payload = json.loads(out)
         assert (payload["c"], payload["edge"], payload["pathCount"]) == (2400.0, [599, 600], 600)
+
+    @pytest.mark.parametrize("command", ["mountain-pass", "minmax-check"])
+    def test_tied_minima_are_refused_in_both_orders(self, tmp_path, capsys, command):
+        path = tmp_path / "tie.scx"
+        path.write_text("0 : 0\n1 : 0\n0 1 : 1\n", encoding="utf-8")
+        for high, low in (("1", "0"), ("0", "1")):
+            argv = [command, "--in", str(path), "--min1", high, "--min0", low]
+            code, out = self._json(capsys, argv)
+            assert code == 1
+            assert json.loads(out)["error"] == {
+                "kind": "NotLocalMinima",
+                "message": f"need two distinct critical vertices with f(({low},)) < f(({high},))",
+            }
 
     def test_too_large_error_carries_size_and_bound(self, tmp_path, capsys):
         path = tmp_path / "tri.scx"

@@ -7,6 +7,7 @@ import importlib
 import math
 import pkgutil
 import random
+import re
 import struct
 import sys
 from itertools import combinations, groupby, permutations
@@ -324,6 +325,11 @@ def grid_functions():
     return [random_morse(complex, seed) for seed in range(40)]
 
 
+def _tied(f):
+    """A Morse function with ties whose pairs are some of ``f``'s."""
+    return validate(f.complex, {c: v // 3 + len(c) for c, v in f.values.items()})
+
+
 def _critical_vertices(field):
     return {c[0] for c in field.critical if c.dim == 0}
 
@@ -423,12 +429,15 @@ class TestPathsAgainstRules:
         assert self._check(tie, 1, 3) == 1
 
     def test_every_critical_pair_on_grids(self, grid_functions):
-        checked = found = 0
-        for f in grid_functions:
+        # Each grid function, and the same function with ties: the tied
+        # copies also pair minima of equal value, which are refused.
+        checked = found = ties = 0
+        for f in grid_functions + [_tied(g) for g in grid_functions]:
             for high, low in _ordered_critical_pairs(f):
                 found += self._check(f, high, low)
+                ties += f((low,)) == f((high,))
                 checked += 1
-        assert checked >= 100 and found > 0
+        assert checked >= 200 and found > 0 and ties > 0
 
 
 def _paths_by_stack_walk(f, field, high, low):
@@ -529,9 +538,8 @@ class TestBacktrackingAgainstStackWalk:
         assert totals[list] >= 150 and totals[NoPathExists] > 0, totals
 
 
-def _first_path_reaching(result):
-    """The first path in ``result.paths`` whose flow orbit reaches the achieving member."""
-    _, member = minmax_value(result.instance)
+def _first_path_reaching(result, member):
+    """The first path in ``result.paths`` whose flow orbit reaches ``member``."""
     operator = FlowOperator(result.instance.function)
     for path in result.paths:
         current, seen = path.cells(), set()
@@ -540,7 +548,7 @@ def _first_path_reaching(result):
                 return path
             seen.add(current)
             current = flow_image(operator, current)
-    raise AssertionError("no path flows onto the achieving member")
+    raise AssertionError("no path flows onto the member")
 
 
 def _family_by_orbits(result):
@@ -561,16 +569,81 @@ class TestWitnessAgainstOrbits:
     def test_fixtures(self, p3_function, double_well):
         for f, high, low in ((p3_function, 3, 1), (double_well, 3, 0)):
             result = mountain_pass(f, (high,), (low,))
-            assert result.witness == _first_path_reaching(result)
+            assert result.witness == _first_path_reaching(result, minmax_value(result.instance)[1])
             assert result.instance.family == _family_by_orbits(result)
 
     def test_every_critical_pair_on_grids(self, grid_functions, grid4_passes):
         checked = 0
         for result in [*_grid_passes(grid_functions), *grid4_passes]:
-            assert result.witness == _first_path_reaching(result)
+            assert result.witness == _first_path_reaching(result, minmax_value(result.instance)[1])
             assert result.instance.family == _family_by_orbits(result)
             checked += 1
         assert checked >= 150
+
+
+def _least_member_of_the_family(result):
+    """The min-max member of a mountain pass from its family alone: the least
+    ``(max f, size, sorted cells)``, with no masks and no ``minmax_value``."""
+    work = result.instance.function
+    return min(
+        result.instance.family,
+        key=lambda member: (max(map(work, member)), len(member), sorted(member, key=simplex_key)),
+    )
+
+
+class TestMountainPassAgainstTheFamilyOracle:
+    """The mountain pass reads each member's top cell off its mask; the
+    oracle takes the least member of the returned family by value, size and
+    canonical cells, and the value, edge and witness must follow from it."""
+
+    @staticmethod
+    def _check(f, result):
+        member = _least_member_of_the_family(result)
+        ridge = max(member, key=result.instance.function)
+        assert result.edge == ridge
+        assert result.value == f(ridge)  # the caller's value, also on tied input
+        assert result.witness == _first_path_reaching(result, member)
+        return member
+
+    def test_fixtures(self, p3_function, double_well):
+        for f, high, low in ((p3_function, 3, 1), (double_well, 3, 0)):
+            self._check(f, mountain_pass(f, (high,), (low,)))
+
+    def test_every_grid_pass(self, grid_functions, grid4_passes):
+        checked = 0
+        for result in [*_grid_passes(grid_functions), *grid4_passes]:
+            self._check(result.instance.function, result)
+            checked += 1
+        assert checked >= 150
+
+    def test_non_injective_functions(self, grid_functions, grid4_functions):
+        checked = 0
+        for f in map(_tied, grid_functions + grid4_functions):
+            assert not f.is_injective()
+            for result in _grid_passes([f]):
+                assert result.instance.function is not f
+                self._check(f, result)
+                checked += 1
+        assert checked >= 50
+
+    def test_a_tie_on_top_cell_and_size(self):
+        # Seed 5 of the 3 x 3 grid, from 6 to the basin of 8: two members share
+        # the top edge (4, 7) and five cells.  The later one in family order comes
+        # first in canonical cell order, so it is the member that attains the
+        # value, and another path is the witness.
+        f = random_morse(grid(3), 5)
+        result = mountain_pass(f, (6,), (8,))
+        family = result.instance.family
+        first = frozenset(map(Simplex, [(6,), (3, 7), (4, 7), (4, 8), (6, 7)]))
+        second = frozenset(map(Simplex, [(6,), (3, 6), (3, 7), (4, 7), (4, 8)]))
+
+        def key(member):
+            return max(map(f, member)), len(member)
+
+        assert [m for m in family if key(m) == min(map(key, family))] == [first, second]
+        assert self._check(f, result) == second
+        assert (result.value, result.edge) == (15.0, (4, 7))
+        assert result.witness != _first_path_reaching(result, first)
 
 
 class TestFamilyOrder:
@@ -791,6 +864,16 @@ class TestMountainPass:
         assert result.edge == (2, 3)
         assert len(result.witness.edges) == 1
         assert result.value > p3_function((3,))
+
+    def test_tied_minima_are_refused_in_both_orders(self):
+        # Re-ranking breaks the tie one way; the caller's values decide.
+        f = validate(build_complex([(0, 1)]), {(0,): 0, (1,): 0, (0, 1): 1})
+        for high, low in (((1,), (0,)), ((0,), (1,))):
+            message = f"need two distinct critical vertices with f({low}) < f({high})"
+            with pytest.raises(NotLocalMinima, match=re.escape(message)):
+                mountain_pass(f, high, low)
+            with pytest.raises(NotLocalMinima, match=re.escape(message)):
+                enumerate_paths(f, f.field, high, low)
 
     def test_circle_has_single_minimum(self, circle_function):
         with pytest.raises(NotLocalMinima):
