@@ -3,9 +3,12 @@
 The verifiers here return replayable ``CollapseSequence`` witnesses rather
 than bare booleans: a witness re-checks the free-face condition step by step
 when replayed, so a passing verification is a machine-checked certificate.
-The window verifier here and the flow verifier in ``flow`` build theirs in
-one place: the function's matched pairs between two complexes, in
-decreasing value order, replayed once before the sequence is returned.
+The three gradient verifiers, the window verifier and ``basin`` here and
+the flow verifier in ``flow``, build theirs in one place
+(``_replayed_collapse``): the function's matched pairs between two
+complexes, in decreasing value order, replayed once before the sequence is
+returned.  Every search witness, ``collapses_to``'s and ``dgcat``'s, comes
+from the search index's one depth-first search.
 
 Replay is one pass that checks every step against the live cells, then
 compares what is left with the recorded end once: a cell is free when
@@ -268,16 +271,21 @@ def basin(field: GradientField, f: MorseFunction, vertex) -> Basin:
 
     Vertices whose (unique) gradient path ends at the minimum, together with
     the pairing edges along those paths.  The result is a tree, collapsed to
-    the minimum deepest-vertex-first; the witness is stored after replay.
+    the minimum by ``_replayed_collapse``, the window verifier's builder: its
+    matched pairs in decreasing value order, replayed before they are
+    returned.  That order is always a collapse of the tree: a child ``u`` of
+    ``x`` along edge ``e`` is matched to ``e`` and ``x`` is not, so
+    ``f(u) >= f(e) > f(x)``, and each vertex is removed after every vertex
+    above it, when its edge toward the minimum is its one live coface.
     ``field`` must be ``f``'s, else ``ComplexMismatch``.  The minimum is the
     complex's own cell, however the caller names the vertex.
 
     The tree is walked uphill from the minimum: a coface edge of a member
-    matched to its other end makes that end a member one step deeper.  The
-    walk reads each member's cofaces once, and the replay reads them again
-    for every member but the minimum.  The tree is a subcomplex of the
-    field's complex that sorts its own cells, so a basin costs its vertices
-    and their cofaces, not a pass over the complex.
+    matched to its other end makes that end a member.  The walk reads each
+    member's cofaces once, and the replay reads them again for every member
+    but the minimum.  The tree is a subcomplex of the field's complex that
+    sorts its own cells, so a basin costs its vertices and their cofaces,
+    not a pass over the complex.
     """
     _own_field(f, field)
     v = as_simplex(vertex)
@@ -285,24 +293,16 @@ def basin(field: GradientField, f: MorseFunction, vertex) -> Basin:
         raise NotACriticalVertex(f"{v!r} is not a critical vertex")
     v = field.complex._own(v)
     cofaces, down = field.complex._cofaces, field.down
-    members = [v]
-    depth = {v: 0}
-    pairs: list[tuple[Simplex, Simplex]] = []
+    members, edges = [v], []
     for x in members:  # grows as the walk finds members, each once
-        d = depth[x] + 1
         for edge in cofaces[x]:
             u = down.get(edge)
             if u is not None and u != x:
                 members.append(u)
-                depth[u] = d
-                pairs.append((u, edge))
-    pairs.sort(key=lambda p: (-depth[p[0]], simplex_key(p[0])))
+                edges.append(edge)
     # Canonical order without a pass over the complex: vertices, then edges.
-    sub = field.complex._derived(tuple(sorted(members) + sorted([e for _, e in pairs])))
-    target = sub._derived((v,))
-    witness = CollapseSequence(sub, target, tuple(pairs))
-    witness.replay()
-    return Basin(v, sub, witness)
+    tree = field.complex._derived(tuple(sorted(members) + sorted(edges)))
+    return Basin(v, tree, _replayed_collapse(f, tree, tree._derived((v,))))
 
 
 def maximal_collapsible_to(

@@ -24,8 +24,9 @@ result.
 The index lists states with one walk, which follows collapses to list the
 states a subcomplex collapses to and anti-collapses from all the vertices
 to list every collapsible subcomplex; the cover family and every vertex's
-maximal collapsible subcomplexes are read off the latter.  A witness
-collapse is found by one plain depth-first search, and the cover that
+maximal collapsible subcomplexes are read off the latter.  The walk lists
+states only: every witness collapse, ``dgcat``'s onto its chosen state
+included, is found by one plain depth-first search, and the cover that
 fixes a state's category is kept, so ``dgcat`` reads it without a second
 search.
 The canonical orientation of every simplex is the increasing vertex order;
@@ -337,9 +338,10 @@ class CellIndex:
     The one search index of the exhaustive layer: collapse search, collapse
     reachability, the collapsible subcomplexes and the cover search behind
     discrete category.  Two loops walk the states: ``_states`` lists the
-    states reached by pairs that flip two bits, for ``reachable`` (by
+    set of states reached by pairs that flip two bits, for ``reachable`` (by
     collapses) and ``collapsible`` (by anti-collapses), and
-    ``collapse_search`` is a plain depth-first search for one witness.
+    ``collapse_search`` is a plain depth-first search for one witness, the
+    builder of every exhaustive collapse witness.
     Every expensive answer is memoised, the least cover of each state
     included (``cover``), so repeated queries against one complex stay
     cheap; the complex keeps its index (see ``search_index``).
@@ -372,7 +374,7 @@ class CellIndex:
                 self.cofaces[j].append(i)
         self.face_mask = self.coface_mask = self.full = None  # see ``search_index``
         self._collapsible: set[int] | None = None
-        self._reachable: dict[int, dict[int, tuple | None]] = {}
+        self._reachable: dict[int, set[int]] = {}
         self._maximal: list[int] | None = None
         self._cover: dict[int, tuple[int, ...]] = {}
         self._category: dict[int, tuple[int, int, int]] = {}
@@ -399,24 +401,23 @@ class CellIndex:
         return out
 
     @staticmethod
-    def _states(starts: Iterable[int], moves) -> dict[int, tuple | None]:
-        """Every state reached from the starts by the pairs ``moves(state)``
-        yields, mapped to ``(previous state, pair)`` of its first discovery
-        (a start to ``None``).
+    def _states(starts: Iterable[int], moves) -> set[int]:
+        """Every state reached from the starts by the pairs ``moves(state)`` yields.
 
         One LIFO walk for collapses and anti-collapses alike: a pair flips its
-        two bits, which a collapse holds and an anti-collapse lacks.
+        two bits, which a collapse holds and an anti-collapse lacks.  It lists
+        states only; a witness comes from ``collapse_search``.
         """
-        parents = dict.fromkeys(starts)
-        stack = list(parents)
+        seen = set(starts)
+        stack = list(seen)
         while stack:
             cur = stack.pop()
             for pair in moves(cur):
                 nxt = cur ^ (1 << pair[0] | 1 << pair[1])
-                if nxt not in parents:
-                    parents[nxt] = (cur, pair)
+                if nxt not in seen:
+                    seen.add(nxt)
                     stack.append(nxt)
-        return parents
+        return seen
 
     def collapsible(self) -> set[int]:
         """Every collapsible subcomplex, as masks; memoised, so callers must
@@ -439,7 +440,7 @@ class CellIndex:
                                 yield i, j
 
             vertices = [1 << i for i, c in enumerate(self.cells) if len(c) == 1]
-            self._collapsible = set(self._states(vertices, expansions))
+            self._collapsible = self._states(vertices, expansions)
         return self._collapsible
 
     def free_pairs(self, mask: int, keep: int = 0) -> list[tuple[int, int]]:
@@ -488,23 +489,12 @@ class CellIndex:
         """
         return self.collapse_search(mask, mask & -mask)
 
-    def reachable(self, mask: int) -> dict[int, tuple | None]:
-        """Every state reachable from the mask by elementary collapses, mapped to
-        ``(previous state, pair)`` of its first discovery (the mask to ``None``)."""
+    def reachable(self, mask: int) -> set[int]:
+        """Every state reachable from the mask by elementary collapses, the
+        mask included; memoised, so callers must not change the set."""
         if mask not in self._reachable:
             self._reachable[mask] = self._states([mask], self.free_pairs)
         return self._reachable[mask]
-
-    def collapse_path(self, start: int, goal: int) -> tuple:
-        """One witness pair sequence from start to goal (both states)."""
-        parents = self.reachable(start)
-        if goal not in parents:
-            raise ProofFailure("collapse goal is not reachable")
-        path = []
-        while parents[goal] is not None:
-            goal, pair = parents[goal]
-            path.append(pair)
-        return tuple(reversed(path))
 
     def maximal_collapsible(self) -> list[int]:
         """Inclusion-maximal collapsible subcomplex masks (cover family)."""
@@ -668,12 +658,14 @@ class Chain:
         return frozenset(self.coeffs)
 
     def scaled(self, k: int) -> "Chain":
+        """The chain times ``k``, which must be an integer and not a bool, as
+        a coefficient must, whatever the chain; else ``ValueError``."""
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise ValueError(f"coefficients must be integers, got {k!r}")
         if k == 0 or not self.coeffs:
             return Chain.zero()
         if k == 1:
             return self
-        if not isinstance(k, int):
-            raise ValueError(f"coefficients must be integers, got {k!r}")
         return Chain(self.dim, {s: k * c for s, c in self.coeffs.items()})
 
     def __add__(self, other: "Chain") -> "Chain":

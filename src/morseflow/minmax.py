@@ -4,12 +4,15 @@
 the answer is a critical value; ``check_minmax_data`` verifies exhaustively
 that a family really is min-max data (closure under every map, and a
 sublevel-shrinking map across every regular value).  The mountain-pass and
-category machineries build concrete instances of that shape.  The
-Lusternik-Schnirelmann values of ``ls_minmax`` are ``minmax_value`` of the
-same depth-k family that ``ls_instance`` returns.  The category searches run
-on the complex's own ``CellIndex`` (see ``search_index``), so ``dgcat``
-followed by ``ls_minmax`` on one complex shares every memo; ``dgcat`` of an
-empty subcomplex raises ``EmptyInput``.
+category machineries build concrete instances of that shape.
+``ls_instance`` closes the depth-k family under its flow-closure map, so it
+is min-max data; the Lusternik-Schnirelmann values of ``ls_minmax`` are
+``minmax_value`` of the depth-k family alone, the prefix of that closed
+family, whose value was the same on every input tested.  The category
+searches run on the complex's own ``CellIndex`` (see ``search_index``), so
+``dgcat`` followed by ``ls_minmax`` on one complex shares every memo, and
+every collapse witness of ``dgcat`` comes from its one depth-first search;
+``dgcat`` of an empty subcomplex raises ``EmptyInput``.
 The mountain-pass family is built on position bitmasks: the path walk
 numbers the complex's vertices and edges, the only cells a path or its flow
 image holds, in order of value, without building the complex's integer
@@ -439,7 +442,8 @@ def dgcat(
     Minimises, over every collapse of ``sub``, the size of an exact cover by
     subcomplexes of the ambient complex that are collapsible to a vertex.
     All witnesses are returned: the chosen collapse and the cover pieces
-    with their collapse-to-vertex certificates.
+    with their collapse-to-vertex certificates, each the path of the
+    index's one depth-first search (``collapse_search``).
     """
     target = complex if sub is None else sub
     if not is_subcomplex(target, complex):
@@ -456,7 +460,7 @@ def dgcat(
         vertex = piece._sub(piece.simplices.difference(*pairs))
         pieces.append(CoverPiece(piece, CollapseSequence(piece, vertex, pairs)))
     chosen_complex = complex._sub(set(index.cells_of(chosen)))
-    path = index.pairs_of(index.collapse_path(start, chosen))
+    path = index.pairs_of(index.collapse_search(start, chosen))
     return CategoryResult(
         value, chosen_complex, CollapseSequence(target, chosen_complex, path), tuple(pieces)
     )
@@ -496,10 +500,13 @@ def ls_minmax(
 ) -> list[tuple[int, float]]:
     """Category-filtered min-max values, one per depth up to dgcat + 1.
 
-    Each depth's value is ``minmax_value`` of the depth-``k`` family that
-    ``ls_instance`` returns, so it is asserted to be critical; the reported
-    value is ``f`` of the witness member's top cell, which keeps the original
-    value on non-injective input.
+    Each depth's value is ``minmax_value`` of the depth-``k`` family, so it
+    is asserted to be critical; the reported value is ``f`` of the witness
+    member's top cell, which keeps the original value on non-injective
+    input.  The family is left unclosed here: ``ls_instance`` closes it
+    under the flow-closure map, which computes every member's image, and
+    the closed family's value equalled this one on every input tested (the
+    tests sweep the desk fixtures and the boundary of a tetrahedron).
     """
     work = f if f.is_injective() else make_injective(f)
     index = search_index(f.complex, max_enum)
@@ -519,10 +526,25 @@ def ls_bound_check(f: MorseFunction, max_enum: int = DEFAULT_ENUM_BOUND) -> bool
 def ls_instance(
     f: MorseFunction, k: int, max_enum: int = DEFAULT_ENUM_BOUND
 ) -> MinMaxInstance:
-    """The depth-``k`` family paired with the flow-closure map."""
+    """The depth-``k`` family, closed under the flow-closure map, paired with it.
+
+    The family of ``_ls_family`` comes first, in mask order; the images it
+    lacks follow in the order one pass over the growing list first reaches
+    them, so every member's image is a member.  The map builds no
+    subcomplex, only the closure's cell set.
+    """
     work = f if f.is_injective() else make_injective(f)
     index = search_index(f.complex, max_enum)
     operator = FlowOperator(work)
     closure = work.complex._closure
-    maps = {"flow_closure": lambda cells: frozenset(closure(flow_image(operator, cells)))}
-    return MinMaxInstance(work, maps, _ls_family(work, index, k))
+
+    def flow_closure(cells: Iterable) -> frozenset[Simplex]:
+        return frozenset(closure(flow_image(operator, cells)))
+
+    family = _ls_family(work, index, k)
+    members = set(family)
+    for member in family:  # grows as new images are appended, each once
+        if (image := flow_closure(member)) not in members:
+            members.add(image)
+            family.append(image)
+    return MinMaxInstance(work, {"flow_closure": flow_closure}, family)

@@ -253,8 +253,9 @@ def reference_parse_scx(text: str):
 
 
 # The loops ``CellIndex`` ran before its one state walk and its plain
-# depth-first search, kept as oracles: each must give the same answer, in the
-# same order, as the code that replaced it.
+# depth-first search, kept as oracles: each walk must list the same states,
+# and the search give the same pairs in the same order, as the code that
+# replaced it.
 
 
 def frame_collapse_search(index, mask, goal, key=None):
@@ -289,16 +290,16 @@ def frame_collapse_search(index, mask, goal, key=None):
 
 def stack_reachable(index, mask):
     """``CellIndex.reachable`` as its own stack walk by collapses."""
-    parents = {mask: None}
+    seen = {mask}
     stack = [mask]
     while stack:
         cur = stack.pop()
         for pair in index.free_pairs(cur):
             nxt = cur & ~(1 << pair[0] | 1 << pair[1])
-            if nxt not in parents:
-                parents[nxt] = (cur, pair)
+            if nxt not in seen:
+                seen.add(nxt)
                 stack.append(nxt)
-    return parents
+    return seen
 
 
 def stack_collapsible(index):

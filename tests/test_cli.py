@@ -635,6 +635,21 @@ class TestCli:
         assert payload["ok"] is True
         assert payload["instance"] == "paths"
 
+    def test_minmax_check_on_a_function_whose_depth_one_family_is_not_closed(
+        self, tmp_path, capsys
+    ):
+        # Seed 9 on the two triangles: the depth-1 family alone is not closed
+        # under its flow-closure map; ``ls_instance`` adds the one image missing.
+        path = tmp_path / "two_triangles.scx"
+        path.write_text("0 1 2\n1 2 3\n", encoding="utf-8")
+        code, out = self._json(capsys, ["random", "--in", str(path), "--seed", "9"])
+        assert code == 0
+        path.write_text(json.loads(out)["scx"], encoding="utf-8")
+        code, out = self._json(capsys, ["minmax-check", "--in", str(path)])
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["ok"], payload["instance"], payload["familySize"]) == (True, "category", 43)
+
     def test_minmax_check_with_one_minimum_is_refused(self, p3_file, capsys):
         for given in (["--min0", "0"], ["--min1", "2"]):
             code, out = self._json(capsys, ["minmax-check", "--in", p3_file, *given])

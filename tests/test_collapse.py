@@ -51,15 +51,15 @@ from morseflow.errors import (
 from conftest import CountingDict, random_instance, torus
 
 
-def reference_basin(field, v):
+def reference_basin(f, field, v):
     """Oracle for ``basin``: settle every vertex by walking its gradient path
     down to its end, then keep the vertices that end at ``v``.
 
-    Gives the members in canonical order, the witness pairs deepest first,
-    and the cells of the basin.
+    Gives the members in canonical order, the witness pairs in decreasing
+    value order (lower cell, then edge, then the lower cell's canonical
+    order), and the cells of the basin.
     """
     term: dict[Simplex, Simplex] = {}
-    depth: dict[Simplex, int] = {}
 
     def settle(u):
         walk = []
@@ -67,34 +67,32 @@ def reference_basin(field, v):
         while x not in term and x in field.up:
             walk.append(x)
             x = Simplex([w for w in field.up[x] if w != x[0]])
-        if x not in term:
-            term[x] = x
-            depth[x] = 0
-        end, d = term[x], depth[x]
-        for y in reversed(walk):
-            d += 1
+        end = term.setdefault(x, x)
+        for y in walk:
             term[y] = end
-            depth[y] = d
         return end
 
     members = [u for u in field.complex.cells_of_dim(0) if settle(u) == v]
     pairs = sorted(
         ((u, field.up[u]) for u in members if u != v),
-        key=lambda p: (-depth[p[0]], simplex_key(p[0])),
+        key=lambda p: (-f(p[0]), -f(p[1]), simplex_key(p[0])),
     )
     return members, pairs, set(members) | {edge for _, edge in pairs}
 
 
 def check_basins_against_the_oracle(f):
-    """Every minimum's basin equals the oracle's, and the basins partition the vertices."""
+    """Every minimum's basin equals the oracle's, its witness removes lower
+    cells of non-increasing value, and the basins partition the vertices."""
     field = gradient_field(f)
     covered = []
     for v in sorted(c for c in field.critical if c.dim == 0):
         b = basin(field, f, v)
-        members, pairs, cells = reference_basin(field, v)
+        members, pairs, cells = reference_basin(f, field, v)
         assert b.cells.cells_of_dim(0) == tuple(members)
         assert b.cells.simplices == cells
         assert b.witness.pairs == tuple(pairs)
+        lows = [f(u) for u, _ in b.witness.pairs]
+        assert all(x >= y for x, y in zip(lows, lows[1:]))
         covered += members
     assert sorted(covered) == sorted(f.complex.cells_of_dim(0))
 

@@ -669,8 +669,6 @@ class TestFamilyOrder:
         assert checked >= 50
 
     def test_ls_instances(self):
-        # Only the value: these families may be unclosed, and which member a
-        # closure failure names depends on the order.
         checked = 0
         for seed in range(60):
             complex, f = random_instance(seed)
@@ -678,8 +676,10 @@ class TestFamilyOrder:
                 for k, _ in ls_minmax(f):
                     instance = ls_instance(f, k)
                     value = minmax_value(instance)
+                    report = check_minmax_data(instance)
                     for reordered in self._reordered(instance):
                         assert minmax_value(reordered) == value
+                        assert check_minmax_data(reordered) == report
                     checked += 1
         assert checked > 30
 
@@ -927,14 +927,9 @@ class TestCategory:
                 dgcat(complex, SimplicialComplex([]), max_enum=max_enum)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=ClosureViolated,
-    reason="ROADMAP item 4: the depth-k family is not closed under its own flow_closure map",
-)
 def test_ls_instance_is_min_max_data_on_the_two_triangles(two_triangles):
-    """Every depth up to dgcat + 1 gives min-max data, for seeds 0-299: 99
-    of them raise ``ClosureViolated`` until item 4 is fixed."""
+    """Every depth up to dgcat + 1 gives min-max data, for seeds 0-299: on 99
+    of them the depth-k family alone is not closed under its own map."""
     depth = dgcat(two_triangles).category + 1
     for seed in range(300):
         f = random_morse(two_triangles, seed)
@@ -1024,8 +1019,23 @@ def _ls_minmax_before_the_engine(f, max_enum=14):
     return out
 
 
+def boundary_of_tetrahedron():
+    return build_complex(combinations(range(4), 3))
+
+
+def assert_unclosed_prefix(f, k, family):
+    """``ls_instance(f, k)``'s family starts with ``family``, the depth-k
+    family alone, and every later member is the image of an earlier one."""
+    instance = ls_instance(f, k)
+    assert instance.family[: len(family)] == family
+    (name,) = instance.maps
+    images = {instance.maps[name](member) for member in instance.family}
+    assert set(instance.family[len(family) :]) <= images
+
+
 class TestLsThroughTheEngine:
-    """The LS values are ``minmax_value`` of the family ``ls_instance`` returns."""
+    """The LS values are ``minmax_value`` of the depth-k family alone, the
+    prefix of the closed family ``ls_instance`` returns, and equal its value."""
 
     def test_one_minmax_value_per_depth_on_the_ls_instance_family(
         self, monkeypatch, triangle_function, circle_function, double_well
@@ -1041,7 +1051,35 @@ class TestLsThroughTheEngine:
         for f in (triangle_function, circle_function, double_well):
             families.clear()
             values = ls_minmax(f)
-            assert families == [ls_instance(f, k).family for k, _ in values]
+            assert len(families) == len(values)
+            for (k, _), family in zip(values, families):
+                assert_unclosed_prefix(f, k, family)
+
+    def test_every_ls_instance_is_min_max_data_with_the_ls_value(
+        self, point, edge, p3, triangle, circle, two_triangles
+    ):
+        """On the six criterion-10 fixtures (50 seeds each) and on the
+        boundary of a tetrahedron (seeds 0-199), every depth's instance passes
+        ``check_minmax_data``, and its min-max member's top cell has the value
+        ``ls_minmax`` reports for that depth."""
+        cases = [
+            (complex, seed)
+            for complex in (point, edge, p3, triangle, circle, two_triangles)
+            for seed in range(50)
+        ]
+        cases += [(boundary_of_tetrahedron(), seed) for seed in range(200)]
+        depths = 0
+        for complex, seed in cases:
+            f = random_morse(complex, seed)
+            values = ls_minmax(f)
+            assert len(values) == dgcat(complex).category + 1
+            for k, value in values:
+                instance = ls_instance(f, k)
+                check_minmax_data(instance)
+                _, member = minmax_value(instance)
+                assert f(max(member, key=instance.function)) == value
+                depths += 1
+        assert depths > 700
 
     def test_matches_the_pre_change_version_on_random_instances(self):
         checked = 0
@@ -1082,7 +1120,7 @@ class TestLsThroughTheEngine:
                     if index.category(mask)[0] >= k - 1:
                         members.update(index.reachable(mask))
                 family = [frozenset(index.cells_of(m)) for m in sorted(members)]
-                assert ls_instance(f, k).family == family
+                assert_unclosed_prefix(f, k, family)
 
     def test_flow_closure_builds_no_complex_per_member(self, monkeypatch, double_well):
         calls = []
@@ -1246,7 +1284,9 @@ def dgcat_before_the_kept_cover(complex, sub, max_enum):
     """``dgcat``'s answer from the loops ``CellIndex`` ran before its one
     state walk (``conftest``), with the chosen state's cover searched a
     second time: ``(category, chosen mask, collapse pairs, pieces)``, each
-    piece a mask with its pairs onto its first vertex, all in index terms."""
+    piece a mask with its pairs onto its first vertex, all in index terms.
+    Every collapse, onto the chosen state as onto a piece's vertex, is the
+    frame machine's depth-first path."""
     index = search_index(complex, max_enum)
     family = CellIndex.maximal(stack_collapsible(index))
 
@@ -1270,17 +1310,12 @@ def dgcat_before_the_kept_cover(complex, sub, max_enum):
         return size - 1
 
     start = index.mask_of(sub.simplices)
-    parents = stack_reachable(index, start)
-    value, _, chosen = min((precat(m), m.bit_count(), m) for m in parents)
-    path, state = [], chosen
-    while parents[state] is not None:
-        state, pair = parents[state]
-        path.append(pair)
+    value, _, chosen = min((precat(m), m.bit_count(), m) for m in stack_reachable(index, start))
     pieces = tuple(
         (fam, frame_collapse_search(index, fam, fam & -fam))
         for fam in cover_witness(chosen, value + 1)
     )
-    return value, chosen, tuple(reversed(path)), pieces
+    return value, chosen, frame_collapse_search(index, start, chosen), pieces
 
 
 class TestDgcatAgainstTheLoopsItReplaced:
