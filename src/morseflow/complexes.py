@@ -19,8 +19,10 @@ loading, validating and homology stay on the face map, so a complex that is
 only read never builds it.  The exhaustive searches share the same object:
 ``search_index`` checks the enumeration bound and adds the face and coface
 masks on first use, which take quadratic space and so are never built for
-a large complex, and the view keeps its memos; none of these changes a
-result.
+a large complex, and the view keeps the answers its callers read again:
+the cover family, each state's reachable set, least cover and category.
+The set of all collapsible subcomplexes, read once to find the cover
+family, is not kept.  None of these changes a result.
 The index lists states with one walk, which follows collapses to list the
 states a subcomplex collapses to and anti-collapses from all the vertices
 to list every collapsible subcomplex; the cover family and every vertex's
@@ -144,13 +146,11 @@ class SimplicialComplex:
 
     def __init__(self, simplices: Iterable[Iterable[int]]):
         cells = frozenset(as_simplex(s) for s in simplices)
-        for s in cells:
-            for t in reversed(s.faces()):  # the face without the lowest vertex first
-                if t not in cells:
-                    raise MalformedSimplex(
-                        f"not face-closed: {t!r} (a face of {s!r}) is missing"
-                    )
-        self._index(*_face_closure(cells))
+        faces, order = _face_closure(cells)
+        if len(order) > len(cells):  # the closure holds a face that is not listed
+            missing = next(s for s in order if s not in cells)
+            raise MalformedSimplex(f"not face-closed: the face {missing!r} is not listed")
+        self._index(faces, order)
 
     @classmethod
     def _from_cells(cls, cells: Iterable[Simplex]) -> "SimplicialComplex":
@@ -342,9 +342,13 @@ class CellIndex:
     collapses) and ``collapsible`` (by anti-collapses), and
     ``collapse_search`` is a plain depth-first search for one witness, the
     builder of every exhaustive collapse witness.
-    Every expensive answer is memoised, the least cover of each state
-    included (``cover``), so repeated queries against one complex stay
-    cheap; the complex keeps its index (see ``search_index``).
+    The answers a caller reads again are kept: the cover family
+    (``maximal_collapsible``), each state's reachable set (``reachable``),
+    least cover (``cover``) and category (``category``), so repeated
+    queries against one complex stay cheap, and the complex keeps its
+    index (see ``search_index``).  ``collapsible`` is read once for the
+    cover family and returns a fresh set, which is not kept: it holds every
+    collapsible state.
 
     Each exhaustive question is asked once, by a lemma: a complex that
     collapses onto a vertex collapses onto each of its vertices.  By
@@ -361,7 +365,7 @@ class CellIndex:
 
     __slots__ = (
         "cells", "position", "faces", "cofaces", "face_mask", "coface_mask", "full",
-        "_collapsible", "_reachable", "_maximal", "_cover", "_category",
+        "_reachable", "_maximal", "_cover", "_category",
     )
 
     def __init__(self, complex: SimplicialComplex):
@@ -373,7 +377,6 @@ class CellIndex:
             for j in ids:
                 self.cofaces[j].append(i)
         self.face_mask = self.coface_mask = self.full = None  # see ``search_index``
-        self._collapsible: set[int] | None = None
         self._reachable: dict[int, set[int]] = {}
         self._maximal: list[int] | None = None
         self._cover: dict[int, tuple[int, ...]] = {}
@@ -420,8 +423,8 @@ class CellIndex:
         return seen
 
     def collapsible(self) -> set[int]:
-        """Every collapsible subcomplex, as masks; memoised, so callers must
-        not change the set.
+        """Every collapsible subcomplex, as masks, in a fresh set on each
+        call: only ``maximal_collapsible`` reads it, and it keeps its family.
 
         One walk by elementary anti-collapses from all the vertices at once:
         the subcomplexes that collapse onto some vertex.  Every state reached
@@ -429,19 +432,17 @@ class CellIndex:
         all its faces in it once the other faces of the coface ``j`` are
         (they contain those faces).
         """
-        if self._collapsible is None:
-            face_mask, coface_mask = self.face_mask, self.coface_mask
+        face_mask, coface_mask = self.face_mask, self.coface_mask
 
-            def expansions(cur: int) -> Iterator[tuple[int, int]]:
-                for i in range(len(self.cells)):
-                    if not cur >> i & 1:
-                        for j in _bits(coface_mask[i]):
-                            if not face_mask[j] & ~(cur | 1 << i):
-                                yield i, j
+        def expansions(cur: int) -> Iterator[tuple[int, int]]:
+            for i in range(len(self.cells)):
+                if not cur >> i & 1:
+                    for j in _bits(coface_mask[i]):
+                        if not face_mask[j] & ~(cur | 1 << i):
+                            yield i, j
 
-            vertices = [1 << i for i, c in enumerate(self.cells) if len(c) == 1]
-            self._collapsible = self._states(vertices, expansions)
-        return self._collapsible
+        vertices = [1 << i for i, c in enumerate(self.cells) if len(c) == 1]
+        return self._states(vertices, expansions)
 
     def free_pairs(self, mask: int, keep: int = 0) -> list[tuple[int, int]]:
         """``(free, coface)`` pairs of the state avoiding ``keep``, by ascending free cell."""
@@ -530,16 +531,13 @@ class CellIndex:
             self._cover[mask] = found
         return found
 
-    def precat(self, mask: int) -> int:
-        """Fewest collapsible subcomplexes covering the state, minus one."""
-        return len(self.cover(mask)) - 1
-
     def category(self, mask: int) -> tuple[int, int, int]:
         """The least ``(precat, cell count, state)`` over the states the mask
-        collapses to; its first entry is the discrete category of the mask."""
+        collapses to, where a state's precat is the size of its ``cover``
+        minus one; the first entry is the discrete category of the mask."""
         best = self._category.get(mask)
         if best is None:
-            best = min((self.precat(m), m.bit_count(), m) for m in self.reachable(mask))
+            best = min((len(self.cover(m)) - 1, m.bit_count(), m) for m in self.reachable(mask))
             self._category[mask] = best
         return best
 
@@ -571,9 +569,7 @@ def betti_numbers_mod2(complex: SimplicialComplex) -> list[int]:
     Ranks of the boundary matrices are computed by bitset elimination, so the
     result is exact.
     """
-    if len(complex) == 0:
-        return []
-    top = complex.dim
+    top = complex.dim  # -1 on the empty complex, whose list is empty
     ranks = [0] * (top + 2)
     for p in range(1, top + 1):
         row_index = {s: i for i, s in enumerate(complex.cells_of_dim(p - 1))}

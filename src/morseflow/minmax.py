@@ -11,8 +11,11 @@ is min-max data; the Lusternik-Schnirelmann values of ``ls_minmax`` are
 family, whose value was the same on every input tested.  The category
 searches run on the complex's own ``CellIndex`` (see ``search_index``), so
 ``dgcat`` followed by ``ls_minmax`` on one complex shares every memo, and
-every collapse witness of ``dgcat`` comes from its one depth-first search;
-``dgcat`` of an empty subcomplex raises ``EmptyInput``.
+every collapse witness of ``dgcat`` comes from its one depth-first search.
+``dgcat`` of an empty subcomplex raises ``EmptyInput``, and so do
+``ls_minmax``, ``ls_bound_check`` and ``ls_instance`` on the empty complex;
+``ls_instance`` takes the depths 1 .. dgcat + 1 only, where the LS values
+exist, and ``check_minmax_data`` refuses a family with no members.
 The mountain-pass family is built on position bitmasks: the path walk
 numbers the complex's vertices and edges, the only cells a path or its flow
 image holds, in order of value, without building the complex's integer
@@ -32,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import groupby
 from operator import or_
 from typing import Callable, Iterable, Mapping
 
@@ -67,7 +69,6 @@ from .morse import (
     _own_field,
     critical_cells,
     critical_values,
-    gradient_field,
     make_injective,
 )
 
@@ -136,18 +137,23 @@ def check_minmax_data(instance: MinMaxInstance) -> MinMaxReport:
     They are built as prefixes of the cells in value order, one set per
     value, never from the float sums ``a + epsilon`` and ``a - epsilon``,
     which can round onto an adjacent value.
+
+    A family with no members raises ``EmptyFamily``, as in ``minmax_value``:
+    it would pass both checks and certify nothing.  Each map is checked on
+    every member, so the report's ``closure_checked`` is the number of maps
+    times the number of members.
     """
+    if not instance.family:
+        raise EmptyFamily("the family has no members")
     f = instance.function
     if not f.is_injective():
         raise PreconditionViolated("min-max data checks need an injective function")
     members = set(instance.family)
-    checked = 0
     for name in sorted(instance.maps):
         h = instance.maps[name]
         for member in instance.family:
             if frozenset(h(member)) not in members:
                 raise ClosureViolated(name, member)
-            checked += 1
     crit = set(critical_values(f))
     witnesses: dict[float, str] = {}
     below: frozenset[Simplex] = frozenset()
@@ -170,7 +176,7 @@ def check_minmax_data(instance: MinMaxInstance) -> MinMaxReport:
     ratios = [v.as_integer_ratio() for v in f.sorted_distinct_values()]
     units = [n << (1075 - d.bit_length()) for n, d in ratios]
     gap = min((b - a for a, b in zip(units, units[1:])), default=1 << 1074)
-    return MinMaxReport(checked, gap / (1 << 1075), witnesses)
+    return MinMaxReport(len(instance.maps) * len(instance.family), gap / (1 << 1075), witnesses)
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,17 +210,17 @@ def enumerate_paths(
     Each path's ``start`` and ``low`` are the complex's own cells.  The
     walk is the one ``mountain_pass`` runs (see ``_admissible_walk``).
     """
-    return [path for path, _, _ in _admissible_walk(f, field, *_minima(f, field, high, low))[2]]
-
-
-def _minima(f: MorseFunction, field: GradientField, high, low) -> tuple[Simplex, Simplex]:
-    """``high`` and ``low`` as the complex's own cells, after checking that
-    ``field`` is ``f``'s and that they are two critical vertices with
-    ``f(low) < f(high)``, else ``NotLocalMinima``."""
     _own_field(f, field)
+    return [path for path, _, _ in _admissible_walk(f, *_minima(f, high, low))[2]]
+
+
+def _minima(f: MorseFunction, high, low) -> tuple[Simplex, Simplex]:
+    """``high`` and ``low`` as the complex's own cells, after checking that
+    they are two critical vertices of ``f`` with ``f(low) < f(high)``, else
+    ``NotLocalMinima``."""
     v1, v0 = as_simplex(high), as_simplex(low)
     # ``f``'s critical cells lie in its complex, and f(v0) < f(v1) keeps them apart.
-    if v1.dim != 0 or v0.dim != 0 or not {v1, v0} <= field.critical or not f(v0) < f(v1):
+    if v1.dim != 0 or v0.dim != 0 or not {v1, v0} <= f.field.critical or not f(v0) < f(v1):
         raise NotLocalMinima(
             f"need two distinct critical vertices with f({tuple(v0)}) < f({tuple(v1)})"
         )
@@ -222,7 +228,7 @@ def _minima(f: MorseFunction, field: GradientField, high, low) -> tuple[Simplex,
 
 
 def _admissible_walk(
-    f: MorseFunction, field: GradientField, v1: Simplex, v0: Simplex
+    f: MorseFunction, v1: Simplex, v0: Simplex
 ) -> tuple[FlowOperator, dict[Simplex, int], list[tuple[EdgePath, int, int]]]:
     """The walk of ``enumerate_paths`` from ``v1`` to the basin of ``v0``
     (checked by ``_minima``), with each path's cells and flow image as
@@ -231,7 +237,7 @@ def _admissible_walk(
 
     Under an injective ``f`` a set's top cell is then its highest bit, so
     ``mountain_pass`` reads each member's maximum off its mask.  Returns the
-    flow operator of ``f`` and ``field``, each vertex's and edge's flow-row
+    flow operator of ``f`` and its field, each vertex's and edge's flow-row
     mask (the bits of its flow's support), and the admissible paths in
     ``enumerate_paths`` order, each with its cell mask and its flow-image
     mask.  A stack frame carries both masks of its path, each grown by one
@@ -239,13 +245,13 @@ def _admissible_walk(
     visited vertices are one mask of vertex bits.
     """
     complex = f.complex
-    operator = FlowOperator(f, field)
+    operator = FlowOperator(f)
     # A path and its flow image hold vertices and edges only, numbered in
     # value order; a row's cells are distinct, so its bits sum to its mask.
     low_cells = sorted(complex.vertices + complex.cells_of_dim(1), key=f.values.__getitem__)
     position = dict(zip(low_cells, range(len(low_cells))))
     rows = {c: sum(1 << position[s] for s in operator._flow[c]) for c in low_cells}
-    basin_vertices = frozenset(basin(field, f, v0).cells.cells_of_dim(0))
+    basin_vertices = frozenset(basin(f.field, f, v0).cells.cells_of_dim(0))
     # Each vertex's steps, in canonical edge order: (edge, far end's steps,
     # far end's bit, far end in basin, edge value, edge bit, edge row mask).
     steps: dict[Simplex, list[tuple]] = {v: [] for v in complex.vertices}
@@ -257,7 +263,7 @@ def _admissible_walk(
     path, found = [], []
     # The critical vertices other than ``v0``, ``v1`` among them, count as
     # visited from the start, so no path enters one.
-    visited = sum(1 << position[c] for c in field.critical if c.dim == 0 and c != v0)
+    visited = sum(1 << position[c] for c in f.field.critical if c.dim == 0 and c != v0)
     start = 1 << position[v1]
     # (steps left to try, bit of the vertex reached, last edge value once in
     # the basin, cell mask, flow-image mask)
@@ -378,9 +384,9 @@ def mountain_pass(f: MorseFunction, high, low) -> MountainPassResult:
     order, as in ``enumerate_paths``.  The reported value is ``f``'s value
     of the ridge edge.
     """
-    v1, v0 = _minima(f, f.field, high, low)  # on the caller's values, not re-ranked ones
+    v1, v0 = _minima(f, high, low)  # on the caller's values, not re-ranked ones
     work = f if f.is_injective() else make_injective(f)
-    operator, rows, found = _admissible_walk(work, gradient_field(work), v1, v0)
+    operator, rows, found = _admissible_walk(work, v1, v0)
     # members: cell mask -> member, in the order the walk reaches them;
     # seeds[j]: the first path whose orbit reaches member j; images: member -> its image.
     members, seeds, images = {}, [], {}
@@ -467,19 +473,21 @@ def dgcat(
 
 
 def _level_masks(work: MorseFunction, index: CellIndex) -> list[int]:
-    """The distinct level-subcomplex masks, one per distinct value, ascending.
+    """The distinct level-subcomplex masks, one per value, ascending.
 
-    As ``level_subcomplex`` proves, the level subcomplex at ``a`` is the
-    cells valued at most ``a`` together with their matched lower faces, so
-    the masks grow by ORing those bits in value order; a mask equal to an
+    ``work`` must be injective, as the callers' re-ranked function is, so
+    each value is one cell's and no two cells are added at one level.  As
+    ``level_subcomplex`` proves, the level subcomplex at ``a`` is the cells
+    valued at most ``a`` together with their matched lower faces, so the
+    masks grow by ORing those bits in value order; a mask equal to an
     earlier one equals the one just before it.
     """
-    position, down, value = index.position, work.field.down, work.values.__getitem__
+    position, down = index.position, work.field.down
     masks: list[int] = []
     mask = 0
-    for _, group in groupby(sorted(index.cells, key=value), key=value):
-        for c in group:  # an unmatched cell ORs its own bit twice
-            mask |= 1 << position[c] | 1 << position[down.get(c, c)]
+    for c in sorted(index.cells, key=work.values.__getitem__):
+        # an unmatched cell ORs its own bit twice
+        mask |= 1 << position[c] | 1 << position[down.get(c, c)]
         if not masks or masks[-1] != mask:
             masks.append(mask)
     return masks
@@ -495,6 +503,15 @@ def _ls_family(work: MorseFunction, index: CellIndex, k: int) -> list[frozenset[
     return [frozenset(index.cells_of(m)) for m in sorted(members)]
 
 
+def _category(f: MorseFunction, max_enum: int) -> tuple[CellIndex, int]:
+    """The search index of ``f``'s complex and the complex's discrete
+    category; ``EmptyInput`` on the empty complex, as in ``dgcat``."""
+    if not len(f.complex):
+        raise EmptyInput("the discrete category of an empty complex is undefined")
+    index = search_index(f.complex, max_enum)
+    return index, index.category(index.full)[0]
+
+
 def ls_minmax(
     f: MorseFunction, max_enum: int = DEFAULT_ENUM_BOUND
 ) -> list[tuple[int, float]]:
@@ -506,21 +523,22 @@ def ls_minmax(
     input.  The family is left unclosed here: ``ls_instance`` closes it
     under the flow-closure map, which computes every member's image, and
     the closed family's value equalled this one on every input tested (the
-    tests sweep the desk fixtures and the boundary of a tetrahedron).
+    tests sweep the desk fixtures and the boundary of a tetrahedron).  The
+    empty complex has no category and raises ``EmptyInput``.
     """
     work = f if f.is_injective() else make_injective(f)
-    index = search_index(f.complex, max_enum)
+    index, category = _category(f, max_enum)
     out: list[tuple[int, float]] = []
-    for k in range(1, index.category(index.full)[0] + 2):
+    for k in range(1, category + 2):
         _, member = minmax_value(MinMaxInstance(work, {}, _ls_family(work, index, k)))
         out.append((k, f(max(member, key=work))))
     return out
 
 
 def ls_bound_check(f: MorseFunction, max_enum: int = DEFAULT_ENUM_BOUND) -> bool:
-    """Whether category + 1 is at most the number of critical cells."""
-    index = search_index(f.complex, max_enum)
-    return index.category(index.full)[0] + 1 <= len(critical_cells(f))
+    """Whether category + 1 is at most the number of critical cells;
+    ``EmptyInput`` on the empty complex, which has no category."""
+    return _category(f, max_enum)[1] + 1 <= len(critical_cells(f))
 
 
 def ls_instance(
@@ -532,9 +550,15 @@ def ls_instance(
     lacks follow in the order one pass over the growing list first reaches
     them, so every member's image is a member.  The map builds no
     subcomplex, only the closure's cell set.
+
+    The LS values exist at depths 1 .. dgcat + 1 only: another ``k`` raises
+    ``PreconditionViolated``, and the empty complex, which has no category,
+    raises ``EmptyInput``.
     """
     work = f if f.is_injective() else make_injective(f)
-    index = search_index(f.complex, max_enum)
+    index, category = _category(f, max_enum)
+    if not 1 <= k <= category + 1:
+        raise PreconditionViolated(f"depth {k} is outside 1 .. {category + 1} (dgcat + 1)")
     operator = FlowOperator(work)
     closure = work.complex._closure
 

@@ -49,8 +49,6 @@ def parse_scx(text: str) -> tuple[SimplicialComplex, MorseFunction | None]:
     function's values.
     """
     listed: dict[Simplex, float | None] = {}
-    any_value = False
-    any_bare = False
     plain = not _foreign(text)  # else each line's data is scanned
     for lineno, raw in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
         data = raw.partition("#")[0]
@@ -64,7 +62,6 @@ def parse_scx(text: str) -> tuple[SimplicialComplex, MorseFunction | None]:
                 raise ParseError(lineno, f"bad value {right.strip()!r}") from None
             if not math.isfinite(value):
                 raise ParseError(lineno, f"non-finite value {right.strip()!r}")
-            any_value = True
         try:
             verts = sorted(map(int, left.split()))
         except ValueError:
@@ -73,7 +70,6 @@ def parse_scx(text: str) -> tuple[SimplicialComplex, MorseFunction | None]:
             if not verts:
                 continue  # a blank or comment-only line
             value = None
-            any_bare = True
         # ``int`` gives no bools, so a sorted non-empty list with no negative
         # and no repeated id is a simplex.  Otherwise the checked constructor
         # raises with the message for the fault.
@@ -89,10 +85,11 @@ def parse_scx(text: str) -> tuple[SimplicialComplex, MorseFunction | None]:
         listed[simplex] = value
     if not listed:
         raise ParseError(None, "no simplices in input")
-    if any_value and any_bare:
+    bare = list(listed.values()).count(None)  # the simplices listed without a value
+    if 0 < bare < len(listed):
         raise ParseError(None, "either every simplex carries a value or none does")
     complex = SimplicialComplex._from_cells(listed)
-    if not any_value:
+    if bare:
         return complex, None
     return complex, _validated(complex, listed)
 

@@ -123,8 +123,15 @@ class TestScx:
             parse_scx("0 1\n1 0\n")
 
     def test_partial_values_rejected(self):
-        with pytest.raises(ParseError):
-            parse_scx("0 : 1\n1\n")
+        # Either line may come first, with blank and comment lines between;
+        # the error names no line, and a bad line anywhere comes before it.
+        message = "either every simplex carries a value or none does"
+        for text in ("0 : 1\n1\n", "1\n\n# a comment\n0 : 1\n", "0 : 1\n  \n# 2 : 3\n1 # bare\n"):
+            with pytest.raises(ParseError, match=f"^{message}$") as caught:
+                parse_scx(text)
+            assert caught.value.line is None
+            with pytest.raises(ParseError, match="^line 5: bad vertex id"):
+                parse_scx(text + "\n" * (4 - text.count("\n")) + "x\n")
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     def test_non_finite_value_rejected(self, token, tmp_path, capsys):

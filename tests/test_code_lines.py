@@ -14,7 +14,7 @@ import tokenize
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "morseflow"
-BUDGET = 1745
+BUDGET = 1736
 
 _NOT_CODE = {
     tokenize.COMMENT,
@@ -61,6 +61,10 @@ string"""
 
 
 def test_library_code_lines_stay_within_the_budget():
-    count = sum(code_lines(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py"))
-    print(f"src/morseflow code lines: {count} (budget {BUDGET})")
+    counts = {
+        path.name: code_lines(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))
+    }
+    count = sum(counts.values())
+    per_module = ", ".join(f"{name} {n}" for name, n in counts.items())
+    print(f"src/morseflow code lines: {count} (budget {BUDGET}): {per_module}")
     assert count <= BUDGET

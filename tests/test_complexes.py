@@ -35,7 +35,7 @@ from morseflow.errors import (
     SimplexNotInComplex,
     TooLargeForEnumeration,
 )
-from morseflow.complexes import search_index
+from morseflow.complexes import CellIndex, search_index
 from conftest import (
     frame_collapse_search,
     hung_triangles_grid,
@@ -179,8 +179,17 @@ class TestBuildComplex:
                     query(outside)
 
     def test_not_closed_constructor_raises(self):
-        with pytest.raises(MalformedSimplex):
-            SimplicialComplex([(0, 1)])
+        # The message names the first unlisted face in canonical order.
+        for cells, missing in [
+            ([(0, 1)], "Simplex(0,)"),
+            ([(1,), (0, 1)], "Simplex(0,)"),
+            ([(0, 1, 2), (0,), (1,), (2,), (0, 1)], "Simplex(0, 2)"),
+            ([(0, 1, 2), (1, 2), (0, 2), (0, 1), (1,), (2,)], "Simplex(0,)"),
+        ]:
+            message = f"not face-closed: the face {missing} is not listed"
+            with pytest.raises(MalformedSimplex, match=f"^{re.escape(message)}$"):
+                SimplicialComplex(cells)
+        assert len(SimplicialComplex([(1,), (0, 1), (0,)])) == 3
 
 
 class TestBoundary:
@@ -428,8 +437,13 @@ class TestCellIndexAgainstItsLoops:
             assert index.reachable(index.full) == stack_reachable(index, index.full)
 
     def test_collapsible_matches_the_stack_walk(self):
+        # ``collapsible`` keeps no set: each call walks again, and the cover
+        # family is still the walk's maximal states.
         for index, _ in indexed_instances():
-            assert index.collapsible() == stack_collapsible(index)
+            walked = stack_collapsible(index)
+            first, second = index.collapsible(), index.collapsible()
+            assert first == walked and second == walked and second is not first
+            assert index.maximal_collapsible() == CellIndex.maximal(walked)
 
 
 class TestHomologyAgainstIndependentOracles:

@@ -90,6 +90,12 @@ class TestMinMaxValue:
             minmax_value(MinMaxInstance(p3_function, {}, []))
         with pytest.raises(EmptyFamily):
             minmax_value(MinMaxInstance(p3_function, {}, [frozenset()]))
+        # ``check_minmax_data`` refuses no members too, also where both of its
+        # checks would pass: a point has no regular value to deform across.
+        point = validate(build_complex([(0,)]), {(0,): 2.5})
+        for f in (p3_function, point):
+            with pytest.raises(EmptyFamily, match="^the family has no members$"):
+                check_minmax_data(MinMaxInstance(f, {"fixed": lambda s: s}, []))
 
     def test_ties_break_toward_the_canonically_smaller_member(self, p3_function):
         # Top value 4 (the critical edge 23) and two cells each: a tie that
@@ -962,6 +968,28 @@ class TestLsMinmax:
     def test_depth_one_value_is_the_global_minimum(self, double_well, circle_function):
         for f in (double_well, circle_function):
             assert ls_minmax(f)[0] == (1, min(f.values.values()))
+
+    def test_depths_outside_one_to_dgcat_plus_one_are_refused(self, double_well, circle_function):
+        for f in (double_well, circle_function):
+            top = dgcat(f.complex).category + 1
+            assert [k for k, _ in ls_minmax(f)] == list(range(1, top + 1))
+            for k in (-1, 0, top + 1, top + 4):
+                message = f"depth {k} is outside 1 .. {top} (dgcat + 1)"
+                with pytest.raises(PreconditionViolated, match=f"^{re.escape(message)}$"):
+                    ls_instance(f, k)
+
+    def test_the_empty_complex_has_no_category(self):
+        empty = SimplicialComplex([])
+        f = validate(empty, {})
+        message = "^the discrete category of an empty complex is undefined$"
+        for call in (
+            lambda: dgcat(empty),
+            lambda: ls_minmax(f),
+            lambda: ls_bound_check(f),
+            lambda: ls_instance(f, 1),
+        ):
+            with pytest.raises(EmptyInput, match=message):
+                call()
 
 
 def _closure_level_masks(work, index):
