@@ -15,7 +15,13 @@ every collapse witness of ``dgcat`` comes from its one depth-first search.
 ``dgcat`` of an empty subcomplex raises ``EmptyInput``, and so do
 ``ls_minmax``, ``ls_bound_check`` and ``ls_instance`` on the empty complex;
 ``ls_instance`` takes the depths 1 .. dgcat + 1 only, where the LS values
-exist, and ``check_minmax_data`` refuses a family with no members.
+exist, and ``check_minmax_data`` refuses a family with no members or with
+an empty member.
+The path walk runs on a step table that holds only the steps into vertices
+a path may enter, each with its tail successors (the far end's steps on a
+strictly lower edge), so its inner loop tests only the visited mask; it
+files each path in the bucket of its length and builds it through a
+private ``EdgePath`` constructor.
 The mountain-pass family is built on position bitmasks: the path walk
 numbers the complex's vertices and edges, the only cells a path or its flow
 image holds, in order of value, without building the complex's integer
@@ -138,16 +144,19 @@ def check_minmax_data(instance: MinMaxInstance) -> MinMaxReport:
     value, never from the float sums ``a + epsilon`` and ``a - epsilon``,
     which can round onto an adjacent value.
 
-    A family with no members raises ``EmptyFamily``, as in ``minmax_value``:
-    it would pass both checks and certify nothing.  Each map is checked on
-    every member, so the report's ``closure_checked`` is the number of maps
-    times the number of members.
+    A family with no members, or with an empty member, raises
+    ``EmptyFamily``, as in ``minmax_value``: it could pass both checks and
+    yet have no min-max value.  Each map is checked on every member, so the
+    report's ``closure_checked`` is the number of maps times the number of
+    members.
     """
     if not instance.family:
         raise EmptyFamily("the family has no members")
     f = instance.function
     if not f.is_injective():
         raise PreconditionViolated("min-max data checks need an injective function")
+    if not all(instance.family):
+        raise EmptyFamily("family members must be non-empty")
     members = set(instance.family)
     for name in sorted(instance.maps):
         h = instance.maps[name]
@@ -181,7 +190,12 @@ def check_minmax_data(instance: MinMaxInstance) -> MinMaxReport:
 
 @dataclass(frozen=True, slots=True)
 class EdgePath:
-    """A simple edge path from a high critical vertex into a minimum's basin."""
+    """A simple edge path from a high critical vertex into a minimum's basin.
+
+    The walk of ``enumerate_paths`` builds its paths through the private
+    ``_edge_path``, which sets the three slots directly; its paths are
+    equal to, hash as and print as ``EdgePath(...)``'s, and stay frozen.
+    """
 
     start: Simplex
     edges: tuple[Simplex, ...]
@@ -189,6 +203,21 @@ class EdgePath:
 
     def cells(self) -> frozenset[Simplex]:
         return frozenset((self.start, *self.edges))
+
+
+# The walk's private constructor, for paths of cells it has checked: it sets
+# the three slots through their descriptors, as ``_trusted`` builds a
+# ``Simplex`` past its checks, and so skips the frozen dataclass's ``__init__``
+# and its three ``object.__setattr__`` calls.  Its paths equal ``EdgePath(...)``'s.
+_set_start, _set_edges, _set_low = (getattr(EdgePath, n).__set__ for n in EdgePath.__slots__)
+
+
+def _edge_path(start: Simplex, edges: tuple[Simplex, ...], low: Simplex) -> EdgePath:
+    path = object.__new__(EdgePath)
+    _set_start(path, start)
+    _set_edges(path, edges)
+    _set_low(path, low)
+    return path
 
 
 def enumerate_paths(
@@ -202,11 +231,15 @@ def enumerate_paths(
     path (an edge list and a visited mask, both popped on the way back) and
     enforces all three rules as it extends, so no prefix that breaks one is
     ever extended: a broken tail stays broken, because the tail starts at
-    the first basin vertex.  The number of admissible paths (and so the
-    output) can still grow exponentially with the size of the complex.
-    Cofaces are tried in canonical order, so paths are found in order of
-    their edges, and a stable sort by length returns them sorted by length,
-    then by their edges.  ``field`` must be ``f``'s, else ``ComplexMismatch``.
+    the first basin vertex.  Its step table holds only the vertices a path
+    may enter, and a path in the basin tries only the tail successors of
+    its last step, the far end's steps on a strictly lower edge; so each
+    step tried tests only the visited mask.  The number of admissible paths
+    (and so the output) can still grow exponentially with the size of the
+    complex.  Cofaces are tried in canonical order, so paths are found in
+    order of their edges, and filing each in the bucket of its length
+    returns them sorted by length, then by their edges, with no sort.
+    ``field`` must be ``f``'s, else ``ComplexMismatch``.
     Each path's ``start`` and ``low`` are the complex's own cells.  The
     walk is the one ``mountain_pass`` runs (see ``_admissible_walk``).
     """
@@ -243,6 +276,16 @@ def _admissible_walk(
     mask.  A stack frame carries both masks of its path, each grown by one
     OR per step, since the flow image of a set is the union of its rows; the
     visited vertices are one mask of vertex bits.
+
+    The step table enforces the other two rules before the walk starts, so
+    the inner loop tests only the visited mask.  It holds no step into a
+    critical vertex other than ``v0`` (``v1`` among them), and each step
+    carries its tail successors: the far end's steps on an edge valued
+    strictly below its own, in canonical order.  A frame reached once the
+    path is in the basin tries only the tail successors of the step that
+    reached it, so its edge values strictly decrease.  Each path found goes
+    into the bucket of its length, so the buckets concatenated list the
+    paths by length, then in the order they were found.
     """
     complex = f.complex
     operator = FlowOperator(f)
@@ -252,43 +295,47 @@ def _admissible_walk(
     position = dict(zip(low_cells, range(len(low_cells))))
     rows = {c: sum(1 << position[s] for s in operator._flow[c]) for c in low_cells}
     basin_vertices = frozenset(basin(f.field, f, v0).cells.cells_of_dim(0))
-    # Each vertex's steps, in canonical edge order: (edge, far end's steps,
-    # far end's bit, far end in basin, edge value, edge bit, edge row mask).
+    blocked = {c for c in f.field.critical if c.dim == 0 and c != v0}
+    # Each vertex's steps into the vertices a path may enter, in canonical
+    # edge order: (edge, far end's steps, far end's bit, far end in basin,
+    # edge bit, edge row mask, tail successors).
     steps: dict[Simplex, list[tuple]] = {v: [] for v in complex.vertices}
     for edge in complex.cells_of_dim(1):
         (a, b), bit, row = complex.faces_of(edge), 1 << position[edge], rows[edge]
         for near, far in ((a, b), (b, a)):
-            far_step = (steps[far], 1 << position[far], far in basin_vertices)
-            steps[near].append((edge, *far_step, f.values[edge], bit, row))
-    path, found = [], []
-    # The critical vertices other than ``v0``, ``v1`` among them, count as
-    # visited from the start, so no path enters one.
-    visited = sum(1 << position[c] for c in f.field.critical if c.dim == 0 and c != v0)
-    start = 1 << position[v1]
-    # (steps left to try, bit of the vertex reached, last edge value once in
-    # the basin, cell mask, flow-image mask)
-    stack = [(iter(steps[v1]), start, None, start, rows[v1])]
+            if far not in blocked:
+                far_step = (steps[far], 1 << position[far], far in basin_vertices)
+                steps[near].append((edge, *far_step, bit, row, []))
+    for near_steps in steps.values():
+        for edge, far_steps, *_, tail_steps in near_steps:
+            tail_steps.extend([s for s in far_steps if f.values[s[0]] < f.values[edge]])
+    # A path is vertex-simple, so it has fewer edges than the complex has vertices.
+    path, by_length, visited = [], [[] for _ in complex.vertices], 0
+    # (steps left to try, bit of the vertex reached, in the basin's tail,
+    # cell mask, flow-image mask); no step enters ``v1``, so its bit is 0.
+    stack = [(iter(steps[v1]), 0, False, 1 << position[v1], rows[v1])]
     while stack:
         todo, _, tail, cells, image = stack[-1]
-        for edge, far_steps, far_bit, in_basin, value, bit, row in todo:
-            if visited & far_bit or (tail is not None and value >= tail):
+        for edge, far_steps, far_bit, in_basin, bit, row, tail_steps in todo:
+            if visited & far_bit:
                 continue
             path.append(edge)
             visited |= far_bit
             cells, image = cells | bit, image | row
             if in_basin:
-                found.append((EdgePath(v1, tuple(path), v0), cells, image))
-            tail = value if in_basin or tail is not None else None
-            stack.append((iter(far_steps), far_bit, tail, cells, image))
+                by_length[len(path)].append((_edge_path(v1, tuple(path), v0), cells, image))
+            tail = tail or in_basin
+            stack.append((iter(tail_steps if tail else far_steps), far_bit, tail, cells, image))
             break
         else:
             visited ^= stack.pop()[1]
             del path[-1:]  # empty when the start vertex's steps run out
+    found = [entry for bucket in by_length for entry in bucket]
     if not found:
         raise NoPathExists(
             f"no admissible edge path from {tuple(v1)} to the basin of {tuple(v0)}"
         )
-    return operator, rows, sorted(found, key=lambda entry: len(entry[0].edges))
+    return operator, rows, found
 
 
 def flow_path(operator: FlowOperator, path: EdgePath) -> EdgePath:
@@ -361,12 +408,14 @@ def mountain_pass(f: MorseFunction, high, low) -> MountainPassResult:
     of its forward orbit; its cells are the complex's own.  The answer does
     not depend on that order, since ties break by canonical cell order, as
     in ``minmax_value``.  The witness is the first enumerated path whose
-    flow orbit reaches the member that attains the value.
+    flow orbit reaches the member that attains the value, read off a map
+    from each member to that path.
 
     The closure runs on the position bitmasks of ``_admissible_walk``,
     which hands over each path's cell and flow-image masks: a path whose
     image is already a member needs no ``flow_image``, an image that is a
-    new member calls it once, and each member's set is built once.  The
+    new member calls it once, and each member's set is built once, a path's
+    as ``frozenset((high, *edges))``.  The
     instance's ``"flow"`` map is a table from each member to its image,
     which is the family's own object, so equal inputs in any iterable give
     the identical image and ``check_minmax_data`` computes no member's
@@ -388,16 +437,16 @@ def mountain_pass(f: MorseFunction, high, low) -> MountainPassResult:
     work = f if f.is_injective() else make_injective(f)
     operator, rows, found = _admissible_walk(work, v1, v0)
     # members: cell mask -> member, in the order the walk reaches them;
-    # seeds[j]: the first path whose orbit reaches member j; images: member -> its image.
-    members, seeds, images = {}, [], {}
+    # seeds: member -> the first path whose orbit reaches it; images: member -> its image.
+    members, seeds, images = {}, {}, {}
     for path, mask, image in found:
         if mask in members:
             continue  # an earlier path's orbit holds this path and all of its orbit
-        member = members[mask] = path.cells()
-        seeds.append(path)
+        member = members[mask] = frozenset((v1, *path.edges))
+        seeds[member] = path
         while image not in members:
             images[member] = flowed = members[image] = flow_image(operator, member)
-            seeds.append(path)
+            seeds[flowed] = path
             member, image = flowed, reduce(or_, map(rows.__getitem__, flowed), 0)
         images[member] = members[image]
 
@@ -420,7 +469,7 @@ def mountain_pass(f: MorseFunction, high, low) -> MountainPassResult:
         raise TheoremViolation(f"min-max cell {tuple(ridge)} is not a critical edge")
     if not value_work > work(v1):
         raise TheoremViolation("min-max value does not exceed the higher minimum")
-    witness = seeds[family.index(witness_cells)]  # members are distinct sets
+    witness = seeds[witness_cells]
     return MountainPassResult(f(ridge), ridge, witness, tuple(p for p, _, _ in found), instance)
 
 

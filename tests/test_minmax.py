@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import importlib
 import math
@@ -97,6 +98,17 @@ class TestMinMaxValue:
             with pytest.raises(EmptyFamily, match="^the family has no members$"):
                 check_minmax_data(MinMaxInstance(f, {"fixed": lambda s: s}, []))
 
+    def test_empty_member_rejected_by_both(self, p3_function):
+        # Every set lands on the empty set, so closure and deformation would
+        # both hold; the empty member leaves the family no min-max value.
+        one = frozenset({Simplex((1,))})
+        drop = {"drop": lambda s: frozenset()}
+        for family in ([frozenset()], [one, frozenset()]):
+            instance = MinMaxInstance(p3_function, drop, family)
+            for check in (minmax_value, check_minmax_data):
+                with pytest.raises(EmptyFamily, match="^family members must be non-empty$"):
+                    check(instance)
+
     def test_ties_break_toward_the_canonically_smaller_member(self, p3_function):
         # Top value 4 (the critical edge 23) and two cells each: a tie that
         # only the canonical cell order breaks.
@@ -161,7 +173,7 @@ class TestCheckMinMaxData:
         # the edge at 1 - 2**-53, a +- eps rounds onto the neighbouring value.
         k = build_complex([(0, 1)])
         whole = frozenset(k.simplices)
-        family = [frozenset(c) for n in range(4) for c in combinations(whole, n)]
+        family = [frozenset(c) for n in range(1, 4) for c in combinations(whole, n)]
         maps = {"h": lambda s: frozenset({Simplex((0,))}) if s == whole else s}
         for edge_value in (1 - 2**-53, 0.5):
             f = validate(k, {(0,): 0.0, (0, 1): edge_value, (1,): 1.0})
@@ -185,9 +197,11 @@ class TestEpsilonAgainstTwoBranches:
 
     @staticmethod
     def _epsilon(f):
-        # Every set lands on the empty set, so closure and deformation hold
-        # for any function, and only the epsilon is read.
-        instance = MinMaxInstance(f, {"drop": lambda s: frozenset()}, [frozenset()])
+        # Every set lands on the singleton of the lowest cell, a critical
+        # vertex below every regular value, so closure and deformation hold
+        # for any injective function, and only the epsilon is read.
+        lowest = frozenset({min(f.complex, key=f)})
+        instance = MinMaxInstance(f, {"onto": lambda s: lowest}, [lowest])
         return check_minmax_data(instance).epsilon
 
     def _assert_same(self, f):
@@ -537,11 +551,35 @@ class TestBacktrackingAgainstStackWalk:
         assert self._check(double_well)[list] == 1
 
     def test_every_vertex_pair_on_grids(self, grid_functions, grid4_functions):
-        totals = {list: 0, NoPathExists: 0, NotLocalMinima: 0}
-        for f in grid_functions + grid4_functions:
-            for kind, n in self._check(f).items():
-                totals[kind] += n
-        assert totals[list] >= 150 and totals[NoPathExists] > 0, totals
+        # Each grid function, and the same function with ties: there, equal
+        # edge values meet the strict tail rule that the walk's tail
+        # successors encode, and minima of equal value are refused.
+        functions = grid_functions + grid4_functions
+        for copies in (functions, [_tied(f) for f in functions]):
+            totals = {list: 0, NoPathExists: 0, NotLocalMinima: 0}
+            for f in copies:
+                for kind, n in self._check(f).items():
+                    totals[kind] += n
+            assert totals[list] >= 150 and totals[NoPathExists] > 0, totals
+
+
+class TestWalkPathsAgainstPublicPaths:
+    """The walk builds its paths through a private constructor that sets the
+    slots directly; they behave as ``EdgePath(...)`` builds them."""
+
+    def test_every_path_of_a_grid_pass(self, grid4_passes):
+        result = max(grid4_passes, key=lambda r: len(r.paths))
+        assert len(result.paths) > 1
+        for path in result.paths:
+            public = EdgePath(path.start, path.edges, path.low)
+            assert type(path) is EdgePath
+            assert path == public and hash(path) == hash(public)
+            assert repr(path) == repr(public)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                path.edges = ()
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del path.low
+            assert path == public
 
 
 def _first_path_reaching(result, member):
