@@ -22,11 +22,17 @@ cells (Forman's level-subcomplex structure), which holds for a function
 from ``validate``; every verifier gets its levels from ``level_subcomplex``,
 and the function keeps each level complex it builds, at most one per
 distinct value plus the empty one; the sublevel set itself is not kept.
+``verify_dmt_b`` builds no level complex: it reads the function's Betti
+table, the Betti vectors of every level from one reduction of the level
+filtration (``complexes._negative_cells``), which the function keeps
+beside its level complexes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -34,8 +40,8 @@ from .complexes import (
     DEFAULT_ENUM_BOUND,
     Simplex,
     SimplicialComplex,
+    _negative_cells,
     as_simplex,
-    betti_numbers_mod2,
     is_subcomplex,
     search_index,
     simplex_key,
@@ -229,11 +235,45 @@ class BettiDelta:
     delta: int
 
 
+def _betti_table(f: MorseFunction) -> tuple[list, list, list]:
+    """``f``'s level filtration as a Betti table, built by one
+    ``_negative_cells`` reduction on first use and kept by ``f``.
+
+    A cell enters the filtration at ``f(up.get(c, c))``, its own value or its
+    matched upper's: the least threshold whose level complex holds it (see
+    ``level_subcomplex``).  Cells are ordered by entry, dimension and
+    canonical order, so every face comes before its cofaces.  The table
+    holds the distinct entries ascending; the Betti vectors of the empty
+    level and of the level after each entry, each as long as
+    ``betti_numbers_mod2`` gives it; and the critical values ascending.
+    """
+    if f._betti is None:
+        entry = {c: f.values[f.field.up.get(c, c)] for c in f.complex}
+        order = sorted(entry, key=lambda c: (entry[c], len(c)))
+        layers = [[c for c in order if len(c) == p] for p in range(1, f.complex.dim + 2)]
+        negative = _negative_cells(layers, f.complex._faces)
+        betti, top = [0] * len(layers), 0
+        entries, vectors = [], [()]
+        for value, cells in itertools.groupby(order, entry.__getitem__):
+            for c in cells:
+                if c in negative:
+                    betti[len(c) - 2] -= 1
+                else:
+                    betti[len(c) - 1] += 1
+            top = max(top, len(c))  # a group's cells come by dimension
+            entries.append(value)
+            vectors.append(tuple(betti[:top]))
+        object.__setattr__(f, "_betti", (entries, vectors, critical_values(f)))
+    return f._betti
+
+
 def verify_dmt_b(f: MorseFunction, cell, a: float, b: float) -> BettiDelta:
     """Check the cell-attachment signature across one critical value.
 
     Exactly one Betti number may move: +1 in the cell's dimension or -1 one
-    dimension below.  Anything else raises ``SignatureMismatch``.
+    dimension below.  Anything else raises ``SignatureMismatch``.  The
+    vectors before and after, and the critical values in the window, are
+    read off ``f``'s Betti table by bisection; no level complex is built.
     """
     cell = as_simplex(cell)
     crit = critical_cells(f)
@@ -241,14 +281,13 @@ def verify_dmt_b(f: MorseFunction, cell, a: float, b: float) -> BettiDelta:
         raise PreconditionViolated(f"{cell!r} is not a critical cell")
     if not (a < f(cell) <= b):
         raise PreconditionViolated(f"value {f(cell)} of {cell!r} is outside ({a}, {b}]")
-    others = [c for c in crit if c != cell and a < f(c) <= b]
-    if others:
+    entries, vectors, crit_values = _betti_table(f)
+    if bisect_right(crit_values, b) - bisect_right(crit_values, a) > 1:
+        others = [c for c in crit if c != cell and a < f(c) <= b]
         raise PreconditionViolated(f"other critical cells {sorted(map(tuple, others))} in window")
-    before = betti_numbers_mod2(level_subcomplex(f, a).complex)
-    after = betti_numbers_mod2(level_subcomplex(f, b).complex)
+    before, after = (vectors[bisect_right(entries, t)] for t in (a, b))
     width = max(len(before), len(after), cell.dim + 1)
-    before = tuple(before) + (0,) * (width - len(before))
-    after = tuple(after) + (0,) * (width - len(after))
+    before, after = (v + (0,) * (width - len(v)) for v in (before, after))
     diffs = [(i, after[i] - before[i]) for i in range(width) if after[i] != before[i]]
     p = cell.dim
     if diffs == [(p, 1)] or (p >= 1 and diffs == [(p - 1, -1)]):

@@ -33,6 +33,11 @@ fixes a state's category is kept, so ``dgcat`` reads it without a second
 search.
 The canonical orientation of every simplex is the increasing vertex order;
 all boundary signs derive from it.
+Mod-2 homology has one kernel, ``_negative_cells``: the column reduction of
+a filtration's boundary matrices, top down with clearing, which names the
+cells whose reduced column is non-zero.  ``betti_numbers_mod2`` runs it over
+the canonical order, and a Morse function's Betti table (see
+``collapse.verify_dmt_b``) over its level filtration.
 
 The public constructors check their input: ``Simplex(...)``, ``Chain(...)``
 and ``SimplicialComplex(...)`` raise on anything malformed.  Every chain,
@@ -292,9 +297,10 @@ def build_complex(simplices: Iterable[Iterable[int]]) -> SimplicialComplex:
 def _face_closure(cells: Iterable[Simplex]) -> tuple[dict, tuple[Simplex, ...]]:
     """The face map and canonical order of the face closure of the cells.
 
-    The closure is taken one dimension at a time, top down: a layer's faces
-    are combinations of its vertices, only those not yet present become new
-    cells, and every face tuple holds the complex's own cells.
+    The closure is taken one dimension at a time, top down, in one pass of
+    vertex combinations per cell: each face is looked up first and becomes
+    a new cell only on a miss, so every face tuple holds the complex's own
+    cells.
     """
     own: dict[tuple, Simplex] = {}
     layers: dict[int, list[Simplex]] = {}
@@ -304,14 +310,15 @@ def _face_closure(cells: Iterable[Simplex]) -> tuple[dict, tuple[Simplex, ...]]:
             layers.setdefault(len(s), []).append(s)
     faces: dict[Simplex, tuple[Simplex, ...]] = {}
     for k in range(max(layers, default=0), 1, -1):
-        layer = layers[k]
         below = layers.setdefault(k - 1, [])
-        for t in {t for s in layer for t in itertools.combinations(s, k - 1)}.difference(own):
-            own[t] = t = _trusted(t)
-            below.append(t)
-        get = own.__getitem__
-        for s in layer:
-            faces[s] = tuple(map(get, itertools.combinations(s, k - 1)))
+        for s in layers[k]:
+            row = []
+            for t in itertools.combinations(s, k - 1):
+                if t not in own:
+                    own[t] = _trusted(t)
+                    below.append(own[t])
+                row.append(own[t])
+            faces[s] = tuple(row)
     faces.update(dict.fromkeys(layers.get(1, ()), ()))
     # Canonical order is by dimension, then vertex order.
     return faces, tuple(itertools.chain.from_iterable(sorted(layers[k]) for k in sorted(layers)))
@@ -563,20 +570,28 @@ def euler_characteristic(complex: SimplicialComplex) -> int:
     return sum((-1) ** p * len(complex.cells_of_dim(p)) for p in range(complex.dim + 1))
 
 
-def betti_numbers_mod2(complex: SimplicialComplex) -> list[int]:
-    """Betti numbers over the two-element field, one entry per dimension.
+def _negative_cells(layers: list, faces: Mapping) -> set[Simplex]:
+    """The negative cells of a filtration: those whose boundary column, reduced
+    left to right over the two-element field, is non-zero.
 
-    Ranks of the boundary matrices are computed by bitset elimination, so the
-    result is exact.
+    ``layers[p]`` lists the ``p``-cells in filtration order, an order that
+    puts every face before its cofaces; row ``i`` of a ``p``-column is the
+    ``i``-th ``(p - 1)``-cell.  Dimensions are reduced top down with clearing
+    (Chen–Kerber 2011): the lowest row of a reduced column is a cell whose
+    own column reduces to zero, so it is skipped one dimension down.  A
+    prefix of the order is a subcomplex whose Betti number in dimension ``p``
+    is its positive ``p``-cells less its negative ``(p + 1)``-cells.
     """
-    top = complex.dim  # -1 on the empty complex, whose list is empty
-    ranks = [0] * (top + 2)
-    for p in range(1, top + 1):
-        row_index = {s: i for i, s in enumerate(complex.cells_of_dim(p - 1))}
+    negative, cleared = set(), set()
+    for p in range(len(layers) - 1, 0, -1):
+        rows = layers[p - 1]
+        row_index = dict(zip(rows, itertools.count()))
         pivots: dict[int, int] = {}
-        for cell in complex.cells_of_dim(p):
+        for cell in layers[p]:
+            if cell in cleared:
+                continue
             vec = 0
-            for face in complex.faces_of(cell):
+            for face in faces[cell]:
                 vec |= 1 << row_index[face]
             while vec:
                 low = vec.bit_length() - 1
@@ -584,9 +599,23 @@ def betti_numbers_mod2(complex: SimplicialComplex) -> list[int]:
                     vec ^= pivots[low]
                 else:
                     pivots[low] = vec
+                    negative.add(cell)
                     break
-        ranks[p] = len(pivots)
-    return [len(complex.cells_of_dim(p)) - ranks[p] - ranks[p + 1] for p in range(top + 1)]
+        cleared = {rows[i] for i in pivots}
+    return negative
+
+
+def betti_numbers_mod2(complex: SimplicialComplex) -> list[int]:
+    """Betti numbers over the two-element field, one entry per dimension.
+
+    One ``_negative_cells`` reduction over the canonical order: the rank of
+    the ``p``-th boundary matrix is the number of negative ``p``-cells, so
+    the result is exact.
+    """
+    layers = [complex.cells_of_dim(p) for p in range(complex.dim + 1)]
+    negative = _negative_cells(layers, complex._faces)
+    ranks = [len(negative.intersection(layer)) for layer in layers] + [0]
+    return [len(layer) - ranks[p] - ranks[p + 1] for p, layer in enumerate(layers)]
 
 
 def component_count(complex: SimplicialComplex) -> int:

@@ -9,8 +9,9 @@ function it returns owns its field, which ``gradient_field`` and
 ``critical_cells`` only read.  The field is acyclic for every valid
 function; ``validate`` re-checks that once as an internal tripwire.  A
 function also keeps the level subcomplexes it has been asked for, one
-complex per level (see ``collapse.level_subcomplex``); the memo takes no
-part in equality.
+complex per level (see ``collapse.level_subcomplex``), and beside them the
+Betti table of its whole level filtration once ``collapse.verify_dmt_b``
+has built it; neither memo takes part in equality.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ class MorseFunction:
     field: GradientField = dataclass_field(compare=False, repr=False)
     # ``level_subcomplex``'s memo: sublevel size -> level complex.
     _levels: dict = dataclass_field(default_factory=dict, init=False, compare=False, repr=False)
+    # ``verify_dmt_b``'s Betti table (``collapse._betti_table``), built on first use.
+    _betti: tuple | None = dataclass_field(default=None, init=False, compare=False, repr=False)
 
     def __call__(self, cell) -> float:
         try:

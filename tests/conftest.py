@@ -96,6 +96,20 @@ def double_well(two_triangles) -> MorseFunction:
     )
 
 
+RP2_TRIANGLES = [
+    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+    (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5),
+]
+
+
+@pytest.fixture(scope="session")
+def rp2() -> SimplicialComplex:
+    """The 6-vertex real projective plane: 10 triangles, 15 edges, Euler
+    characteristic 1.  Its mod-2 Betti numbers are [1, 1, 1], while its
+    rational ones are [1, 0, 0]."""
+    return build_complex(RP2_TRIANGLES)
+
+
 def random_complex(rng: random.Random, max_vertices: int = 8, max_cell: int = 4) -> SimplicialComplex:
     """A random complex: face closure of a few random cells of dim <= max_cell - 1."""
     n = rng.randint(1, max_vertices)
@@ -181,6 +195,31 @@ def flow_by_chain_algebra(operator, cell) -> Chain:
     return (
         unit + boundary(operator.apply_gradient(unit)) + operator.apply_gradient(boundary(unit))
     )
+
+
+def elimination_betti(complex) -> list[int]:
+    """Oracle for ``betti_numbers_mod2``: each boundary matrix eliminated in
+    full over the two-element field, one dimension at a time in canonical
+    order, with no clearing; the library's per-dimension elimination before
+    its one filtration reduction."""
+    top = complex.dim  # -1 on the empty complex, whose list is empty
+    ranks = [0] * (top + 2)
+    for p in range(1, top + 1):
+        row_index = {s: i for i, s in enumerate(complex.cells_of_dim(p - 1))}
+        pivots: dict[int, int] = {}
+        for cell in complex.cells_of_dim(p):
+            vec = 0
+            for face in complex.faces_of(cell):
+                vec |= 1 << row_index[face]
+            while vec:
+                low = vec.bit_length() - 1
+                if low in pivots:
+                    vec ^= pivots[low]
+                else:
+                    pivots[low] = vec
+                    break
+        ranks[p] = len(pivots)
+    return [len(complex.cells_of_dim(p)) - ranks[p] - ranks[p + 1] for p in range(top + 1)]
 
 
 def face_closure(cells) -> set[tuple[int, ...]]:

@@ -14,7 +14,7 @@ import tokenize
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "morseflow"
-BUDGET = 1749
+BUDGET = 1779
 
 _NOT_CODE = {
     tokenize.COMMENT,

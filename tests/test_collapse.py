@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
+from bisect import bisect_right
 from itertools import combinations, takewhile
 
 import pytest
 
 from morseflow import (
+    BettiDelta,
     CollapseSequence,
     FlowOperator,
     GradientField,
@@ -35,7 +38,8 @@ from morseflow import (
     verify_dmt_b,
     verify_flow_collapse,
 )
-from morseflow.collapse import _collapse_pairs, _replayed_collapse
+from morseflow import collapse
+from morseflow.collapse import _betti_table, _collapse_pairs, _replayed_collapse
 from morseflow.complexes import as_simplex, search_index, simplex_key
 from morseflow.errors import (
     ComplexMismatch,
@@ -48,7 +52,7 @@ from morseflow.errors import (
     SignatureMismatch,
     SimplexNotInComplex,
 )
-from conftest import CountingDict, random_instance, torus
+from conftest import CountingDict, elimination_betti, random_instance, torus
 
 
 def reference_basin(f, field, v):
@@ -363,11 +367,10 @@ class TestVerifyDmtB:
         self, circle_function, monkeypatch, before, after
     ):
         # The top edge of the circle closes a loop, (1, 0) -> (1, 1); any
-        # other change across its value is refused.
-        signatures = iter([before, after])
-        monkeypatch.setattr(
-            "morseflow.collapse.betti_numbers_mod2", lambda complex: list(next(signatures))
-        )
+        # other change across its value is refused.  The table's levels at 4
+        # and 5 carry the given vectors; its critical values are the circle's.
+        table = ([4.0, 5.0], [(), before, after], [0.0, 5.0])
+        monkeypatch.setattr(collapse, "_betti_table", lambda f: table)
         with pytest.raises(SignatureMismatch):
             verify_dmt_b(circle_function, (1, 2), 4, 5)
 
@@ -380,6 +383,114 @@ class TestVerifyDmtB:
             for i, cell in enumerate(crit):
                 low = f(crit[i - 1]) if i else f(cell) - 1.0
                 verify_dmt_b(f, cell, low, f(cell))
+
+
+def verify_dmt_b_by_elimination(f, cell, a, b):
+    """Oracle for ``verify_dmt_b``: the verifier before the Betti table, which
+    lists the other critical cells in the window and eliminates the level
+    complexes at ``a`` and ``b`` in full."""
+    cell = as_simplex(cell)
+    crit = critical_cells(f)
+    if cell not in crit:
+        raise PreconditionViolated(f"{cell!r} is not a critical cell")
+    if not (a < f(cell) <= b):
+        raise PreconditionViolated(f"value {f(cell)} of {cell!r} is outside ({a}, {b}]")
+    others = [c for c in crit if c != cell and a < f(c) <= b]
+    if others:
+        raise PreconditionViolated(f"other critical cells {sorted(map(tuple, others))} in window")
+    before = elimination_betti(level_subcomplex(f, a).complex)
+    after = elimination_betti(level_subcomplex(f, b).complex)
+    width = max(len(before), len(after), cell.dim + 1)
+    before = tuple(before) + (0,) * (width - len(before))
+    after = tuple(after) + (0,) * (width - len(after))
+    diffs = [(i, after[i] - before[i]) for i in range(width) if after[i] != before[i]]
+    p = cell.dim
+    if diffs == [(p, 1)] or (p >= 1 and diffs == [(p - 1, -1)]):
+        degree, delta = diffs[0]
+        return BettiDelta(before, after, degree, delta)
+    raise SignatureMismatch(f"betti change {diffs} does not match attaching a {p}-cell")
+
+
+def dmt_b_outcome(verify, f, cell, a, b):
+    try:
+        return verify(f, cell, a, b)
+    except (PreconditionViolated, SignatureMismatch) as exc:
+        return type(exc), str(exc)
+
+
+def dmt_b_windows(f, crit, i):
+    """Windows around the ``i``-th critical cell: from the critical value
+    before it, from its value less one and from -inf, each up to its value;
+    wider ones that hold other critical cells; one that misses it; NaN."""
+    v = f(crit[i])
+    prev = f(crit[i - 1]) if i else v - 1.0
+    return [
+        (prev, v), (v - 1.0, v), (-math.inf, v), (prev, math.inf), (-math.inf, math.inf),
+        (prev, (v + f(crit[i + 1])) / 2 if i + 1 < len(crit) else v + 0.5),
+        (v, v + 1.0), (math.nan, v), (prev, math.nan),
+    ]
+
+
+def betti_inputs(rp2):
+    """``level_inputs``, tori m=3..8 and the projective plane."""
+    fs = level_inputs() + [random_morse(torus(m), m) for m in range(3, 9)]
+    return fs + [random_morse(rp2, seed) for seed in range(30)]
+
+
+class TestBettiTable:
+    """``verify_dmt_b`` reads the function's Betti table; two full
+    eliminations per call are the oracle."""
+
+    def test_the_table_equals_the_elimination_at_every_level(self, rp2):
+        checked = 0
+        for f in betti_inputs(rp2):
+            entries, vectors, crit_values = _betti_table(f)
+            assert _betti_table(f) is f._betti
+            assert crit_values == critical_values(f)
+            assert len(vectors) == len(entries) + 1
+            for t in [-math.inf, *thresholds(f), math.inf]:
+                level = level_subcomplex(f, t).complex
+                assert vectors[bisect_right(entries, t)] == tuple(elimination_betti(level))
+                checked += 1
+            # The entries are the values at which the level complex grows.
+            sizes = [len(level_subcomplex(f, t).complex) for t in [-math.inf, *entries]]
+            assert all(x < y for x, y in zip(sizes, sizes[1:]))
+            assert sizes[-1] == len(f.complex)
+        assert checked > 8000
+        assert _betti_table(random_morse(rp2, 0))[1][-1] == (1, 1, 1)
+
+    def test_verify_dmt_b_equals_the_elimination_verifier(self, rp2):
+        calls = refused = 0
+        for f in betti_inputs(rp2):
+            crit = sorted(critical_cells(f), key=lambda c: (f(c), simplex_key(c)))
+            for i, cell in enumerate(crit):
+                for a, b in dmt_b_windows(f, crit, i):
+                    new = dmt_b_outcome(verify_dmt_b, f, cell, a, b)
+                    assert new == dmt_b_outcome(verify_dmt_b_by_elimination, f, cell, a, b)
+                    calls += 1
+                    refused += isinstance(new, tuple)
+            for regular in [c for c in f.complex if c not in crit][:1]:
+                args = (f, regular, -math.inf, math.inf)
+                assert dmt_b_outcome(verify_dmt_b, *args) == dmt_b_outcome(
+                    verify_dmt_b_by_elimination, *args
+                )
+        assert calls > 12000 and 0 < refused < calls
+
+    def test_a_whole_filtration_takes_one_reduction_and_no_level(self, monkeypatch):
+        f = random_morse(torus(12), 1)
+        reductions, subs = [], []
+        kernel, sub = collapse._negative_cells, SimplicialComplex._sub
+        monkeypatch.setattr(
+            collapse, "_negative_cells", lambda *args: reductions.append(args) or kernel(*args)
+        )
+        monkeypatch.setattr(
+            SimplicialComplex, "_sub", lambda self, cells: subs.append(cells) or sub(self, cells)
+        )
+        crit = sorted(critical_cells(f), key=f)
+        for i, cell in enumerate(crit):
+            verify_dmt_b(f, cell, f(crit[i - 1]) if i else -math.inf, f(cell))
+        assert len(crit) == 210
+        assert len(reductions) == 1 and subs == [] and f._levels == {}
 
 
 class TestBasin:
@@ -697,8 +808,10 @@ class TestLevelMemo:
 
     def test_corpus_loop_builds_each_level_once(self, monkeypatch):
         """Windows, critical cells and one flow collapse per function, as the
-        benchmark's corpus runs them: one ``_sub`` per distinct level, plus
-        the flow image's closure."""
+        benchmark's corpus runs them: one ``_sub`` per distinct level that
+        ``verify_dmt_a`` and ``verify_flow_collapse`` ask for, plus the flow
+        image's closure; ``verify_dmt_b`` reads the Betti table and builds
+        no level."""
         built = []
         sub = SimplicialComplex._sub
 
@@ -722,7 +835,6 @@ class TestLevelMemo:
             for i, cell in enumerate(crit):
                 low = f(crit[i - 1]) if i else f(cell) - 1.0
                 verify_dmt_b(f, cell, low, f(cell))
-                asked += [low, f(cell)]
             median = values[len(values) // 2]
             verify_flow_collapse(f, median, FlowOperator(f, field))
             asked.append(median)
@@ -739,10 +851,13 @@ class TestLevelMemo:
             for t in thresholds(f):
                 level_subcomplex(f, t)
             assert f._levels and not g._levels
+            for cell in critical_cells(f):
+                verify_dmt_b(f, cell, f(cell) - 1.0, f(cell))
+            assert f._betti is not None and g._betti is None
             assert f == g and g == f
             assert repr(f) == before == repr(g)
             fresh = dataclasses.replace(f)
-            assert fresh == f and fresh._levels == {}
+            assert fresh == f and fresh._levels == {} and fresh._betti is None
 
 
 def _collapse_pairs_before(start, pairs):

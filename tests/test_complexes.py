@@ -35,8 +35,10 @@ from morseflow.errors import (
     SimplexNotInComplex,
     TooLargeForEnumeration,
 )
-from morseflow.complexes import CellIndex, search_index
+from morseflow.complexes import CellIndex, _negative_cells, search_index
 from conftest import (
+    CountingDict,
+    elimination_betti,
     frame_collapse_search,
     hung_triangles_grid,
     random_complex,
@@ -334,6 +336,50 @@ class TestHomologyOracle:
         two = build_complex([(0, 1), (2, 3)])
         assert component_count(two) == 2
         assert not is_connected(two)
+
+
+class TestClearingReduction:
+    """``betti_numbers_mod2`` is one clearing reduction over the canonical
+    order; the full elimination in ``tests/conftest.py`` is its oracle."""
+
+    def test_equals_the_elimination_on_every_level(self, rp2):
+        fs = [random_instance(seed)[1] for seed in range(300)]
+        fs += [random_morse(torus(m), m) for m in range(3, 9)]
+        fs += [random_morse(rp2, seed) for seed in range(5)]
+        levels = 0
+        for f in fs:
+            assert betti_numbers_mod2(f.complex) == elimination_betti(f.complex)
+            for t in f.sorted_distinct_values():
+                level = level_subcomplex(f, t).complex
+                assert betti_numbers_mod2(level) == elimination_betti(level)
+                levels += 1
+        assert levels > 4000
+
+    def test_rp2_has_mod2_homology_in_every_dimension(self, rp2):
+        # Rationally RP2 is acyclic; over the two-element field its 1-cycle
+        # and its 2-cycle (the sum of all triangles) survive.
+        assert [len(rp2.cells_of_dim(p)) for p in range(3)] == [6, 15, 10]
+        assert betti_numbers_mod2(rp2) == elimination_betti(rp2) == [1, 1, 1]
+        assert euler_characteristic(rp2) == 1
+
+    def test_a_cleared_column_is_never_read(self, rp2):
+        """Each negative cell above dimension 1 clears its lowest row, a cell
+        above the vertices whose column is then skipped: the reduction reads
+        the faces of every other cell above the vertices once, and of a
+        cleared cell never."""
+        rng = random.Random(31)
+        reads = []
+        for complex in [torus(12), torus(3), rp2] + [random_complex(rng) for _ in range(50)]:
+            faces = CountingDict(complex._faces)
+            layers = [complex.cells_of_dim(p) for p in range(complex.dim + 1)]
+            negative = _negative_cells(layers, faces)
+            cleared = sum(len(c) > 2 for c in negative)
+            reads.append(sum(faces.reads.values()))
+            assert reads[-1] == len(complex) - len(layers[0]) - cleared
+            assert set(faces.reads.values()) <= {1}
+        # The m=12 torus: 288 triangles, all negative but one, clear 287 of
+        # its 432 edges, so 288 + 145 columns are read.
+        assert reads[0] == 433
 
 
 class TestSubcomplexEnumeration:
