@@ -19,18 +19,21 @@ separate code.
 
 A level subcomplex is the sublevel set plus the matched lower faces of its
 cells (Forman's level-subcomplex structure), which holds for a function
-from ``validate``; every verifier gets its levels from ``level_subcomplex``,
-and the function keeps each level complex it builds, at most one per
-distinct value plus the empty one; the sublevel set itself is not kept.
+from ``validate``.  Every level is a prefix of the function's entry order,
+and every sublevel set a prefix of its value order, both sorted once per
+function (``MorseFunction._view``), so a level is found by bisection with no
+pass over the values.  Every verifier gets its levels from there, and the
+function keeps each level complex it builds, at most one per distinct
+value plus the empty one.  ``verify_dmt_a`` finds the critical values in
+its window by bisecting the function's sorted critical values.
 ``verify_dmt_b`` builds no level complex: it reads the function's Betti
-table, the Betti vectors of every level from one reduction of the level
-filtration (``complexes._negative_cells``), which the function keeps
-beside its level complexes.
+table, the Betti vectors of every level from one reduction of the entry
+order (``complexes._negative_cells``), which the function keeps beside its
+level complexes.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -56,7 +59,7 @@ from .errors import (
     SignatureMismatch,
     SimplexNotInComplex,
 )
-from .morse import GradientField, MorseFunction, _own_field, critical_cells, critical_values
+from .morse import GradientField, MorseFunction, _own_field, critical_cells
 
 
 @dataclass(frozen=True)
@@ -76,24 +79,24 @@ def level_subcomplex(f: MorseFunction, threshold: float) -> FiltrationLevel:
     ``s`` with ``f(s) <= a < f(r)`` is ``down[s]`` if it has codimension 1,
     and otherwise lies in two codimension-1 faces of ``s``, at most one of
     them valued at least ``f(s)``, so the other is a sublevel cell that
-    has ``r`` as a face of lower codimension.  Sublevel sets of one function
-    are nested, so their size names them: ``f`` keeps each level complex it
-    builds under that size, at most one per distinct value plus the empty
-    one, and thresholds in one value gap share one complex.  The sublevel
-    set is listed on every call, so the memo keeps no copy of it.
+    has ``r`` as a face of lower codimension.  So a cell enters the level
+    complexes at ``f(up.get(c, c))``, and the level complex is a prefix of
+    ``f``'s entry order and the sublevel set a prefix of its value order,
+    each found by bisection.  ``f`` keeps each level complex it builds under
+    its prefix size, at most one per distinct value plus the empty one, and
+    thresholds in one value gap share one complex.
     A NaN threshold names no level and raises ``PreconditionViolated``;
     ``-inf`` names the empty level and ``inf`` the whole complex.
     """
     if math.isnan(threshold):
         raise PreconditionViolated("the threshold is NaN, which names no level")
-    sub = [c for c, value in f.values.items() if value <= threshold]
-    level = f._levels.get(len(sub))
+    view = f._view
+    size = bisect_right(view.entries, threshold)
+    level = view.levels.get(size)
     if level is None:
-        down = f.field.down
-        cells = set(sub)
-        cells.update([down[c] for c in sub if c in down])
-        level = f._levels[len(sub)] = f.complex._sub(cells)
-    return FiltrationLevel(float(threshold), frozenset(sub), level)
+        level = view.levels[size] = f.complex._sub(set(view.entered[:size]))
+    sublevel = frozenset(view.cells[: bisect_right(view.values, threshold)])
+    return FiltrationLevel(float(threshold), sublevel, level)
 
 
 def _collapse_pairs(start: SimplicialComplex, pairs: Iterable[tuple]) -> set[Simplex]:
@@ -218,7 +221,8 @@ def verify_dmt_a(
     """
     if not a < b:
         raise PreconditionViolated(f"need a < b, got a={a}, b={b}")
-    inside = [v for v in critical_values(f) if a < v <= b]
+    view = f._view
+    inside = view.critical[bisect_right(view.critical, a) : bisect_right(view.critical, b)]
     if inside:
         raise CriticalValueInWindow(f"critical values {inside} lie in ({a}, {b}]")
     _own_field(f, field)
@@ -239,32 +243,27 @@ def _betti_table(f: MorseFunction) -> tuple[list, list, list]:
     """``f``'s level filtration as a Betti table, built by one
     ``_negative_cells`` reduction on first use and kept by ``f``.
 
-    A cell enters the filtration at ``f(up.get(c, c))``, its own value or its
-    matched upper's: the least threshold whose level complex holds it (see
-    ``level_subcomplex``).  Cells are ordered by entry, dimension and
-    canonical order, so every face comes before its cofaces.  The table
-    holds the distinct entries ascending; the Betti vectors of the empty
-    level and of the level after each entry, each as long as
-    ``betti_numbers_mod2`` gives it; and the critical values ascending.
+    The reduction runs over ``f``'s entry order, whose prefixes ending at an
+    entry value are the level complexes.  The table holds each cell's entry,
+    in entry order; the Betti vector after each prefix of that order, the
+    empty one first, cut to the prefix's top dimension (at a level complex,
+    as long as ``betti_numbers_mod2`` gives it); and the critical values
+    ascending.  Only the prefixes that end at an entry value are read.
     """
-    if f._betti is None:
-        entry = {c: f.values[f.field.up.get(c, c)] for c in f.complex}
-        order = sorted(entry, key=lambda c: (entry[c], len(c)))
-        layers = [[c for c in order if len(c) == p] for p in range(1, f.complex.dim + 2)]
+    view = f._view
+    if view.betti is None:
+        layers = [[c for c in view.entered if len(c) == p] for p in range(1, f.complex.dim + 2)]
         negative = _negative_cells(layers, f.complex._faces)
-        betti, top = [0] * len(layers), 0
-        entries, vectors = [], [()]
-        for value, cells in itertools.groupby(order, entry.__getitem__):
-            for c in cells:
-                if c in negative:
-                    betti[len(c) - 2] -= 1
-                else:
-                    betti[len(c) - 1] += 1
-            top = max(top, len(c))  # a group's cells come by dimension
-            entries.append(value)
+        betti, top, vectors = [0] * len(layers), 0, [()]
+        for c in view.entered:
+            if c in negative:
+                betti[len(c) - 2] -= 1
+            else:
+                betti[len(c) - 1] += 1
+            top = max(top, len(c))
             vectors.append(tuple(betti[:top]))
-        object.__setattr__(f, "_betti", (entries, vectors, critical_values(f)))
-    return f._betti
+        view.betti = (view.entries, vectors, view.critical)
+    return view.betti
 
 
 def verify_dmt_b(f: MorseFunction, cell, a: float, b: float) -> BettiDelta:

@@ -24,9 +24,10 @@ files each path in the bucket of its length and builds it through a
 private ``EdgePath`` constructor.
 The mountain-pass family is built on position bitmasks: the path walk
 numbers the complex's vertices and edges, the only cells a path or its flow
-image holds, in order of value, without building the complex's integer
-view.  It carries each path's cell mask and flow-image mask, the orbit
-closure is keyed by masks, and cell sets are built once per member, only
+image holds, in the function's value order (``MorseFunction._view``, ties
+in canonical order), without building the complex's integer view.  It
+carries each path's cell mask and flow-image mask, the orbit closure is
+keyed by masks, and cell sets are built once per member, only
 for what the result returns.  The mountain pass walks an injective
 function, so distinct cells have distinct bits in value order and a
 member's highest bit is its top cell and its bit count its size: it finds
@@ -35,10 +36,15 @@ the members tied on the least (top value, size) from the masks alone, where
 members to ``_least_member``, which breaks the tie by canonical cell order
 and checks that the value is critical.  Its ``"flow"`` map is a table from
 each member to its image, the family's own object.
+Every other reader of values here reads the same value sort: the deformation
+check walks the value order, the LS family takes one level mask per group of
+equal entries of the entry order, and a min-max value is checked against
+the sorted critical values.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
@@ -74,7 +80,6 @@ from .morse import (
     MorseFunction,
     _own_field,
     critical_cells,
-    critical_values,
     make_injective,
 )
 
@@ -126,7 +131,7 @@ def _least_member(f: MorseFunction, tied: list[frozenset]) -> tuple[float, froze
     their own tied members: the first by reading each member's values, the
     second off the members' masks."""
     best = tied[0] if len(tied) == 1 else min(tied, key=lambda m: sorted(m, key=simplex_key))
-    if (value := max(map(f.values.__getitem__, best))) not in set(critical_values(f)):
+    if (value := max(map(f.values.__getitem__, best))) not in f._view.critical:
         raise TheoremViolation(f"min-max value {value} is not a critical value")
     return value, best
 
@@ -163,15 +168,13 @@ def check_minmax_data(instance: MinMaxInstance) -> MinMaxReport:
         for member in instance.family:
             if frozenset(h(member)) not in members:
                 raise ClosureViolated(name, member)
-    crit = set(critical_values(f))
     witnesses: dict[float, str] = {}
     below: frozenset[Simplex] = frozenset()
-    # Injective, so each value is one cell's, and the set above a value is
-    # the set above the previous value plus that cell.
-    for cell in sorted(f.complex, key=f.values.__getitem__):
-        a = f.values[cell]
+    # Injective, so each value is one cell's: it is regular when that cell
+    # is, and the set above it is the set above the previous value plus that cell.
+    for cell, a in zip(f._view.cells, f._view.values):
         above = below | {cell}
-        if a not in crit:
+        if cell not in f.field.critical:
             for name in sorted(instance.maps):
                 if frozenset(instance.maps[name](above)) <= below:
                     witnesses[a] = name
@@ -291,7 +294,7 @@ def _admissible_walk(
     operator = FlowOperator(f)
     # A path and its flow image hold vertices and edges only, numbered in
     # value order; a row's cells are distinct, so its bits sum to its mask.
-    low_cells = sorted(complex.vertices + complex.cells_of_dim(1), key=f.values.__getitem__)
+    low_cells = [c for c in f._view.cells if len(c) <= 2]
     position = dict(zip(low_cells, range(len(low_cells))))
     rows = {c: sum(1 << position[s] for s in operator._flow[c]) for c in low_cells}
     basin_vertices = frozenset(basin(f.field, f, v0).cells.cells_of_dim(0))
@@ -521,32 +524,17 @@ def dgcat(
     )
 
 
-def _level_masks(work: MorseFunction, index: CellIndex) -> list[int]:
-    """The distinct level-subcomplex masks, one per value, ascending.
-
-    ``work`` must be injective, as the callers' re-ranked function is, so
-    each value is one cell's and no two cells are added at one level.  As
-    ``level_subcomplex`` proves, the level subcomplex at ``a`` is the cells
-    valued at most ``a`` together with their matched lower faces, so the
-    masks grow by ORing those bits in value order; a mask equal to an
-    earlier one equals the one just before it.
-    """
-    position, down = index.position, work.field.down
-    masks: list[int] = []
-    mask = 0
-    for c in sorted(index.cells, key=work.values.__getitem__):
-        # an unmatched cell ORs its own bit twice
-        mask |= 1 << position[c] | 1 << position[down.get(c, c)]
-        if not masks or masks[-1] != mask:
-            masks.append(mask)
-    return masks
-
-
 def _ls_family(work: MorseFunction, index: CellIndex, k: int) -> list[frozenset[Simplex]]:
     """The depth-``k`` family: every collapse of a level subcomplex whose
-    ambient category is at least ``k - 1``, as cell sets sorted by mask."""
+    ambient category is at least ``k - 1``, as cell sets sorted by mask.
+
+    The level complexes are the prefixes of ``work``'s entry order that end
+    at an entry value (see ``level_subcomplex``): one mask per distinct entry.
+    """
+    view = work._view
     members: set[int] = set()
-    for mask in _level_masks(work, index):
+    for value in dict.fromkeys(view.entries):
+        mask = index.mask_of(view.entered[: bisect_right(view.entries, value)])
         if index.category(mask)[0] >= k - 1:
             members.update(index.reachable(mask))
     return [frozenset(index.cells_of(m)) for m in sorted(members)]

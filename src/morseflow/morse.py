@@ -7,11 +7,19 @@ those exceptional pairs, stored once as the maps ``up`` (lower to upper) and
 ``validate`` compares every face with each of its cofaces once, and the
 function it returns owns its field, which ``gradient_field`` and
 ``critical_cells`` only read.  The field is acyclic for every valid
-function; ``validate`` re-checks that once as an internal tripwire.  A
-function also keeps the level subcomplexes it has been asked for, one
-complex per level (see ``collapse.level_subcomplex``), and beside them the
-Betti table of its whole level filtration once ``collapse.verify_dmt_b``
-has built it; neither memo takes part in equality.
+function; ``validate`` re-checks that once as an internal tripwire.
+
+A function sorts its cells by value once, on first use
+(``MorseFunction._view``), and keeps the result: the cells in value order,
+ties in canonical order, and the same cells in entry order, each cell
+where its level complex first holds it, a matched lower just before its
+upper.  Every sublevel set and every level complex is a prefix of one of
+the two orders (Forman's level-subcomplex structure); breaking ties once,
+by canonical order, is a symbolic perturbation in the sense of
+Edelsbrunner and Mücke (1990).  The same memo keeps the level complexes
+built so far and the Betti table of the filtration; it takes no part in
+equality, ``repr`` or ``dataclasses.replace``.  ``critical_values`` and
+``is_injective`` never build it.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping
 
@@ -42,10 +51,6 @@ class MorseFunction:
     values: Mapping[Simplex, float]
     # Derived from the values, so it takes no part in equality.
     field: GradientField = dataclass_field(compare=False, repr=False)
-    # ``level_subcomplex``'s memo: sublevel size -> level complex.
-    _levels: dict = dataclass_field(default_factory=dict, init=False, compare=False, repr=False)
-    # ``verify_dmt_b``'s Betti table (``collapse._betti_table``), built on first use.
-    _betti: tuple | None = dataclass_field(default=None, init=False, compare=False, repr=False)
 
     def __call__(self, cell) -> float:
         try:
@@ -57,7 +62,49 @@ class MorseFunction:
         return len(set(self.values.values())) == len(self.values)
 
     def sorted_distinct_values(self) -> tuple[float, ...]:
-        return tuple(sorted(set(self.values.values())))
+        return tuple(dict.fromkeys(self._view.values))
+
+    @cached_property
+    def _view(self) -> _View:
+        """The level filtration, built by one sort on first use and kept in
+        the instance's ``__dict__``, outside the dataclass fields.
+
+        ``cells`` holds every cell in value order, ties in canonical order,
+        and ``values`` their values, so the sublevel set at ``a`` is the
+        prefix ``cells[:bisect_right(values, a)]``.  ``entered`` holds every
+        cell in entry order: the cells of ``cells`` that are no matched
+        lower, each matched upper preceded by its lower; ``entries`` holds
+        each cell's entry ``f(up.get(c, c))``, non-decreasing, so the level
+        complex at ``a`` is the prefix ``entered[:bisect_right(entries, a)]``
+        (see ``collapse.level_subcomplex``).  ``critical`` holds the
+        critical values ascending, duplicates retained.
+        """
+        return _View(self)
+
+
+class _View:
+    """A function's cells in value order and in entry order, with the level
+    complexes built so far and the Betti table; see ``MorseFunction._view``."""
+
+    __slots__ = ("cells", "values", "entered", "entries", "critical", "levels", "betti")
+
+    def __init__(self, f: MorseFunction):
+        self.cells = cells = sorted(f.complex, key=f.values.__getitem__)  # canonical ties
+        self.values = values = list(map(f.values.__getitem__, cells))
+        up, down = f.field.up, f.field.down
+        entered, entries, critical = [], [], []
+        for c, v in zip(cells, values):
+            if c in down:
+                entered += down[c], c
+                entries += v, v
+            elif c not in up:
+                entered.append(c)
+                entries.append(v)
+                critical.append(v)
+        self.entered, self.entries, self.critical = entered, entries, critical
+        # Entry prefix size -> level complex (``collapse.level_subcomplex``).
+        self.levels: dict[int, SimplicialComplex] = {}
+        self.betti: tuple | None = None  # ``collapse._betti_table``
 
 
 def upper_set(f: MorseFunction, cell) -> frozenset[Simplex]:

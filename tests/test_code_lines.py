@@ -14,7 +14,7 @@ import tokenize
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "morseflow"
-BUDGET = 1779
+BUDGET = 1785
 
 _NOT_CODE = {
     tokenize.COMMENT,

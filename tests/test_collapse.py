@@ -6,7 +6,7 @@ import dataclasses
 import math
 import random
 from bisect import bisect_right
-from itertools import combinations, takewhile
+from itertools import combinations, groupby, takewhile
 
 import pytest
 
@@ -38,9 +38,9 @@ from morseflow import (
     verify_dmt_b,
     verify_flow_collapse,
 )
-from morseflow import collapse
+from morseflow import collapse, minmax, morse
 from morseflow.collapse import _betti_table, _collapse_pairs, _replayed_collapse
-from morseflow.complexes import as_simplex, search_index, simplex_key
+from morseflow.complexes import _negative_cells, as_simplex, search_index, simplex_key
 from morseflow.errors import (
     ComplexMismatch,
     CriticalValueInWindow,
@@ -52,7 +52,7 @@ from morseflow.errors import (
     SignatureMismatch,
     SimplexNotInComplex,
 )
-from conftest import CountingDict, elimination_betti, random_instance, torus
+from conftest import CountingDict, elimination_betti, face_closure, random_instance, torus
 
 
 def reference_basin(f, field, v):
@@ -445,15 +445,18 @@ class TestBettiTable:
         checked = 0
         for f in betti_inputs(rp2):
             entries, vectors, crit_values = _betti_table(f)
-            assert _betti_table(f) is f._betti
+            assert _betti_table(f) is f._view.betti
             assert crit_values == critical_values(f)
-            assert len(vectors) == len(entries) + 1
+            assert len(vectors) == len(entries) + 1 == len(f.complex) + 1
             for t in [-math.inf, *thresholds(f), math.inf]:
                 level = level_subcomplex(f, t).complex
                 assert vectors[bisect_right(entries, t)] == tuple(elimination_betti(level))
                 checked += 1
-            # The entries are the values at which the level complex grows.
-            sizes = [len(level_subcomplex(f, t).complex) for t in [-math.inf, *entries]]
+            # One entry per cell, ascending; the distinct entries are the
+            # values at which the level complex grows.
+            assert entries == sorted(entries)
+            distinct = list(dict.fromkeys(entries))
+            sizes = [len(level_subcomplex(f, t).complex) for t in [-math.inf, *distinct]]
             assert all(x < y for x, y in zip(sizes, sizes[1:]))
             assert sizes[-1] == len(f.complex)
         assert checked > 8000
@@ -490,7 +493,7 @@ class TestBettiTable:
         for i, cell in enumerate(crit):
             verify_dmt_b(f, cell, f(crit[i - 1]) if i else -math.inf, f(cell))
         assert len(crit) == 210
-        assert len(reductions) == 1 and subs == [] and f._levels == {}
+        assert len(reductions) == 1 and subs == [] and f._view.levels == {}
 
 
 class TestBasin:
@@ -811,7 +814,8 @@ class TestLevelMemo:
         benchmark's corpus runs them: one ``_sub`` per distinct level that
         ``verify_dmt_a`` and ``verify_flow_collapse`` ask for, plus the flow
         image's closure; ``verify_dmt_b`` reads the Betti table and builds
-        no level."""
+        no level.  Two thresholds whose sublevel sets differ only by matched
+        lowers name one level, which is built once."""
         built = []
         sub = SimplicialComplex._sub
 
@@ -838,9 +842,11 @@ class TestLevelMemo:
             median = values[len(values) // 2]
             verify_flow_collapse(f, median, FlowOperator(f, field))
             asked.append(median)
-            distinct = {sum(v <= t for v in f.values.values()) for t in asked}
+            distinct = {
+                frozenset(face_closure([c for c, v in f.values.items() if v <= t])) for t in asked
+            }
             assert len(built) == len(distinct) + 1, seed
-            assert len(f._levels) == len(distinct)
+            assert len(f._view.levels) == len(distinct)
             built.clear()
 
     def test_memo_is_invisible(self):
@@ -850,14 +856,187 @@ class TestLevelMemo:
             before = repr(f)
             for t in thresholds(f):
                 level_subcomplex(f, t)
-            assert f._levels and not g._levels
+            assert f._view.levels and "_view" not in vars(g)
             for cell in critical_cells(f):
                 verify_dmt_b(f, cell, f(cell) - 1.0, f(cell))
-            assert f._betti is not None and g._betti is None
+            assert f._view.betti is not None and "_view" not in vars(g)
             assert f == g and g == f
             assert repr(f) == before == repr(g)
             fresh = dataclasses.replace(f)
-            assert fresh == f and fresh._levels == {} and fresh._betti is None
+            assert fresh == f and "_view" not in vars(fresh)
+
+
+# The routes the function's one value sort replaced, kept as oracles: each
+# sorted or scanned the function's values on its own.
+
+
+def level_by_scan(f, threshold):
+    """``level_subcomplex`` before the value sort: the sublevel set listed by a
+    scan of the values, closed by the matched lower faces of its cells."""
+    sub = [c for c, value in f.values.items() if value <= threshold]
+    down = f.field.down
+    cells = set(sub)
+    cells.update([down[c] for c in sub if c in down])
+    return frozenset(sub), f.complex._sub(cells)
+
+
+def betti_table_by_sort(f):
+    """The Betti table before the value sort: the cells sorted by (entry,
+    dimension), one reduction, and one Betti vector after each distinct
+    entry; returns the distinct entries and the vectors."""
+    entry = {c: f.values[f.field.up.get(c, c)] for c in f.complex}
+    order = sorted(entry, key=lambda c: (entry[c], len(c)))
+    layers = [[c for c in order if len(c) == p] for p in range(1, f.complex.dim + 2)]
+    negative = _negative_cells(layers, f.complex._faces)
+    betti, top = [0] * len(layers), 0
+    entries, vectors = [], [()]
+    for value, cells in groupby(order, entry.__getitem__):
+        for c in cells:
+            if c in negative:
+                betti[len(c) - 2] -= 1
+            else:
+                betti[len(c) - 1] += 1
+        top = max(top, len(c))  # a group's cells come by dimension
+        entries.append(value)
+        vectors.append(tuple(betti[:top]))
+    return entries, vectors
+
+
+def level_masks_by_value_order(work, index):
+    """The distinct level masks of an injective function before the value
+    sort: each cell's and its matched lower's bits ORed in value order, one
+    mask per value, repeats dropped."""
+    position, down = index.position, work.field.down
+    masks = []
+    mask = 0
+    for c in sorted(index.cells, key=work.values.__getitem__):
+        mask |= 1 << position[c] | 1 << position[down.get(c, c)]
+        if not masks or masks[-1] != mask:
+            masks.append(mask)
+    return masks
+
+
+def ls_family_by_masks(index, masks, k):
+    members = set()
+    for mask in masks:
+        if index.category(mask)[0] >= k - 1:
+            members.update(index.reachable(mask))
+    return [frozenset(index.cells_of(m)) for m in sorted(members)]
+
+
+class TestOneValueSort:
+    """Each function sorts its cells by value once; every level, Betti vector
+    and LS family read off that order equals the per-call route it replaced."""
+
+    def test_the_orders_break_ties_canonically_and_put_faces_first(self, rp2):
+        """The value order is (value, canonical) order; the entry order puts
+        every face before its cofaces, which ``_negative_cells`` needs, and
+        each matched lower just before its upper."""
+        for f in betti_inputs(rp2):
+            view = f._view
+            assert view.cells == sorted(f.complex, key=lambda c: (f(c), simplex_key(c)))
+            assert view.values == [f(c) for c in view.cells]
+            assert view.entries == [f(f.field.up.get(c, c)) for c in view.entered]
+            assert view.critical == critical_values(f)
+            position = {c: i for i, c in enumerate(view.entered)}
+            assert len(position) == len(view.entered) == len(f.complex)
+            for c in f.complex:
+                assert all(position[r] < position[c] for r in f.complex.faces_of(c))
+            for lower, upper in f.field.up.items():
+                assert position[upper] == position[lower] + 1
+
+    def test_levels_and_betti_vectors_equal_the_per_call_routes(self, rp2):
+        checked = 0
+        for f in betti_inputs(rp2):
+            entries, vectors = betti_table_by_sort(f)
+            table = _betti_table(f)
+            for t in [-math.inf, *thresholds(f), math.inf]:
+                sublevel, complex = level_by_scan(f, t)
+                level = level_subcomplex(f, t)
+                assert level.sublevel == sublevel
+                assert list(level.complex) == list(complex)
+                assert table[1][bisect_right(table[0], t)] == vectors[bisect_right(entries, t)]
+                checked += 1
+        assert checked > 8000
+
+    def test_ls_families_equal_the_value_order_masks(self, rp2):
+        families = 0
+        for f in betti_inputs(rp2):
+            if len(f.complex) > 14:
+                continue
+            work = f if f.is_injective() else make_injective(f)
+            index = search_index(f.complex, 14)
+            masks = level_masks_by_value_order(work, index)
+            for k in range(1, index.category(index.full)[0] + 2):
+                assert minmax._ls_family(work, index, k) == ls_family_by_masks(index, masks, k)
+                families += 1
+        assert families > 250
+
+    def test_a_level_or_sorted_values_read_no_value_once_the_view_exists(self):
+        for f in [random_morse(torus(6), 2), *tied_functions()[:20]]:
+            f = MorseFunction(f.complex, CountingDict(f.values), f.field)
+            f._view
+            f.values.reads.clear()
+            for t in [-math.inf, *thresholds(f), math.inf]:
+                level_subcomplex(f, t)
+            f.sorted_distinct_values()
+            assert not f.values.reads
+
+    def test_a_window_reads_only_the_values_of_the_pairs_it_removes(self):
+        windows = 0
+        for f in [random_morse(torus(6), 3), *tied_functions()]:
+            f = MorseFunction(f.complex, CountingDict(f.values), f.field)
+            for a, b in maximal_windows(f):
+                f.values.reads.clear()
+                seq = verify_dmt_a(f, a, b)
+                assert set(f.values.reads) == {c for pair in seq.pairs for c in pair}
+                windows += 1
+        assert windows > 100
+
+    def test_a_corpus_loop_sorts_each_function_once(self, monkeypatch):
+        views = []
+
+        class CountingView(morse._View):
+            __slots__ = ()
+
+            def __init__(self, f):
+                views.append(f)
+                super().__init__(f)
+
+        monkeypatch.setattr(morse, "_View", CountingView)
+        for seed in range(40):
+            _, f = random_instance(seed)
+            field = gradient_field(f)
+            for a, b in maximal_windows(f):
+                verify_dmt_a(f, a, b, field)
+            crit = sorted(field.critical, key=lambda c: (f(c), simplex_key(c)))
+            for i, cell in enumerate(crit):
+                verify_dmt_b(f, cell, f(crit[i - 1]) if i else -math.inf, f(cell))
+            values = f.sorted_distinct_values()
+            verify_flow_collapse(f, values[len(values) // 2], FlowOperator(f, field))
+            assert views == [f], seed
+            views.clear()
+
+    def test_critical_values_and_injectivity_build_no_view(self):
+        for seed in range(20):
+            _, f = random_instance(seed)
+            critical_values(f)
+            f.is_injective()
+            assert "_view" not in vars(f)
+
+    def test_mutating_a_returned_list_changes_no_later_result(self):
+        for seed in range(30):
+            _, f = random_instance(seed)
+            values, crit = f.sorted_distinct_values(), critical_values(f)
+            windows = maximal_windows(f)
+            pairs = [verify_dmt_a(f, a, b).pairs for a, b in windows]
+            sublevels = [level_subcomplex(f, t).sublevel for t in thresholds(f)]
+            returned = critical_values(f)
+            returned.reverse()
+            returned.append(math.inf)
+            assert critical_values(f) == crit and f.sorted_distinct_values() == values
+            assert [verify_dmt_a(f, a, b).pairs for a, b in windows] == pairs
+            assert [level_subcomplex(f, t).sublevel for t in thresholds(f)] == sublevels
 
 
 def _collapse_pairs_before(start, pairs):
@@ -1078,8 +1257,8 @@ class TestSharedIncidence:
                 swept += 1
         assert swept > len(values) // 2
         assert complex._coface_tuples is not None
-        assert all(isinstance(level, SimplicialComplex) for level in f._levels.values())
-        assert all(level._coface_tuples is None for level in f._levels.values())
+        assert all(isinstance(level, SimplicialComplex) for level in f._view.levels.values())
+        assert all(level._coface_tuples is None for level in f._view.levels.values())
 
 
 class TestForeignField:

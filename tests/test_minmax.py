@@ -1031,8 +1031,8 @@ class TestLsMinmax:
 
 
 def _closure_level_masks(work, index):
-    """The distinct level-subcomplex masks as they were built before
-    ``minmax._level_masks`` read the matched lower faces: ORs of per-cell
+    """The distinct level-subcomplex masks as they were built before the
+    library read the matched lower faces: ORs of per-cell
     closure masks in value order, one per distinct value, without repeats."""
     closure = []
     for i, faces in enumerate(index.face_mask):
@@ -1179,13 +1179,17 @@ class TestLsThroughTheEngine:
             work = f if f.is_injective() else make_injective(f)
             index = search_index(f.complex, 14)
             expected = _closure_level_masks(work, index)
-            assert minmax._level_masks(work, index) == expected
+            # One level complex per distinct entry value of ``work``.
+            entries = dict.fromkeys(work._view.entries)
+            levels = [level_subcomplex(work, e).complex for e in entries]
+            assert [index.mask_of(level) for level in levels] == expected
             for k in range(1, index.category(index.full)[0] + 2):
                 members = set()
                 for mask in expected:
                     if index.category(mask)[0] >= k - 1:
                         members.update(index.reachable(mask))
                 family = [frozenset(index.cells_of(m)) for m in sorted(members)]
+                assert minmax._ls_family(work, index, k) == family
                 assert_unclosed_prefix(f, k, family)
 
     def test_flow_closure_builds_no_complex_per_member(self, monkeypatch, double_well):
