@@ -22,10 +22,11 @@ cells (Forman's level-subcomplex structure), which holds for a function
 from ``validate``.  Every level is a prefix of the function's entry order,
 and every sublevel set a prefix of its value order, both sorted once per
 function (``MorseFunction._view``), so a level is found by bisection with no
-pass over the values.  Every verifier gets its levels from there, and the
-function keeps each level complex it builds, at most one per distinct
-value plus the empty one.  ``verify_dmt_a`` finds the critical values in
-its window by bisecting the function's sorted critical values.
+pass over the values.  Every verifier gets its levels from there, through
+``_level``, which lists no sublevel set, and the function keeps each level
+complex it builds, at most one per distinct value plus the empty one.
+``verify_dmt_a`` finds the critical values in its window by bisecting the
+function's sorted critical values.
 ``verify_dmt_b`` builds no level complex: it reads the function's Betti
 table, the Betti vectors of every level from one reduction of the entry
 order (``complexes._negative_cells``), which the function keeps beside its
@@ -88,15 +89,19 @@ def level_subcomplex(f: MorseFunction, threshold: float) -> FiltrationLevel:
     A NaN threshold names no level and raises ``PreconditionViolated``;
     ``-inf`` names the empty level and ``inf`` the whole complex.
     """
+    sublevel = f._view.cells[: bisect_right(f._view.values, threshold)]
+    return FiltrationLevel(float(threshold), frozenset(sublevel), _level(f, threshold))
+
+
+def _level(f: MorseFunction, threshold: float) -> SimplicialComplex:
+    """``level_subcomplex(f, threshold).complex``, without listing the
+    sublevel set, which the verifiers never read."""
     if math.isnan(threshold):
         raise PreconditionViolated("the threshold is NaN, which names no level")
-    view = f._view
-    size = bisect_right(view.entries, threshold)
-    level = view.levels.get(size)
-    if level is None:
-        level = view.levels[size] = f.complex._sub(set(view.entered[:size]))
-    sublevel = frozenset(view.cells[: bisect_right(view.values, threshold)])
-    return FiltrationLevel(float(threshold), sublevel, level)
+    size = bisect_right(f._view.entries, threshold)
+    if (level := f._view.levels.get(size)) is None:
+        level = f._view.levels[size] = f.complex._sub(set(f._view.entered[:size]))
+    return level
 
 
 def _collapse_pairs(start: SimplicialComplex, pairs: Iterable[tuple]) -> set[Simplex]:
@@ -221,12 +226,11 @@ def verify_dmt_a(
     """
     if not a < b:
         raise PreconditionViolated(f"need a < b, got a={a}, b={b}")
-    view = f._view
-    inside = view.critical[bisect_right(view.critical, a) : bisect_right(view.critical, b)]
-    if inside:
+    crit = f._view.critical
+    if inside := crit[bisect_right(crit, a) : bisect_right(crit, b)]:
         raise CriticalValueInWindow(f"critical values {inside} lie in ({a}, {b}]")
     _own_field(f, field)
-    return _replayed_collapse(f, level_subcomplex(f, b).complex, level_subcomplex(f, a).complex)
+    return _replayed_collapse(f, _level(f, b), _level(f, a))
 
 
 @dataclass(frozen=True)
@@ -239,31 +243,30 @@ class BettiDelta:
     delta: int
 
 
-def _betti_table(f: MorseFunction) -> tuple[list, list, list]:
+def _betti_table(f: MorseFunction) -> list[tuple[int, ...]]:
     """``f``'s level filtration as a Betti table, built by one
     ``_negative_cells`` reduction on first use and kept by ``f``.
 
     The reduction runs over ``f``'s entry order, whose prefixes ending at an
-    entry value are the level complexes.  The table holds each cell's entry,
-    in entry order; the Betti vector after each prefix of that order, the
-    empty one first, cut to the prefix's top dimension (at a level complex,
-    as long as ``betti_numbers_mod2`` gives it); and the critical values
-    ascending.  Only the prefixes that end at an entry value are read.
+    entry value are the level complexes.  The table holds the Betti vector
+    after each prefix of that order, the empty one first, cut to the
+    prefix's top dimension; at a level complex, the prefix ``entered[:i]``
+    with ``i = bisect_right(entries, a)``, it is as long as
+    ``betti_numbers_mod2`` gives it.  Only those prefixes are read.
     """
-    view = f._view
-    if view.betti is None:
-        layers = [[c for c in view.entered if len(c) == p] for p in range(1, f.complex.dim + 2)]
+    if f._view.betti is None:
+        layers = [[c for c in f._view.entered if len(c) == p] for p in range(1, f.complex.dim + 2)]
         negative = _negative_cells(layers, f.complex._faces)
         betti, top, vectors = [0] * len(layers), 0, [()]
-        for c in view.entered:
+        for c in f._view.entered:
             if c in negative:
                 betti[len(c) - 2] -= 1
             else:
                 betti[len(c) - 1] += 1
             top = max(top, len(c))
             vectors.append(tuple(betti[:top]))
-        view.betti = (view.entries, vectors, view.critical)
-    return view.betti
+        f._view.betti = vectors
+    return f._view.betti
 
 
 def verify_dmt_b(f: MorseFunction, cell, a: float, b: float) -> BettiDelta:
@@ -280,11 +283,11 @@ def verify_dmt_b(f: MorseFunction, cell, a: float, b: float) -> BettiDelta:
         raise PreconditionViolated(f"{cell!r} is not a critical cell")
     if not (a < f(cell) <= b):
         raise PreconditionViolated(f"value {f(cell)} of {cell!r} is outside ({a}, {b}]")
-    entries, vectors, crit_values = _betti_table(f)
-    if bisect_right(crit_values, b) - bisect_right(crit_values, a) > 1:
+    view, vectors = f._view, _betti_table(f)
+    if bisect_right(view.critical, b) - bisect_right(view.critical, a) > 1:
         others = [c for c in crit if c != cell and a < f(c) <= b]
         raise PreconditionViolated(f"other critical cells {sorted(map(tuple, others))} in window")
-    before, after = (vectors[bisect_right(entries, t)] for t in (a, b))
+    before, after = (vectors[bisect_right(view.entries, t)] for t in (a, b))
     width = max(len(before), len(after), cell.dim + 1)
     before, after = (v + (0,) * (width - len(v)) for v in (before, after))
     diffs = [(i, after[i] - before[i]) for i in range(width) if after[i] != before[i]]

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .collapse import CollapseSequence, _replayed_collapse, level_subcomplex
+from .collapse import CollapseSequence, _level, _replayed_collapse
 from .complexes import Chain, Simplex, SimplicialComplex, incidence_sign
 from .errors import PropertyViolation, SimplexNotInComplex
 from .morse import GradientField, MorseFunction, _own_field
@@ -201,5 +201,5 @@ def verify_flow_collapse(
     if operator is None:
         operator = FlowOperator(f)
     _own_field(f, operator.field)
-    top = level_subcomplex(f, threshold).complex
+    top = _level(f, threshold)
     return _replayed_collapse(f, top, flow_image_closure(operator, top.simplices))

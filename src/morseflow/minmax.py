@@ -44,9 +44,9 @@ the sorted critical values.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate
 from operator import or_
 from typing import Callable, Iterable, Mapping
 
@@ -529,12 +529,12 @@ def _ls_family(work: MorseFunction, index: CellIndex, k: int) -> list[frozenset[
     ambient category is at least ``k - 1``, as cell sets sorted by mask.
 
     The level complexes are the prefixes of ``work``'s entry order that end
-    at an entry value (see ``level_subcomplex``): one mask per distinct entry.
+    at an entry value (see ``level_subcomplex``), so one mask grows along
+    that order and each entry keeps the mask after its last cell.
     """
-    view = work._view
+    grown = accumulate((1 << index.position[c] for c in work._view.entered), or_)
     members: set[int] = set()
-    for value in dict.fromkeys(view.entries):
-        mask = index.mask_of(view.entered[: bisect_right(view.entries, value)])
+    for mask in dict(zip(work._view.entries, grown)).values():
         if index.category(mask)[0] >= k - 1:
             members.update(index.reachable(mask))
     return [frozenset(index.cells_of(m)) for m in sorted(members)]

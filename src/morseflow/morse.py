@@ -43,6 +43,42 @@ from .errors import (
 )
 
 
+class _View:
+    """A function's level filtration, built by one sort on first use and
+    kept in the instance's ``__dict__`` as ``MorseFunction._view``, outside
+    the dataclass fields.
+
+    ``cells`` holds every cell in value order, ties in canonical order,
+    and ``values`` their values, so the sublevel set at ``a`` is the
+    prefix ``cells[:bisect_right(values, a)]``.  ``entered`` holds every
+    cell in entry order: the cells of ``cells`` that are no matched lower,
+    each matched upper preceded by its lower; ``entries`` holds each cell's
+    entry ``f(up.get(c, c))``, non-decreasing, so the level complex at
+    ``a`` is the prefix ``entered[:bisect_right(entries, a)]`` (see
+    ``collapse.level_subcomplex``).  ``critical`` holds the critical values
+    ascending, duplicates retained.  ``levels`` keeps the level complexes
+    built so far by entry-prefix size, and ``betti`` the Betti vectors of
+    ``collapse._betti_table``.
+    """
+
+    __slots__ = ("cells", "values", "entered", "entries", "critical", "levels", "betti")
+
+    def __init__(self, f: MorseFunction):
+        self.cells = cells = sorted(f.complex, key=f.values.__getitem__)  # canonical ties
+        self.values = values = list(map(f.values.__getitem__, cells))
+        self.entered, self.entries, self.critical = entered, entries, critical = [], [], []
+        up, down = f.field.up, f.field.down
+        for c, v in zip(cells, values):
+            if c in down:
+                entered += down[c], c
+                entries += v, v
+            elif c not in up:
+                entered.append(c)
+                entries.append(v)
+                critical.append(v)
+        self.levels, self.betti = {}, None  # memos of the collapse module
+
+
 @dataclass(frozen=True)
 class MorseFunction:
     """A validated real value per simplex of a complex."""
@@ -64,47 +100,7 @@ class MorseFunction:
     def sorted_distinct_values(self) -> tuple[float, ...]:
         return tuple(dict.fromkeys(self._view.values))
 
-    @cached_property
-    def _view(self) -> _View:
-        """The level filtration, built by one sort on first use and kept in
-        the instance's ``__dict__``, outside the dataclass fields.
-
-        ``cells`` holds every cell in value order, ties in canonical order,
-        and ``values`` their values, so the sublevel set at ``a`` is the
-        prefix ``cells[:bisect_right(values, a)]``.  ``entered`` holds every
-        cell in entry order: the cells of ``cells`` that are no matched
-        lower, each matched upper preceded by its lower; ``entries`` holds
-        each cell's entry ``f(up.get(c, c))``, non-decreasing, so the level
-        complex at ``a`` is the prefix ``entered[:bisect_right(entries, a)]``
-        (see ``collapse.level_subcomplex``).  ``critical`` holds the
-        critical values ascending, duplicates retained.
-        """
-        return _View(self)
-
-
-class _View:
-    """A function's cells in value order and in entry order, with the level
-    complexes built so far and the Betti table; see ``MorseFunction._view``."""
-
-    __slots__ = ("cells", "values", "entered", "entries", "critical", "levels", "betti")
-
-    def __init__(self, f: MorseFunction):
-        self.cells = cells = sorted(f.complex, key=f.values.__getitem__)  # canonical ties
-        self.values = values = list(map(f.values.__getitem__, cells))
-        up, down = f.field.up, f.field.down
-        entered, entries, critical = [], [], []
-        for c, v in zip(cells, values):
-            if c in down:
-                entered += down[c], c
-                entries += v, v
-            elif c not in up:
-                entered.append(c)
-                entries.append(v)
-                critical.append(v)
-        self.entered, self.entries, self.critical = entered, entries, critical
-        # Entry prefix size -> level complex (``collapse.level_subcomplex``).
-        self.levels: dict[int, SimplicialComplex] = {}
-        self.betti: tuple | None = None  # ``collapse._betti_table``
+    _view = cached_property(_View)
 
 
 def upper_set(f: MorseFunction, cell) -> frozenset[Simplex]:

@@ -6,6 +6,7 @@ import dataclasses
 import math
 import random
 from bisect import bisect_right
+from functools import cached_property
 from itertools import combinations, groupby, takewhile
 
 import pytest
@@ -368,8 +369,10 @@ class TestVerifyDmtB:
     ):
         # The top edge of the circle closes a loop, (1, 0) -> (1, 1); any
         # other change across its value is refused.  The table's levels at 4
-        # and 5 carry the given vectors; its critical values are the circle's.
-        table = ([4.0, 5.0], [(), before, after], [0.0, 5.0])
+        # and 5 carry the given vectors.
+        entries = circle_function._view.entries
+        table = [()] * (len(entries) + 1)
+        table[bisect_right(entries, 4)], table[bisect_right(entries, 5)] = before, after
         monkeypatch.setattr(collapse, "_betti_table", lambda f: table)
         with pytest.raises(SignatureMismatch):
             verify_dmt_b(circle_function, (1, 2), 4, 5)
@@ -444,9 +447,9 @@ class TestBettiTable:
     def test_the_table_equals_the_elimination_at_every_level(self, rp2):
         checked = 0
         for f in betti_inputs(rp2):
-            entries, vectors, crit_values = _betti_table(f)
+            vectors, entries = _betti_table(f), f._view.entries
             assert _betti_table(f) is f._view.betti
-            assert crit_values == critical_values(f)
+            assert f._view.critical == critical_values(f)
             assert len(vectors) == len(entries) + 1 == len(f.complex) + 1
             for t in [-math.inf, *thresholds(f), math.inf]:
                 level = level_subcomplex(f, t).complex
@@ -460,7 +463,7 @@ class TestBettiTable:
             assert all(x < y for x, y in zip(sizes, sizes[1:]))
             assert sizes[-1] == len(f.complex)
         assert checked > 8000
-        assert _betti_table(random_morse(rp2, 0))[1][-1] == (1, 1, 1)
+        assert _betti_table(random_morse(rp2, 0))[-1] == (1, 1, 1)
 
     def test_verify_dmt_b_equals_the_elimination_verifier(self, rp2):
         calls = refused = 0
@@ -955,7 +958,7 @@ class TestOneValueSort:
                 level = level_subcomplex(f, t)
                 assert level.sublevel == sublevel
                 assert list(level.complex) == list(complex)
-                assert table[1][bisect_right(table[0], t)] == vectors[bisect_right(entries, t)]
+                assert table[bisect_right(f._view.entries, t)] == vectors[bisect_right(entries, t)]
                 checked += 1
         assert checked > 8000
 
@@ -1003,7 +1006,9 @@ class TestOneValueSort:
                 views.append(f)
                 super().__init__(f)
 
-        monkeypatch.setattr(morse, "_View", CountingView)
+        counted = cached_property(CountingView)
+        counted.__set_name__(MorseFunction, "_view")
+        monkeypatch.setattr(MorseFunction, "_view", counted)
         for seed in range(40):
             _, f = random_instance(seed)
             field = gradient_field(f)
