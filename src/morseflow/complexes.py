@@ -14,12 +14,13 @@ A cell's faces in a subcomplex are its faces in the root; its cofaces in a
 subcomplex are its root cofaces that are members.
 One integer view per complex, a ``CellIndex`` also built on first use,
 gives each cell its position in canonical order and its face and coface
-positions: ``random_morse`` and ``make_injective`` work on it, while
-loading, validating and homology stay on the face map, so a complex that is
-only read never builds it.  The exhaustive searches share the same object:
-``search_index`` checks the enumeration bound and adds the face and coface
-masks on first use, which take quadratic space and so are never built for
-a large complex, and the view keeps the answers its callers read again:
+positions: ``random_morse`` works on it, while loading, validating,
+``make_injective``, the mountain pass and homology stay on the face map, so
+a complex that is only read never builds it.  The exhaustive searches
+share the same object: ``search_index`` checks the enumeration bound and
+adds the face and coface masks on first use, which take quadratic space
+and so are never built for a large complex, and the view keeps the
+answers its callers read again:
 the cover family, each state's reachable set, least cover and category.
 The set of all collapsible subcomplexes, read once to find the cover
 family, is not kept.  None of these changes a result.
@@ -211,7 +212,7 @@ class SimplicialComplex:
     @property
     def _incidence(self) -> "CellIndex":
         """The integer view, built on first use (see ``CellIndex``): only
-        ``random_morse``, ``make_injective`` and ``search_index`` read it."""
+        ``random_morse`` and ``search_index`` read it."""
         if self._ids is None:
             self._ids = CellIndex(self)
         return self._ids

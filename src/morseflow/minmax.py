@@ -7,8 +7,9 @@ sublevel-shrinking map across every regular value).  The mountain-pass and
 category machineries build concrete instances of that shape.
 ``ls_instance`` closes the depth-k family under its flow-closure map, so it
 is min-max data; the Lusternik-Schnirelmann values of ``ls_minmax`` are
-``minmax_value`` of the depth-k family alone, the prefix of that closed
-family, whose value was the same on every input tested.  The category
+``minmax_value`` of the depth-k family alone, on the caller's function, the
+prefix of that closed family, whose value was the same on every input
+tested.  The category
 searches run on the complex's own ``CellIndex`` (see ``search_index``), so
 ``dgcat`` followed by ``ls_minmax`` on one complex shares every memo, and
 every collapse witness of ``dgcat`` comes from its one depth-first search.
@@ -24,22 +25,25 @@ files each path in the bucket of its length and builds it through a
 private ``EdgePath`` constructor.
 The mountain-pass family is built on position bitmasks: the path walk
 numbers the complex's vertices and edges, the only cells a path or its flow
-image holds, in the function's value order (``MorseFunction._view``, ties
-in canonical order), without building the complex's integer view.  It
-carries each path's cell mask and flow-image mask, the orbit closure is
+image holds, in the function's one strict order (``MorseFunction._view``,
+by value, ties broken once), without building the complex's integer view.
+It carries each path's cell mask and flow-image mask, the orbit closure is
 keyed by masks, and cell sets are built once per member, only
-for what the result returns.  The mountain pass walks an injective
-function, so distinct cells have distinct bits in value order and a
-member's highest bit is its top cell and its bit count its size: it finds
-the members tied on the least (top value, size) from the masks alone, where
+for what the result returns.  The strict order gives distinct cells
+distinct bits, also on tied input, so a member's highest bit is its top
+cell and its bit count its size: the mountain pass finds the members tied
+on the least (top value, size) from the masks alone, where
 ``minmax_value`` reads each member's values, and both hand their tied
 members to ``_least_member``, which breaks the tie by canonical cell order
 and checks that the value is critical.  Its ``"flow"`` map is a table from
 each member to its image, the family's own object.
-Every other reader of values here reads the same value sort: the deformation
-check walks the value order, the LS family takes one level mask per group of
-equal entries of the entry order, and a min-max value is checked against
-the sorted critical values.
+Every reader here walks the caller's function; only an instance handed to
+``check_minmax_data`` carries ``make_injective(f)``, ``f`` ranked along the
+same strict order, since that check needs an injective function.  Every
+other reader of values reads the same value sort: the deformation check
+walks the value order, the LS family takes one level mask per cell of the
+entry order that is no matched lower, and a min-max value is checked
+against the sorted critical values.
 """
 
 from __future__ import annotations
@@ -151,7 +155,9 @@ def check_minmax_data(instance: MinMaxInstance) -> MinMaxReport:
 
     A family with no members, or with an empty member, raises
     ``EmptyFamily``, as in ``minmax_value``: it could pass both checks and
-    yet have no min-max value.  Each map is checked on every member, so the
+    yet have no min-max value.  A member with a cell outside the complex
+    raises ``SimplexNotInComplex``, as in ``minmax_value``, found by one
+    union of the members.  Each map is checked on every member, so the
     report's ``closure_checked`` is the number of maps times the number of
     members.
     """
@@ -162,6 +168,8 @@ def check_minmax_data(instance: MinMaxInstance) -> MinMaxReport:
         raise PreconditionViolated("min-max data checks need an injective function")
     if not all(instance.family):
         raise EmptyFamily("family members must be non-empty")
+    if outside := frozenset().union(*instance.family) - f.complex.simplices:
+        raise SimplexNotInComplex(f"{min(outside, key=simplex_key)!r} has no value")
     members = set(instance.family)
     for name in sorted(instance.maps):
         h = instance.maps[name]
@@ -269,9 +277,9 @@ def _admissible_walk(
     """The walk of ``enumerate_paths`` from ``v1`` to the basin of ``v0``
     (checked by ``_minima``), with each path's cells and flow image as
     position bitmasks: bit ``i`` stands for the ``i``-th of the complex's
-    vertices and edges in order of ``f`` value, ties in canonical order.
+    vertices and edges in ``f``'s strict order (``MorseFunction._view``).
 
-    Under an injective ``f`` a set's top cell is then its highest bit, so
+    A set's top cell in that order is then its highest bit, so
     ``mountain_pass`` reads each member's maximum off its mask.  Returns the
     flow operator of ``f`` and its field, each vertex's and edge's flow-row
     mask (the bits of its flow's support), and the admissible paths in
@@ -424,21 +432,22 @@ def mountain_pass(f: MorseFunction, high, low) -> MountainPassResult:
     the identical image and ``check_minmax_data`` computes no member's
     image again; any other set falls back to ``flow_image``.
 
-    The walk runs on an injective function: ``f`` itself, or ``f``
-    re-ranked when it has ties.  Its bits follow that function's values,
-    which are distinct, so a member's top cell is its highest set bit, and
-    the member with the least top value and then the least size is the one
+    The walk runs on ``f`` itself, so its paths are ``enumerate_paths``'
+    on ``f``, also on tied input: a tail must strictly decrease in ``f``'s
+    own values.  Its bits follow ``f``'s strict order, which ranks every
+    cell apart, so a member's top cell is its highest set bit, and the
+    member with the least top value and then the least size is the one
     with the least ``bit_length()`` and then the least ``bit_count()``.  No
     member's cells are read to choose it; only a tie on both is broken by
     canonical cell order, in ``_least_member`` as for ``minmax_value``.
-    The two minima are checked on ``f``'s own values before any
-    re-ranking, so minima of equal value raise ``NotLocalMinima`` in either
-    order, as in ``enumerate_paths``.  The reported value is ``f``'s value
-    of the ridge edge.
+    Minima of equal value raise ``NotLocalMinima`` in either order, as in
+    ``enumerate_paths``.  The instance's function is ``f``, or on tied input
+    ``make_injective(f)``, ``f`` ranked along the same strict order, since
+    ``check_minmax_data`` needs an injective function; the reported value
+    is ``f``'s value of the ridge edge.
     """
-    v1, v0 = _minima(f, high, low)  # on the caller's values, not re-ranked ones
-    work = f if f.is_injective() else make_injective(f)
-    operator, rows, found = _admissible_walk(work, v1, v0)
+    v1, v0 = _minima(f, high, low)
+    operator, rows, found = _admissible_walk(f, v1, v0)
     # members: cell mask -> member, in the order the walk reaches them;
     # seeds: member -> the first path whose orbit reaches it; images: member -> its image.
     members, seeds, images = {}, {}, {}
@@ -458,11 +467,13 @@ def mountain_pass(f: MorseFunction, high, low) -> MountainPassResult:
         return flow_image(operator, cells) if image is None else image
 
     family = list(members.values())
+    # ``check_minmax_data`` needs an injective function: ``f`` ranked along its strict order.
+    work = f if f.is_injective() else make_injective(f)
     instance = MinMaxInstance(work, {"flow": flow}, family)
-    # Bits follow ``work``'s values, which are distinct, so a member's highest
-    # bit is its top cell and its bit count its size: the least (top value,
-    # size) is the least (highest bit, bit count), and the least mask has the
-    # least highest bit.
+    # Bits follow ``f``'s strict order, which is ``work``'s value order, so a
+    # member's highest bit is its top cell and its bit count its size: the
+    # least (top value, size) is the least (highest bit, bit count), and the
+    # least mask has the least highest bit.
     below = 1 << min(members).bit_length()  # the masks below it share that top bit
     least = min(mask.bit_count() for mask in members if mask < below)
     tied = [m for mask, m in members.items() if mask < below and mask.bit_count() == least]
@@ -524,18 +535,22 @@ def dgcat(
     )
 
 
-def _ls_family(work: MorseFunction, index: CellIndex, k: int) -> list[frozenset[Simplex]]:
-    """The depth-``k`` family: every collapse of a level subcomplex whose
-    ambient category is at least ``k - 1``, as cell sets sorted by mask.
+def _ls_family(f: MorseFunction, index: CellIndex, k: int) -> list[frozenset[Simplex]]:
+    """The depth-``k`` family: every collapse of a level subcomplex of
+    ``make_injective(f)`` whose ambient category is at least ``k - 1``, as
+    cell sets sorted by mask.
 
-    The level complexes are the prefixes of ``work``'s entry order that end
-    at an entry value (see ``level_subcomplex``), so one mask grows along
-    that order and each entry keeps the mask after its last cell.
+    That function ranks the cells along ``f``'s strict order, which gives
+    it ``f``'s entry order, and its only tied entries are a matched lower's
+    and its upper's.  So its level complexes are the prefixes of ``f``'s
+    entry order that end at a cell other than a matched lower (see
+    ``level_subcomplex``): one mask grows along that order and each such
+    cell keeps the mask after it, with no value read.
     """
-    grown = accumulate((1 << index.position[c] for c in work._view.entered), or_)
-    members: set[int] = set()
-    for mask in dict(zip(work._view.entries, grown)).values():
-        if index.category(mask)[0] >= k - 1:
+    up, members = f.field.up, set()
+    grown = accumulate((1 << index.position[c] for c in f._view.entered), or_)
+    for c, mask in zip(f._view.entered, grown):
+        if c not in up and index.category(mask)[0] >= k - 1:
             members.update(index.reachable(mask))
     return [frozenset(index.cells_of(m)) for m in sorted(members)]
 
@@ -554,22 +569,20 @@ def ls_minmax(
 ) -> list[tuple[int, float]]:
     """Category-filtered min-max values, one per depth up to dgcat + 1.
 
-    Each depth's value is ``minmax_value`` of the depth-``k`` family, so it
-    is asserted to be critical; the reported value is ``f`` of the witness
-    member's top cell, which keeps the original value on non-injective
-    input.  The family is left unclosed here: ``ls_instance`` closes it
+    Each depth's value is ``minmax_value`` of the depth-``k`` family on
+    ``f`` itself, so it is asserted to be critical.  The family is read off
+    ``f``'s strict order (``_ls_family``), so no second function is
+    validated, and the value is ``f`` of the top cell of
+    ``make_injective(f)``'s min-max member, since that ranking refines
+    ``f``.  The family is left unclosed here: ``ls_instance`` closes it
     under the flow-closure map, which computes every member's image, and
     the closed family's value equalled this one on every input tested (the
     tests sweep the desk fixtures and the boundary of a tetrahedron).  The
     empty complex has no category and raises ``EmptyInput``.
     """
-    work = f if f.is_injective() else make_injective(f)
     index, category = _category(f, max_enum)
-    out: list[tuple[int, float]] = []
-    for k in range(1, category + 2):
-        _, member = minmax_value(MinMaxInstance(work, {}, _ls_family(work, index, k)))
-        out.append((k, f(max(member, key=work))))
-    return out
+    families = (_ls_family(f, index, k) for k in range(1, category + 2))
+    return [(k, minmax_value(MinMaxInstance(f, {}, fam))[0]) for k, fam in enumerate(families, 1)]
 
 
 def ls_bound_check(f: MorseFunction, max_enum: int = DEFAULT_ENUM_BOUND) -> bool:
@@ -592,20 +605,21 @@ def ls_instance(
     ``PreconditionViolated``, and the empty complex, which has no category,
     raises ``EmptyInput``.
     """
-    work = f if f.is_injective() else make_injective(f)
     index, category = _category(f, max_enum)
     if not 1 <= k <= category + 1:
         raise PreconditionViolated(f"depth {k} is outside 1 .. {category + 1} (dgcat + 1)")
-    operator = FlowOperator(work)
-    closure = work.complex._closure
+    operator = FlowOperator(f)
+    closure = f.complex._closure
 
     def flow_closure(cells: Iterable) -> frozenset[Simplex]:
         return frozenset(closure(flow_image(operator, cells)))
 
-    family = _ls_family(work, index, k)
+    family = _ls_family(f, index, k)
     members = set(family)
     for member in family:  # grows as new images are appended, each once
         if (image := flow_closure(member)) not in members:
             members.add(image)
             family.append(image)
+    # ``check_minmax_data`` needs an injective function: ``f`` ranked along its strict order.
+    work = f if f.is_injective() else make_injective(f)
     return MinMaxInstance(work, {"flow_closure": flow_closure}, family)

@@ -10,16 +10,19 @@ function it returns owns its field, which ``gradient_field`` and
 function; ``validate`` re-checks that once as an internal tripwire.
 
 A function sorts its cells by value once, on first use
-(``MorseFunction._view``), and keeps the result: the cells in value order,
-ties in canonical order, and the same cells in entry order, each cell
-where its level complex first holds it, a matched lower just before its
-upper.  Every sublevel set and every level complex is a prefix of one of
-the two orders (Forman's level-subcomplex structure); breaking ties once,
-by canonical order, is a symbolic perturbation in the sense of
-Edelsbrunner and Mücke (1990).  The same memo keeps the level complexes
-built so far and the Betti table of the filtration; it takes no part in
-equality, ``repr`` or ``dataclasses.replace``.  ``critical_values`` and
-``is_injective`` never build it.
+(``MorseFunction._view``), and keeps the result: the cells in its one
+strict order, by value, ties in canonical order but a matched lower tied
+with its upper just after that upper, and the same cells in entry order,
+each cell where its level complex first holds it, a matched lower just
+before its upper.  Every sublevel set and every level complex is a prefix
+of one of the two orders (Forman's level-subcomplex structure).  Breaking
+ties once is a symbolic perturbation in the sense of Edelsbrunner and
+Mücke (1990): ranking the cells along the strict order is an injective
+Morse function with the same field (``make_injective``), and every reader
+that needs an injective order reads this one.  The same memo keeps the
+level complexes built so far and the Betti table of the filtration; it
+takes no part in equality, ``repr`` or ``dataclasses.replace``.
+``critical_values`` and ``is_injective`` never build it.
 """
 
 from __future__ import annotations
@@ -48,9 +51,19 @@ class _View:
     kept in the instance's ``__dict__`` as ``MorseFunction._view``, outside
     the dataclass fields.
 
-    ``cells`` holds every cell in value order, ties in canonical order,
-    and ``values`` their values, so the sublevel set at ``a`` is the
-    prefix ``cells[:bisect_right(values, a)]``.  ``entered`` holds every
+    ``cells`` holds every cell in the function's strict order: by value,
+    ties in canonical order, except that a matched lower tied with its
+    upper comes right after that upper; ``values`` holds their values, so
+    the sublevel set at ``a`` is the prefix ``cells[:bisect_right(values,
+    a)]``.  Ranking the cells 0, 1, 2, ... along ``cells`` is an injective
+    discrete Morse function with ``f``'s field.  Proof: an unmatched face
+    is strictly below its coface, since every incidence with the face at
+    least the coface is a matched pair, so it comes first, and a matched
+    lower is at least its upper, so it comes after it, either by value or,
+    when tied, by the move; the rank therefore has exactly ``f``'s
+    exceptional pairs.  The move keeps the values in order, since it stays
+    inside one value, and an injective function pays only one tie check.
+    ``entered`` holds every
     cell in entry order: the cells of ``cells`` that are no matched lower,
     each matched upper preceded by its lower; ``entries`` holds each cell's
     entry ``f(up.get(c, c))``, non-decreasing, so the level complex at
@@ -64,7 +77,7 @@ class _View:
     __slots__ = ("cells", "values", "entered", "entries", "critical", "levels", "betti")
 
     def __init__(self, f: MorseFunction):
-        self.cells = cells = sorted(f.complex, key=f.values.__getitem__)  # canonical ties
+        cells = sorted(f.complex, key=f.values.__getitem__)  # canonical ties
         self.values = values = list(map(f.values.__getitem__, cells))
         self.entered, self.entries, self.critical = entered, entries, critical = [], [], []
         up, down = f.field.up, f.field.down
@@ -76,6 +89,10 @@ class _View:
                 entered.append(c)
                 entries.append(v)
                 critical.append(v)
+        if len(set(values)) < len(values):  # each tied lower moves to just after its upper
+            tied = {c: (c, low) for c, low in down.items() if f.values[low] == f.values[c]}
+            cells = [x for c in cells if up.get(c) not in tied for x in tied.get(c, (c,))]
+        self.cells = cells
         self.levels, self.betti = {}, None  # memos of the collapse module
 
 
@@ -331,26 +348,17 @@ def _linear_extension(incidence, up: list[int], key: list) -> list[int]:
     return order
 
 
-def _ranked(complex: SimplicialComplex, order: list[int]) -> MorseFunction:
-    """The function valued 0, 1, 2, ... along an order of positions."""
-    cells = complex._order
-    return _validated(complex, {cells[i]: float(r) for r, i in enumerate(order)})
-
-
 def make_injective(f: MorseFunction) -> MorseFunction:
     """An injective function equivalent to ``f`` with the same gradient field.
 
-    Cells are re-ranked 0, 1, 2, ... along a linear extension of the
-    matching-modified face order on the complex's integer view, keyed by
-    ``(f(c), position of c)`` so the ranking stays as close to ``f`` as any
-    linear extension allows; position order is ``simplex_key`` order.
+    Cells are ranked 0, 1, 2, ... along ``f``'s strict order (``_View``):
+    by value, ties in canonical order, each matched lower tied with its
+    upper just after it.  That is the linear extension of the
+    matching-modified face order keyed by ``(f(c), simplex_key(c))``, so
+    the ranking stays as close to ``f`` as any linear extension allows; it
+    reads no integer view of the complex.
     """
-    complex = f.complex
-    position = complex._incidence.position
-    up = [-1] * len(complex)
-    for lower, upper in f.field.up.items():
-        up[position[lower]] = position[upper]
-    return _ranked(complex, _linear_extension(complex._incidence, up, list(map(f, complex))))
+    return _validated(f.complex, {c: float(r) for r, c in enumerate(f._view.cells)})
 
 
 def _would_cycle(faces: list[tuple[int, ...]], up: list[int], lower: int, upper: int) -> bool:
@@ -392,4 +400,5 @@ def random_morse(complex: SimplicialComplex, seed: int) -> MorseFunction:
             up[lower] = upper
             matched[lower] = matched[upper] = 1
     priority = [rng.random() for _ in faces]
-    return _ranked(complex, _linear_extension(complex._incidence, up, priority))
+    order, cells = _linear_extension(complex._incidence, up, priority), complex._order
+    return _validated(complex, {cells[i]: float(r) for r, i in enumerate(order)})

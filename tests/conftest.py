@@ -3,6 +3,7 @@ and a reference ``.scx`` reader."""
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from collections import Counter
@@ -19,7 +20,7 @@ from morseflow import (
     random_morse,
     validate,
 )
-from morseflow.errors import MalformedSimplex, ParseError
+from morseflow.errors import AcyclicityBug, MalformedSimplex, ParseError
 
 
 @pytest.fixture(scope="session")
@@ -159,6 +160,47 @@ def torus(m: int) -> SimplicialComplex:
             c, d = (i + 1) % m * m + j, (i + 1) % m * m + (j + 1) % m
             triangles += [(a, b, d), (a, c, d)]
     return build_complex(triangles)
+
+
+def tied(f):
+    """A Morse function with ties whose pairs are some of ``f``'s."""
+    return validate(f.complex, {c: v // 3 + len(c) for c, v in f.values.items()})
+
+
+# The Simplex-keyed heap that ``random_morse`` and ``make_injective`` once
+# shared, kept as their oracle: a linear extension of the matching-modified
+# face order over dicts of cells, smallest key first.
+
+
+def reference_simplex_linear_extension(complex, up, down, key):
+    faces, cofaces = complex._faces, complex._cofaces
+    indeg = {c: len(faces[c]) - (c in down) + (c in up) for c in complex}
+    heap = [(key(c), c) for c, n in indeg.items() if not n]
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
+    order = []
+    while heap:
+        cell = pop(heap)[1]
+        order.append(cell)
+        mate, low = up.get(cell), down.get(cell)
+        for nxt in cofaces[cell] if low is None else (low, *cofaces[cell]):
+            if nxt != mate:
+                n = indeg[nxt] - 1
+                indeg[nxt] = n
+                if not n:
+                    push(heap, (key(nxt), nxt))
+    if len(order) != len(complex):
+        raise AcyclicityBug("the matching-modified face order has a cycle")
+    return order
+
+
+def reference_make_injective(f):
+    """Oracle for ``make_injective``: ``f`` re-ranked along the heap-ordered
+    linear extension keyed by ``(f(c), simplex_key(c))``."""
+    order = reference_simplex_linear_extension(
+        f.complex, f.field.up, f.field.down, key=lambda c: (f(c), len(c), tuple(c))
+    )
+    return validate(f.complex, {cell: float(i) for i, cell in enumerate(order)})
 
 
 class CountingDict(dict):

@@ -599,6 +599,32 @@ class TestCli:
                 "message": f"need two distinct critical vertices with f(({low},)) < f(({high},))",
             }
 
+    def test_tied_values_are_read_as_given(self, tmp_path, capsys):
+        """On ``tied_tail`` the path 2, 0, 1 has edge values 3, 3, which do
+        not strictly decrease, so one admissible path is left and the family
+        has one member; on ``tied_circle`` both matched pairs tie and the LS
+        values are the caller's."""
+        files = {
+            "tied_tail": "0 : 0\n2 : 1\n0 1 : 3\n0 2 : 3\n1 : 4\n",
+            "tied_circle": "0 : 0\n1 : 1\n0 1 : 1\n2 : 2\n1 2 : 2\n0 2 : 4\n",
+        }
+        cases = [
+            ("tied_tail", ["mountain-pass", "--min1", "2", "--min0", "0"],
+             '{"c": 3.0, "command": "mountain-pass", "edge": [0, 2], "pathCount": 1, '
+             '"schema": 1, "witness": {"edges": [[0, 2]], "start": [2]}}'),
+            ("tied_tail", ["minmax-check", "--min1", "2", "--min0", "0"],
+             '{"closureChecked": 1, "command": "minmax-check", "deformation": '
+             '[[2.0, "flow"], [4.0, "flow"]], "epsilon": 0.5, "familySize": 1, '
+             '"instance": "paths", "ok": true, "schema": 1}'),
+            ("tied_circle", ["lscat"],
+             '{"boundHolds": true, "command": "lscat", "criticalCount": 2, "dgcat": 1, '
+             '"schema": 1, "values": [[1, 0.0], [2, 4.0]]}'),
+        ]
+        for name, (command, *options), expected in cases:
+            path = tmp_path / f"{name}.scx"
+            path.write_text(files[name], encoding="utf-8")
+            assert self._json(capsys, [command, "--in", str(path), *options]) == (0, expected + "\n")
+
     def test_too_large_error_carries_size_and_bound(self, tmp_path, capsys):
         path = tmp_path / "tri.scx"
         path.write_text("0 1 2\n", encoding="utf-8")

@@ -53,7 +53,14 @@ from morseflow.errors import (
     SignatureMismatch,
     SimplexNotInComplex,
 )
-from conftest import CountingDict, elimination_betti, face_closure, random_instance, torus
+from conftest import (
+    CountingDict,
+    elimination_betti,
+    face_closure,
+    random_instance,
+    reference_make_injective,
+    torus,
+)
 
 
 def reference_basin(f, field, v):
@@ -932,12 +939,14 @@ class TestOneValueSort:
     and LS family read off that order equals the per-call route it replaced."""
 
     def test_the_orders_break_ties_canonically_and_put_faces_first(self, rp2):
-        """The value order is (value, canonical) order; the entry order puts
-        every face before its cofaces, which ``_negative_cells`` needs, and
-        each matched lower just before its upper."""
+        """The value order is the order of the heap-ordered linear extension
+        keyed by (value, canonical order), which ``make_injective`` ranks
+        along; the entry order puts every face before its cofaces, which
+        ``_negative_cells`` needs, and each matched lower just before its
+        upper."""
         for f in betti_inputs(rp2):
             view = f._view
-            assert view.cells == sorted(f.complex, key=lambda c: (f(c), simplex_key(c)))
+            assert view.cells == sorted(f.complex, key=reference_make_injective(f))
             assert view.values == [f(c) for c in view.cells]
             assert view.entries == [f(f.field.up.get(c, c)) for c in view.entered]
             assert view.critical == critical_values(f)
@@ -971,7 +980,7 @@ class TestOneValueSort:
             index = search_index(f.complex, 14)
             masks = level_masks_by_value_order(work, index)
             for k in range(1, index.category(index.full)[0] + 2):
-                assert minmax._ls_family(work, index, k) == ls_family_by_masks(index, masks, k)
+                assert minmax._ls_family(f, index, k) == ls_family_by_masks(index, masks, k)
                 families += 1
         assert families > 250
 

@@ -72,6 +72,7 @@ from conftest import (
     random_instance,
     stack_collapsible,
     stack_reachable,
+    tied,
     torus,
     two_hole_grid,
 )
@@ -128,6 +129,17 @@ class TestMinMaxValue:
             instance = MinMaxInstance(p3_function, {}, family)
             with pytest.raises(SimplexNotInComplex):
                 minmax_value(instance)
+
+    def test_foreign_cell_rejected_by_both(self):
+        # Every set maps onto {0} and the edge's cells are all critical, so
+        # closure and deformation would both hold; the member {9} has no value.
+        f = validate(build_complex([(0, 1)]), {(0,): 0, (1,): 1, (0, 1): 2})
+        onto = {"onto": lambda s: frozenset({Simplex((0,))})}
+        family = [frozenset({Simplex((0,))}), frozenset({Simplex((9,))})]
+        instance = MinMaxInstance(f, onto, family)
+        for check in (minmax_value, check_minmax_data):
+            with pytest.raises(SimplexNotInComplex, match=r"^Simplex\(9,\) has no value$"):
+                check(instance)
 
     def test_non_critical_value_flagged(self, p3_function):
         instance = MinMaxInstance(
@@ -345,11 +357,6 @@ def grid_functions():
     return [random_morse(complex, seed) for seed in range(40)]
 
 
-def _tied(f):
-    """A Morse function with ties whose pairs are some of ``f``'s."""
-    return validate(f.complex, {c: v // 3 + len(c) for c, v in f.values.items()})
-
-
 def _critical_vertices(field):
     return {c[0] for c in field.critical if c.dim == 0}
 
@@ -452,7 +459,7 @@ class TestPathsAgainstRules:
         # Each grid function, and the same function with ties: the tied
         # copies also pair minima of equal value, which are refused.
         checked = found = ties = 0
-        for f in grid_functions + [_tied(g) for g in grid_functions]:
+        for f in grid_functions + [tied(g) for g in grid_functions]:
             for high, low in _ordered_critical_pairs(f):
                 found += self._check(f, high, low)
                 ties += f((low,)) == f((high,))
@@ -555,7 +562,7 @@ class TestBacktrackingAgainstStackWalk:
         # edge values meet the strict tail rule that the walk's tail
         # successors encode, and minima of equal value are refused.
         functions = grid_functions + grid4_functions
-        for copies in (functions, [_tied(f) for f in functions]):
+        for copies in (functions, [tied(f) for f in functions]):
             totals = {list: 0, NoPathExists: 0, NotLocalMinima: 0}
             for f in copies:
                 for kind, n in self._check(f).items():
@@ -662,7 +669,7 @@ class TestMountainPassAgainstTheFamilyOracle:
 
     def test_non_injective_functions(self, grid_functions, grid4_functions):
         checked = 0
-        for f in map(_tied, grid_functions + grid4_functions):
+        for f in map(tied, grid_functions + grid4_functions):
             assert not f.is_injective()
             for result in _grid_passes([f]):
                 assert result.instance.function is not f
@@ -919,6 +926,29 @@ class TestMountainPass:
             with pytest.raises(NotLocalMinima, match=re.escape(message)):
                 enumerate_paths(f, f.field, high, low)
 
+    def test_tied_input_walks_the_callers_function(self):
+        """On tied input the walk reads ``f`` itself, so its paths are
+        ``enumerate_paths``' (the tail strictly decreases in ``f``), while
+        the value, edge and witness are those of the re-ranked function."""
+        fs = [tied(random_morse(grid(n), seed)) for n in (3, 4) for seed in range(10)]
+        fs += [tied(random_instance(seed)[1]) for seed in range(300)]
+        passes = 0
+        for f in fs:
+            work = make_injective(f)
+            for high, low in _ordered_critical_pairs(f):
+                if not f((low,)) < f((high,)):
+                    continue
+                try:
+                    result = mountain_pass(f, (high,), (low,))
+                except NoPathExists:
+                    continue
+                assert result.paths == tuple(enumerate_paths(f, f.field, (high,), (low,)))
+                ranked = mountain_pass(work, (high,), (low,))
+                assert (result.edge, result.witness) == (ranked.edge, ranked.witness)
+                assert result.value == f(ranked.edge)
+                passes += 1
+        assert passes > 900
+
     def test_circle_has_single_minimum(self, circle_function):
         with pytest.raises(NotLocalMinima):
             mountain_pass(circle_function, (2,), (0,))
@@ -1156,16 +1186,21 @@ class TestLsThroughTheEngine:
                 checked += 1
         assert checked > 150
 
-    def test_matches_the_pre_change_version_on_non_injective_functions(self):
-        tied = [validate(build_complex([(0, 1)]), {(0,): 0, (1,): 1, (0, 1): 1})]
+    def test_matches_the_pre_change_version_on_non_injective_functions(self, monkeypatch):
+        """``ls_minmax`` reads the tied function itself and re-ranks nothing."""
+        fs = [validate(build_complex([(0, 1)]), {(0,): 0, (1,): 1, (0, 1): 1})]
         for seed in range(50):
             complex, f = random_instance(seed)
             if len(complex) <= 14:
-                # Still a Morse function (its pairs are some of f's), with ties.
-                tied.append(validate(complex, {c: v // 3 + len(c) for c, v in f.values.items()}))
-        assert sum(not f.is_injective() for f in tied) > 20
-        for f in tied:
-            assert ls_minmax(f) == _ls_minmax_before_the_engine(f)
+                fs.append(tied(f))  # still a Morse function, with ties
+        assert sum(not f.is_injective() for f in fs) > 20
+        expected = [_ls_minmax_before_the_engine(f) for f in fs]
+
+        def refuse(f):
+            raise AssertionError("ls_minmax validated a second function")
+
+        monkeypatch.setattr(minmax, "make_injective", refuse)
+        assert [ls_minmax(f) for f in fs] == expected
 
     def test_level_masks_and_families_match_the_closure_masks(
         self, triangle_function, circle_function, double_well
@@ -1189,7 +1224,7 @@ class TestLsThroughTheEngine:
                     if index.category(mask)[0] >= k - 1:
                         members.update(index.reachable(mask))
                 family = [frozenset(index.cells_of(m)) for m in sorted(members)]
-                assert minmax._ls_family(work, index, k) == family
+                assert minmax._ls_family(f, index, k) == family
                 assert_unclosed_prefix(f, k, family)
 
     def test_flow_closure_builds_no_complex_per_member(self, monkeypatch, double_well):

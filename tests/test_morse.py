@@ -36,11 +36,21 @@ from morseflow.errors import (
     MissingValue,
     MorseConditionViolated,
     NoPathExists,
+    NotLocalMinima,
     PreconditionViolated,
     SimplexNotInComplex,
     TooLargeForEnumeration,
 )
-from conftest import CountingList, grid, random_complex, random_instance, torus
+from conftest import (
+    CountingList,
+    grid,
+    random_complex,
+    random_instance,
+    reference_make_injective,
+    reference_simplex_linear_extension,
+    tied,
+    torus,
+)
 
 
 def order_equivalent(f, g) -> bool:
@@ -99,39 +109,9 @@ def reference_linear_extension(incidence, up, key):
     return order
 
 
-# The Simplex-keyed generator that ``random_morse`` and ``make_injective``
-# replaced, kept as their oracle: the same shuffle, matching, cycle test and
-# heap order, over dicts of cells instead of the integer incidence.
-
-
-def reference_simplex_linear_extension(complex, up, down, key):
-    faces, cofaces = complex._faces, complex._cofaces
-    indeg = {c: len(faces[c]) - (c in down) + (c in up) for c in complex}
-    heap = [(key(c), c) for c, n in indeg.items() if not n]
-    heapq.heapify(heap)
-    push, pop = heapq.heappush, heapq.heappop
-    order = []
-    while heap:
-        cell = pop(heap)[1]
-        order.append(cell)
-        mate, low = up.get(cell), down.get(cell)
-        for nxt in cofaces[cell] if low is None else (low, *cofaces[cell]):
-            if nxt != mate:
-                n = indeg[nxt] - 1
-                indeg[nxt] = n
-                if not n:
-                    push(heap, (key(nxt), nxt))
-    if len(order) != len(complex):
-        raise AcyclicityBug("the matching-modified face order has a cycle")
-    return order
-
-
-def reference_make_injective(f):
-    field = gradient_field(f)
-    order = reference_simplex_linear_extension(
-        f.complex, field.up, field.down, key=lambda c: (f(c), len(c), tuple(c))
-    )
-    return validate(f.complex, {cell: float(i) for i, cell in enumerate(order)})
+# The Simplex-keyed generator that ``random_morse`` replaced, kept as its
+# oracle: the same shuffle, matching, cycle test and heap order, over dicts
+# of cells instead of the integer incidence.
 
 
 def reference_would_cycle(complex, up, lower, upper):
@@ -172,21 +152,6 @@ def reference_random_morse(complex, seed):
     down = {upper: lower for lower, upper in up.items()}
     order = reference_simplex_linear_extension(complex, up, down, key=priority.__getitem__)
     return validate(complex, {cell: float(i) for i, cell in enumerate(order)})
-
-
-def grid(m):
-    """The m x m vertex grid, each square cut along a diagonal."""
-    triangles = []
-    for i in range(m - 1):
-        for j in range(m - 1):
-            a = i * m + j
-            triangles += [(a, a + m, a + m + 1), (a, a + 1, a + m + 1)]
-    return build_complex(triangles)
-
-
-def tied(f):
-    """A Morse function with ties whose pairs are some of ``f``'s."""
-    return validate(f.complex, {c: v // 3 + len(c) for c, v in f.values.items()})
 
 
 def random_matching(complex, rng) -> GradientField:
@@ -459,6 +424,19 @@ class TestLinearExtension:
                 assert list(got.values.items()) == list(want.values.items())
                 assert got.field == want.field
 
+    def test_make_injective_matches_the_simplex_oracle_on_tori(self):
+        """The rank along the view's strict order is the heap's linear
+        extension, on tori m = 3 .. 12 and on their tied versions."""
+        moved = 0
+        for m in range(3, 13):
+            f = random_morse(torus(m), m)
+            for g in (f, tied(f)):
+                got, want = make_injective(g), reference_make_injective(g)
+                assert list(got.values.items()) == list(want.values.items())
+                assert got.field == g.field
+                moved += g._view.cells != sorted(g.complex, key=lambda c: (g(c), simplex_key(c)))
+        assert moved >= 5  # ties between a matched pair move the lower
+
     def test_random_morse_and_make_injective_match_the_reference(self, monkeypatch):
         functions = self._functions()
 
@@ -517,16 +495,23 @@ class TestIntegerIncidence:
 
     def test_mountain_pass_builds_no_incidence(self):
         parsed, f = parse_scx(emit_scx(grid(4), random_morse(grid(4), 3)))
-        assert f.is_injective()  # else ``make_injective`` would build it
-        vertices = sorted((c for c in critical_cells(f) if c.dim == 0), key=f)
         passes = 0
-        for low, high in itertools.combinations(vertices, 2):
-            try:
-                mountain_pass(f, high, low)
-            except NoPathExists:
-                continue
-            passes += 1
+        for g in (f, tied(f)):
+            vertices = sorted((c for c in critical_cells(g) if c.dim == 0), key=g)
+            for low, high in itertools.combinations(vertices, 2):
+                try:
+                    mountain_pass(g, high, low)
+                except (NoPathExists, NotLocalMinima):
+                    continue
+                passes += 1
+        assert not tied(f).is_injective()
         assert passes and parsed._ids is None
+
+    def test_make_injective_builds_no_incidence(self):
+        parsed, f = parse_scx(emit_scx(torus(6), random_morse(torus(6), 4)))
+        for g in (f, tied(f)):
+            assert make_injective(g).is_injective()
+        assert not tied(f).is_injective() and parsed._ids is None
 
     def test_random_morse_builds_it_once(self, monkeypatch):
         complex = torus(5)
