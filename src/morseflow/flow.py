@@ -6,8 +6,9 @@ gradient-of-boundary) and kept as a plain zero-free row ``{cell:
 coefficient}`` whose keys are the complex's own cells.  The four chain maps,
 ``flow_of``, ``gradient_of``, ``apply_flow`` and ``apply_gradient``, run one
 pass that adds coefficient times row over a chain's terms (a gradient row is
-a cell's matched upper cell with the pair's coefficient) and build one
-checked ``Chain`` per call.  ``flow_image`` unions the rows directly, so its
+a cell's matched upper cell with the pair's coefficient, read from the one
+table of pairs the flow rows are built from) and build one checked
+``Chain`` per call.  ``flow_image`` unions the rows directly, so its
 sets hold the complex's own cells too.  ``flow_matrix`` rebuilds the same data
 by sparse matrix composition over ``faces_of``, with a gradient table built
 from the field's pairs, not the operator's, and boundary signs read from face
@@ -36,13 +37,15 @@ class FlowOperator:
     A given field must be the function's, else ``ComplexMismatch``.
     """
 
-    __slots__ = ("function", "field", "complex", "_flow")
+    __slots__ = ("function", "field", "complex", "_matched", "_flow")
 
     def __init__(self, function: MorseFunction, field: GradientField | None = None):
         self.function = function
         self.complex = function.complex
         self.field = _own_field(function, field)
-        matched = {
+        # Each matched lower's upper cell and the pair's coefficient, read
+        # by the rows below and by ``_gradient_row``.
+        self._matched = matched = {
             lower: (upper, -incidence_sign(upper, lower)) for lower, upper in self.field.up.items()
         }
         # Row of s: s + boundary(V s) + V(boundary s), in one dict; an unmatched
@@ -80,8 +83,8 @@ class FlowOperator:
 
     def _gradient_row(self, cell: Simplex) -> dict[Simplex, int]:
         """A cell's matched upper cell with the pair's coefficient; empty when unmatched."""
-        upper = self.field.up.get(cell)
-        return {} if upper is None else {upper: -incidence_sign(upper, cell)}
+        pair = self._matched.get(cell)
+        return {} if pair is None else dict([pair])
 
     def _map(self, terms: Mapping, row_of: Callable[[Simplex], Mapping]) -> Chain:
         """The sum of coefficient times row over the terms, as one checked ``Chain``.

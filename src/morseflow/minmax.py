@@ -16,8 +16,9 @@ every collapse witness of ``dgcat`` comes from its one depth-first search.
 ``dgcat`` of an empty subcomplex raises ``EmptyInput``, and so do
 ``ls_minmax``, ``ls_bound_check`` and ``ls_instance`` on the empty complex;
 ``ls_instance`` takes the depths 1 .. dgcat + 1 only, where the LS values
-exist, and ``check_minmax_data`` refuses a family with no members or with
-an empty member.
+exist.  ``minmax_value`` and ``check_minmax_data`` refuse a malformed family
+(no members, an empty member, a cell outside the complex) through one
+helper, ``_members``, with the same kind and message.
 The path walk runs on a step table that holds only the steps into vertices
 a path may enter, each with its tail successors (the far end's steps on a
 strictly lower edge), so its inner loop tests only the visited mask; it
@@ -32,18 +33,19 @@ keyed by masks, and cell sets are built once per member, only
 for what the result returns.  The strict order gives distinct cells
 distinct bits, also on tied input, so a member's highest bit is its top
 cell and its bit count its size: the mountain pass finds the members tied
-on the least (top value, size) from the masks alone, where
-``minmax_value`` reads each member's values, and both hand their tied
-members to ``_least_member``, which breaks the tie by canonical cell order
-and checks that the value is critical.  Its ``"flow"`` map is a table from
-each member to its image, the family's own object.
-Every reader here walks the caller's function; only an instance handed to
-``check_minmax_data`` carries ``make_injective(f)``, ``f`` ranked along the
-same strict order, since that check needs an injective function.  Every
-other reader of values reads the same value sort: the deformation check
-walks the value order, the LS family takes one level mask per cell of the
-entry order that is no matched lower, and a min-max value is checked
-against the sorted critical values.
+on the least (top value, size) from the masks alone, and its ridge is the
+cell at their shared top bit, where ``minmax_value`` reads each member's
+values; both hand their tied members to ``_least_member``, which breaks
+the tie by canonical cell order and checks that the value is critical.
+Its ``"flow"`` map is a table from each member to its image, the family's
+own object.
+Every reader here walks the caller's function, and every instance built
+here carries it, also on tied input.  ``check_minmax_data`` alone ranks a
+tied function, checking ``make_injective(f)`` (``f`` ranked along the same
+strict order) in its place.  Every other reader of values reads the same
+value sort: the deformation check walks the value order, the LS family
+takes one level mask per cell of the entry order that is no matched lower,
+and a min-max value is checked against the sorted critical values.
 """
 
 from __future__ import annotations
@@ -112,20 +114,33 @@ def minmax_value(instance: MinMaxInstance) -> tuple[float, frozenset[Simplex]]:
     """Min over the family of the max value, with a deterministic witness.
 
     Ties break toward the smaller member (by size, then canonical cell
-    order).  Raises ``TheoremViolation`` if the value is not critical.
+    order).  A malformed family is refused as in ``check_minmax_data``
+    (see ``_members``).  Raises ``TheoremViolation`` if the value is not
+    critical.
     """
-    if not instance.family:
-        raise EmptyFamily("the family has no members")
-    family, values, keys = instance.family, instance.function.values, []
-    for member in family:
-        if not member:
-            raise EmptyFamily("family members must be non-empty")
-        try:
-            keys.append((max(map(values.__getitem__, member)), len(member)))
-        except KeyError as exc:
-            raise SimplexNotInComplex(f"{exc.args[0]!r} has no value") from None
+    family, values = _members(instance), instance.function.values
+    keys = [(max(map(values.__getitem__, member)), len(member)) for member in family]
     least = min(keys)
     return _least_member(instance.function, [m for m, key in zip(family, keys) if key == least])
+
+
+def _members(instance: MinMaxInstance) -> list[frozenset[Simplex]]:
+    """The instance's family, once it is well formed.
+
+    A family with no members, or with an empty member, raises
+    ``EmptyFamily``: it has no min-max value, though it could pass both
+    checks of ``check_minmax_data``.  A member with a cell outside the
+    complex raises ``SimplexNotInComplex``, naming the canonical-least such
+    cell, found by one union of the members.
+    """
+    family = instance.family
+    if not family:
+        raise EmptyFamily("the family has no members")
+    if not all(family):
+        raise EmptyFamily("family members must be non-empty")
+    if outside := frozenset().union(*family) - instance.function.complex.simplices:
+        raise SimplexNotInComplex(f"{min(outside, key=simplex_key)!r} has no value")
+    return family
 
 
 def _least_member(f: MorseFunction, tied: list[frozenset]) -> tuple[float, frozenset]:
@@ -153,27 +168,20 @@ def check_minmax_data(instance: MinMaxInstance) -> MinMaxReport:
     value, never from the float sums ``a + epsilon`` and ``a - epsilon``,
     which can round onto an adjacent value.
 
-    A family with no members, or with an empty member, raises
-    ``EmptyFamily``, as in ``minmax_value``: it could pass both checks and
-    yet have no min-max value.  A member with a cell outside the complex
-    raises ``SimplexNotInComplex``, as in ``minmax_value``, found by one
-    union of the members.  Each map is checked on every member, so the
-    report's ``closure_checked`` is the number of maps times the number of
-    members.
+    This is the one place that breaks ties: a function that is not
+    injective is checked as ``make_injective(f)``, ``f`` ranked 0, 1, 2, ...
+    along its strict order, with the same family and maps.  The report is
+    then that function's: epsilon is 0.5 and the deformation is keyed by
+    ranks.  A malformed family is refused as in ``minmax_value`` (see
+    ``_members``).  Each map is checked on every member, so the report's
+    ``closure_checked`` is the number of maps times the number of members.
     """
-    if not instance.family:
-        raise EmptyFamily("the family has no members")
-    f = instance.function
-    if not f.is_injective():
-        raise PreconditionViolated("min-max data checks need an injective function")
-    if not all(instance.family):
-        raise EmptyFamily("family members must be non-empty")
-    if outside := frozenset().union(*instance.family) - f.complex.simplices:
-        raise SimplexNotInComplex(f"{min(outside, key=simplex_key)!r} has no value")
-    members = set(instance.family)
+    family, f = _members(instance), instance.function
+    f = f if f.is_injective() else make_injective(f)
+    members = set(family)
     for name in sorted(instance.maps):
         h = instance.maps[name]
-        for member in instance.family:
+        for member in family:
             if frozenset(h(member)) not in members:
                 raise ClosureViolated(name, member)
     witnesses: dict[float, str] = {}
@@ -196,7 +204,7 @@ def check_minmax_data(instance: MinMaxInstance) -> MinMaxReport:
     ratios = [v.as_integer_ratio() for v in f.sorted_distinct_values()]
     units = [n << (1075 - d.bit_length()) for n, d in ratios]
     gap = min((b - a for a, b in zip(units, units[1:])), default=1 << 1074)
-    return MinMaxReport(len(instance.maps) * len(instance.family), gap / (1 << 1075), witnesses)
+    return MinMaxReport(len(instance.maps) * len(family), gap / (1 << 1075), witnesses)
 
 
 @dataclass(frozen=True, slots=True)
@@ -255,7 +263,7 @@ def enumerate_paths(
     walk is the one ``mountain_pass`` runs (see ``_admissible_walk``).
     """
     _own_field(f, field)
-    return [path for path, _, _ in _admissible_walk(f, *_minima(f, high, low))[2]]
+    return [path for path, _, _ in _admissible_walk(f, *_minima(f, high, low))[3]]
 
 
 def _minima(f: MorseFunction, high, low) -> tuple[Simplex, Simplex]:
@@ -273,7 +281,7 @@ def _minima(f: MorseFunction, high, low) -> tuple[Simplex, Simplex]:
 
 def _admissible_walk(
     f: MorseFunction, v1: Simplex, v0: Simplex
-) -> tuple[FlowOperator, dict[Simplex, int], list[tuple[EdgePath, int, int]]]:
+) -> tuple[FlowOperator, list[Simplex], dict[Simplex, int], list[tuple[EdgePath, int, int]]]:
     """The walk of ``enumerate_paths`` from ``v1`` to the basin of ``v0``
     (checked by ``_minima``), with each path's cells and flow image as
     position bitmasks: bit ``i`` stands for the ``i``-th of the complex's
@@ -281,8 +289,9 @@ def _admissible_walk(
 
     A set's top cell in that order is then its highest bit, so
     ``mountain_pass`` reads each member's maximum off its mask.  Returns the
-    flow operator of ``f`` and its field, each vertex's and edge's flow-row
-    mask (the bits of its flow's support), and the admissible paths in
+    flow operator of ``f`` and its field, the vertices and edges in that
+    order (bit ``i``'s cell is the ``i``-th), each one's flow-row mask (the
+    bits of its flow's support), and the admissible paths in
     ``enumerate_paths`` order, each with its cell mask and its flow-image
     mask.  A stack frame carries both masks of its path, each grown by one
     OR per step, since the flow image of a set is the union of its rows; the
@@ -346,7 +355,7 @@ def _admissible_walk(
         raise NoPathExists(
             f"no admissible edge path from {tuple(v1)} to the basin of {tuple(v0)}"
         )
-    return operator, rows, found
+    return operator, low_cells, rows, found
 
 
 def flow_path(operator: FlowOperator, path: EdgePath) -> EdgePath:
@@ -440,14 +449,16 @@ def mountain_pass(f: MorseFunction, high, low) -> MountainPassResult:
     with the least ``bit_length()`` and then the least ``bit_count()``.  No
     member's cells are read to choose it; only a tie on both is broken by
     canonical cell order, in ``_least_member`` as for ``minmax_value``.
+    Every least member shares the top bit, so the ridge edge is the cell at
+    that position and the value is ``f`` of it; the tripwire that the
+    ridge lies above the higher minimum compares positions in the strict
+    order, since on tied input a critical edge can tie with that minimum.
     Minima of equal value raise ``NotLocalMinima`` in either order, as in
-    ``enumerate_paths``.  The instance's function is ``f``, or on tied input
-    ``make_injective(f)``, ``f`` ranked along the same strict order, since
-    ``check_minmax_data`` needs an injective function; the reported value
-    is ``f``'s value of the ridge edge.
+    ``enumerate_paths``.  The instance's function is ``f`` itself, also on
+    tied input: ``check_minmax_data`` breaks the ties.
     """
     v1, v0 = _minima(f, high, low)
-    operator, rows, found = _admissible_walk(f, v1, v0)
+    operator, order, rows, found = _admissible_walk(f, v1, v0)
     # members: cell mask -> member, in the order the walk reaches them;
     # seeds: member -> the first path whose orbit reaches it; images: member -> its image.
     members, seeds, images = {}, {}, {}
@@ -466,25 +477,22 @@ def mountain_pass(f: MorseFunction, high, low) -> MountainPassResult:
         image = images.get(cells := frozenset(cells))
         return flow_image(operator, cells) if image is None else image
 
-    family = list(members.values())
-    # ``check_minmax_data`` needs an injective function: ``f`` ranked along its strict order.
-    work = f if f.is_injective() else make_injective(f)
-    instance = MinMaxInstance(work, {"flow": flow}, family)
-    # Bits follow ``f``'s strict order, which is ``work``'s value order, so a
-    # member's highest bit is its top cell and its bit count its size: the
-    # least (top value, size) is the least (highest bit, bit count), and the
-    # least mask has the least highest bit.
-    below = 1 << min(members).bit_length()  # the masks below it share that top bit
+    instance = MinMaxInstance(f, {"flow": flow}, list(members.values()))
+    # Bits follow ``f``'s strict order, so a member's highest bit is its top
+    # cell and its bit count its size: the least (top value, size) is the
+    # least (highest bit, bit count), and the least mask has the least highest bit.
+    top = min(members).bit_length() - 1
+    below = 2 << top  # the masks below it share that top bit
     least = min(mask.bit_count() for mask in members if mask < below)
     tied = [m for mask, m in members.items() if mask < below and mask.bit_count() == least]
-    value_work, witness_cells = _least_member(work, tied)
-    ridge = max(witness_cells, key=work)
+    value, witness_cells = _least_member(f, tied)
+    ridge = order[top]
     if ridge.dim != 1 or ridge not in operator.field.critical:
         raise TheoremViolation(f"min-max cell {tuple(ridge)} is not a critical edge")
-    if not value_work > work(v1):
+    if not top > order.index(v1):
         raise TheoremViolation("min-max value does not exceed the higher minimum")
     witness = seeds[witness_cells]
-    return MountainPassResult(f(ridge), ridge, witness, tuple(p for p, _, _ in found), instance)
+    return MountainPassResult(value, ridge, witness, tuple(p for p, _, _ in found), instance)
 
 
 @dataclass(frozen=True)
@@ -599,7 +607,8 @@ def ls_instance(
     The family of ``_ls_family`` comes first, in mask order; the images it
     lacks follow in the order one pass over the growing list first reaches
     them, so every member's image is a member.  The map builds no
-    subcomplex, only the closure's cell set.
+    subcomplex, only the closure's cell set.  The instance's function is
+    ``f`` itself, also on tied input: ``check_minmax_data`` breaks the ties.
 
     The LS values exist at depths 1 .. dgcat + 1 only: another ``k`` raises
     ``PreconditionViolated``, and the empty complex, which has no category,
@@ -620,6 +629,4 @@ def ls_instance(
         if (image := flow_closure(member)) not in members:
             members.add(image)
             family.append(image)
-    # ``check_minmax_data`` needs an injective function: ``f`` ranked along its strict order.
-    work = f if f.is_injective() else make_injective(f)
-    return MinMaxInstance(work, {"flow_closure": flow_closure}, family)
+    return MinMaxInstance(f, {"flow_closure": flow_closure}, family)

@@ -21,6 +21,8 @@ from morseflow import (
     FlowOperator,
     GradientField,
     MinMaxInstance,
+    MinMaxReport,
+    MorseFunction,
     Simplex,
     SimplicialComplex,
     basin,
@@ -70,6 +72,7 @@ from conftest import (
     frame_collapse_search,
     grid,
     random_instance,
+    reference_make_injective,
     stack_collapsible,
     stack_reachable,
     tied,
@@ -141,6 +144,23 @@ class TestMinMaxValue:
             with pytest.raises(SimplexNotInComplex, match=r"^Simplex\(9,\) has no value$"):
                 check(instance)
 
+    def test_both_refuse_a_malformed_family_alike(self):
+        # One helper refuses for both: the empty member before a foreign cell
+        # in an earlier member, and the canonical-least foreign cell.
+        f = validate(build_complex([(0, 1)]), {(0,): 0, (1,): 1, (0, 1): 2})
+        nine, eight = frozenset({Simplex((9,))}), frozenset({Simplex((8,))})
+        cases = [
+            ([], EmptyFamily, "the family has no members"),
+            ([nine, frozenset()], EmptyFamily, "family members must be non-empty"),
+            ([nine, eight], SimplexNotInComplex, "Simplex(8,) has no value"),
+        ]
+        for family, kind, message in cases:
+            instance = MinMaxInstance(f, {"fixed": lambda s: s}, family)
+            for check in (minmax_value, check_minmax_data):
+                with pytest.raises(kind) as info:
+                    check(instance)
+                assert str(info.value) == message
+
     def test_non_critical_value_flagged(self, p3_function):
         instance = MinMaxInstance(
             p3_function, {}, [frozenset({Simplex((2,))})]
@@ -178,6 +198,29 @@ class TestCheckMinMaxData:
         assert caught.value.map_name == "grow"
         assert caught.value.member is family[2]
         assert str(caught.value) == "map 'grow' leaves the family on [(3,)]"
+
+    def test_a_tied_function_is_checked_as_its_ranking(self):
+        # The CLI's tied_tail.scx and tied_circle.scx: each instance carries
+        # the caller's tied function, and its report is that of the same
+        # family and maps with ``make_injective(f)``, whose values are ranks.
+        tail = validate(
+            build_complex([(0, 1), (0, 2)]), {(0,): 0, (2,): 1, (0, 1): 3, (0, 2): 3, (1,): 4}
+        )
+        circle = validate(
+            build_complex([(0, 1), (1, 2), (0, 2)]),
+            {(0,): 0, (1,): 1, (0, 1): 1, (2,): 2, (1, 2): 2, (0, 2): 4},
+        )
+        cases = [
+            (mountain_pass(tail, (2,), (0,)).instance, 1, {2.0: "flow", 4.0: "flow"}),
+            (ls_instance(circle, 1), 7, dict.fromkeys((1.0, 2.0, 3.0, 4.0), "flow_closure")),
+        ]
+        for instance, closure_checked, deformation in cases:
+            f = instance.function
+            assert not f.is_injective()
+            ranked = MinMaxInstance(make_injective(f), instance.maps, instance.family)
+            report = check_minmax_data(instance)
+            assert report == check_minmax_data(ranked)
+            assert report == MinMaxReport(closure_checked, 0.5, deformation)
 
     def test_adjacent_float_values_keep_their_own_sublevel_sets(self):
         # h shrinks only the whole edge, so it fails at the regular value of
@@ -414,6 +457,13 @@ def _ordered_critical_pairs(f):
     return [(high, low) for high in vertices for low in vertices if high != low]
 
 
+def _tied_functions():
+    """Tied versions of the 3 x 3 and 4 x 4 grid functions of seeds 0-9 and
+    of the functions of ``random_instance`` seeds 0-299."""
+    fs = [tied(random_morse(grid(n), seed)) for n in (3, 4) for seed in range(10)]
+    return fs + [tied(random_instance(seed)[1]) for seed in range(300)]
+
+
 def _grid_passes(grid_functions):
     """Mountain passes of every ordered critical pair of the grid functions that has one."""
     for f in grid_functions:
@@ -632,10 +682,9 @@ class TestWitnessAgainstOrbits:
         assert checked >= 150
 
 
-def _least_member_of_the_family(result):
+def _least_member_of_the_family(result, work):
     """The min-max member of a mountain pass from its family alone: the least
-    ``(max f, size, sorted cells)``, with no masks and no ``minmax_value``."""
-    work = result.instance.function
+    ``(max work, size, sorted cells)``, with no masks and no ``minmax_value``."""
     return min(
         result.instance.family,
         key=lambda member: (max(map(work, member)), len(member), sorted(member, key=simplex_key)),
@@ -649,8 +698,11 @@ class TestMountainPassAgainstTheFamilyOracle:
 
     @staticmethod
     def _check(f, result):
-        member = _least_member_of_the_family(result)
-        ridge = max(member, key=result.instance.function)
+        # On tied input the principle holds for f ranked along its strict
+        # order, which the heap oracle builds without the library's view.
+        work = f if f.is_injective() else reference_make_injective(f)
+        member = _least_member_of_the_family(result, work)
+        ridge = max(member, key=work)
         assert result.edge == ridge
         assert result.value == f(ridge)  # the caller's value, also on tied input
         assert result.witness == _first_path_reaching(result, member)
@@ -672,7 +724,7 @@ class TestMountainPassAgainstTheFamilyOracle:
         for f in map(tied, grid_functions + grid4_functions):
             assert not f.is_injective()
             for result in _grid_passes([f]):
-                assert result.instance.function is not f
+                assert result.instance.function is f
                 self._check(f, result)
                 checked += 1
         assert checked >= 50
@@ -930,10 +982,8 @@ class TestMountainPass:
         """On tied input the walk reads ``f`` itself, so its paths are
         ``enumerate_paths``' (the tail strictly decreases in ``f``), while
         the value, edge and witness are those of the re-ranked function."""
-        fs = [tied(random_morse(grid(n), seed)) for n in (3, 4) for seed in range(10)]
-        fs += [tied(random_instance(seed)[1]) for seed in range(300)]
         passes = 0
-        for f in fs:
+        for f in _tied_functions():
             work = make_injective(f)
             for high, low in _ordered_critical_pairs(f):
                 if not f((low,)) < f((high,)):
@@ -966,6 +1016,40 @@ class TestMountainPass:
         level = level_subcomplex(double_well, double_well((3,)))
         assert component_count(level.complex) == 2
         assert is_connected(double_well.complex)
+
+
+class TestOneTieRule:
+    """The builders return the caller's function; only ``check_minmax_data``
+    ranks a tied one, along its strict order."""
+
+    def test_the_checker_ranks_what_the_builders_leave_tied(self):
+        passes = depths = 0
+        for f in _tied_functions():
+            ranked = make_injective(f)
+            walked = [result.instance for result in _grid_passes([f])]
+            layered = [ls_instance(f, k) for k, _ in ls_minmax(f)] if len(f.complex) <= 14 else []
+            for instance in walked + layered:
+                assert instance.function is f
+                same = MinMaxInstance(ranked, instance.maps, instance.family)
+                assert check_minmax_data(instance) == check_minmax_data(same)
+            passes, depths = passes + len(walked), depths + len(layered)
+        assert passes > 900 and depths > 200
+
+    def test_the_builders_rank_nothing(self, monkeypatch):
+        fs = [tied(random_morse(grid(3), seed)) for seed in range(10)]
+        fs += [tied(f) for _, f in map(random_instance, range(50)) if len(f.complex) <= 14]
+
+        def refuse(*args):
+            raise AssertionError("a builder ranked the caller's function")
+
+        monkeypatch.setattr(minmax, "make_injective", refuse)
+        monkeypatch.setattr(MorseFunction, "is_injective", refuse)
+        passes = depths = 0
+        for f in fs:
+            passes += sum(result.instance.function is f for result in _grid_passes([f]))
+            if len(f.complex) <= 14:
+                depths += sum(ls_instance(f, k).function is f for k, _ in ls_minmax(f))
+        assert passes > 20 and depths > 20
 
 
 class TestCategory:
@@ -1677,13 +1761,6 @@ class TestFlowImageMap:
 
 class TestRareRefusals:
     """Refusals that only a caller's mistake reaches, each with its message."""
-
-    def test_check_minmax_data_needs_an_injective_function(self):
-        f = validate(build_complex([(0,), (1,)]), {(0,): 0, (1,): 0})
-        instance = MinMaxInstance(f, {"fixed": lambda s: s}, [frozenset()])
-        with pytest.raises(PreconditionViolated) as info:
-            check_minmax_data(instance)
-        assert str(info.value) == "min-max data checks need an injective function"
 
     def test_flow_path_of_a_path_holding_a_triangle(self, triangle):
         # Every cell critical: the triangle flows to itself.
