@@ -1,7 +1,9 @@
 """Command-line interface: JSON reports and DOT export over ``.scx``/OFF files.
 
 All JSON is deterministic: keys sorted, simplex lists in canonical order, a
-top-level ``"schema": 1`` marker.  Exit codes: 0 success, 1 domain error
+top-level ``"schema": 1`` marker.  The handlers return the library's own
+cells and pairs, which are tuples, and ``json`` writes each tuple as an
+array, so no cell is copied into a list.  Exit codes: 0 success, 1 domain error
 (with a machine-readable error object on stdout), 2 usage error.
 
 Each command is declared once, in the table of ``build_parser``: its name,
@@ -25,6 +27,7 @@ from pathlib import Path
 from .collapse import collapses_to, level_subcomplex, verify_dmt_a
 from .complexes import (
     DEFAULT_ENUM_BOUND,
+    Simplex,
     SimplicialComplex,
     betti_numbers_mod2,
     euler_characteristic,
@@ -54,13 +57,9 @@ SCHEMA = 1
 MAX_ENUM_CAP = 20
 
 
-def _listed(cells) -> list[list[int]]:
-    """Cells already in canonical order, as JSON lists."""
-    return [list(s) for s in cells]
-
-
-def _cells(simplices) -> list[list[int]]:
-    return _listed(sorted(sorted(simplices), key=len))
+def _cells(simplices) -> list[Simplex]:
+    """The cells in canonical order: by dimension, then vertex order."""
+    return sorted(sorted(simplices), key=len)
 
 
 def _load(args, needs_values: bool) -> tuple[SimplicialComplex, MorseFunction | None]:
@@ -97,7 +96,7 @@ def _cmd_critical(args, complex, f):
 def _cmd_gradient(args, complex, f):
     field = gradient_field(f)
     return {
-        "pairs": [[list(a), list(b)] for a, b in sorted(field.up.items())],
+        "pairs": sorted(field.up.items()),
         "critical": _cells(field.critical),
         # validate rejects a field with a closed path, so none is left to find.
         "hasClosedPath": False,
@@ -110,10 +109,10 @@ def _cmd_flow(args, complex, f):
     dims = []
     for p in range(complex.dim + 1):
         check_flow_matrix(operator, p)  # the operator's rows now equal the matrix rows
-        cells = list(complex.cells_of_dim(p))
+        cells = complex.cells_of_dim(p)
         index = {c: i for i, c in enumerate(cells)}
-        entries = sorted([index[s], index[t], coef] for s in cells for t, coef in rows[s].items())
-        dims.append({"dim": p, "cells": _listed(cells), "entries": entries})
+        entries = sorted((index[s], index[t], coef) for s in cells for t, coef in rows[s].items())
+        dims.append({"dim": p, "cells": cells, "entries": entries})
     return {"dims": dims, "check": "ok"}
 
 
@@ -122,14 +121,14 @@ def _cmd_levels(args, complex, f):
     out = {
         "threshold": args.level,
         "sublevel": _cells(level.sublevel),
-        "closure": _listed(level.complex),
+        "closure": list(level.complex),
     }
     if args.to is not None:
         seq = verify_dmt_a(f, args.level, args.to)
         out["collapse"] = {
             "to": args.to,
-            "pairs": [[list(a), list(b)] for a, b in seq.pairs],
-            "end": _listed(seq.end),
+            "pairs": seq.pairs,
+            "end": list(seq.end),
         }
     return out
 
@@ -141,11 +140,7 @@ def _cmd_collapse(args, complex, f):
     seq = collapses_to(complex, SimplicialComplex([vertex]), f, args.max_enum)
     if seq is None:
         return {"collapsible": False}
-    return {
-        "collapsible": True,
-        "vertex": list(vertex),
-        "steps": [[list(a), list(b)] for a, b in seq.pairs],
-    }
+    return {"collapsible": True, "vertex": vertex, "steps": seq.pairs}
 
 
 def _cmd_homology(args, complex, f):
@@ -159,11 +154,8 @@ def _cmd_mountain_pass(args, complex, f):
     result = mountain_pass(f, (args.min1,), (args.min0,))
     return {
         "c": result.value,
-        "edge": list(result.edge),
-        "witness": {
-            "start": list(result.witness.start),
-            "edges": [list(e) for e in result.witness.edges],
-        },
+        "edge": result.edge,
+        "witness": {"start": result.witness.start, "edges": result.witness.edges},
         "pathCount": len(result.paths),
     }
 
@@ -173,7 +165,7 @@ def _cmd_lscat(args, complex, f):
     values = ls_minmax(f, args.max_enum)
     return {
         "dgcat": len(values) - 1,
-        "values": [[k, v] for k, v in values],
+        "values": values,
         "criticalCount": len(critical_cells(f)),
         "boundHolds": ls_bound_check(f, args.max_enum),
     }
@@ -194,7 +186,7 @@ def _cmd_minmax_check(args, complex, f):
         "familySize": len(instance.family),
         "closureChecked": report.closure_checked,
         "epsilon": report.epsilon,
-        "deformation": [[a, name] for a, name in sorted(report.deformation.items())],
+        "deformation": sorted(report.deformation.items()),
         "ok": True,
     }
 
@@ -301,7 +293,7 @@ def _describe(exc: MorseflowError) -> dict:
     out = {"kind": type(exc).__name__, "message": str(exc)}
     if hasattr(exc, "violations"):
         out["violations"] = [
-            {"simplex": list(s), "upper": u, "lower": l} for s, u, l in exc.violations
+            {"simplex": s, "upper": u, "lower": l} for s, u, l in exc.violations
         ]
     if hasattr(exc, "line") and exc.line is not None:
         out["line"] = exc.line

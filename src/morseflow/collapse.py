@@ -115,10 +115,7 @@ def _collapse_pairs(start: SimplicialComplex, pairs: Iterable[tuple]) -> set[Sim
     faces, cofaces = start._faces, start._cofaces
     live = set(start._cells)
     for free, coface in pairs:
-        if not isinstance(free, Simplex):
-            free = Simplex(free)
-        if not isinstance(coface, Simplex):
-            coface = Simplex(coface)
+        free, coface = as_simplex(free), as_simplex(coface)
         if free not in live or coface not in live:
             raise SimplexNotInComplex(
                 f"({free!r}, {coface!r}) is not a pair of cells of the complex"
@@ -127,8 +124,8 @@ def _collapse_pairs(start: SimplicialComplex, pairs: Iterable[tuple]) -> set[Sim
             raise NotFreeFace(
                 free, coface, f"{coface!r} is not a codimension-1 coface of {free!r}"
             )
-        cofs = [tuple(c) for c in cofaces[free] if c in live]
-        if len(cofs) != 1:
+        if len(cofs := [c for c in cofaces[free] if c in live]) != 1:
+            cofs = [tuple(c) for c in cofs]  # shown as plain tuples, not Simplex reprs
             raise NotFreeFace(free, coface, f"{free!r} has cofaces {cofs}, so it is not free")
         live.remove(free)
         live.remove(coface)

@@ -489,15 +489,6 @@ class CellIndex:
                 stack.pop()
         return None
 
-    def collapse_witness(self, mask: int) -> tuple | None:
-        """Index pairs collapsing the state onto its first vertex, or None.
-
-        Canonical order puts the vertices first, so the lowest bit of a
-        non-empty state is its first vertex; by the class's lemma, a collapsible
-        state collapses onto it.
-        """
-        return self.collapse_search(mask, mask & -mask)
-
     def reachable(self, mask: int) -> set[int]:
         """Every state reachable from the mask by elementary collapses, the
         mask included; memoised, so callers must not change the set."""

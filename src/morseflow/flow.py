@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .collapse import CollapseSequence, _level, _replayed_collapse
-from .complexes import Chain, Simplex, SimplicialComplex, incidence_sign
+from .complexes import Chain, Simplex, SimplicialComplex, as_simplex, incidence_sign
 from .errors import PropertyViolation, SimplexNotInComplex
 from .morse import GradientField, MorseFunction, _own_field
 
@@ -69,10 +69,10 @@ class FlowOperator:
 
     def gradient_of(self, cell) -> Chain:
         """The matched-pair image of a single cell; zero when unmatched."""
-        return self._map({cell: 1}, self._gradient_row)
+        return self._map({as_simplex(cell): 1}, self._gradient_row)
 
     def flow_of(self, cell) -> Chain:
-        return self._map({cell: 1}, self._flow.__getitem__)
+        return self._map({as_simplex(cell): 1}, self._flow.__getitem__)
 
     def apply_gradient(self, chain: Chain) -> Chain:
         """Linear extension of the pair map over a chain."""
@@ -178,7 +178,13 @@ def check_flow_matrix(operator: FlowOperator, p: int) -> FlowMatrixReport:
 
 
 def flow_image(operator: FlowOperator, cells: Iterable) -> frozenset[Simplex]:
-    """Union of the supports of the flowed cells; empty input gives empty."""
+    """Union of the supports of the flowed cells; empty input gives empty.
+
+    The cells are looked up as given, so they must be the complex's own
+    cells or tuples in increasing vertex order; another vertex order raises
+    ``SimplexNotInComplex``.  The mountain-pass walk calls it on every
+    orbit step, so it converts nothing.
+    """
     flows = operator._flow
     try:
         return frozenset().union(*[flows[c] for c in cells])

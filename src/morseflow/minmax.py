@@ -149,7 +149,7 @@ def _least_member(f: MorseFunction, tied: list[frozenset]) -> tuple[float, froze
     ``TheoremViolation``.  ``minmax_value`` and ``mountain_pass`` each find
     their own tied members: the first by reading each member's values, the
     second off the members' masks."""
-    best = tied[0] if len(tied) == 1 else min(tied, key=lambda m: sorted(m, key=simplex_key))
+    best = min(tied, key=lambda m: sorted(m, key=simplex_key))
     if (value := max(map(f.values.__getitem__, best))) not in f._view.critical:
         raise TheoremViolation(f"min-max value {value} is not a critical value")
     return value, best
@@ -533,7 +533,10 @@ def dgcat(
     pieces = []
     for fam in index.cover(chosen):
         piece = complex._sub(set(index.cells_of(fam)))
-        pairs = index.pairs_of(index.collapse_witness(fam))
+        # Canonical order puts the vertices first, so the lowest bit is the
+        # piece's first vertex; by the lemma in ``CellIndex``, a collapsible
+        # piece collapses onto it.
+        pairs = index.pairs_of(index.collapse_search(fam, fam & -fam))
         vertex = piece._sub(piece.simplices.difference(*pairs))
         pieces.append(CoverPiece(piece, CollapseSequence(piece, vertex, pairs)))
     chosen_complex = complex._sub(set(index.cells_of(chosen)))
@@ -610,12 +613,12 @@ def ls_instance(
     subcomplex, only the closure's cell set.  The instance's function is
     ``f`` itself, also on tied input: ``check_minmax_data`` breaks the ties.
 
-    The LS values exist at depths 1 .. dgcat + 1 only: another ``k`` raises
-    ``PreconditionViolated``, and the empty complex, which has no category,
-    raises ``EmptyInput``.
+    The LS values exist at integer depths 1 .. dgcat + 1 only: another
+    ``k``, a float or a bool included, raises ``PreconditionViolated``, and
+    the empty complex, which has no category, raises ``EmptyInput``.
     """
     index, category = _category(f, max_enum)
-    if not 1 <= k <= category + 1:
+    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= category + 1:
         raise PreconditionViolated(f"depth {k} is outside 1 .. {category + 1} (dgcat + 1)")
     operator = FlowOperator(f)
     closure = f.complex._closure

@@ -106,8 +106,10 @@ class MorseFunction:
     field: GradientField = dataclass_field(compare=False, repr=False)
 
     def __call__(self, cell) -> float:
+        """The value of a cell named in any vertex order; ``MalformedSimplex``
+        for what names no cell, ``SimplexNotInComplex`` for a foreign cell."""
         try:
-            return self.values[cell]
+            return self.values[as_simplex(cell)]
         except KeyError:
             raise SimplexNotInComplex(f"{cell!r} has no value") from None
 
@@ -122,13 +124,11 @@ class MorseFunction:
 
 def upper_set(f: MorseFunction, cell) -> frozenset[Simplex]:
     """Immediate cofaces whose value does not exceed the cell's value."""
-    cell = as_simplex(cell)
     return frozenset(c for c in f.complex.cofaces_of(cell) if f(c) <= f(cell))
 
 
 def lower_set(f: MorseFunction, cell) -> frozenset[Simplex]:
     """Immediate faces whose value is at least the cell's value."""
-    cell = as_simplex(cell)
     return frozenset(c for c in f.complex.faces_of(cell) if f(c) >= f(cell))
 
 
@@ -146,8 +146,7 @@ def validate(complex: SimplicialComplex, values: Mapping) -> MorseFunction:
     norm: dict[Simplex, float] = {}
     cells = complex.simplices
     for cell, val in values.items():
-        if not isinstance(cell, Simplex):
-            cell = Simplex(cell)
+        cell = as_simplex(cell)
         if cell not in cells:
             raise SimplexNotInComplex(f"value given for {cell!r}, which is not in the complex")
         if cell in norm:

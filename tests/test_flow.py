@@ -304,7 +304,7 @@ class TestMembership:
         foreign = Simplex((7, 8))
         mixed = Chain(1, {(1, 2): 1, foreign: 2})  # a member first, then the foreign cell
         for call, arg, name in (
-            (p3_flow.flow_of, (7, 8), "(7, 8)"),
+            (p3_flow.flow_of, (7, 8), "Simplex(7, 8)"),
             (p3_flow.gradient_of, foreign, "Simplex(7, 8)"),
             (p3_flow.apply_flow, mixed, "Simplex(7, 8)"),
             (p3_flow.apply_gradient, mixed, "Simplex(7, 8)"),

@@ -1130,6 +1130,15 @@ class TestLsMinmax:
                 with pytest.raises(PreconditionViolated, match=f"^{re.escape(message)}$"):
                     ls_instance(f, k)
 
+    def test_only_integer_depths_are_accepted(self):
+        # Unchecked, 1.5 read as depth 2 (one member) and True as depth 1 (seven).
+        circle = random_morse(build_complex([(0, 1), (1, 2), (0, 2)]), 2)
+        assert dgcat(circle.complex).category == 1
+        for k in (1.5, True, 1.0):
+            message = f"depth {k} is outside 1 .. 2 (dgcat + 1)"
+            with pytest.raises(PreconditionViolated, match=f"^{re.escape(message)}$"):
+                ls_instance(circle, k)
+
     def test_the_empty_complex_has_no_category(self):
         empty = SimplicialComplex([])
         f = validate(empty, {})

@@ -10,6 +10,7 @@ from collections import Counter
 import pytest
 
 from morseflow import (
+    FlowOperator,
     GradientField,
     Simplex,
     betti_numbers_mod2,
@@ -33,6 +34,7 @@ from morseflow.scxio import emit_scx, parse_scx
 from morseflow.errors import (
     AcyclicityBug,
     ComplexMismatch,
+    MalformedSimplex,
     MissingValue,
     MorseConditionViolated,
     NoPathExists,
@@ -182,6 +184,40 @@ class TestUpperLowerSets:
     def test_unknown_simplex(self, p3_function):
         with pytest.raises(SimplexNotInComplex):
             upper_set(p3_function, (9,))
+
+
+class TestCellNames:
+    """Every entry point that takes a caller's cell reads it in any vertex
+    order, as a tuple or a list; what names no cell is malformed."""
+
+    @pytest.fixture
+    def edge(self):
+        # Vertex 1 is valued above the edge, so (1, 01) is a matched pair.
+        return validate(build_complex([(0, 1)]), {(0,): 0, (1,): 2, (0, 1): 1})
+
+    def test_any_vertex_order_and_a_list_name_the_cell(self, edge):
+        operator = FlowOperator(edge)
+        for call in (
+            edge,
+            lambda c: upper_set(edge, c),
+            lambda c: lower_set(edge, c),
+            operator.flow_of,
+            operator.gradient_of,
+        ):
+            canonical = call((0, 1))
+            assert call((1, 0)) == canonical
+            assert call([0, 1]) == canonical
+        assert lower_set(edge, (1, 0)) == {(1,)}
+        assert operator.gradient_of([1]) == operator.gradient_of((1,)) != operator.gradient_of((0,))
+
+    def test_what_names_no_cell_is_malformed(self, edge):
+        with pytest.raises(MalformedSimplex):
+            edge("ab")
+
+    def test_a_foreign_cell_is_named_as_given(self, edge):
+        with pytest.raises(SimplexNotInComplex) as exc:
+            edge((9,))
+        assert str(exc.value) == "(9,) has no value"
 
 
 class TestValidate:
